@@ -60,7 +60,6 @@ from .scaling import (
     CriticalSize,
     GroupSpec,
     NormingConstants,
-    ScalingLaw,
     beta,
     centering_gap,
     critical_n1,
@@ -86,7 +85,6 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "RngStream",
-    "ScalingLaw",
     "StationSeries",
     "StudyRow",
     "SyntheticTruth",

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -65,6 +66,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return value
+
+
 def _parse_grid(spec: str, *, integer: bool = False) -> list[float]:
     """Comma list or log-spaced range lo:hi[:count] (count defaults to 10)."""
     spec = spec.strip()
@@ -99,55 +111,32 @@ def _metadata_lines(config: dict) -> list[str]:
     return lines
 
 
-def _rows_to_csv(config: dict, rows) -> str:
-    lines = _metadata_lines(config)
-    lines.append(",".join(CSV_COLUMNS))
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.n2),
-                    _fmt(r.n1),
-                    _fmt(r.sigma),
-                    _fmt(r.c),
-                    _fmt(r.p_hat),
-                    _fmt(r.std_err),
-                    _fmt(r.p_limit),
-                    _fmt(r.p_exact_finite_n),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _table(rows) -> tuple[dict, list[str]]:
+    """Study rows as records keyed by CSV_COLUMNS: JSON fields and CSV lines (header first)."""
+    records = [dict(zip(CSV_COLUMNS, astuple(r))) for r in rows]  # StudyRow fields are in column order
+    lines = [",".join(CSV_COLUMNS)]
+    lines.extend(",".join(_fmt(rec[c]) for c in CSV_COLUMNS) for rec in records)
+    return {"columns": CSV_COLUMNS, "rows": records}, lines
 
 
-def _rows_to_json(config: dict, rows, extra: dict | None = None) -> str:
-    payload = {
-        "config": config,
-        "columns": CSV_COLUMNS,
-        "rows": [
-            {
-                "n2": r.n2,
-                "n1": r.n1,
-                "sigma": r.sigma,
-                "c": r.c,
-                "p_hat": r.p_hat,
-                "std_err": r.std_err,
-                "p_limit": r.p_limit,
-                "p_exact": r.p_exact_finite_n,
-            }
-            for r in rows
-        ],
-    }
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(args, config: dict, fields: dict, lines: list[str] | None = None) -> None:
+    """Write one command's output to --output or stdout.
 
-
-def _emit(text: str, output_path) -> None:
-    if output_path is None:
+    JSON is ``{"config": config, **fields}`` with infinite field values
+    written as null.  Text is the ``#`` metadata block followed by
+    ``lines`` when given, else one ``key=value`` line per field.
+    """
+    if args.format == "json":
+        fields = {k: None if isinstance(v, float) and math.isinf(v) else v for k, v in fields.items()}
+        text = json.dumps({"config": config, **fields}, indent=2, sort_keys=True) + "\n"
+    else:
+        if lines is None:
+            lines = [f"{key}={_fmt(val)}" for key, val in fields.items()]
+        text = "\n".join(_metadata_lines(config) + lines) + "\n"
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(output_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -170,56 +159,30 @@ def cmd_limit(args) -> int:
         results = limits.multi_group_limits(spec)
         kappas = spec.kappas()
         config["groups"] = ";".join(f"{c}:{s}" for c, s in groups)
-        if args.format == "json":
-            payload = {
-                "config": config,
-                "groups": [
-                    {
-                        "c": c,
-                        "sigma": s,
-                        "kappa": kappas[i],
-                        "p": results[i].value,
-                        "abs_err": results[i].abs_err,
-                    }
-                    for i, (c, s) in enumerate(groups)
-                ],
-                "sum_p": sum(r.value for r in results),
-            }
-            _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-        else:
-            lines = _metadata_lines(config)
-            for i, (c, s) in enumerate(groups):
-                lines.append(
-                    f"group {i}: c={_fmt(c)} sigma={_fmt(s)} kappa={_fmt(kappas[i])} "
-                    f"p={_fmt(results[i].value)} abs_err={_fmt(results[i].abs_err)}"
-                )
-            lines.append(f"sum_p={_fmt(sum(r.value for r in results))}")
-            _emit("\n".join(lines) + "\n", args.output)
+        records = [
+            {"c": c, "sigma": s, "kappa": k, "p": r.value, "abs_err": r.abs_err}
+            for (c, s), k, r in zip(groups, kappas, results)
+        ]
+        sum_p = sum(r.value for r in results)
+        lines = [
+            f"group {i}: " + " ".join(f"{key}={_fmt(val)}" for key, val in rec.items())
+            for i, rec in enumerate(records)
+        ]
+        _emit(args, config, {"groups": records, "sum_p": sum_p}, lines + [f"sum_p={_fmt(sum_p)}"])
         return EXIT_OK
 
     if args.c is None or args.sigma is None:
         raise ValueError("--two-group requires --c and --sigma")
     c, sigma = float(args.c), float(args.sigma)
     result = limits.two_group_limit(c, sigma)
-    k = scaling.kappa(c, sigma)
-    regime = "degenerate" if result.note == "degenerate" else "critical"
     config.update({"c": c, "sigma": sigma})
-    if args.format == "json":
-        payload = {
-            "config": config,
-            "kappa": None if math.isinf(k) else k,
-            "p": result.value,
-            "abs_err": result.abs_err,
-            "regime": regime,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-    else:
-        lines = _metadata_lines(config)
-        lines.append(f"kappa={_fmt(k)}")
-        lines.append(f"p={_fmt(result.value)}")
-        lines.append(f"abs_err={_fmt(result.abs_err)}")
-        lines.append(f"regime={regime}")
-        _emit("\n".join(lines) + "\n", args.output)
+    fields = {
+        "kappa": scaling.kappa(c, sigma),
+        "p": result.value,
+        "abs_err": result.abs_err,
+        "regime": "degenerate" if result.note == "degenerate" else "critical",
+    }
+    _emit(args, config, fields)
     return EXIT_OK
 
 
@@ -235,7 +198,6 @@ def cmd_scale(args) -> int:
     else:
         b = math.exp(size.log_value - log_f)  # exactly c at the real-valued size
         gap = None
-    k = scaling.kappa(c, sigma)
     config = {"command": "scale", "n2": n2, "sigma": sigma, "c": c, "format": args.format}
     fields = {
         "log_f_n2": log_f,
@@ -245,15 +207,9 @@ def cmd_scale(args) -> int:
         "log_n1": size.log_value,
         "beta": b,
         "centering_gap": gap,
-        "kappa": k,
+        "kappa": scaling.kappa(c, sigma),
     }
-    if args.format == "json":
-        _emit(json.dumps({"config": config, **fields}, indent=2, sort_keys=True) + "\n", args.output)
-    else:
-        lines = _metadata_lines(config)
-        for key, val in fields.items():
-            lines.append(f"{key}={_fmt(val)}")
-        _emit("\n".join(lines) + "\n", args.output)
+    _emit(args, config, fields)
     return EXIT_OK
 
 
@@ -286,8 +242,7 @@ def cmd_simulate(args) -> int:
                 workers=args.workers,
             )
         )
-    text = _rows_to_json(config, rows) if args.format == "json" else _rows_to_csv(config, rows)
-    _emit(text, args.output)
+    _emit(args, config, *_table(rows))
     return EXIT_OK
 
 
@@ -338,42 +293,36 @@ def cmd_empirical(args) -> int:
         "format": args.format,
         "sigma_ratio": result.sigma_ratio,
     }
-    diag_lines = [
-        f"stations={len(stations)} low={len(result.low_indices)} high={len(result.high_indices)}",
-        f"variance_centers low={_fmt(result.centers[0])} high={_fmt(result.centers[1])}",
-        f"pool_sd low={_fmt(result.pool_low.sd)} high={_fmt(result.pool_high.sd)}",
-        f"sigma_ratio={_fmt(result.sigma_ratio)}",
-    ]
-    for sid, fit in zip(result.station_ids, result.fits):
-        diag_lines.append(
-            f"station {sid}: phi={_fmt(fit.phi)} "
-            f"innovation_sd={_fmt(float(fit.innovations.std(ddof=1)))} n_used={fit.n_used}"
-        )
-    if args.format == "json":
-        extra = {
-            "stations": [
-                {
-                    "station_id": sid,
-                    "phi": fit.phi,
-                    "innovation_sd": float(fit.innovations.std(ddof=1)),
-                    "n_used": fit.n_used,
-                }
-                for sid, fit in zip(result.station_ids, result.fits)
-            ],
-            "split": {
-                "low_count": len(result.low_indices),
-                "high_count": len(result.high_indices),
-                "centers": list(result.centers),
-                "sigma_ratio": result.sigma_ratio,
-            },
+    stations_out = [
+        {
+            "station_id": sid,
+            "phi": fit.phi,
+            "innovation_sd": float(fit.innovations.std(ddof=1)),
+            "n_used": fit.n_used,
         }
-        text = _rows_to_json(config, rows, extra=extra)
-        _emit(text, args.output)
-    else:
-        text = _rows_to_csv(config, rows)
-        _emit(text, args.output)
-        if args.output is not None:
-            sys.stdout.write("\n".join(diag_lines) + "\n")
+        for sid, fit in zip(result.station_ids, result.fits)
+    ]
+    fields, lines = _table(rows)
+    fields["stations"] = stations_out
+    fields["split"] = {
+        "low_count": len(result.low_indices),
+        "high_count": len(result.high_indices),
+        "centers": list(result.centers),
+        "sigma_ratio": result.sigma_ratio,
+    }
+    _emit(args, config, fields, lines)
+    if args.format != "json" and args.output is not None:
+        diag_lines = [
+            f"stations={len(stations)} low={len(result.low_indices)} high={len(result.high_indices)}",
+            f"variance_centers low={_fmt(result.centers[0])} high={_fmt(result.centers[1])}",
+            f"pool_sd low={_fmt(result.pool_low.sd)} high={_fmt(result.pool_high.sd)}",
+            f"sigma_ratio={_fmt(result.sigma_ratio)}",
+        ] + [
+            f"station {st['station_id']}: phi={_fmt(st['phi'])} "
+            f"innovation_sd={_fmt(st['innovation_sd'])} n_used={st['n_used']}"
+            for st in stations_out
+        ]
+        sys.stdout.write("\n".join(diag_lines) + "\n")
     return EXIT_OK
 
 
@@ -517,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--exact", action="store_true", help="append the finite-n quadrature column")
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=_positive_int, default=1)
     p_sim.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sim.add_argument("--output", default=None)
     p_sim.set_defaults(fn=cmd_simulate)
@@ -533,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_emp.add_argument("--lon", default="-95:-75")
     p_emp.add_argument("--years", default="1980:2025")
     p_emp.add_argument("--cap", type=int, default=10_000_000)
-    p_emp.add_argument("--workers", type=int, default=1)
+    p_emp.add_argument("--workers", type=_positive_int, default=1)
     p_emp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_emp.add_argument("--output", default=None)
     p_emp.set_defaults(fn=cmd_empirical)

@@ -16,6 +16,7 @@ only practical route once n reaches 1e16.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -222,17 +223,29 @@ def mc_two_group(
 ) -> McEstimate:
     """Winner frequency of group 1 over independent paired max draws.
 
-    Trial t consumes stream positions 2t (group 1) and 2t+1 (group 2);
-    identical draws and comparisons as the K=2 case of :func:`mc_multi`.
+    This is :func:`mc_multi` at K=2: trial t consumes stream positions
+    2t (group 1) and 2t+1 (group 2), and an exact tie (a probability-zero
+    event) counts as a win for group 1.
     """
+    return mc_multi([g1, g2], trials, rng, workers=workers)[0]
 
-    def count_wins(u):
-        m1 = sample_group_max(g1.size, g1.sigma, u[:, 0])
-        m2 = sample_group_max(g2.size, g2.sigma, u[:, 1])
-        return [np.count_nonzero(m1 > m2)]
 
-    wins = _sum_chunks(rng, trials, 2, count_wins, workers=workers)
-    return McEstimate.from_counts(int(wins[0]), trials)
+def _winner_counts(maxima) -> list[int]:
+    """Trials won by each group, given one array of per-trial maxima per group.
+
+    Ties break toward the lowest group index, as ``argmax`` would; the
+    last group takes every trial left over, so the counts partition the
+    trials exactly.
+    """
+    top = functools.reduce(np.maximum, maxima)
+    taken = maxima[0] == top
+    counts = [int(np.count_nonzero(taken))]
+    for m in maxima[1:-1]:
+        won = (m == top) & ~taken
+        counts.append(int(np.count_nonzero(won)))
+        taken |= won
+    counts.append(top.size - sum(counts))
+    return counts
 
 
 def mc_multi(
@@ -244,23 +257,20 @@ def mc_multi(
 ) -> list[McEstimate]:
     """Per-group winning frequencies; exactly one winner per trial.
 
-    Ties (a probability-zero event for continuous draws) break toward
-    the lowest group index, so the success counts always partition the
-    trial count exactly.
+    Trial t consumes stream positions [tK, (t+1)K), one per group in
+    order.  Ties (a probability-zero event for continuous draws) break
+    toward the lowest group index, so the success counts always
+    partition the trial count exactly.
     """
     groups = list(groups)
     if len(groups) < 2:
         raise ValueError("need at least 2 groups")
-    k = len(groups)
 
     def count_wins(u):
-        maxima = np.empty_like(u)
-        for j, g in enumerate(groups):
-            maxima[:, j] = sample_group_max(g.size, g.sigma, u[:, j])
-        winner = np.argmax(maxima, axis=1)
-        return np.bincount(winner, minlength=k)
+        maxima = [sample_group_max(g.size, g.sigma, u[:, j]) for j, g in enumerate(groups)]
+        return _winner_counts(maxima)
 
-    counts = _sum_chunks(rng, trials, k, count_wins, workers=workers)
+    counts = _sum_chunks(rng, trials, len(groups), count_wins, workers=workers)
     return [McEstimate.from_counts(int(c), trials) for c in counts]
 
 
@@ -348,6 +358,38 @@ def mc_limit_pair(
     return McEstimate.from_counts(int(wins[0]), trials)
 
 
+def _critical_grid(sigma, c_values, n2_grid, rng, estimate, p_exact=None) -> list[StudyRow]:
+    """Rows along the critical law at one sigma, in (C outer, n2 inner) order.
+
+    At each (C, n2), n1 is the critical size: the int floor when it is
+    exactly representable, the real value otherwise.  Row i gets
+    ``estimate(n1, n2, rng.substream(i))`` as its p_hat, the two-group
+    limit as p_limit and, when ``p_exact`` is given, ``p_exact(n1, n2)``.
+    """
+    if not c_values or not n2_grid:
+        raise ValueError("c_values and n2_grid must be nonempty")
+    rows = []
+    for c in c_values:
+        p_limit = two_group_limit(c, sigma).value
+        for n2 in n2_grid:
+            size = critical_n1(n2, sigma, c)
+            n1 = size.real_value if size.floor_value is None else size.floor_value
+            est = estimate(n1, n2, rng.substream(len(rows)))
+            rows.append(
+                StudyRow(
+                    n2=float(n2),
+                    n1=float(n1),
+                    sigma=float(sigma),
+                    c=float(c),
+                    p_hat=est.p_hat,
+                    std_err=est.std_err,
+                    p_limit=p_limit,
+                    p_exact_finite_n=None if p_exact is None else p_exact(n1, n2),
+                )
+            )
+    return rows
+
+
 def convergence_study(
     sigma: float,
     c_values: Sequence[float],
@@ -360,44 +402,15 @@ def convergence_study(
 ) -> list[StudyRow]:
     """Simulated winning probabilities along the critical law vs their limits.
 
-    For each (C, n2) the first-group size comes from the critical law
-    (floored when the floor is exactly representable, real-valued
-    otherwise), p_hat from :func:`mc_two_group` on a dedicated substream
-    indexed by row, and p_limit from the quadrature.  Rows are emitted
-    in deterministic (C outer, n2 inner) order.
+    Rows of :func:`_critical_grid` with p_hat from :func:`mc_two_group`
+    and, when ``exact`` is set, the finite-n quadrature as p_exact.
     """
-    c_values = list(c_values)
-    n2_grid = list(n2_grid)
-    if not c_values or not n2_grid:
-        raise ValueError("c_values and n2_grid must be nonempty")
-    rows = []
-    row_index = 0
-    for c in c_values:
-        p_limit = two_group_limit(c, sigma).value
-        for n2 in n2_grid:
-            size = critical_n1(n2, sigma, c)
-            n1 = float(size.floor_value) if size.floor_value is not None else size.real_value
-            est = mc_two_group(
-                GroupSpec(n1, 1.0),
-                GroupSpec(n2, sigma),
-                trials,
-                rng.substream(row_index),
-                workers=workers,
-            )
-            p_exact = None
-            if exact:
-                p_exact = finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(n2, sigma)).value
-            rows.append(
-                StudyRow(
-                    n2=float(n2),
-                    n1=n1,
-                    sigma=float(sigma),
-                    c=float(c),
-                    p_hat=est.p_hat,
-                    std_err=est.std_err,
-                    p_limit=p_limit,
-                    p_exact_finite_n=p_exact,
-                )
-            )
-            row_index += 1
-    return rows
+
+    def estimate(n1, n2, stream):
+        return mc_two_group(GroupSpec(n1, 1.0), GroupSpec(n2, sigma), trials, stream, workers=workers)
+
+    def finite_n(n1, n2):
+        return finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(n2, sigma)).value
+
+    p_exact = finite_n if exact else None
+    return _critical_grid(sigma, list(c_values), list(n2_grid), rng, estimate, p_exact)

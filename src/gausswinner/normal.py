@@ -64,12 +64,6 @@ def _upper_tail(t):
         return 0.5 * erfcx(t * _SQRT_HALF) * np.exp(-hi) * (1.0 - lo)
 
 
-def log_std_normal_pdf(x):
-    """Log density of the standard normal, -x^2/2 - log sqrt(2 pi)."""
-    x = np.asarray(x, dtype=float)
-    return -0.5 * x * x - _LOG_SQRT_2PI
-
-
 def std_normal_cdf(x):
     """Standard normal distribution function Phi(x).
 

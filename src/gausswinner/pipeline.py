@@ -22,9 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .limits import two_group_limit
-from .montecarlo import McEstimate, RngStream, StudyRow, _sum_chunks
-from .scaling import critical_n1
+from .montecarlo import McEstimate, RngStream, StudyRow, _critical_grid, _sum_chunks
 
 __all__ = [
     "StationSeries",
@@ -130,6 +128,8 @@ def _parse_row(fields, line_no):
             value = float(raw)
         except ValueError:
             raise ValueError(f"line {line_no}: bad tavg_c value {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {line_no}: non-finite tavg_c value {raw!r}")
         present = True
     return sid, lat, lon, year, month, value, present
 
@@ -380,40 +380,17 @@ def empirical_study(
 ) -> list[StudyRow]:
     """Bootstrap winner probabilities along the critical law vs their limits.
 
-    For each (C, n2): n1 is the floored critical size at the empirical
-    sigma ratio, p_hat comes from :func:`bootstrap_winner` on a per-row
-    substream, and p_limit from the two-group limit law.  Rows are
-    emitted in deterministic (C outer, n2 inner) order.
+    Rows of :func:`gausswinner.montecarlo._critical_grid` at the
+    empirical sigma ratio, with p_hat from :func:`bootstrap_winner`.
+    The critical n1 must have an exact integer floor.
     """
-    c_values = list(c_values)
-    n2_grid = [int(n) for n in n2_grid]
-    if not c_values or not n2_grid:
-        raise ValueError("c_values and n2_grid must be nonempty")
-    rows = []
-    row_index = 0
-    for c in c_values:
-        p_limit = two_group_limit(c, sigma_ratio).value
-        for n2 in n2_grid:
-            size = critical_n1(n2, sigma_ratio, c)
-            if size.floor_value is None:
-                raise ValueError(f"critical n1 at n2={n2} overflows the bootstrap range")
-            n1 = size.floor_value
-            est = bootstrap_winner(
-                pool1, pool2, n1, n2, b, rng.substream(row_index), cap=cap, workers=workers
-            )
-            rows.append(
-                StudyRow(
-                    n2=float(n2),
-                    n1=float(n1),
-                    sigma=float(sigma_ratio),
-                    c=float(c),
-                    p_hat=est.p_hat,
-                    std_err=est.std_err,
-                    p_limit=p_limit,
-                )
-            )
-            row_index += 1
-    return rows
+
+    def estimate(n1, n2, stream):
+        if not isinstance(n1, int):
+            raise ValueError(f"critical n1 at n2={n2} overflows the bootstrap range")
+        return bootstrap_winner(pool1, pool2, n1, n2, b, stream, cap=cap, workers=workers)
+
+    return _critical_grid(sigma_ratio, list(c_values), [int(n) for n in n2_grid], rng, estimate)
 
 
 def process_station(series: StationSeries) -> Ar1Fit:

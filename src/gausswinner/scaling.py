@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "GroupSpec",
-    "ScalingLaw",
     "NormingConstants",
     "CriticalSize",
     "norming_constants",
@@ -55,28 +54,6 @@ class GroupSpec:
             raise ValueError(f"group size must be a finite real >= 1, got {self.size}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"group sigma must be a finite real > 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class ScalingLaw:
-    """Parameters (C, sigma) of the critical balance n1 ~ C * f(n2).
-
-    ``c`` may be 0 or math.inf: those endpoints mark the degenerate
-    regimes where the winning probability collapses to 0 or 1, and they
-    map to kappa = -inf / +inf.
-    """
-
-    c: float
-    sigma: float
-
-    def __post_init__(self):
-        if math.isnan(self.c) or self.c < 0.0:
-            raise ValueError(f"c must lie in [0, +inf], got {self.c}")
-        if not (math.isfinite(self.sigma) and self.sigma > 1.0):
-            raise ValueError(f"sigma must be a finite real > 1, got {self.sigma}")
-
-    def kappa(self) -> float:
-        return kappa(self.c, self.sigma)
 
 
 @dataclass(frozen=True)

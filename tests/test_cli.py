@@ -175,9 +175,16 @@ class TestSimulateCommand:
         assert set(payload["rows"][0]) >= {"n2", "n1", "p_hat", "p_limit"}
 
     def test_usage_error_exit_2(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["simulate", "--format", "yaml"])
-        assert excinfo.value.code == 2
+        for argv in (
+            ["simulate", "--format", "yaml"],
+            ["simulate", "--workers", "0"],
+            ["simulate", "--workers", "-3"],
+            ["empirical", "--input", "stations.csv", "--workers", "0"],
+            ["empirical", "--input", "stations.csv", "--workers", "-3"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +240,16 @@ class TestEmpiricalCommand:
         assert payload["split"]["low_count"] == 14
         assert len(payload["stations"]) == 22
         assert len(payload["rows"]) == 1
+
+    def test_non_finite_value_exit_3(self, capsys, fixture_csv, tmp_path):
+        lines = fixture_csv.read_text().splitlines()
+        sid, lat, lon, year, month, _ = lines[5].split(",")
+        lines[5] = ",".join([sid, lat, lon, year, month, "nan"])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "empirical", "--input", str(bad))
+        assert code == EXIT_MATH
+        assert "line 6: non-finite tavg_c" in err
 
     def test_empty_selection_exit_3(self, capsys, fixture_csv):
         code, _, err = run(

@@ -1,0 +1,117 @@
+"""CLI output bytes pinned by sha256 digest at fixed seeds.
+
+Every case runs one subcommand in-process and hashes its exit code,
+stdout, stderr and ``--output`` file together, so any change to any
+output byte of any subcommand changes a digest.  The digests pin the
+bytes produced with this repository's numpy/scipy builds; an intended
+output change re-pins them by running this file as a script, which
+prints the current digest of every case::
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+import pytest
+
+from gausswinner.cli import main
+from gausswinner.synthetic import write_synthetic_stations
+
+FIXTURE = "stations.csv"
+OUTPUT = "out.txt"
+
+_SIM = ["simulate", "--sigma", "1.5,2.0", "--c", "0.5,2.0", "--n2", "100:10000:3",
+        "--trials", "2000", "--seed", "9", "--exact"]
+_EMP = ["empirical", "--input", FIXTURE, "--b", "200", "--c", "0.1,0.6", "--n2", "5,30",
+        "--seed", "5"]
+
+# name -> argv; a case that passes --output OUTPUT has that file hashed too
+CASES = {
+    "limit_two_group_text": ["limit", "--two-group", "--c", "1", "--sigma", "1.5"],
+    "limit_two_group_json": ["limit", "--two-group", "--c", "1", "--sigma", "1.5", "--format", "json"],
+    "limit_c0_text": ["limit", "--two-group", "--c", "0", "--sigma", "2", "--output", OUTPUT],
+    "limit_c0_json": ["limit", "--two-group", "--c", "0", "--sigma", "2", "--format", "json"],
+    "limit_cinf_text": ["limit", "--two-group", "--c", "inf", "--sigma", "2"],
+    "limit_cinf_json": ["limit", "--two-group", "--c", "inf", "--sigma", "2", "--format", "json",
+                        "--output", OUTPUT],
+    "limit_multi_text": ["limit", "--multi", "--group", "1:1", "--group", "1:1.5", "--group", "2:2"],
+    "limit_multi_json": ["limit", "--multi", "--group", "1:1", "--group", "0.7:1.4", "--format", "json"],
+    "limit_bad_sigma": ["limit", "--two-group", "--c", "1", "--sigma", "0.8"],
+    "scale_text": ["scale", "--n2", "100", "--sigma", "1.41421356", "--c", "1"],
+    "scale_json": ["scale", "--n2", "100", "--sigma", "1.41421356", "--c", "1", "--format", "json"],
+    "scale_overflow_text": ["scale", "--n2", "1000000", "--sigma", "2", "--c", "5", "--output", OUTPUT],
+    "scale_overflow_json": ["scale", "--n2", "1000000", "--sigma", "2", "--c", "5", "--format", "json"],
+    "simulate_csv_w1": _SIM + ["--workers", "1", "--output", OUTPUT],
+    "simulate_csv_w2": _SIM + ["--workers", "2", "--output", OUTPUT],
+    "simulate_json_w1": _SIM + ["--workers", "1", "--format", "json"],
+    "simulate_json_w2": _SIM + ["--workers", "2", "--format", "json"],
+    "empirical_csv": _EMP + ["--output", OUTPUT],
+    "empirical_json": _EMP + ["--format", "json"],
+    "selftest_text": ["selftest"],
+    "selftest_json": ["selftest", "--json"],
+}
+
+DIGESTS = {
+    "empirical_csv": "fc3e85456b72f6a54222c4dfbc25bfd2fa7dff6e93efac16ac711143b01e5563",
+    "empirical_json": "7b4f673f651f8c0cf70d6b41983dadf1f3c0a08b4e1657ca2945859135dcb61c",
+    "limit_bad_sigma": "183ceae064922f615d55b63fed9c3998e64edcf13c5ccdb6d9c954f79350a2a8",
+    "limit_c0_json": "74fbdc8e748e3493fea4666de8f2887e28a4991ddf18e0151cc45d9571f1c705",
+    "limit_c0_text": "b4ee0ed6aef3f5d0b613f981852ec5547a50e50d370008c1101b99379cc23bea",
+    "limit_cinf_json": "c39f585e8929fea1fa4ec522e36f13a197984a5ad9eacb9c78dcade4d04de406",
+    "limit_cinf_text": "88ef940c1da53ca46e05116324d01feee48905895c3a6e834ceb7be2187ddbc0",
+    "limit_multi_json": "30d8241fab92f49713fb828a9fdb7c76cb622a951b09e3abfa6ae2e82d0748e7",
+    "limit_multi_text": "80c2a35395c60fa5330aad490b820ccc9ecd28be2e188ad6656a0cff3bbaf289",
+    "limit_two_group_json": "7e0083b1be6cb2903049e91726e4a86dc9d77a62c69033569b5a7c3a29e690fa",
+    "limit_two_group_text": "e93b20729432a577e564ed77b4af77f0495f71551053f1ff064ebc47fd15f2a8",
+    "scale_json": "509404e9d2215b5064d197bff60d41a0176d446766d9edeff502258f7021b460",
+    "scale_overflow_json": "0453f0d41890e1d0822b28395ce7331ad061214c2ae586f63605596d109c3658",
+    "scale_overflow_text": "0efb4f0a9a2c4d991f0bf77803188217aec34361a4f2958026fdec75c0fecbff",
+    "scale_text": "d9b9e4d5aca84e4833550ed3508dda542a743462462948c2f7377d97d2ec71b8",
+    "selftest_json": "1cfcb3e1c91335bbf403ffc89d422db80804042c48bf24c73c40a42755f4813d",
+    "selftest_text": "c257e1c91f8dc0fbeb53052a22446c17d479722b7ca5796ae47b6fac77a1b09f",
+    "simulate_csv_w1": "3805eeac122548746e977b6cfa1358f010aa1f346d72ce40f959ef99ab447bec",
+    "simulate_csv_w2": "3805eeac122548746e977b6cfa1358f010aa1f346d72ce40f959ef99ab447bec",
+    "simulate_json_w1": "bb56e4f6c308598b46fce8a257a6b004d65e63bbcf4816fed04f953d8227c100",
+    "simulate_json_w2": "bb56e4f6c308598b46fce8a257a6b004d65e63bbcf4816fed04f953d8227c100",
+}
+
+
+def case_digest(name) -> str:
+    """Run one case in the current directory and hash everything it wrote."""
+    argv = CASES[name]
+    if FIXTURE in argv:
+        write_synthetic_stations(FIXTURE, n_low=10, n_high=6, seed=42, missing_rate=0.02)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    h = hashlib.sha256()
+    h.update(f"exit={code}\n".encode())
+    for part in (out.getvalue(), err.getvalue()):
+        h.update(f"{len(part)}\n{part}".encode())
+    if OUTPUT in argv:
+        with open(OUTPUT, "rb") as fh:
+            data = fh.read()
+        h.update(f"{len(data)}\n".encode() + data)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_bytes_pinned(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert case_digest(name) == DIGESTS[name]
+
+
+def test_simulate_digest_independent_of_workers():
+    for fmt in ("csv", "json"):
+        assert DIGESTS[f"simulate_{fmt}_w1"] == DIGESTS[f"simulate_{fmt}_w2"]
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            print(f'    "{case}": "{case_digest(case)}",')

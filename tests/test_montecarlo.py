@@ -187,6 +187,16 @@ class TestMcMulti:
             exact = finite_n_winner_multi(groups, k).value
             assert abs(est.p_hat - exact) <= 4.0 * est.std_err, f"group {k}"
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_winner_counts_match_argmax_with_ties(self, k):
+        g = np.random.default_rng(100 + k)
+        # coarse integer maxima make exact ties, including k-way ties, common
+        maxima = [g.integers(0, 4, size=5_000).astype(float) for _ in range(k)]
+        maxima[-1][:3] = maxima[0][:3] = 9.0  # first and last group tie at the top
+        expected = np.bincount(np.argmax(np.stack(maxima, axis=1), axis=1), minlength=k)
+        assert mc._winner_counts(maxima) == list(expected)
+        assert mc._winner_counts([np.zeros(7)] * k) == [7] + [0] * (k - 1)
+
     def test_coupled_monotonicity_in_n1(self):
         # same stream: raising n1 never flips a group-1 win into a loss
         s = RngStream(seed=21)

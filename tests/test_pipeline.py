@@ -76,6 +76,13 @@ class TestLoadStations:
         with pytest.raises(ValueError, match="line 2"):
             load_stations(p)
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "+Infinity", " -INF "])
+    def test_non_finite_value_names_line(self, tmp_path, raw):
+        p = tmp_path / "t.csv"
+        write_csv(p, ["A,35,-80,1990,1,5.0", f"A,35,-80,1990,2,{raw}"])
+        with pytest.raises(ValueError, match="line 3: non-finite tavg_c"):
+            load_stations(p)
+
     def test_non_increasing_months(self, tmp_path):
         p = tmp_path / "t.csv"
         write_csv(p, ["A,35,-80,1990,2,5.0", "A,35,-80,1990,1,5.0"])

@@ -7,7 +7,6 @@ import pytest
 
 from gausswinner.scaling import (
     GroupSpec,
-    ScalingLaw,
     beta,
     centering_gap,
     critical_n1,
@@ -194,13 +193,3 @@ class TestTypes:
             GroupSpec(10.0, 0.0)
         with pytest.raises(ValueError):
             GroupSpec(math.inf, 1.0)
-
-    def test_scaling_law_validation(self):
-        law = ScalingLaw(c=2.0, sigma=1.5)
-        assert law.kappa() == pytest.approx(kappa(2.0, 1.5), rel=1e-15)
-        ScalingLaw(c=0.0, sigma=1.5)
-        ScalingLaw(c=math.inf, sigma=1.5)
-        with pytest.raises(ValueError):
-            ScalingLaw(c=-1.0, sigma=1.5)
-        with pytest.raises(ValueError):
-            ScalingLaw(c=1.0, sigma=1.0)

@@ -275,7 +275,6 @@ def cmd_empirical(args) -> int:
         n2_grid,
         args.b,
         montecarlo.RngStream(seed=seed),
-        cap=args.cap,
         workers=args.workers,
     )
     config = {
@@ -289,7 +288,6 @@ def cmd_empirical(args) -> int:
         "lat": args.lat,
         "lon": args.lon,
         "years": args.years,
-        "cap": args.cap,
         "format": args.format,
         "sigma_ratio": result.sigma_ratio,
     }
@@ -481,7 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_emp.add_argument("--lat", default="30:40")
     p_emp.add_argument("--lon", default="-95:-75")
     p_emp.add_argument("--years", default="1980:2025")
-    p_emp.add_argument("--cap", type=int, default=10_000_000)
     p_emp.add_argument("--workers", type=_positive_int, default=1)
     p_emp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_emp.add_argument("--output", default=None)

@@ -14,12 +14,13 @@ which removes the endpoint singularity and leaves a log-concave
 integrand on the whole line; the finite-n integrand is log-concave as
 it stands.  All exponents are assembled in log space (n log Phi can
 reach -1e15) and exponentiated once per node inside the quadrature.
+Returned probabilities are clamped to [0, 1]; abs_err bounds the unclamped error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -79,6 +80,12 @@ class LimitSpecK:
         return tuple(kappa(c, s) for c, s in self.groups)
 
 
+def _probability(result: QuadResult) -> QuadResult:
+    """``result`` with its value clamped to [0, 1]; ``abs_err`` is kept."""
+    value = min(max(result.value, 0.0), 1.0)
+    return result if value == result.value else replace(result, value=value)
+
+
 def _limit_component(alphas, kappas, k, *, tol, note=None) -> QuadResult:
     """p_k as a u-space integral, u = log x.
 
@@ -96,7 +103,7 @@ def _limit_component(alphas, kappas, k, *, tol, note=None) -> QuadResult:
 
     # mass sits where the dominating exponential sum is O(1)
     center = min(0.0, float(np.min(kappas / alphas)))
-    return concave_log_quad(log_f, center - 8.0, 8.0, tol=tol, note=note)
+    return _probability(concave_log_quad(log_f, center - 8.0, 8.0, tol=tol, note=note))
 
 
 def two_group_limit_from_kappa(kappa_value: float, sigma: float, *, tol: float = 1e-10) -> QuadResult:
@@ -136,7 +143,7 @@ def multi_group_limits(spec: LimitSpecK, *, tol: float = 1e-9) -> list[QuadResul
     Every kappa_k must be finite: a partially degenerate configuration
     has no joint limit law of this form and is rejected.  The integrands sum to the exact
     derivative of -exp(-sum_j e^{-kappa_j} x^{1/sigma_j^2}), so the
-    returned values sum to 1 up to quadrature error.
+    returned values, each clamped to [0, 1], sum to 1 up to quadrature error.
     """
     kappas = spec.kappas()
     if not all(math.isfinite(k) for k in kappas):
@@ -178,7 +185,7 @@ def finite_n_winner_multi(groups: Sequence[GroupSpec], k: int, *, tol: float = 1
 
     ``k`` is a zero-based index.  Sizes may be any reals >= 1; all
     probability powers are assembled as n * log Phi, never by repeated
-    multiplication.
+    multiplication.  The value is clamped to [0, 1].
     """
     groups = list(groups)
     if len(groups) < 2:
@@ -191,7 +198,7 @@ def finite_n_winner_multi(groups: Sequence[GroupSpec], k: int, *, tol: float = 1
     for n, s in zip(sizes, sigmas):
         if n >= 2.0:
             hi = max(hi, s * math.sqrt(2.0 * math.log(n)))
-    return concave_log_quad(log_f, -span, hi + span, tol=tol)
+    return _probability(concave_log_quad(log_f, -span, hi + span, tol=tol))
 
 
 def finite_n_winner(g1: GroupSpec, g2: GroupSpec, *, tol: float = 1e-10) -> QuadResult:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 __all__ = [
     "LOG_HALF",
@@ -28,7 +28,6 @@ __all__ = [
 
 LOG_HALF = math.log(0.5)
 
-_SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -43,33 +42,11 @@ def _maybe_scalar(arr, scalar_in):
     return float(arr) if scalar_in else arr
 
 
-def _half_square(x):
-    """Return (hi, lo) with hi + lo == x*x/2 exactly (Dekker product).
-
-    Splitting keeps exp(-x*x/2) accurate to ~1 ulp instead of losing
-    ~(x*x/2)*eps relative accuracy to argument rounding.
-    """
-    c = 134217729.0 * x  # 2**27 + 1
-    big = c - (c - x)
-    small = x - big
-    sq = x * x
-    err = ((big * big - sq) + 2.0 * big * small) + small * small
-    return 0.5 * sq, 0.5 * err
-
-
-def _upper_tail(t):
-    """Upper tail Q(t) = 1 - Phi(t) for t >= 0, relative error ~1 ulp."""
-    hi, lo = _half_square(t)
-    with np.errstate(under="ignore"):
-        return 0.5 * erfcx(t * _SQRT_HALF) * np.exp(-hi) * (1.0 - lo)
-
-
 def std_normal_cdf(x):
     """Standard normal distribution function Phi(x).
 
-    Evaluated through the scaled complementary error function with an
-    exactly split quadratic exponent, so the relative error stays below
-    1e-14 on both tails down to values of order 1e-300.
+    Evaluated by ``scipy.special.ndtr``; the relative error stays below
+    1e-12 on both tails down to values of order 1e-300.
 
     Parameters
     ----------
@@ -83,9 +60,7 @@ def std_normal_cdf(x):
     """
     scalar_in = np.ndim(x) == 0
     arr = _as_finite_array(x, "x")
-    tail = _upper_tail(np.abs(arr))
-    out = np.where(arr >= 0.0, 1.0 - tail, tail)
-    return _maybe_scalar(out, scalar_in)
+    return _maybe_scalar(ndtr(arr), scalar_in)
 
 
 def log_std_normal_cdf(x):

@@ -333,36 +333,32 @@ def bootstrap_winner(
     b: int,
     rng: RngStream,
     *,
-    cap: int = 10_000_000,
     workers: int = 1,
 ) -> McEstimate:
     """Bootstrap frequency of {max of n1 pool-1 draws > max of n2 pool-2 draws}.
 
-    Draws are per-variable with replacement (pools are finite empirical
-    distributions, so the max-transform shortcut does not apply).
-    Iteration t owns stream positions [t*(n1+n2), (t+1)*(n1+n2)): n1
-    group-1 draws first, then n2 group-2 draws.
+    The maximum of n draws with replacement from a pool of N values has
+    CDF F^n, with F the pool's empirical CDF, so it is drawn exactly in
+    distribution from one uniform u as the sorted pool's entry at index
+    ceil(N u^{1/n}) - 1 (the quantile transform of
+    :func:`gausswinner.montecarlo.sample_group_max`).  The cost does not
+    grow with n1 or n2.  Iteration t owns stream positions 2t (group 1)
+    and 2t+1 (group 2).
     """
     if len(pool1.values) == 0 or len(pool2.values) == 0:
         raise ValueError("pools must be nonempty")
     if n1 < 1 or n2 < 1:
         raise ValueError("n1 and n2 must be >= 1")
-    if n1 > cap:
-        raise ValueError(
-            f"n1 = {n1} exceeds the per-variable bootstrap cap {cap}; "
-            "use the theoretical limit (two_group_limit) at this scale"
-        )
-    v1, v2 = pool1.values, pool2.values
-    size1, size2 = len(v1), len(v2)
+    s1, s2 = np.sort(pool1.values), np.sort(pool2.values)
+
+    def pool_max(s, n, u):
+        idx = np.ceil(s.size * np.exp(np.log(u) / n)) - 1.0
+        return s[np.clip(idx, 0, s.size - 1).astype(np.int64)]
 
     def count_wins(u):
-        i1 = np.minimum((u[:, :n1] * size1).astype(np.int64), size1 - 1)
-        i2 = np.minimum((u[:, n1:] * size2).astype(np.int64), size2 - 1)
-        m1 = v1[i1].max(axis=1)
-        m2 = v2[i2].max(axis=1)
-        return [np.count_nonzero(m1 > m2)]
+        return [np.count_nonzero(pool_max(s1, n1, u[:, 0]) > pool_max(s2, n2, u[:, 1]))]
 
-    wins = _sum_chunks(rng, b, n1 + n2, count_wins, workers=workers)
+    wins = _sum_chunks(rng, b, 2, count_wins, workers=workers)
     return McEstimate.from_counts(int(wins[0]), b)
 
 
@@ -375,7 +371,6 @@ def empirical_study(
     b: int,
     rng: RngStream,
     *,
-    cap: int = 10_000_000,
     workers: int = 1,
 ) -> list[StudyRow]:
     """Bootstrap winner probabilities along the critical law vs their limits.
@@ -388,7 +383,7 @@ def empirical_study(
     def estimate(n1, n2, stream):
         if not isinstance(n1, int):
             raise ValueError(f"critical n1 at n2={n2} overflows the bootstrap range")
-        return bootstrap_winner(pool1, pool2, n1, n2, b, stream, cap=cap, workers=workers)
+        return bootstrap_winner(pool1, pool2, n1, n2, b, stream, workers=workers)
 
     return _critical_grid(sigma_ratio, list(c_values), [int(n) for n in n2_grid], rng, estimate)
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .montecarlo import RngStream
 from .normal import std_normal_quantile
@@ -79,6 +78,8 @@ def write_synthetic_stations(
     (empty CSV fields) on every third in-box station, exercising the
     gap-aware AR(1) pairing.
     """
+    from scipy.signal import lfilter  # not at module level: scipy.signal is slow to import
+
     months = (last_year - first_year + 1) * 12
     t = np.arange(months)
     year = first_year + t // 12

@@ -2,13 +2,14 @@
 
 Everything here is deliberately written from scratch with different
 algorithms than the package (continued fractions and power series
-instead of erfcx, bisection instead of rational inverses, fixed-grid
+instead of scipy's ndtr, bisection instead of rational inverses, fixed-grid
 Simpson instead of adaptive trapezoid), so agreement is evidence rather
 than tautology.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -151,3 +152,25 @@ def threshold_split_sse(values) -> tuple[float, tuple[float, ...], tuple[float, 
         if best is None or cost < best[0] - 1e-15:
             best = (cost, tuple(s[:i]), tuple(s[i:]))
     return best
+
+
+def ideal_bootstrap_winner(pool1, pool2, n1: float, n2: float) -> float:
+    """Exact P(max of n1 draws from pool1 > max of n2 draws from pool2).
+
+    Draws are uniform with replacement.  With F1, F2 the pools'
+    empirical CDFs, the ideal (B -> infinity) bootstrap frequency is
+    sum_v [F1(v)^n1 - F1(v-)^n1] * F2(v-)^n2 over the distinct pool-1
+    values v; powers go through exp(n log F), so n can pass 1e8.
+    """
+    a, b = sorted(pool1), sorted(pool2)
+
+    def power(f, n):
+        return math.exp(n * math.log(f)) if f > 0.0 else 0.0
+
+    total, i = 0.0, 0
+    while i < len(a):
+        j = bisect.bisect_right(a, a[i])
+        f2_below = bisect.bisect_left(b, a[i]) / len(b)
+        total += (power(j / len(a), n1) - power(i / len(a), n1)) * power(f2_below, n2)
+        i = j
+    return total

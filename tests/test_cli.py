@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -281,3 +284,11 @@ class TestSelftestCommand:
         code, out, _ = run(capsys, "selftest")
         assert code == EXIT_MATH
         assert "FAIL" in out
+
+
+def test_import_skips_scipy_signal():
+    """Only the synthetic fixture writer needs scipy.signal; the CLI must not pay for it."""
+    src = os.path.dirname(os.path.dirname(gausswinner.limits.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gausswinner.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

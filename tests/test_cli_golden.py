@@ -56,8 +56,8 @@ CASES = {
 }
 
 DIGESTS = {
-    "empirical_csv": "fc3e85456b72f6a54222c4dfbc25bfd2fa7dff6e93efac16ac711143b01e5563",
-    "empirical_json": "7b4f673f651f8c0cf70d6b41983dadf1f3c0a08b4e1657ca2945859135dcb61c",
+    "empirical_csv": "41a5c327f1453cdad671c3bea6181b9a8a1d9f2262c44159652e7064a51f1cf3",
+    "empirical_json": "b16edec0beea2b49b8268633fa8e02012576a6db8e955936645c93600af1bfbe",
     "limit_bad_sigma": "183ceae064922f615d55b63fed9c3998e64edcf13c5ccdb6d9c954f79350a2a8",
     "limit_c0_json": "74fbdc8e748e3493fea4666de8f2887e28a4991ddf18e0151cc45d9571f1c705",
     "limit_c0_text": "b4ee0ed6aef3f5d0b613f981852ec5547a50e50d370008c1101b99379cc23bea",
@@ -71,8 +71,8 @@ DIGESTS = {
     "scale_overflow_json": "0453f0d41890e1d0822b28395ce7331ad061214c2ae586f63605596d109c3658",
     "scale_overflow_text": "0efb4f0a9a2c4d991f0bf77803188217aec34361a4f2958026fdec75c0fecbff",
     "scale_text": "d9b9e4d5aca84e4833550ed3508dda542a743462462948c2f7377d97d2ec71b8",
-    "selftest_json": "1cfcb3e1c91335bbf403ffc89d422db80804042c48bf24c73c40a42755f4813d",
-    "selftest_text": "c257e1c91f8dc0fbeb53052a22446c17d479722b7ca5796ae47b6fac77a1b09f",
+    "selftest_json": "a967f2f89a33067ced7ea98e4b48dd5d41eae30083b50743d179744a807d938b",
+    "selftest_text": "117b44905622e47cfae96ea99a226ca69534eac334c5404475259322b047f3d6",
     "simulate_csv_w1": "3805eeac122548746e977b6cfa1358f010aa1f346d72ce40f959ef99ab447bec",
     "simulate_csv_w2": "3805eeac122548746e977b6cfa1358f010aa1f346d72ce40f959ef99ab447bec",
     "simulate_json_w1": "bb56e4f6c308598b46fce8a257a6b004d65e63bbcf4816fed04f953d8227c100",

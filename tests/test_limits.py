@@ -220,6 +220,12 @@ class TestFiniteNWinner:
             ref = scipy_finite_n(n1, s1, n2, s2)
             assert mine == pytest.approx(ref, abs=1e-9)
 
+    def test_value_clamped_to_unit_interval(self):
+        # the unclamped quadrature sum reads 1.0000000000000453 here
+        res = finite_n_winner(GroupSpec(1e300, 1.0), GroupSpec(10.0, 2.0))
+        assert res.value == 1.0
+        assert 0.0 < res.abs_err <= 1e-10
+
     def test_monotone_in_n1(self):
         vals = [
             finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(50.0, 1.5)).value

@@ -1,5 +1,6 @@
 """Ingestion, anomaly pipeline, variance split, pools, bootstrap."""
 
+import itertools
 import math
 
 import numpy as np
@@ -345,10 +346,27 @@ class TestBootstrapWinner:
         b = bootstrap_winner(p1, p2, 50, 25, 2_000, RngStream(21), workers=4)
         assert a == b
 
-    def test_cap_enforced(self):
-        p1, p2 = self._pools(n=100)
-        with pytest.raises(ValueError, match="theoretical limit"):
-            bootstrap_winner(p1, p2, 2_000, 10, 100, RngStream(0), cap=1_000)
+    def test_oracle_matches_enumeration(self):
+        pools = [([0.0, 1.0, 1.0], [1.0, 0.5]), ([2.0, 2.0], [1.0, 2.0, 3.0]), ([0.0, 3.0, 1.0], [1.0, 1.0, 0.0])]
+        for v1, v2 in pools:  # tied entries in every pair
+            for n1, n2 in [(1, 1), (2, 1), (1, 3), (3, 2)]:
+                wins = sum(
+                    max(d1) > max(d2)
+                    for d1 in itertools.product(v1, repeat=n1)
+                    for d2 in itertools.product(v2, repeat=n2)
+                )
+                exact = wins / (len(v1) ** n1 * len(v2) ** n2)
+                assert oracles.ideal_bootstrap_winner(v1, v2, n1, n2) == pytest.approx(exact, abs=1e-14)
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (5, 20), (300, 40), (80_000, 150), (10**8, 10)])
+    def test_matches_ideal_bootstrap(self, n1, n2):
+        # rounding to 0.1 ties values within and across the pools
+        p1, p2 = (InnovationPool(p.label, np.round(p.values, 1), p.sd) for p in self._pools())
+        b = 20_000
+        est = bootstrap_winner(p1, p2, n1, n2, b, RngStream(26, stream_id=n2))
+        ideal = oracles.ideal_bootstrap_winner(p1.values, p2.values, n1, n2)
+        assert 0.01 < ideal < 0.99
+        assert abs(est.p_hat - ideal) <= 4.0 * math.sqrt(ideal * (1.0 - ideal) / b)
 
     def test_domain(self):
         p1, p2 = self._pools(n=100)

@@ -45,6 +45,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _CHUNK_DRAWS = 1 << 21  # ~2M doubles per chunk keeps memory modest
+_MIN_SPLIT_TRIALS = 1 << 14  # so a large worker count cannot cut tiny chunks
 _TINY_U = 0.5**53  # replacement for the measure-zero u == 0 draw
 
 
@@ -155,12 +156,18 @@ def _uniforms(stream: RngStream, start_trial: int, n_trials: int, per_trial: int
     return u.reshape(n_trials, per_trial)
 
 
-def _sum_chunks(stream, trials, per_trial, chunk_fn, *, workers=1, chunk_trials=None):
-    """Deterministic reduction of integer count vectors over trial chunks."""
+def _sum_chunks(stream, trials, per_trial, chunk_fn, *, workers=1):
+    """Deterministic reduction of integer count vectors over trial chunks.
+
+    A chunk holds at most ``_CHUNK_DRAWS`` draws.  With several workers
+    the trials are also cut into at least ``workers`` chunks of at least
+    ``_MIN_SPLIT_TRIALS`` trials, and no more threads start than chunks.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if chunk_trials is None:
-        chunk_trials = max(1, _CHUNK_DRAWS // max(per_trial, 1))
+    chunk_trials = max(1, _CHUNK_DRAWS // max(per_trial, 1))
+    if workers > 1:
+        chunk_trials = min(chunk_trials, max(-(-trials // workers), _MIN_SPLIT_TRIALS))
     spans = [(t0, min(chunk_trials, trials - t0)) for t0 in range(0, trials, chunk_trials)]
 
     def run(span):
@@ -170,7 +177,7 @@ def _sum_chunks(stream, trials, per_trial, chunk_fn, *, workers=1, chunk_trials=
     if workers <= 1 or len(spans) == 1:
         parts = [run(s) for s in spans]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, len(spans))) as pool:
             parts = list(pool.map(run, spans))
     return np.sum(parts, axis=0)
 
@@ -193,12 +200,11 @@ def sample_group_max(n, sigma, u):
         raise ValueError("u must lie strictly inside (0, 1)")
     log_p = np.log(u_arr) / n
     log_q = np.log(-np.expm1(log_p))
-    x = np.empty_like(log_q)
-    tail = log_q <= LOG_HALF
-    if np.any(tail):
-        x[tail] = upper_tail_quantile(log_q[tail])
-    if np.any(~tail):
-        x[~tail] = std_normal_quantile(np.exp(log_p[~tail]))
+    # one tail pass over the whole column is cheaper than a masked gather
+    x = np.asarray(upper_tail_quantile(np.minimum(log_q, LOG_HALF)))
+    central = log_q > LOG_HALF
+    if np.any(central):
+        x[central] = std_normal_quantile(np.exp(log_p[central]))
     out = sigma * x
     return float(out) if scalar_in else out
 

@@ -82,12 +82,14 @@ class Ar1Fit:
 class InnovationPool:
     """Pooled standardized innovations of one variance cluster.
 
-    ``sd`` is the pooled standard deviation before standardization.
+    ``sd`` is the pooled standard deviation before standardization, and
+    ``indices`` are the positions of the stations pooled, when known.
     """
 
     label: str  # 'low_variance' or 'high_variance'
     values: np.ndarray
     sd: float
+    indices: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -317,11 +319,12 @@ def build_pools(fits: Sequence[Ar1Fit], partition) -> tuple[InnovationPool, Inno
     if sd_b < sd_a:
         pool_a, pool_b = pool_b, pool_a
         sd_a, sd_b = sd_b, sd_a
+        idx_a, idx_b = idx_b, idx_a
     ratio = sd_b / sd_a
     if ratio <= 1.0 + 1e-9:
         raise ValueError(f"degenerate variance split: sigma ratio {ratio:.6f} <= 1")
-    low = InnovationPool(label="low_variance", values=pool_a / sd_a, sd=sd_a)
-    high = InnovationPool(label="high_variance", values=pool_b / sd_a, sd=sd_b)
+    low = InnovationPool("low_variance", pool_a / sd_a, sd_a, tuple(idx_a))
+    high = InnovationPool("high_variance", pool_b / sd_a, sd_b, tuple(idx_b))
     return low, high, ratio
 
 
@@ -403,20 +406,16 @@ def run_pipeline(stations: Sequence[StationSeries]) -> PipelineResult:
         raise ValueError("pipeline needs at least 2 stations")
     fits = [process_station(s) for s in stations]
     variances = np.array([float(f.innovations.var(ddof=1)) for f in fits])
-    (low_idx, high_idx), centers = kmeans1d_split(variances)
-    # order the clusters by pooled sd so the stored index sets match the labels
-    sd_a = np.concatenate([fits[i].innovations for i in low_idx]).std(ddof=1)
-    sd_b = np.concatenate([fits[i].innovations for i in high_idx]).std(ddof=1)
-    if sd_a > sd_b:
-        low_idx, high_idx = high_idx, low_idx
+    partition, centers = kmeans1d_split(variances)
+    pool_low, pool_high, ratio = build_pools(fits, partition)
+    if pool_low.indices != partition[0]:  # build_pools labels by pooled sd
         centers = (centers[1], centers[0])
-    pool_low, pool_high, ratio = build_pools(fits, (low_idx, high_idx))
     return PipelineResult(
         station_ids=[s.station_id for s in stations],
         fits=fits,
         variances=variances,
-        low_indices=low_idx,
-        high_indices=high_idx,
+        low_indices=pool_low.indices,
+        high_indices=pool_high.indices,
         centers=centers,
         pool_low=pool_low,
         pool_high=pool_high,

@@ -47,6 +47,7 @@ CASES = {
     "scale_overflow_json": ["scale", "--n2", "1000000", "--sigma", "2", "--c", "5", "--format", "json"],
     "simulate_csv_w1": _SIM + ["--workers", "1", "--output", OUTPUT],
     "simulate_csv_w2": _SIM + ["--workers", "2", "--output", OUTPUT],
+    "simulate_csv_w3": _SIM + ["--workers", "3", "--output", OUTPUT],
     "simulate_json_w1": _SIM + ["--workers", "1", "--format", "json"],
     "simulate_json_w2": _SIM + ["--workers", "2", "--format", "json"],
     "empirical_csv": _EMP + ["--output", OUTPUT],
@@ -71,10 +72,11 @@ DIGESTS = {
     "scale_overflow_json": "0453f0d41890e1d0822b28395ce7331ad061214c2ae586f63605596d109c3658",
     "scale_overflow_text": "0efb4f0a9a2c4d991f0bf77803188217aec34361a4f2958026fdec75c0fecbff",
     "scale_text": "d9b9e4d5aca84e4833550ed3508dda542a743462462948c2f7377d97d2ec71b8",
-    "selftest_json": "a967f2f89a33067ced7ea98e4b48dd5d41eae30083b50743d179744a807d938b",
-    "selftest_text": "117b44905622e47cfae96ea99a226ca69534eac334c5404475259322b047f3d6",
+    "selftest_json": "61d56a7a4edade3c8809d11b758e8c28901f80c58663607766540a53957956a6",
+    "selftest_text": "667c87eaaed6e5965d8bfdc9c462cc94a84b704295a4f922efe5d546d9635507",
     "simulate_csv_w1": "3805eeac122548746e977b6cfa1358f010aa1f346d72ce40f959ef99ab447bec",
     "simulate_csv_w2": "3805eeac122548746e977b6cfa1358f010aa1f346d72ce40f959ef99ab447bec",
+    "simulate_csv_w3": "3805eeac122548746e977b6cfa1358f010aa1f346d72ce40f959ef99ab447bec",
     "simulate_json_w1": "bb56e4f6c308598b46fce8a257a6b004d65e63bbcf4816fed04f953d8227c100",
     "simulate_json_w2": "bb56e4f6c308598b46fce8a257a6b004d65e63bbcf4816fed04f953d8227c100",
 }
@@ -108,6 +110,7 @@ def test_cli_bytes_pinned(name, tmp_path, monkeypatch):
 def test_simulate_digest_independent_of_workers():
     for fmt in ("csv", "json"):
         assert DIGESTS[f"simulate_{fmt}_w1"] == DIGESTS[f"simulate_{fmt}_w2"]
+    assert DIGESTS["simulate_csv_w1"] == DIGESTS["simulate_csv_w3"]
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """Reproducible Monte Carlo: stream contract, transforms, estimators."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gausswinner.montecarlo as mc
 from gausswinner.limits import finite_n_winner, two_group_limit
@@ -18,6 +21,7 @@ from gausswinner.montecarlo import (
     sample_gumbel,
 )
 from gausswinner.normal import log_std_normal_cdf
+from gausswinner.pipeline import InnovationPool, bootstrap_winner
 from gausswinner.scaling import GroupSpec
 
 import oracles
@@ -144,12 +148,67 @@ class TestMcTwoGroup:
         threaded = mc_two_group(g1, g2, 30_000, RngStream(4), workers=4)
         assert base == chunked == threaded
 
+    def test_worker_split_is_bounded(self, monkeypatch):
+        calls = []
+
+        class SerialPool:  # records threads and chunks requested, starts no thread
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, spans):
+                calls.append((self.max_workers, list(spans)))
+                return map(fn, calls[-1][1])
+
+        g1, g2 = GroupSpec(50, 1.0), GroupSpec(20, 1.5)
+        base = mc_two_group(g1, g2, 100_000, RngStream(4))
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
+        assert mc_two_group(g1, g2, 100_000, RngStream(4), workers=2) == base
+        assert calls.pop() == (2, [(0, 50_000), (50_000, 50_000)])
+        assert mc_two_group(g1, g2, 100_000, RngStream(4), workers=10**5) == base
+        threads, spans = calls.pop()
+        assert threads == len(spans) <= 7
+        assert [t0 for t0, _ in spans] == list(range(0, 100_000, spans[0][1]))
+        assert sum(m for _, m in spans) == 100_000
+
     def test_std_err_contract(self):
         est = mc_two_group(GroupSpec(5, 1.0), GroupSpec(5, 2.0), 1000, RngStream(5))
         assert est.std_err == pytest.approx(
             math.sqrt(est.p_hat * (1.0 - est.p_hat) / est.trials), rel=1e-12
         )
         assert est.successes == round(est.p_hat * est.trials)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(
+    chunk_draws=st.sampled_from([1 << e for e in range(4, 22)]),
+    workers=st.sampled_from([1, 2, 3, 4]),
+    k=st.integers(2, 4),
+    trials=st.integers(1, 3_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimates_identical_across_chunks_and_workers(chunk_draws, workers, k, trials, seed):
+    groups = [GroupSpec(10.0**j, 1.0 + 0.25 * j) for j in range(k)]
+    g = np.random.default_rng(seed)
+    pool1 = InnovationPool("low_variance", g.standard_normal(200), 1.0)
+    pool2 = InnovationPool("high_variance", 1.5 * g.standard_normal(150), 1.5)
+
+    def run(w):
+        rng = RngStream(seed)
+        return (
+            mc_multi(groups, trials, rng.substream(0), workers=w),
+            mc_limit_pair(1.0, 1.5, trials, rng.substream(1), workers=w),
+            bootstrap_winner(pool1, pool2, 500, 20, trials, rng.substream(2), workers=w),
+        )
+
+    base = run(1)
+    with mock.patch.object(mc, "_CHUNK_DRAWS", chunk_draws):
+        assert run(workers) == base
 
 
 class TestMcMulti:

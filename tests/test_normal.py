@@ -166,6 +166,12 @@ class TestUpperTailQuantile:
             ref = oracles.bisect_log_tail(log_q)
             assert upper_tail_quantile(log_q) == pytest.approx(ref, rel=1e-10)
 
+    def test_dense_grid_against_bisected_oracle(self):
+        log_qs = -np.geomspace(1e6, -LOG_HALF, 60)
+        x = upper_tail_quantile(log_qs)
+        for log_q, xi in zip(log_qs, x):
+            assert xi == pytest.approx(oracles.bisect_log_tail(log_q), rel=1e-10), log_q
+
     def test_log_round_trip(self):
         log_qs = -np.geomspace(1e5, -LOG_HALF, 200)
         x = upper_tail_quantile(log_qs)

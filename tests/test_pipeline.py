@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import gausswinner.pipeline as pipeline
 from gausswinner.montecarlo import RngStream
 from gausswinner.pipeline import (
     Ar1Fit,
@@ -303,6 +304,8 @@ class TestBuildPools:
         assert a_ratio == b_ratio
         assert np.array_equal(a_low.values, b_low.values)
         assert np.array_equal(a_high.values, b_high.values)
+        assert a_low.indices == b_low.indices == (1,)
+        assert a_high.indices == b_high.indices == (0,)
 
     def test_degenerate_split_rejected(self):
         g = RngStream(seed=15).generator(0)
@@ -413,6 +416,23 @@ class TestEndToEnd:
         phis = [f.phi for f in result.fits]
         assert abs(np.mean(phis) - truth.phi) < 0.05
         assert result.pool_low.values.std(ddof=1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_clusters_ordered_by_pooled_sd(self, tmp_path, monkeypatch):
+        path = tmp_path / "fixture.csv"
+        write_synthetic_stations(path, n_low=3, n_high=2, seed=1, missing_rate=0.05)
+        stations = load_stations(path)
+        base = run_pipeline(stations)
+
+        def reversed_split(values):
+            (low, high), (c_low, c_high) = kmeans1d_split(values)
+            return (high, low), (c_high, c_low)
+
+        monkeypatch.setattr(pipeline, "kmeans1d_split", reversed_split)
+        swapped = run_pipeline(stations)
+        assert (swapped.low_indices, swapped.high_indices) == (base.low_indices, base.high_indices)
+        assert swapped.centers == base.centers
+        assert swapped.centers[0] < swapped.centers[1]
+        assert np.array_equal(swapped.pool_low.values, base.pool_low.values)
 
     def test_process_station_handles_gaps(self, tmp_path):
         path = tmp_path / "fixture.csv"

@@ -86,24 +86,25 @@ def _probability(result: QuadResult) -> QuadResult:
     return result if value == result.value else replace(result, value=value)
 
 
-def _limit_component(alphas, kappas, k, *, tol, note=None) -> QuadResult:
-    """p_k as a u-space integral, u = log x.
+def _limit_components(alphas, kappas, rows, *, tol, note=None) -> list[QuadResult]:
+    """p_k for each k in ``rows`` as u-space integrals on one grid, u = log x.
 
-    log integrand: log(alpha_k) - kappa_k + alpha_k u - sum_j exp(alpha_j u - kappa_j).
+    log integrand of row k: log(alpha_k) - kappa_k + alpha_k u - sum_j exp(alpha_j u - kappa_j);
+    the sum is computed once per node for all rows.
     """
     alphas = np.asarray(alphas, dtype=float)
     kappas = np.asarray(kappas, dtype=float)
-    log_pref = math.log(alphas[k]) - kappas[k]
-    a_k = alphas[k]
+    log_pref = np.array([[math.log(alphas[k]) - kappas[k]] for k in rows])
+    a_rows = alphas[list(rows)][:, None]
 
     def log_f(u):
         with np.errstate(over="ignore", under="ignore"):
-            total = np.exp(np.outer(u, alphas) - kappas).sum(axis=1)
-            return log_pref + a_k * u - total
+            total = np.exp(alphas[:, None] * u - kappas[:, None]).sum(axis=0)
+            return log_pref + a_rows * u - total
 
     # mass sits where the dominating exponential sum is O(1)
     center = min(0.0, float(np.min(kappas / alphas)))
-    return _probability(concave_log_quad(log_f, center - 8.0, 8.0, tol=tol, note=note))
+    return [_probability(r) for r in concave_log_quad(log_f, center - 8.0, 8.0, tol=tol, note=note)]
 
 
 def two_group_limit_from_kappa(kappa_value: float, sigma: float, *, tol: float = 1e-10) -> QuadResult:
@@ -122,7 +123,7 @@ def two_group_limit_from_kappa(kappa_value: float, sigma: float, *, tol: float =
         return QuadResult(value=0.0, abs_err=0.0, evaluations=0, note="degenerate")
     if kappa_value == math.inf:
         return QuadResult(value=1.0, abs_err=0.0, evaluations=0, note="degenerate")
-    return _limit_component([1.0, 1.0 / (sigma * sigma)], [0.0, kappa_value], 0, tol=tol)
+    return _limit_components([1.0, 1.0 / (sigma * sigma)], [0.0, kappa_value], [0], tol=tol)[0]
 
 
 def two_group_limit(c: float, sigma: float, *, tol: float = 1e-10) -> QuadResult:
@@ -144,6 +145,9 @@ def multi_group_limits(spec: LimitSpecK, *, tol: float = 1e-9) -> list[QuadResul
     has no joint limit law of this form and is rejected.  The integrands sum to the exact
     derivative of -exp(-sum_j e^{-kappa_j} x^{1/sigma_j^2}), so the
     returned values, each clamped to [0, 1], sum to 1 up to quadrature error.
+    All K integrands are evaluated as rows of one quadrature on one grid:
+    the exponential sum is computed once per node, and refinement stops
+    when the largest row difference has settled.
     """
     kappas = spec.kappas()
     if not all(math.isfinite(k) for k in kappas):
@@ -154,10 +158,7 @@ def multi_group_limits(spec: LimitSpecK, *, tol: float = 1e-9) -> list[QuadResul
     note = None
     if len(set(non_baseline)) < len(non_baseline):
         note = "repeated sigma among non-baseline groups"
-    return [
-        _limit_component(alphas, kappas, k, tol=tol, note=note)
-        for k in range(len(spec.groups))
-    ]
+    return _limit_components(alphas, kappas, range(len(spec.groups)), tol=tol, note=note)
 
 
 def _winner_log_integrand(groups: Sequence[GroupSpec], k: int):
@@ -193,12 +194,12 @@ def finite_n_winner_multi(groups: Sequence[GroupSpec], k: int, *, tol: float = 1
     if not 0 <= k < len(groups):
         raise ValueError(f"group index {k} out of range for {len(groups)} groups")
     log_f, sizes, sigmas = _winner_log_integrand(groups, k)
-    span = 8.0 * float(np.max(sigmas))
-    hi = 0.0
-    for n, s in zip(sizes, sigmas):
-        if n >= 2.0:
-            hi = max(hi, s * math.sqrt(2.0 * math.log(n)))
-    return _probability(concave_log_quad(log_f, -span, hi + span, tol=tol))
+    # The champion's density is about sigma_k wide, so the seed scan steps in
+    # fractions of sigma_k around the champion's own maximum; rivals with much
+    # larger sigmas would otherwise set a step that jumps over the peak.
+    s_k, n_k = float(sigmas[k]), float(sizes[k])
+    center = s_k * math.sqrt(2.0 * math.log(n_k)) if n_k >= 2.0 else 0.0
+    return _probability(concave_log_quad(log_f, center - 8.0 * s_k, center + 8.0 * s_k, tol=tol))
 
 
 def finite_n_winner(g1: GroupSpec, g2: GroupSpec, *, tol: float = 1e-10) -> QuadResult:
@@ -209,32 +210,66 @@ def finite_n_winner(g1: GroupSpec, g2: GroupSpec, *, tol: float = 1e-10) -> Quad
 def solve_c_for_target(p_target: float, sigma: float, *, tol: float = 1e-9) -> float:
     """Invert the limit law: find C with two_group_limit(C, sigma) = p_target.
 
-    The map C -> p is strictly increasing from 0 to 1, so bisection on
-    log C over [-60, 60] is exact bookkeeping; raises if the target is
-    not bracketed there.
+    Secant steps on logit p - logit p_target in kappa = kappa(C, sigma),
+    started at kappa = logit p_target with slope 1 (exact at sigma = 1,
+    where logit p = kappa).  The map kappa -> p is strictly increasing, so
+    every evaluated iterate narrows a bracket that starts at log C = -60
+    and 60; a step that leaves the bracket is replaced by its midpoint, or
+    by the original bound the first time it is reached.  Stops when
+    |p - p_target| <= tol and returns the C of that iterate, inverted from
+    kappa in closed form; a solve takes about 5 quadratures.  Raises if the
+    target is not bracketed by log C in [-60, 60].
     """
     if not 0.0 < p_target < 1.0:
         raise ValueError(f"p_target must lie in (0, 1), got {p_target}")
     if not (math.isfinite(sigma) and sigma > 1.0):
         raise ValueError(f"sigma must be a finite real > 1, got {sigma}")
-    lo, hi = -60.0, 60.0
-    p_lo = two_group_limit(math.exp(lo), sigma).value
-    p_hi = two_group_limit(math.exp(hi), sigma).value
-    if not (p_lo < p_target < p_hi):
-        raise ValueError(
-            f"p_target={p_target} not bracketed by log C in [-60, 60] "
-            f"(p({math.exp(lo):.3g})={p_lo:.3g}, p({math.exp(hi):.3g})={p_hi:.3g})"
-        )
-    mid = 0.5 * (lo + hi)
+    # kappa is affine in log C: kappa(C) = log(C)/sigma^2 + kappa(1)
+    s2, kappa_one = sigma * sigma, kappa(1.0, sigma)
+
+    def c_of(kappa_value):
+        return math.exp(s2 * (kappa_value - kappa_one))
+
+    def logit(p):
+        return math.log(p) - math.log1p(-p) if 0.0 < p < 1.0 else math.copysign(math.inf, p - 0.5)
+
+    bounds = (math.exp(-60.0), math.exp(60.0))
+    lo, hi = (kappa(c, sigma) for c in bounds)
+    lo_reached = hi_reached = False
+    target = logit(p_target)
+    x, slope = target, 1.0
+    x_prev = g_prev = None
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        p_mid = two_group_limit(math.exp(mid), sigma).value
-        if abs(p_mid - p_target) <= tol:
-            break
-        if p_mid < p_target:
-            lo = mid
+        if not lo < x < hi:
+            if x <= lo and not lo_reached:
+                x = lo
+            elif x >= hi and not hi_reached:
+                x = hi
+            else:
+                x = 0.5 * (lo + hi)
+        at_bound = (x == lo and not lo_reached) or (x == hi and not hi_reached)
+        if at_bound:
+            c = bounds[0] if x == lo else bounds[1]
         else:
-            hi = mid
+            c = c_of(x)
+        p = two_group_limit(c, sigma).value
+        if at_bound and (p >= p_target if x == lo else p <= p_target):
+            p_lo, p_hi = (two_group_limit(b, sigma).value for b in bounds)
+            raise ValueError(
+                f"p_target={p_target} not bracketed by log C in [-60, 60] "
+                f"(p({bounds[0]:.3g})={p_lo:.3g}, p({bounds[1]:.3g})={p_hi:.3g})"
+            )
+        if abs(p - p_target) <= tol:
+            return c
+        g = logit(p) - target
+        if g < 0.0:
+            lo, lo_reached = x, True
+        else:
+            hi, hi_reached = x, True
         if hi - lo < 1e-13:
-            break
-    return math.exp(mid)
+            return c
+        if x_prev is not None and x != x_prev:
+            slope = (g - g_prev) / (x - x_prev)
+        x_prev, g_prev = x, g
+        x = x - g / slope if 0.0 < slope < math.inf else math.nan
+    return c

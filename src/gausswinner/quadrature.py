@@ -12,7 +12,16 @@ decay).  Concavity makes a simple strategy rigorous:
    outside is then a negligible exponential tail),
 2. trim to the region above the cutoff,
 3. refine an equispaced trapezoid rule by repeated halving until two
-   consecutive refinements agree within tol/2.
+   consecutive refinements agree within tol/2.  The rules are nested:
+   each halving evaluates only the new midpoints and adds them to a
+   running sum of the nodes so far, scaled by the running maximum of the
+   log values (the sum is rescaled when that maximum rises).
+
+A log-integrand may return K rows on the same nodes instead of one
+value per node, for K integrals that share their costly terms (the
+K-group limit law).  The window stages then follow the row-wise
+maximum, refinement stops when the largest row difference has settled,
+and the result is one QuadResult per row.
 
 For analytic integrands the trapezoid rule converges geometrically in
 the step size, so the doubling loop terminates after a handful of
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadResult", "QuadratureError", "concave_log_quad"]
+__all__ = ["QuadResult", "QuadRows", "QuadratureError", "concave_log_quad"]
 
 
 @dataclass(frozen=True)
@@ -42,10 +51,26 @@ class QuadResult:
     note: str | None = None
 
 
+class QuadRows(tuple):
+    """One QuadResult per row of a K-row log-integrand, all on the same nodes.
+
+    ``evaluations`` counts each shared node once, and ``abs_err`` is the
+    largest row error, so the rows read as one quadrature's cost and bound.
+    """
+
+    @property
+    def evaluations(self) -> int:
+        return self[0].evaluations
+
+    @property
+    def abs_err(self) -> float:
+        return max(r.abs_err for r in self)
+
+
 class QuadratureError(RuntimeError):
     """Raised when refinement stalls; carries the partial estimate."""
 
-    def __init__(self, message: str, partial: QuadResult | None = None):
+    def __init__(self, message: str, partial: QuadResult | QuadRows | None = None):
         super().__init__(message)
         self.partial = partial
 
@@ -62,19 +87,20 @@ def concave_log_quad(
     max_levels: int = 14,
     max_expansions: int = 400,
     note: str | None = None,
-) -> QuadResult:
+) -> QuadResult | QuadRows:
     """Integrate exp(log_f) over the real line for concave log_f.
 
     Parameters
     ----------
     log_f : callable
         Vectorized log-integrand; may return -inf where the integrand
-        underflows, never NaN.
+        underflows, never NaN.  Given n nodes it returns either n values
+        or a (K, n) array of K rows, each a concave log-integrand.
     lo, hi : float
         Seed window.  It does not need to contain the peak; the
         expansion stage walks outward until the tails are resolved.
     tol : float
-        Absolute tolerance on the integral value.
+        Absolute tolerance on the integral value (on every row's value).
     drop : float
         Window is grown until log_f at both ends is at least this far
         below the maximum (e^-46 ~ 1e-20 leaves truncation far below tol).
@@ -82,6 +108,9 @@ def concave_log_quad(
     Returns
     -------
     QuadResult
+        For a log_f that returns one value per node.
+    QuadRows
+        For a log_f that returns K rows: the K results in row order.
 
     Raises
     ------
@@ -93,14 +122,24 @@ def concave_log_quad(
         raise ValueError(f"invalid seed window [{lo}, {hi}]")
 
     evaluations = 0
+    single = False
 
     def sample(points):
-        nonlocal evaluations
+        """log_f at ``points`` as a (rows, nodes) array."""
+        nonlocal evaluations, single
         vals = np.asarray(log_f(np.asarray(points, dtype=float)), dtype=float)
         evaluations += len(points)
         if np.any(np.isnan(vals)):
             raise QuadratureError("log integrand returned NaN")
-        return vals
+        single = vals.ndim == 1
+        return vals.reshape(1, -1) if single else vals
+
+    def results(values, errors):
+        rows = [
+            QuadResult(value=float(v), abs_err=float(e), evaluations=evaluations, note=note)
+            for v, e in zip(values, errors)
+        ]
+        return rows[0] if single else QuadRows(rows)
 
     ys = sample(np.linspace(lo, hi, n_scan))
     ymax = float(np.max(ys))
@@ -109,12 +148,12 @@ def concave_log_quad(
     for side in (-1, +1):
         step = (hi - lo) / 4.0
         end = lo if side < 0 else hi
-        end_val = ys[0] if side < 0 else ys[-1]
+        end_val = float(np.max(ys[:, 0] if side < 0 else ys[:, -1]))
         expansions = 0
         while not (end_val <= ymax - drop):
             end += side * step
             step *= 1.5
-            end_val = float(sample([end])[0])
+            end_val = float(np.max(sample([end])))
             ymax = max(ymax, end_val)
             expansions += 1
             if expansions > max_expansions:
@@ -129,46 +168,46 @@ def concave_log_quad(
 
     # trim to the region that actually carries mass
     xs = np.linspace(lo, hi, 4 * n_scan + 1)
-    ys = sample(xs)
-    ymax = float(np.max(ys))
-    above = np.nonzero(ys > ymax - drop)[0]
+    envelope = np.max(sample(xs), axis=0)
+    ymax = float(np.max(envelope))
+    above = np.nonzero(envelope > ymax - drop)[0]
     lo = xs[max(above[0] - 1, 0)]
     hi = xs[min(above[-1] + 1, len(xs) - 1)]
 
-    # trapezoid refinement; accept after two consecutive small differences
+    # nested trapezoid refinement; accept after two consecutive small differences.
+    # ``scaled`` is each row's node sum (end nodes halved) divided by exp(m).
     n = n_start
+    ys = sample(np.linspace(lo, hi, n))
+    ends = ys[:, [0, -1]]
+    m = np.max(ys, axis=1)
+    with np.errstate(under="ignore"):
+        scaled = np.sum(np.exp(ys - m[:, None]), axis=1) - 0.5 * np.sum(np.exp(ends - m[:, None]), axis=1)
     prev = None
-    best = None
-    diff = np.inf
+    diffs = np.full(len(m), np.inf)
     settled = 0
-    for _ in range(max_levels):
-        xs = np.linspace(lo, hi, n)
-        ys = sample(xs)
-        m = float(np.max(ys))
-        h = (hi - lo) / (n - 1)
-        with np.errstate(under="ignore"):
-            scaled = np.exp(ys - m)
-        total = (np.sum(scaled) - 0.5 * (scaled[0] + scaled[-1])) * h * np.exp(m)
+    for level in range(max_levels):
+        if level:
+            n = 2 * n - 1
+            mids = sample(np.linspace(lo, hi, n)[1::2])
+            m_new = np.maximum(m, np.max(mids, axis=1))
+            with np.errstate(under="ignore"):
+                scaled = scaled * np.exp(m - m_new) + np.sum(np.exp(mids - m_new[:, None]), axis=1)
+            m = m_new
+        total = scaled * ((hi - lo) / (n - 1)) * np.exp(m)
         if prev is not None:
-            diff = abs(total - prev)
-            if diff <= 0.5 * tol:
+            diffs = np.abs(total - prev)
+            if np.max(diffs) <= 0.5 * tol:
                 settled += 1
                 if settled >= 2:
-                    tail = (hi - lo) * (np.exp(ys[0] - m) + np.exp(ys[-1] - m)) * np.exp(m)
-                    best = QuadResult(
-                        value=float(total),
-                        abs_err=float(diff + tail),
-                        evaluations=evaluations,
-                        note=note,
-                    )
-                    return best
+                    with np.errstate(under="ignore"):
+                        tail = (hi - lo) * np.sum(np.exp(ends - m[:, None]), axis=1) * np.exp(m)
+                    return results(total, diffs + tail)
             else:
                 settled = 0
         prev = total
-        n = 2 * n - 1
 
-    partial = QuadResult(value=float(prev), abs_err=float(diff), evaluations=evaluations, note=note)
+    diff = float(np.max(diffs))
     raise QuadratureError(
         f"trapezoid refinement did not reach tol={tol:g} (last diff {diff:.3g})",
-        partial=partial,
+        partial=results(prev, diffs),
     )

@@ -12,6 +12,8 @@ from __future__ import annotations
 import bisect
 import math
 
+import numpy as np
+
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -117,14 +119,15 @@ def simpson(f, a: float, b: float, n: int) -> float:
 
 
 def ks_statistic(samples, cdf) -> float:
-    """Kolmogorov-Smirnov sup distance between samples and a CDF."""
-    xs = sorted(samples)
+    """Kolmogorov-Smirnov sup distance between samples and a CDF.
+
+    ``cdf`` must be vectorized: it is called once, on the sorted samples.
+    """
+    xs = np.sort(np.asarray(samples, dtype=float))
     n = len(xs)
-    d = 0.0
-    for i, x in enumerate(xs):
-        fx = cdf(x)
-        d = max(d, abs(fx - i / n), abs(fx - (i + 1) / n))
-    return d
+    fx = np.asarray(cdf(xs), dtype=float)
+    i = np.arange(n)
+    return float(max(np.max(np.abs(fx - i / n)), np.max(np.abs(fx - (i + 1) / n))))
 
 
 def ks_critical_1pct(n: int) -> float:

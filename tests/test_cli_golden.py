@@ -64,21 +64,21 @@ DIGESTS = {
     "limit_c0_text": "b4ee0ed6aef3f5d0b613f981852ec5547a50e50d370008c1101b99379cc23bea",
     "limit_cinf_json": "c39f585e8929fea1fa4ec522e36f13a197984a5ad9eacb9c78dcade4d04de406",
     "limit_cinf_text": "88ef940c1da53ca46e05116324d01feee48905895c3a6e834ceb7be2187ddbc0",
-    "limit_multi_json": "30d8241fab92f49713fb828a9fdb7c76cb622a951b09e3abfa6ae2e82d0748e7",
-    "limit_multi_text": "80c2a35395c60fa5330aad490b820ccc9ecd28be2e188ad6656a0cff3bbaf289",
-    "limit_two_group_json": "7e0083b1be6cb2903049e91726e4a86dc9d77a62c69033569b5a7c3a29e690fa",
-    "limit_two_group_text": "e93b20729432a577e564ed77b4af77f0495f71551053f1ff064ebc47fd15f2a8",
+    "limit_multi_json": "e3bd2e90f7c1d20121736c9dfe854cc9cc5a7c5fdbf5f3ea286b2d3dc8312e23",
+    "limit_multi_text": "6e34b3d7df10e3dba8264c16edd4ef5f9cda845dc958221195fc9ca23757aa5c",
+    "limit_two_group_json": "f1e70ac2ad60453dc5470872082e197f20b26c2e6ef067f51c5c2b8d62fb5eb2",
+    "limit_two_group_text": "2d72a71d789a31cfb211dc9b8b7bc454c94568e63272ced43988bfeb2ed7b022",
     "scale_json": "509404e9d2215b5064d197bff60d41a0176d446766d9edeff502258f7021b460",
     "scale_overflow_json": "0453f0d41890e1d0822b28395ce7331ad061214c2ae586f63605596d109c3658",
     "scale_overflow_text": "0efb4f0a9a2c4d991f0bf77803188217aec34361a4f2958026fdec75c0fecbff",
     "scale_text": "d9b9e4d5aca84e4833550ed3508dda542a743462462948c2f7377d97d2ec71b8",
-    "selftest_json": "61d56a7a4edade3c8809d11b758e8c28901f80c58663607766540a53957956a6",
-    "selftest_text": "667c87eaaed6e5965d8bfdc9c462cc94a84b704295a4f922efe5d546d9635507",
-    "simulate_csv_w1": "3805eeac122548746e977b6cfa1358f010aa1f346d72ce40f959ef99ab447bec",
-    "simulate_csv_w2": "3805eeac122548746e977b6cfa1358f010aa1f346d72ce40f959ef99ab447bec",
-    "simulate_csv_w3": "3805eeac122548746e977b6cfa1358f010aa1f346d72ce40f959ef99ab447bec",
-    "simulate_json_w1": "bb56e4f6c308598b46fce8a257a6b004d65e63bbcf4816fed04f953d8227c100",
-    "simulate_json_w2": "bb56e4f6c308598b46fce8a257a6b004d65e63bbcf4816fed04f953d8227c100",
+    "selftest_json": "5534a6023a1bd46f5e089f5844cfb9006579aa3bdeee880dab1aa345b2678431",
+    "selftest_text": "c9d0192b72f4501817e98e551c746fb45c6b180aacb1f242b0bc58a52ca47eb3",
+    "simulate_csv_w1": "43a3b9eb28807b7a07f0a8ed7f84a0923f0ca1a1ce404e55fee5a947b5c71078",
+    "simulate_csv_w2": "43a3b9eb28807b7a07f0a8ed7f84a0923f0ca1a1ce404e55fee5a947b5c71078",
+    "simulate_csv_w3": "43a3b9eb28807b7a07f0a8ed7f84a0923f0ca1a1ce404e55fee5a947b5c71078",
+    "simulate_json_w1": "dfc7fc6a4411e3c6a6964422087657c1c7b331f9ad1f21f5e5f60f9e4a8fbcfc",
+    "simulate_json_w2": "dfc7fc6a4411e3c6a6964422087657c1c7b331f9ad1f21f5e5f60f9e4a8fbcfc",
 }
 
 

@@ -7,12 +7,16 @@ doubles as the Simpson-oracle anchor.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import erfc, log_ndtr
 
+import gausswinner.limits as limits_module
 from gausswinner.limits import (
     LimitSpecK,
     finite_n_winner,
@@ -22,6 +26,7 @@ from gausswinner.limits import (
     two_group_limit,
     two_group_limit_from_kappa,
 )
+from gausswinner.quadrature import QuadratureError
 from gausswinner.scaling import GroupSpec, critical_n1, kappa
 
 import oracles
@@ -226,6 +231,24 @@ class TestFiniteNWinner:
         assert res.value == 1.0
         assert 0.0 < res.abs_err <= 1e-10
 
+    def test_champion_sigma_far_below_rival(self):
+        # the champion's peak is about its own sigma wide, whatever the rival's sigma
+        for g1, g2 in [
+            (GroupSpec(10, 1.0), GroupSpec(10, 1e8)),
+            (GroupSpec(10, 1e-8), GroupSpec(10, 1.0)),
+            (GroupSpec(10, 1e-300), GroupSpec(10, 1.0)),
+        ]:
+            assert finite_n_winner(g1, g2).value == pytest.approx(2.0**-10, abs=1e-6), (g1, g2)
+
+    def test_rival_step_never_returns_a_value(self):
+        # the rival's Phi(x/sigma)^10 is a step of width sigma: no value, rather than a wrong one
+        for g1, g2 in [
+            (GroupSpec(10, 1.0), GroupSpec(10, 1e-8)),
+            (GroupSpec(10, 1e-8), GroupSpec(10, 1e-16)),
+        ]:
+            with pytest.raises(QuadratureError):
+                finite_n_winner(g1, g2)
+
     def test_monotone_in_n1(self):
         vals = [
             finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(50.0, 1.5)).value
@@ -304,8 +327,63 @@ class TestSolveCForTarget:
         c = solve_c_for_target(0.5, 1.5)
         assert two_group_limit(c, 1.5).value == pytest.approx(0.5, abs=1e-8)
 
+    def test_secant_quadrature_count(self, monkeypatch):
+        calls = []
+        real = limits_module.concave_log_quad
+        monkeypatch.setattr(limits_module, "concave_log_quad", lambda *a, **k: calls.append(1) or real(*a, **k))
+        targets = [(p, s) for s in (1.2, 1.5, 2.0) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        for p, s in targets:
+            solve_c_for_target(p, s)
+        assert len(calls) <= 8 * len(targets)  # 80 with the secant; bisection took 34 per solve
+
+    def test_unbracketed_target_message(self):
+        message = (
+            "p_target=0.999999 not bracketed by log C in [-60, 60] "
+            "(p(8.76e-27)=2.64e-17, p(1.14e+26)=1)"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_c_for_target(0.999999, 3.0)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             solve_c_for_target(0.0, 1.5)
         with pytest.raises(ValueError):
             solve_c_for_target(0.5, 1.0)
+
+
+_PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
+_SIGMA = st.floats(1.05, 3.0)
+
+
+class TestProperties:
+    @_PROPERTY
+    @given(p=st.floats(0.02, 0.98), dp=st.floats(1e-4, 0.5), sigma=_SIGMA)
+    def test_solve_round_trips_and_increases_in_p(self, p, dp, sigma):
+        c = solve_c_for_target(p, sigma)
+        assert abs(two_group_limit(c, sigma).value - p) <= 1e-9
+        p_up = min(p + dp, 0.99)
+        assert solve_c_for_target(p_up, sigma) > c
+
+    @_PROPERTY
+    @given(log_c=st.floats(-6.0, 6.0), step=st.floats(0.05, 3.0), sigma=_SIGMA)
+    def test_two_group_limit_increasing_in_c(self, log_c, step, sigma):
+        low = two_group_limit(math.exp(log_c), sigma).value
+        high = two_group_limit(math.exp(log_c + step), sigma).value
+        assert 0.0 < low < high < 1.0
+
+    @_PROPERTY
+    @given(
+        rest=st.lists(st.tuples(st.floats(0.05, 20.0), st.floats(1.01, 3.0)), min_size=1, max_size=4),
+    )
+    def test_k_group_sums_to_one_and_reduces_at_k2(self, rest):
+        parts = multi_group_limits(LimitSpecK(groups=((1.0, 1.0), *rest)))
+        assert sum(r.value for r in parts) == pytest.approx(1.0, abs=1e-9)
+        if len(rest) == 1:
+            (c, s), = rest
+            assert parts[0].value == pytest.approx(two_group_limit(c, s).value, abs=1e-9)
+
+    @_PROPERTY
+    @given(n1=st.integers(1, 10_000), n2=st.integers(1, 10_000), sigma=st.floats(0.1, 10.0))
+    def test_finite_n_exchangeable(self, n1, n2, sigma):
+        res = finite_n_winner(GroupSpec(n1, sigma), GroupSpec(n2, sigma))
+        assert res.value == pytest.approx(n1 / (n1 + n2), abs=1e-10)

@@ -3,8 +3,10 @@
 Generates station records from the model the pipeline assumes: a
 month-of-year seasonal cycle, a linear trend, and AR(1) noise whose
 innovation standard deviation is drawn from one of two clusters.  The
-returned truth record carries every generating parameter, so tests can
-check that the pipeline recovers them.
+returned truth record carries the parameters the pipeline should
+recover (AR coefficient and the two innovation sds); the seasonal
+cycle, trend, year range and the stations a loader must drop are
+module constants.
 """
 
 from __future__ import annotations
@@ -20,6 +22,12 @@ from .pipeline import CSV_HEADER
 
 __all__ = ["SyntheticTruth", "write_synthetic_stations"]
 
+SEASONAL_AMPLITUDE = 8.0  # amplitude of the month-of-year sine cycle
+TREND_PER_DECADE = 0.3
+FIRST_YEAR, LAST_YEAR = 1980, 2025  # the pipeline's default year filter
+N_OUTSIDE_BOX = 2  # extra stations north of the default lat/lon box
+N_SPARSE = 1  # extra stations with too few months for the completeness filter
+
 
 @dataclass(frozen=True)
 class SyntheticTruth:
@@ -30,19 +38,11 @@ class SyntheticTruth:
     phi: float
     sd_low: float
     sd_high: float
-    seasonal_amplitude: float
-    trend_per_decade: float
-    first_year: int
-    last_year: int
     seed: int
 
     @property
     def sigma_ratio(self) -> float:
         return self.sd_high / self.sd_low
-
-
-def _format_value(v: float) -> str:
-    return f"{v:.4f}"
 
 
 def _normals(g, size):
@@ -59,41 +59,38 @@ def write_synthetic_stations(
     phi: float = 0.5,
     sd_low: float = 1.0,
     sd_high: float = 1.5,
-    seasonal_amplitude: float = 8.0,
-    trend_per_decade: float = 0.3,
-    first_year: int = 1980,
-    last_year: int = 2025,
     seed: int = 0,
-    n_outside_box: int = 2,
-    n_sparse: int = 1,
     missing_rate: float = 0.0,
 ) -> SyntheticTruth:
     """Write a fixture CSV and return the generating truth.
 
     ``n_low`` / ``n_high`` stations get innovation sd ``sd_low`` /
-    ``sd_high``.  ``n_outside_box`` extra stations fall outside the
-    default lat/lon box and ``n_sparse`` extra ones carry too few months
+    ``sd_high``.  ``N_OUTSIDE_BOX`` extra stations fall outside the
+    default lat/lon box and ``N_SPARSE`` extra ones carry too few months
     to survive the completeness filter; both must be dropped by a
     correct loader.  ``missing_rate`` > 0 blanks that fraction of values
     (empty CSV fields) on every third in-box station, exercising the
     gap-aware AR(1) pairing.
     """
-    from scipy.signal import lfilter  # not at module level: scipy.signal is slow to import
-
-    months = (last_year - first_year + 1) * 12
+    months = (LAST_YEAR - FIRST_YEAR + 1) * 12
     t = np.arange(months)
-    year = first_year + t // 12
     month = 1 + t % 12
-    season = seasonal_amplitude * np.sin(2.0 * math.pi * month / 12.0)
-    trend = trend_per_decade * (t / 120.0)
+    season = SEASONAL_AMPLITUDE * np.sin(2.0 * math.pi * month / 12.0)
+    trend = TREND_PER_DECADE * (t / 120.0)
+    # every station spans the same months, so the "year,month," middles are shared
+    middles = [f"{FIRST_YEAR + k // 12},{1 + k % 12}," for k in range(months)]
+    blocks = [",".join(CSV_HEADER)]
 
-    lines = [",".join(CSV_HEADER)]
-    station_counter = 0
+    def emit(kind, lat, lon, values, keep):
+        sid = f"{kind}{len(blocks) - 1:05d}"  # numbered in write order; blocks[0] is the header
+        fields = [f"{v:.4f}" if k else "" for v, k in zip(values.tolist(), keep.tolist())]
+        prefix = f"{sid},{lat:.4f},{lon:.4f},"
+        blocks.append(prefix + ("\n" + prefix).join(map(str.__add__, middles, fields)))
 
-    def emit(sid, lat, lon, values, keep):
-        for yy, mm, v, k in zip(year, month, values, keep):
-            field = _format_value(v) if k else ""
-            lines.append(f"{sid},{lat:.4f},{lon:.4f},{yy},{mm},{field}")
+    def ar1_noise(g, sd):
+        """AR(1) noise x_t = e_t + phi * x_{t-1} from x_{-1} = 0, e_t ~ N(0, sd^2)."""
+        acc = 0.0
+        return np.array([acc := v + phi * acc for v in (sd * _normals(g, months)).tolist()])
 
     def station_rng(index):
         return RngStream(seed=seed, stream_id=index).generator()
@@ -104,50 +101,29 @@ def write_synthetic_stations(
         lat = 30.0 + 10.0 * g.random()
         lon = -95.0 + 20.0 * g.random()
         base = 10.0 + 10.0 * g.random()
-        innov = sd * _normals(g, months)
-        noise = lfilter([1.0], [1.0, -phi], innov)
-        values = base + season + trend + noise
+        values = base + season + trend + ar1_noise(g, sd)
         keep = np.ones(months, dtype=bool)
         if missing_rate > 0.0 and i % 3 == 0:
             keep = g.random(months) >= missing_rate
-        sid = f"SYN{station_counter:05d}"
-        station_counter += 1
-        emit(sid, lat, lon, values, keep)
+        emit("SYN", lat, lon, values, keep)
 
-    for j in range(n_outside_box):
+    for j in range(N_OUTSIDE_BOX):
         g = station_rng(10_000 + j)
         lat = 45.0 + 2.0 * g.random()  # north of the box
         lon = -95.0 + 20.0 * g.random()
-        innov = sd_low * _normals(g, months)
-        values = 5.0 + season + lfilter([1.0], [1.0, -phi], innov)
-        sid = f"OUT{station_counter:05d}"
-        station_counter += 1
-        emit(sid, lat, lon, values, np.ones(months, dtype=bool))
+        values = 5.0 + season + ar1_noise(g, sd_low)
+        emit("OUT", lat, lon, values, np.ones(months, dtype=bool))
 
-    for j in range(n_sparse):
+    for j in range(N_SPARSE):
         g = station_rng(20_000 + j)
         lat = 30.0 + 10.0 * g.random()
         lon = -95.0 + 20.0 * g.random()
-        innov = sd_low * _normals(g, months)
-        values = 5.0 + season + lfilter([1.0], [1.0, -phi], innov)
+        values = 5.0 + season + ar1_noise(g, sd_low)
         keep = np.zeros(months, dtype=bool)
         keep[:120] = True  # below any sane completeness threshold
-        sid = f"SPR{station_counter:05d}"
-        station_counter += 1
-        emit(sid, lat, lon, values, keep)
+        emit("SPR", lat, lon, values, keep)
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(blocks) + "\n")
 
-    return SyntheticTruth(
-        n_low=n_low,
-        n_high=n_high,
-        phi=phi,
-        sd_low=sd_low,
-        sd_high=sd_high,
-        seasonal_amplitude=seasonal_amplitude,
-        trend_per_decade=trend_per_decade,
-        first_year=first_year,
-        last_year=last_year,
-        seed=seed,
-    )
+    return SyntheticTruth(n_low=n_low, n_high=n_high, phi=phi, sd_low=sd_low, sd_high=sd_high, seed=seed)

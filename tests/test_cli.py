@@ -286,9 +286,14 @@ class TestSelftestCommand:
         assert "FAIL" in out
 
 
-def test_import_skips_scipy_signal():
-    """Only the synthetic fixture writer needs scipy.signal; the CLI must not pay for it."""
+def test_import_skips_scipy_signal(tmp_path):
+    """No part of the package needs scipy.signal: not the CLI, the top level or the fixture writer."""
     src = os.path.dirname(os.path.dirname(gausswinner.limits.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, gausswinner.cli; sys.exit('scipy.signal' in sys.modules)"
+    code = (
+        "import sys, gausswinner, gausswinner.cli\n"
+        f"gausswinner.write_synthetic_stations({str(tmp_path / 'f.csv')!r}, n_low=2, n_high=1, missing_rate=0.1)\n"
+        "sys.exit('scipy.signal' in sys.modules)"
+    )
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    assert (tmp_path / "f.csv").stat().st_size > 0

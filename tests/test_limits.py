@@ -383,6 +383,13 @@ class TestProperties:
             assert parts[0].value == pytest.approx(two_group_limit(c, s).value, abs=1e-9)
 
     @_PROPERTY
+    @given(n1=st.integers(1, 10_000), dn=st.integers(1, 1_000), n2=st.integers(1, 10_000), sigma=_SIGMA)
+    def test_finite_n_increasing_in_n1(self, n1, dn, n2, sigma):
+        low = finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(n2, sigma)).value
+        high = finite_n_winner(GroupSpec(n1 + dn, 1.0), GroupSpec(n2, sigma)).value
+        assert 0.0 < low < high < 1.0
+
+    @_PROPERTY
     @given(n1=st.integers(1, 10_000), n2=st.integers(1, 10_000), sigma=st.floats(0.1, 10.0))
     def test_finite_n_exchangeable(self, n1, n2, sigma):
         res = finite_n_winner(GroupSpec(n1, sigma), GroupSpec(n2, sigma))

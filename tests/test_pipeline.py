@@ -1,10 +1,14 @@
 """Ingestion, anomaly pipeline, variance split, pools, bootstrap."""
 
+import csv
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gausswinner.pipeline as pipeline
 from gausswinner.montecarlo import RngStream
@@ -433,6 +437,47 @@ class TestEndToEnd:
         assert swapped.centers == base.centers
         assert swapped.centers[0] < swapped.centers[1]
         assert np.array_equal(swapped.pool_low.values, base.pool_low.values)
+
+    def test_fixture_bytes_pinned(self, tmp_path):
+        """Output bytes pinned from the writer that filtered the AR(1) noise with scipy.signal.lfilter."""
+        path = tmp_path / "fixture.csv"
+        write_synthetic_stations(path, n_low=3, n_high=2, seed=1, missing_rate=0.05)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "45942c4cc9333966b097ca88581144b27ebac9674f182079d26467b6f59b0d07"
+
+    @settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        missing_rate=st.sampled_from([0.0, 0.01, 0.1, 0.3]),
+        n_low=st.integers(1, 3),
+        n_high=st.integers(1, 2),
+    )
+    def test_synthetic_csv_round_trips(self, tmp_path_factory, seed, missing_rate, n_low, n_high):
+        path = tmp_path_factory.mktemp("roundtrip") / "fixture.csv"
+        write_synthetic_stations(path, n_low=n_low, n_high=n_high, seed=seed, missing_rate=missing_rate)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        by_station = {}
+        for r in rows:
+            by_station.setdefault(r["station_id"], []).append(r)
+        expected = {
+            sid: rs
+            for sid, rs in by_station.items()
+            if 30.0 <= float(rs[0]["latitude"]) < 40.0
+            and -95.0 <= float(rs[0]["longitude"]) < -75.0
+            and sum(r["tavg_c"] != "" for r in rs if 1980 <= int(r["year"]) <= 2025) >= 240
+        }
+        stations = load_stations(path)
+        assert len(stations) == len(expected) == n_low + n_high
+        assert [s.station_id for s in stations] == list(expected)
+        for s in stations:
+            rs = expected[s.station_id]
+            assert s.n_present() == sum(r["tavg_c"] != "" for r in rs)
+            assert s.year.tolist() == [int(r["year"]) for r in rs]
+            assert s.month.tolist() == [int(r["month"]) for r in rs]
+            values = [float(r["tavg_c"]) for r in rs if r["tavg_c"] != ""]
+            assert s.value[s.present].tolist() == values
+            assert np.isnan(s.value[~s.present]).all()
 
     def test_process_station_handles_gaps(self, tmp_path):
         path = tmp_path / "fixture.csv"

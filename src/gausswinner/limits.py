@@ -94,18 +94,17 @@ def _limit_components(alphas, kappas, rows, *, tol, note=None) -> list[QuadResul
     log integrand of row k: log(alpha_k) - kappa_k + alpha_k u - sum_j exp(alpha_j u - kappa_j);
     the sum is computed once per node for all rows.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    kappas = np.asarray(kappas, dtype=float)
     log_pref = np.array([[math.log(alphas[k]) - kappas[k]] for k in rows])
-    a_rows = alphas[list(rows)][:, None]
+    a_rows = np.array([[alphas[k]] for k in rows])
+    a_all, k_all = np.array(alphas, dtype=float)[:, None], np.array(kappas, dtype=float)[:, None]
 
     def log_f(u):
         with np.errstate(over="ignore", under="ignore"):
-            total = np.exp(alphas[:, None] * u - kappas[:, None]).sum(axis=0)
+            total = np.exp(a_all * u - k_all).sum(axis=0)
             return log_pref + a_rows * u - total
 
     # mass sits where the dominating exponential sum is O(1)
-    center = min(0.0, float(np.min(kappas / alphas)))
+    center = min(0.0, min(k / a for a, k in zip(alphas, kappas)))
     return [_probability(r) for r in concave_log_quad(log_f, center - 8.0, 8.0, tol=tol, note=note)]
 
 
@@ -169,13 +168,13 @@ def _winner_log_integrand(groups: Sequence[GroupSpec], k: int):
     weights = sizes.copy()
     weights[k] -= 1.0  # the champion variable contributes the density factor
     log_pref = math.log(sizes[k]) - math.log(sigmas[k])
-    s_k = sigmas[k]
+    s_k = float(sigmas[k])
+    terms = [(w, s) for w, s in zip(weights.tolist(), sigmas.tolist()) if w != 0.0]
 
     def log_f(x):
-        total = np.full_like(x, log_pref)
-        for w, s in zip(weights, sigmas):
-            if w != 0.0:
-                total += w * log_ndtr(x / s)
+        total = log_pref  # a float until the first term makes it an array
+        for w, s in terms:
+            total += w * log_ndtr(x / s)
         z = x / s_k
         total += -0.5 * z * z - _LOG_SQRT_2PI
         return total

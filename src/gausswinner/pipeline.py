@@ -120,6 +120,9 @@ def _parse_row(fields, line_no):
         month = int(fields[4])
     except ValueError as exc:
         raise ValueError(f"line {line_no}: {exc}") from None
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        name, raw = ("latitude", fields[1]) if not math.isfinite(lat) else ("longitude", fields[2])
+        raise ValueError(f"line {line_no}: non-finite {name} {raw.strip()!r}")
     if not 1 <= month <= 12:
         raise ValueError(f"line {line_no}: month {month} outside 1..12")
     raw = fields[5].strip()

@@ -9,7 +9,11 @@ decay).  Concavity makes a simple strategy rigorous:
 
 1. scan a seed window and expand it geometrically until the endpoint
    log values sit ``DROP`` below the running maximum (the integrand mass
-   outside is then a negligible exponential tail),
+   outside is then a negligible exponential tail).  Each side computes
+   its next ``BATCH`` endpoints and evaluates them in one log_f call,
+   then takes them in order and stops at the first one deep enough; the
+   later ones in the batch are never used, and a NaN there is ignored.
+   ``MAX_EXPANSIONS`` counts endpoints, not batches.
 2. trim to the region above the cutoff,
 3. refine an equispaced trapezoid rule by repeated halving until two
    consecutive refinements agree within tol/2.  The rules are nested:
@@ -23,6 +27,9 @@ K-group limit law).  The window stages then follow the row-wise
 maximum, refinement stops when the largest row difference has settled,
 and the result is one QuadResult per row.
 
+``evaluations`` counts every node passed to log_f, the unused window
+endpoints of the last batch on each side included.
+
 For analytic integrands the trapezoid rule converges geometrically in
 the step size, so the doubling loop terminates after a handful of
 levels.  ``abs_err`` is the last inter-level difference plus the tail
@@ -33,6 +40,7 @@ error at the rounding level: converged values can differ from a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +51,7 @@ DROP = 46.0  # window ends sit this far below the peak log value: e^-46 ~ 1e-20
 N_SCAN = 65  # nodes of the seed scan; the trim grid has 4 * N_SCAN + 1
 N_START = 129  # nodes of the first trapezoid level
 MAX_EXPANSIONS = 400  # outward steps allowed on each side of the window
+BATCH = 8  # window endpoints per log_f call: one call per side resolves most windows
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,31 @@ class QuadratureError(RuntimeError):
         self.partial = partial
 
 
+def _nodes(lo: float, hi: float, n: int, odd: bool = False) -> np.ndarray:
+    """``np.linspace(lo, hi, n)``, or its odd-indexed nodes, bit for bit.
+
+    linspace puts node i at ``i * ((hi - lo) / (n - 1)) + lo`` and sets the
+    last node to ``hi``; building that here skips its per-call overhead.  A
+    step that underflows to zero takes linspace's own (dividing) path.
+    """
+    step = (hi - lo) / (n - 1)
+    if step == 0.0:
+        xs = np.linspace(lo, hi, n)
+        return xs[1::2] if odd else xs
+    if odd:
+        return np.arange(1, n - 1, 2) * step + lo
+    xs = np.arange(n) * step + lo
+    xs[-1] = hi
+    return xs
+
+
+def _check(maxima) -> None:
+    """Raise if a row maximum is NaN; numpy's max propagates a NaN node."""
+    for value in maxima:
+        if math.isnan(value):
+            raise QuadratureError("log integrand returned NaN")
+
+
 def concave_log_quad(
     log_f,
     lo: float,
@@ -102,7 +136,9 @@ def concave_log_quad(
     log_f : callable
         Vectorized log-integrand; may return -inf where the integrand
         underflows, never NaN.  Given n nodes it returns either n values
-        or a (K, n) array of K rows, each a concave log-integrand.
+        or a (K, n) array of K rows, each a concave log-integrand.  The
+        window stage also calls it up to ``BATCH - 1`` steps beyond the
+        endpoint it keeps, far out in the tails.
     lo, hi : float
         Seed window.  It does not need to contain the peak; the
         expansion stage walks outward until the tails are resolved.
@@ -124,17 +160,16 @@ def concave_log_quad(
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid seed window [{lo}, {hi}]")
+    lo, hi = float(lo), float(hi)
 
     evaluations = 0
     single = False
 
     def sample(points):
-        """log_f at ``points`` as a (rows, nodes) array."""
+        """log_f at the float array ``points`` as a (rows, nodes) array."""
         nonlocal evaluations, single
-        vals = np.asarray(log_f(np.asarray(points, dtype=float)), dtype=float)
+        vals = np.asarray(log_f(points), dtype=float)
         evaluations += len(points)
-        if np.any(np.isnan(vals)):
-            raise QuadratureError("log integrand returned NaN")
         single = vals.ndim == 1
         return vals.reshape(1, -1) if single else vals
 
@@ -145,72 +180,82 @@ def concave_log_quad(
         ]
         return rows[0] if single else QuadRows(rows)
 
-    ys = sample(np.linspace(lo, hi, N_SCAN))
-    ymax = float(np.max(ys))
+    ys = sample(_nodes(lo, hi, N_SCAN))
+    ymax = float(ys.max())
+    _check((ymax,))
 
-    # grow each side until its endpoint is deep below the running peak
+    # grow each side until its endpoint is deep below the running peak; the
+    # next BATCH endpoints go to log_f at once and are then taken in order
     for side in (-1, +1):
         step = (hi - lo) / 4.0
         end = lo if side < 0 else hi
-        end_val = float(np.max(ys[:, 0] if side < 0 else ys[:, -1]))
+        end_val = float(ys[:, 0 if side < 0 else -1].max())
         expansions = 0
         while not (end_val <= ymax - DROP):
-            end += side * step
-            step *= 1.5
-            end_val = float(np.max(sample([end])))
-            ymax = max(ymax, end_val)
-            expansions += 1
-            if expansions > MAX_EXPANSIONS:
-                raise QuadratureError("window expansion did not resolve the integrand tail")
+            ends = []
+            for _ in range(BATCH):
+                end += side * step
+                step *= 1.5
+                ends.append(end)
+            for end, end_val in zip(ends, sample(np.array(ends)).max(axis=0).tolist()):
+                _check((end_val,))
+                ymax = max(ymax, end_val)
+                expansions += 1
+                if expansions > MAX_EXPANSIONS:
+                    raise QuadratureError("window expansion did not resolve the integrand tail")
+                if end_val <= ymax - DROP:
+                    break
         if side < 0:
             lo = end
         else:
             hi = end
 
-    if not np.isfinite(ymax):
+    if not math.isfinite(ymax):
         raise QuadratureError("integrand is zero everywhere in the resolved window")
 
     # trim to the region that actually carries mass
-    xs = np.linspace(lo, hi, 4 * N_SCAN + 1)
-    envelope = np.max(sample(xs), axis=0)
-    ymax = float(np.max(envelope))
+    xs = _nodes(lo, hi, 4 * N_SCAN + 1)
+    envelope = sample(xs).max(axis=0)
+    ymax = float(envelope.max())
+    _check((ymax,))
     above = np.nonzero(envelope > ymax - DROP)[0]
-    lo = xs[max(above[0] - 1, 0)]
-    hi = xs[min(above[-1] + 1, len(xs) - 1)]
+    lo = float(xs[max(above[0] - 1, 0)])
+    hi = float(xs[min(above[-1] + 1, len(xs) - 1)])
 
     # nested trapezoid refinement; accept after two consecutive small differences.
     # ``scaled`` is each row's node sum (end nodes halved) divided by exp(m).
-    n = N_START
-    ys = sample(np.linspace(lo, hi, n))
-    ends = ys[:, [0, -1]]
-    m = np.max(ys, axis=1)
     with np.errstate(under="ignore"):
-        scaled = np.sum(np.exp(ys - m[:, None]), axis=1) - 0.5 * np.sum(np.exp(ends - m[:, None]), axis=1)
-    prev = None
-    diffs = np.full(len(m), np.inf)
-    settled = 0
-    for level in range(max_levels):
-        if level:
-            n = 2 * n - 1
-            mids = sample(np.linspace(lo, hi, n)[1::2])
-            m_new = np.maximum(m, np.max(mids, axis=1))
-            with np.errstate(under="ignore"):
-                scaled = scaled * np.exp(m - m_new) + np.sum(np.exp(mids - m_new[:, None]), axis=1)
-            m = m_new
-        total = scaled * ((hi - lo) / (n - 1)) * np.exp(m)
-        if prev is not None:
-            diffs = np.abs(total - prev)
-            if np.max(diffs) <= 0.5 * tol:
-                settled += 1
-                if settled >= 2:
-                    with np.errstate(under="ignore"):
-                        tail = (hi - lo) * np.sum(np.exp(ends - m[:, None]), axis=1) * np.exp(m)
-                    return results(total, diffs + tail)
-            else:
-                settled = 0
-        prev = total
+        n = N_START
+        ys = sample(_nodes(lo, hi, n))
+        m = ys.max(axis=1)
+        _check(m.tolist())
+        ends = ys[:, [0, -1]]
+        scaled = np.exp(ys - m[:, None]).sum(axis=1) - 0.5 * np.exp(ends - m[:, None]).sum(axis=1)
+        prev = None
+        diffs = np.full(len(m), np.inf)
+        settled = 0
+        for level in range(max_levels):
+            if level:
+                n = 2 * n - 1
+                mids = sample(_nodes(lo, hi, n, odd=True))
+                top = mids.max(axis=1)
+                _check(top.tolist())
+                m_new = np.maximum(m, top)
+                scaled = scaled * np.exp(m - m_new) + np.exp(mids - m_new[:, None]).sum(axis=1)
+                m = m_new
+            total = scaled * ((hi - lo) / (n - 1)) * np.exp(m)
+            if prev is not None:
+                diffs = np.abs(total - prev)
+                if diffs.max() <= 0.5 * tol:
+                    settled += 1
+                    if settled >= 2:
+                        tail = (hi - lo) * np.exp(ends - m[:, None]).sum(axis=1) * np.exp(m)
+                        return results(total, diffs + tail)
+                else:
+                    settled = 0
+            prev = total
 
-    diff = float(np.max(diffs))
+    diff = float(diffs.max())
     raise QuadratureError(
         f"trapezoid refinement did not reach tol={tol:g} (last diff {diff:.3g})",
         partial=results(prev, diffs),

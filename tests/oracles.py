@@ -3,8 +3,9 @@
 Everything here is deliberately written from scratch with different
 algorithms than the package (continued fractions and power series
 instead of scipy's ndtr, bisection instead of rational inverses, fixed-grid
-Simpson instead of adaptive trapezoid), so agreement is evidence rather
-than tautology.
+Simpson instead of adaptive trapezoid, 30-digit mpmath tanh-sinh
+quadrature instead of the float64 trapezoid rule), so agreement is
+evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 
+import mpmath
 import numpy as np
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -116,6 +118,32 @@ def simpson(f, a: float, b: float, n: int) -> float:
     for i in range(1, n):
         total += f(a + i * h) * (4 if i % 2 else 2)
     return total * h / 3.0
+
+
+def mp_limit_law(kappa_value: float, sigma: float, digits: int = 30) -> float:
+    """int_0^inf exp(-y - e^{-kappa} y^{1/sigma^2}) dy by mpmath at ``digits`` digits."""
+    with mpmath.workdps(digits):
+        alpha = 1 / mpmath.mpf(sigma) ** 2
+        weight = mpmath.exp(-mpmath.mpf(kappa_value))
+        return float(mpmath.quad(lambda y: mpmath.exp(-y - weight * y**alpha), [0, 1, 10, mpmath.inf]))
+
+
+def mp_finite_n(n1: float, s1: float, n2: float, s2: float, digits: int = 30) -> float:
+    """P(max of n1 N(0, s1^2) > max of n2 N(0, s2^2)) by mpmath at ``digits`` digits.
+
+    The integrand peaks near s1 sqrt(2 log n1) with a width of order s1, so
+    the range is split there for the tanh-sinh rule.
+    """
+    with mpmath.workdps(digits):
+        n1, s1, n2, s2 = (mpmath.mpf(v) for v in (n1, s1, n2, s2))
+        center = s1 * mpmath.sqrt(2 * mpmath.log(n1)) if n1 >= 2 else mpmath.mpf(0)
+
+        def f(x):
+            log_rivals = n2 * mpmath.log(mpmath.ncdf(x / s2)) + (n1 - 1) * mpmath.log(mpmath.ncdf(x / s1))
+            return mpmath.exp(log_rivals) * n1 / s1 * mpmath.npdf(x / s1)
+
+        splits = [center + s1 * k for k in (-4, -2, -1, 0, 1, 2, 4)]
+        return float(mpmath.quad(f, [-mpmath.inf, *splits, mpmath.inf]))
 
 
 def ks_statistic(samples, cdf) -> float:

@@ -254,6 +254,20 @@ class TestEmpiricalCommand:
         assert code == EXIT_MATH
         assert "line 6: non-finite tavg_c" in err
 
+    @pytest.mark.parametrize("field, raw", [(1, "nan"), (2, "-inf")])
+    def test_non_finite_coordinate_exit_3(self, capsys, fixture_csv, tmp_path, field, raw):
+        lines = fixture_csv.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[field] = raw
+        lines[5] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "empirical", "--input", str(bad))
+        assert code == EXIT_MATH
+        assert out == ""
+        name = "latitude" if field == 1 else "longitude"
+        assert f"line 6: non-finite {name} '{raw}'" in err
+
     def test_empty_selection_exit_3(self, capsys, fixture_csv):
         code, _, err = run(
             capsys, "empirical", "--input", str(fixture_csv), "--lat", "50:60",

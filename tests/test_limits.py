@@ -355,6 +355,27 @@ _PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=
 _SIGMA = st.floats(1.05, 3.0)
 
 
+class TestHighPrecisionOracle:
+    """Values against 30-digit mpmath quadrature, which shares nothing with the trapezoid rule.
+
+    ``abs_err`` leaves out rounding, so the bound is on the value itself:
+    the largest error measured on these points is 1.5e-15.
+    """
+
+    def test_oracle_reproduces_closed_form(self):
+        assert oracles.mp_limit_law(0.0, math.sqrt(2.0)) == pytest.approx(CLOSED_FORM_K0_S2, abs=1e-16)
+
+    @pytest.mark.parametrize("c, sigma", [(1.0, 1.5), (5.0, 2.0)])
+    def test_limit_law(self, c, sigma):
+        ref = oracles.mp_limit_law(kappa(c, sigma), sigma)
+        assert abs(two_group_limit(c, sigma).value - ref) <= 1e-13
+
+    @pytest.mark.parametrize("n1, s1, n2, s2", [(1e6, 1.0, 100.0, 1.5), (3.0, 1.0, 7.0, 1.3)])
+    def test_finite_n(self, n1, s1, n2, s2):
+        ref = oracles.mp_finite_n(n1, s1, n2, s2)
+        assert abs(finite_n_winner(GroupSpec(n1, s1), GroupSpec(n2, s2)).value - ref) <= 1e-13
+
+
 class TestProperties:
     @_PROPERTY
     @given(p=st.floats(0.02, 0.98), dp=st.floats(1e-4, 0.5), sigma=_SIGMA)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,28 @@ class TestLoadStations:
         p = tmp_path / "t.csv"
         write_csv(p, ["A,35,-80,1990,1,5.0", f"A,35,-80,1990,2,{raw}"])
         with pytest.raises(ValueError, match="line 3: non-finite tavg_c"):
+            load_stations(p)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("A,nan,-80,1990,2,5.0", "line 3: non-finite latitude 'nan'"),
+            ("A,35, inf ,1990,2,5.0", "line 3: non-finite longitude 'inf'"),
+            ("A,-Infinity,-80,1990,2,5.0", "line 3: non-finite latitude '-Infinity'"),
+        ],
+    )
+    def test_non_finite_coordinate_names_line(self, tmp_path, row, message):
+        # a NaN latitude used to surface as "changes coordinates" (nan != nan)
+        # at the station's next row, and an infinite one was dropped silently
+        p = tmp_path / "t.csv"
+        write_csv(p, ["A,35,-80,1990,1,5.0", row, "A,35,-80,1990,3,5.0"])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_stations(p)
+
+    def test_non_finite_coordinate_on_first_row(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, ["A,NaN,-80,1990,1,5.0", "A,NaN,-80,1990,2,5.0"])
+        with pytest.raises(ValueError, match="line 2: non-finite latitude 'NaN'"):
             load_stations(p)
 
     def test_non_increasing_months(self, tmp_path):

@@ -16,6 +16,7 @@ rescaling, so this is observationally neutral).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,6 +43,13 @@ __all__ = [
 ]
 
 CSV_HEADER = ["station_id", "latitude", "longitude", "year", "month", "tavg_c"]
+_HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
+# the bytes of a plain file: printable ASCII other than the space and the
+# quote, and LF.  csv.reader, str.strip and float read the rest differently
+# from np.loadtxt (quoting, CR line ends, surrounding whitespace, non-ASCII
+# digits), so a file holding any of them goes to the row parser.
+_PLAIN = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\n"
+_RECORD = np.dtype([("lat", "f8"), ("lon", "f8"), ("year", "i8"), ("month", "i8"), ("value", "f8")])
 
 DEFAULT_LAT_RANGE = (30.0, 40.0)
 DEFAULT_LON_RANGE = (-95.0, -75.0)
@@ -82,6 +90,7 @@ class Ar1Fit:
 class InnovationPool:
     """Pooled standardized innovations of one variance cluster.
 
+    ``values`` are held sorted (a bootstrap draw indexes them by rank);
     ``sd`` is the pooled standard deviation before standardization, and
     ``indices`` are the positions of the stations pooled, when known.
     """
@@ -90,6 +99,9 @@ class InnovationPool:
     values: np.ndarray
     sd: float
     indices: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.sort(self.values))
 
 
 @dataclass(frozen=True)
@@ -125,9 +137,11 @@ def _parse_row(fields, line_no):
         raise ValueError(f"line {line_no}: non-finite {name} {raw.strip()!r}")
     if not 1 <= month <= 12:
         raise ValueError(f"line {line_no}: month {month} outside 1..12")
+    if not -(2**63) <= year < 2**63:
+        raise ValueError(f"line {line_no}: year {year} outside the int64 range")
     raw = fields[5].strip()
     if raw == "":
-        value, present = math.nan, False
+        value = math.nan  # absent
     else:
         try:
             value = float(raw)
@@ -135,8 +149,146 @@ def _parse_row(fields, line_no):
             raise ValueError(f"line {line_no}: bad tavg_c value {raw!r}") from None
         if not math.isfinite(value):
             raise ValueError(f"line {line_no}: non-finite tavg_c value {raw!r}")
-        present = True
-    return sid, lat, lon, year, month, value, present
+    return sid, lat, lon, year, month, value
+
+
+def _stations_by_rows(path) -> dict:
+    """The reference parser: ``csv.reader``, then ``_parse_row`` on every row.
+
+    Returns ``{station_id: (lat, lon, year, month, value)}`` in order of
+    first appearance, with the station's rows in file order and NaN for an
+    absent value.
+    """
+    rows: dict[str, list] = {}
+    coords: dict[str, tuple[float, float]] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError("line 1: empty file, header required") from None
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise ValueError(f"line 1: header must be {','.join(CSV_HEADER)}")
+        for line_no, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            sid, lat, lon, year, month, value = _parse_row(fields, line_no)
+            if sid not in rows:
+                rows[sid] = []
+                coords[sid] = (lat, lon)
+            elif coords[sid] != (lat, lon):
+                raise ValueError(f"line {line_no}: station {sid} changes coordinates")
+            prev = rows[sid][-1] if rows[sid] else None
+            if prev is not None and (year, month) <= (prev[0], prev[1]):
+                raise ValueError(
+                    f"line {line_no}: station {sid} has non-increasing (year, month)"
+                )
+            rows[sid].append((year, month, value))
+    out = {}
+    for sid, station_rows in rows.items():
+        year, month, value = zip(*station_rows)
+        out[sid] = (
+            *coords[sid],
+            np.array(year, dtype=np.int64),
+            np.array(month, dtype=np.int64),
+            np.array(value, dtype=float),
+        )
+    return out
+
+
+def _stations_in_bulk(path) -> dict | None:
+    """``_stations_by_rows(path)`` from one columnar pass, or None to defer to it.
+
+    Only a plain file is read here: the exact header line, then rows of six
+    comma-separated fields in printable ASCII without a space or a quote, and
+    no blank line.  Anything else (a CR, a tab, a quote, non-ASCII text, a
+    blank line, a field count other than 6) returns None, as does any value
+    ``np.loadtxt`` cannot parse or any failed column check, so the row parser
+    gives the result or the error with its line number.  On a plain file
+    ``loadtxt`` and ``float``/``int`` parse every field to the same bits.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(_HEADER_LINE) or data.translate(None, _PLAIN):
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    raw = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(raw == ord("\n"))  # the header's comes first
+    starts, ends = newlines[:-1] + 1, newlines[1:]
+    commas = np.flatnonzero(raw == ord(","))[5:]  # after the header's five
+    if not ends.size or commas.size != 5 * ends.size:
+        return None
+    firsts, lasts = commas.reshape(-1, 5)[:, [0, 4]].T
+    del commas
+    # each line holds its own five commas, the first after a non-empty id
+    # (so no line is blank); csv would refuse a field above its size limit
+    if not (
+        (firsts > starts).all()
+        and (lasts < ends).all()
+        and (ends - starts).max() <= csv.field_size_limit()
+    ):
+        return None
+
+    # a run is a stretch of lines with the same id.  Neighbouring ids are
+    # compared byte by byte, each pair only while its bytes still agree.
+    size = firsts - starts
+    same = size[1:] == size[:-1]
+    pairs, k = np.flatnonzero(same), 0
+    while pairs.size:
+        pairs = pairs[size[pairs] > k]
+        differ = raw[starts[pairs] + k] != raw[starts[pairs + 1] + k]
+        same[pairs[differ]] = False
+        pairs, k = pairs[~differ], k + 1
+    bounds = [0, *(np.flatnonzero(~same) + 1).tolist(), len(ends)]
+    ids = [data[starts[a]:firsts[a]].decode("ascii") for a in bounds[:-1]]
+
+    # an empty tavg_c is a line ending in a comma; it is read as "nan".  The
+    # file's bytes are freed before the parse, which holds the rewritten copy.
+    blank = ends[lasts == ends - 1].tolist()
+    cuts = zip([len(_HEADER_LINE), *blank], [*blank, len(data)])
+    text = b"nan".join([data[a:b] for a, b in cuts])
+    del raw, data
+    try:
+        record = np.loadtxt(
+            io.BytesIO(text),
+            dtype=_RECORD,
+            delimiter=",",
+            usecols=range(1, 6),
+            comments=None,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    lat, lon, year, month, value = (record[name] for name in _RECORD.names)
+    later = (year[1:] > year[:-1]) | ((year[1:] == year[:-1]) & (month[1:] > month[:-1]))
+    if not (
+        np.isfinite(lat).all()
+        and np.isfinite(lon).all()
+        and ((month >= 1) & (month <= 12)).all()
+        and not np.isinf(value).any()
+        and np.count_nonzero(np.isnan(value)) == len(blank)  # a literal nan is not a blank
+        and (~same | ((lat[1:] == lat[:-1]) & (lon[1:] == lon[:-1]) & later)).all()
+    ):
+        return None
+
+    # a station may come back after other stations: its runs join in file order
+    runs: dict[str, list[tuple[int, int]]] = {}
+    for sid, a, b in zip(ids, bounds[:-1], bounds[1:]):
+        seen = runs.setdefault(sid, [])
+        if seen:
+            first, last = seen[0][0], seen[-1][1] - 1
+            if lat[a] != lat[first] or lon[a] != lon[first]:
+                return None
+            if (year[a], month[a]) <= (year[last], month[last]):
+                return None
+        seen.append((a, b))
+    out = {}
+    for sid, spans in runs.items():
+        rows = np.r_[tuple(slice(a, b) for a, b in spans)] if len(spans) > 1 else slice(*spans[0])
+        first = spans[0][0]
+        out[sid] = (float(lat[first]), float(lon[first]), year[rows], month[rows], value[rows])
+    return out
 
 
 def load_stations(
@@ -155,51 +307,33 @@ def load_stations(
     they have at least ``min_months`` present observations inside the
     inclusive year range.  Malformed rows raise ValueError naming the
     line; an empty selection returns an empty list.
-    """
-    order: list[str] = []
-    rows: dict[str, list] = {}
-    coords: dict[str, tuple[float, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("line 1: empty file, header required") from None
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise ValueError(f"line 1: header must be {','.join(CSV_HEADER)}")
-        for line_no, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            sid, lat, lon, year, month, value, present = _parse_row(fields, line_no)
-            if sid not in rows:
-                order.append(sid)
-                rows[sid] = []
-                coords[sid] = (lat, lon)
-            elif coords[sid] != (lat, lon):
-                raise ValueError(f"line {line_no}: station {sid} changes coordinates")
-            prev = rows[sid][-1] if rows[sid] else None
-            if prev is not None and (year, month) <= (prev[0], prev[1]):
-                raise ValueError(
-                    f"line {line_no}: station {sid} has non-increasing (year, month)"
-                )
-            rows[sid].append((year, month, value, present))
 
+    A plain file (the exact header, then six fields a line in printable
+    ASCII with no space, quote, CR or blank line) is read in one columnar
+    pass with ``np.loadtxt`` and checked column by column.  Any other file,
+    and any file that fails a column check, goes to the row parser
+    (``csv.reader`` row by row), which finds the line at fault.  On a file
+    both accept, both give the same arrays, bit for bit.
+    """
+    stations = _stations_in_bulk(path)
+    if stations is None:
+        stations = _stations_by_rows(path)
     out = []
-    for sid in order:
-        lat, lon = coords[sid]
+    for sid, (lat, lon, year, month, value) in stations.items():
         if not (lat_range[0] <= lat < lat_range[1] and lon_range[0] <= lon < lon_range[1]):
             continue
-        kept = [r for r in rows[sid] if year_range[0] <= r[0] <= year_range[1]]
-        if not kept:
+        kept = (year >= year_range[0]) & (year <= year_range[1])
+        if not kept.any():
             continue
+        value = value[kept]
         series = StationSeries(
             station_id=sid,
             latitude=lat,
             longitude=lon,
-            year=np.array([r[0] for r in kept], dtype=np.int64),
-            month=np.array([r[1] for r in kept], dtype=np.int64),
-            value=np.array([r[2] for r in kept], dtype=float),
-            present=np.array([r[3] for r in kept], dtype=bool),
+            year=year[kept],
+            month=month[kept],
+            value=value,
+            present=~np.isnan(value),
         )
         if series.n_present() >= min_months:
             out.append(series)
@@ -355,7 +489,7 @@ def bootstrap_winner(
         raise ValueError("pools must be nonempty")
     if n1 < 1 or n2 < 1:
         raise ValueError("n1 and n2 must be >= 1")
-    s1, s2 = np.sort(pool1.values), np.sort(pool2.values)
+    s1, s2 = pool1.values, pool2.values
 
     def pool_max(s, n, u):
         idx = np.ceil(s.size * np.exp(np.log(u) / n)) - 1.0

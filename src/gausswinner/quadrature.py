@@ -114,10 +114,12 @@ def _nodes(lo: float, hi: float, n: int, odd: bool = False) -> np.ndarray:
 
 
 def _check(maxima) -> None:
-    """Raise if a row maximum is NaN; numpy's max propagates a NaN node."""
+    """Raise if a row maximum is NaN or +inf; numpy's max propagates a NaN node."""
     for value in maxima:
         if math.isnan(value):
             raise QuadratureError("log integrand returned NaN")
+        if value == math.inf:
+            raise QuadratureError("log integrand returned +inf")
 
 
 def concave_log_quad(
@@ -135,7 +137,7 @@ def concave_log_quad(
     ----------
     log_f : callable
         Vectorized log-integrand; may return -inf where the integrand
-        underflows, never NaN.  Given n nodes it returns either n values
+        underflows, never NaN or +inf.  Given n nodes it returns either n values
         or a (K, n) array of K rows, each a concave log-integrand.  The
         window stage also calls it up to ``BATCH - 1`` steps beyond the
         endpoint it keeps, far out in the tails.
@@ -154,12 +156,17 @@ def concave_log_quad(
 
     Raises
     ------
+    ValueError
+        If the seed window is not finite and increasing, or ``max_levels``
+        is below 1.
     QuadratureError
-        If the window cannot be resolved or refinement does not settle
-        within ``max_levels`` doublings.
+        If log_f returns NaN or +inf, the window cannot be resolved, or
+        refinement does not settle within ``max_levels`` doublings.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid seed window [{lo}, {hi}]")
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     lo, hi = float(lo), float(hi)
 
     evaluations = 0

@@ -5,10 +5,11 @@ import hashlib
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gausswinner.pipeline as pipeline
@@ -112,6 +113,14 @@ class TestLoadStations:
         with pytest.raises(ValueError, match="line 2: non-finite latitude 'NaN'"):
             load_stations(p)
 
+    def test_year_beyond_int64_names_line(self, tmp_path):
+        # such a year used to be dropped by the year filter, and could not be
+        # held in the int64 year column
+        p = tmp_path / "t.csv"
+        write_csv(p, ["A,35,-80,1990,1,5.0", "A,35,-80,99999999999999999999,2,5.0"])
+        with pytest.raises(ValueError, match="line 3: year 99999999999999999999 outside the int64 range"):
+            load_stations(p)
+
     def test_non_increasing_months(self, tmp_path):
         p = tmp_path / "t.csv"
         write_csv(p, ["A,35,-80,1990,2,5.0", "A,35,-80,1990,1,5.0"])
@@ -143,6 +152,204 @@ class TestLoadStations:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_stations(tmp_path / "absent.csv")
+
+
+HEADER = ",".join(pipeline.CSV_HEADER)
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def station_rows(draw):
+    """Data lines of 1-3 stations, 1-4 months each, with gaps, blanks and varied spellings."""
+    rows = []
+    ids = draw(st.lists(st.sampled_from(["A", "AB", "B", "S01", "S02", "#7", "x/y"]), min_size=1, max_size=3, unique=True))
+    for sid in ids:
+        lat = draw(st.sampled_from(["35", "35.25", "39.9999", "29.5", "0.0", "40"]))
+        lon = draw(st.sampled_from(["-80", "-80.125", "-95", "-74.5", "-1e2"]))
+        year, month = draw(st.integers(1978, 1982)), draw(st.integers(1, 12))
+        for _ in range(draw(st.integers(1, 4))):
+            value = draw(
+                st.one_of(
+                    st.just(""),
+                    st.floats(-60, 60).map(lambda v: f"{v:.4f}"),
+                    st.floats(-60, 60).map(repr),
+                    st.sampled_from(["5", "-0", ".5", "5.", "1e1", "+2.5"]),
+                )
+            )
+            rows.append(f"{sid},{lat},{lon},{year},{month},{value}")
+            month += draw(st.integers(1, 14))
+            year, month = year + (month - 1) // 12, 1 + (month - 1) % 12
+    return rows
+
+
+def _field(columns, change):
+    """A mutation applying ``change(field, k)`` to one field of row k, in a column picked by k."""
+
+    def mutate(rows, k):
+        if not rows:
+            return rows
+        i, column = k % len(rows), columns[k // len(rows) % len(columns)]
+        fields = rows[i].split(",")
+        if column < len(fields):
+            fields[column] = change(fields[column], k)
+        return rows[:i] + [",".join(fields)] + rows[i + 1:]
+
+    return mutate
+
+
+def _number(field):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def _respell(field, k):
+    """The same number spelled another way."""
+    v = _number(field)
+    if v is None:
+        return field
+    return [repr(v), repr(v) + "e0", field if field[0] in "+-" else "+" + field, "-0.0" if v == 0 else field][k % 4]
+
+
+def _shift(field, k):
+    v = _number(field)
+    return field if v is None else repr(v + 0.5)
+
+
+def _insert(line):
+    return lambda rows, k: rows[: k % (len(rows) + 1)] + [line] + rows[k % (len(rows) + 1):]
+
+
+def _interleave(rows, k):
+    by_station = {}
+    for row in rows:
+        by_station.setdefault(row.split(",")[0], []).append(row)
+    return [r for group in itertools.zip_longest(*by_station.values()) for r in group if r is not None]
+
+
+def _reappear(rows, k):
+    """The first station's later rows moved after all other stations."""
+    if not rows:
+        return rows
+    first = [r for r in rows if r.split(",")[0] == rows[0].split(",")[0]]
+    cut = (len(first) + 1) // 2
+    return first[:cut] + [r for r in rows if r not in first] + first[cut:]
+
+
+def _swap(rows, k):
+    if len(rows) < 2:
+        return rows
+    i = k % (len(rows) - 1)
+    return rows[:i] + [rows[i + 1], rows[i]] + rows[i + 2:]
+
+
+def _unchanged(rows, k):
+    return rows
+
+
+# name -> (mutation of the data lines, whether a plain valid file stays plain and valid).
+# "crlf" and "no_final_newline" act on the line ends, in _assemble.
+MUTATIONS = {
+    "crlf": (_unchanged, False),
+    "no_final_newline": (_unchanged, True),
+    "quote_field": (_field(range(6), lambda f, k: f'"{f}"'), False),
+    "spaces_around_field": (_field(range(6), lambda f, k: [f" {f} ", f"\t{f}"][k % 2]), False),
+    "blank_line": (_insert(""), False),
+    "whitespace_line": (_insert(" \t"), False),
+    "interleave": (_interleave, True),
+    "reappear": (_reappear, True),
+    "respell_coordinate": (_field((1, 2), _respell), True),
+    "repeat_row": (lambda rows, k: rows[: k % len(rows) + 1] + rows[k % len(rows):] if rows else rows, False),
+    "swap_rows": (_swap, False),
+    "coordinate_change": (_field((1, 2), _shift), False),
+    "non_finite": (_field((1, 2, 3, 4, 5), lambda f, k: ["nan", "inf", "-inf", "NaN"][k % 4]), False),
+    "month_0_or_13": (_field((4,), lambda f, k: ["0", "13"][k % 2]), False),
+    "year_spelling": (_field((3,), lambda f, k: [f + ".0", f[:1] + "_" + f[1:], f.translate(ARABIC_INDIC)][k % 3]), False),
+    "five_fields": (lambda rows, k: [r.rsplit(",", 1)[0] if i == k % len(rows) else r for i, r in enumerate(rows)], False),
+    "seven_fields": (_field((5,), lambda f, k: f + "," + ["", "x", "1"][k % 3]), False),
+    "empty_id": (_field((0,), lambda f, k: ""), False),
+    "header_only": (lambda rows, k: [], False),
+}
+
+
+def _assemble(rows, names):
+    eol = "\r\n" if "crlf" in names else "\n"
+    text = eol.join([HEADER, *rows]) + eol
+    return text[: -len(eol)] if "no_final_newline" in names else text
+
+
+def _series_bits(series):
+    """Every field of a list of StationSeries, bit for bit."""
+    return [
+        (s.station_id, type(s.latitude), s.latitude.hex(), type(s.longitude), s.longitude.hex())
+        + tuple((a.dtype.str, a.tobytes()) for a in (s.year, s.month, s.value, s.present))
+        for s in series
+    ]
+
+
+def _columns_bits(stations):
+    """Every field of a ``{station_id: (lat, lon, year, month, value)}`` map, bit for bit."""
+    return _series_bits([StationSeries(sid, *columns, np.isnan(columns[-1])) for sid, columns in stations.items()])
+
+
+def _outcome(load, path):
+    """``load(path)`` as bits, or the text of the ValueError it raises."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestLoaderPaths:
+    """The columnar pass gives the row parser's result, or defers to it."""
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        rows=station_rows(),
+        mutations=st.lists(st.tuples(st.sampled_from(sorted(MUTATIONS)), st.integers(0, 1000)), max_size=3),
+    )
+    # a station that comes back with other coordinates, with an earlier month,
+    # or with its first coordinate respelled (-0.0 for 0.0); an infinite
+    # latitude on a station's only row; an empty, a quoted and a spaced id;
+    # a blank line and then a line with the commas of two
+    @example(rows=["A,35,-80,1990,1,5", "A,35,-80,1990,2,5", "B,35,-80,1990,1,5"], mutations=[("reappear", 0), ("coordinate_change", 2)])
+    @example(rows=["A,35,-80,1990,1,5", "A,35,-80,1990,2,5", "B,35,-80,1990,1,5"], mutations=[("swap_rows", 0), ("reappear", 0)])
+    @example(rows=["A,35,0.0,1990,1,5", "A,35,0.0,1990,2,5", "B,35,0.0,1990,1,5"], mutations=[("reappear", 0), ("respell_coordinate", 11)])
+    @example(rows=["A,35,-80,1990,1,5"], mutations=[("non_finite", 5)])
+    @example(rows=["A,35,-80,1990,1,5"], mutations=[("empty_id", 0)])
+    @example(rows=["A,35,-80,1990,1,5"], mutations=[("quote_field", 0)])
+    @example(rows=["A,35,-80,1990,1,5"], mutations=[("spaces_around_field", 0)])
+    @example(rows=["A,35,-80,1990,1,5,6,7,8,9,10"], mutations=[("blank_line", 0)])
+    def test_bulk_pass_matches_row_parser(self, tmp_path_factory, rows, mutations):
+        for name, k in mutations:
+            rows = MUTATIONS[name][0](rows, k)
+        names = [name for name, _ in mutations]
+        path = tmp_path_factory.mktemp("loader") / "stations.csv"
+        path.write_bytes(_assemble(rows, names).encode("utf-8"))
+
+        def load(p):
+            return _series_bits(load_stations(p, min_months=1))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a loadtxt warning would reach the CLI's stderr
+            want = _outcome(lambda p: _columns_bits(pipeline._stations_by_rows(p)), path)
+            bulk = pipeline._stations_in_bulk(path)
+            got = _outcome(load, path)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipeline, "_stations_in_bulk", lambda p: None)
+                assert got == _outcome(load, path)
+        if bulk is not None:
+            assert _columns_bits(bulk) == want
+        if all(MUTATIONS[name][1] for name in names):
+            assert not isinstance(want, str) and bulk is not None
+
+    def test_bulk_pass_reads_fixtures(self, tmp_path):
+        path = tmp_path / "fixture.csv"
+        write_synthetic_stations(path, n_low=3, n_high=2, seed=1, missing_rate=0.05)
+        bulk = pipeline._stations_in_bulk(path)
+        assert bulk is not None
+        assert _columns_bits(bulk) == _columns_bits(pipeline._stations_by_rows(path))
 
 
 class TestDeseasonalize:
@@ -397,6 +604,17 @@ class TestBootstrapWinner:
         ideal = oracles.ideal_bootstrap_winner(p1.values, p2.values, n1, n2)
         assert 0.01 < ideal < 0.99
         assert abs(est.p_hat - ideal) <= 4.0 * math.sqrt(ideal * (1.0 - ideal) / b)
+
+    def test_pool_values_held_sorted(self):
+        g = RngStream(seed=27).generator(0)
+        values = g.standard_normal(500)
+        pool = InnovationPool("low_variance", values, 1.0)
+        assert np.array_equal(pool.values, np.sort(values))
+        shuffled = InnovationPool("low_variance", g.permutation(values), 1.0)
+        rival = InnovationPool("high_variance", 1.5 * g.standard_normal(400), 1.5)
+        a = bootstrap_winner(pool, rival, 30, 20, 2_000, RngStream(28))
+        b = bootstrap_winner(shuffled, rival, 30, 20, 2_000, RngStream(28))
+        assert a == b
 
     def test_domain(self):
         p1, p2 = self._pools(n=100)

@@ -66,6 +66,13 @@ def test_rejects_bad_window():
         concave_log_quad(lambda x: -x * x, 1.0, 1.0, tol=1e-9)
 
 
+@pytest.mark.parametrize("max_levels", [0, -1])
+def test_rejects_max_levels_below_one(max_levels):
+    # zero levels used to fail building the partial result with a TypeError
+    with pytest.raises(ValueError, match="max_levels must be >= 1"):
+        concave_log_quad(lambda x: -x * x, -1.0, 1.0, max_levels=max_levels)
+
+
 # float.hex of (value, abs_err).  Speed work on the engine or on the limits
 # integrands must keep these bits; a change to their arithmetic shows here.
 PINNED = {
@@ -137,14 +144,14 @@ def test_nan_beyond_accepted_endpoint_is_ignored():
     assert (res.value, res.abs_err) == (plain.value, plain.abs_err)
 
 
-def _nan_at(stage, rows):
-    """-x^2/2 (and a second row) with one NaN node in the call of ``stage`` nodes, or at x == stage."""
+def _bad_at(stage, rows, bad=np.nan):
+    """-x^2/2 (and a second row) with one ``bad`` node in the call of ``stage`` nodes, or at x == stage."""
 
     def log_f(x):
         y = -0.5 * x * x
         y = np.vstack([y, y - 1.0]) if rows else y.copy()
         hit = (x == stage) if isinstance(stage, float) else (np.arange(len(x)) == len(x) // 2) & (len(x) == stage)
-        y[..., hit] = np.nan
+        y[..., hit] = bad
         return y
 
     return log_f
@@ -153,11 +160,23 @@ def _nan_at(stage, rows):
 # the seed scan, a window candidate before the accepted one (-3.375 on the
 # left of [-1, 1]), the accepted candidate, the trim grid, the first
 # refinement level and two levels of midpoints
-@pytest.mark.parametrize("stage", [65, -3.375, -11.390625, 261, N_START, N_START - 1, 2 * (N_START - 1)])
+STAGES = [65, -3.375, -11.390625, 261, N_START, N_START - 1, 2 * (N_START - 1)]
+
+
+@pytest.mark.parametrize("stage", STAGES)
 @pytest.mark.parametrize("rows", [False, True])
 def test_nan_raises_at_every_stage(stage, rows):
     with pytest.raises(QuadratureError, match="log integrand returned NaN"):
-        concave_log_quad(_nan_at(stage, rows), -1.0, 1.0)
+        concave_log_quad(_bad_at(stage, rows), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("rows", [False, True])
+def test_inf_raises_at_every_stage(stage, rows):
+    # +inf used to end in "zero everywhere", an IndexError on the trim grid,
+    # or an invalid-value warning and "did not reach tol" in refinement
+    with pytest.raises(QuadratureError, match=r"log integrand returned \+inf"):
+        concave_log_quad(_bad_at(stage, rows, bad=np.inf), -1.0, 1.0)
 
 
 def _indicator_resolving_at(k):

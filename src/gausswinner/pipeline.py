@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,6 +50,7 @@ _HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
 # from np.loadtxt (quoting, CR line ends, surrounding whitespace, non-ASCII
 # digits), so a file holding any of them goes to the row parser.
 _PLAIN = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\n"
+_INT64 = range(-(2**63), 2**63)
 _RECORD = np.dtype([("lat", "f8"), ("lon", "f8"), ("year", "i8"), ("month", "i8"), ("value", "f8")])
 
 DEFAULT_LAT_RANGE = (30.0, 40.0)
@@ -137,8 +139,6 @@ def _parse_row(fields, line_no):
         raise ValueError(f"line {line_no}: non-finite {name} {raw.strip()!r}")
     if not 1 <= month <= 12:
         raise ValueError(f"line {line_no}: month {month} outside 1..12")
-    if not -(2**63) <= year < 2**63:
-        raise ValueError(f"line {line_no}: year {year} outside the int64 range")
     raw = fields[5].strip()
     if raw == "":
         value = math.nan  # absent
@@ -157,7 +157,8 @@ def _stations_by_rows(path) -> dict:
 
     Returns ``{station_id: (lat, lon, year, month, value)}`` in order of
     first appearance, with the station's rows in file order and NaN for an
-    absent value.
+    absent value.  A row whose year lies outside the int64 range is checked
+    like any other and then left out: no int64 year range holds it.
     """
     rows: dict[str, list] = {}
     coords: dict[str, tuple[float, float]] = {}
@@ -186,12 +187,12 @@ def _stations_by_rows(path) -> dict:
             rows[sid].append((year, month, value))
     out = {}
     for sid, station_rows in rows.items():
-        year, month, value = zip(*station_rows)
+        station_rows = [row for row in station_rows if row[0] in _INT64]
         out[sid] = (
             *coords[sid],
-            np.array(year, dtype=np.int64),
-            np.array(month, dtype=np.int64),
-            np.array(value, dtype=float),
+            np.array([row[0] for row in station_rows], dtype=np.int64),
+            np.array([row[1] for row in station_rows], dtype=np.int64),
+            np.array([row[2] for row in station_rows], dtype=float),
         )
     return out
 
@@ -203,9 +204,10 @@ def _stations_in_bulk(path) -> dict | None:
     comma-separated fields in printable ASCII without a space or a quote, and
     no blank line.  Anything else (a CR, a tab, a quote, non-ASCII text, a
     blank line, a field count other than 6) returns None, as does any value
-    ``np.loadtxt`` cannot parse or any failed column check, so the row parser
-    gives the result or the error with its line number.  On a plain file
-    ``loadtxt`` and ``float``/``int`` parse every field to the same bits.
+    ``np.loadtxt`` cannot parse as ``float``/``int`` would (``1980.0`` as a
+    year) or any failed column check, so the row parser gives the result or
+    the error with its line number.  On a plain file ``loadtxt`` and
+    ``float``/``int`` parse every field to the same bits.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -249,16 +251,21 @@ def _stations_in_bulk(path) -> dict | None:
     cuts = zip([len(_HEADER_LINE), *blank], [*blank, len(data)])
     text = b"nan".join([data[a:b] for a, b in cuts])
     del raw, data
+    # some numpy releases read a year or month that int() refuses ("1980.0",
+    # "nan", or beyond int64) through a float, with only a DeprecationWarning,
+    # which is ignored by default; raised, it fails the parse
     try:
-        record = np.loadtxt(
-            io.BytesIO(text),
-            dtype=_RECORD,
-            delimiter=",",
-            usecols=range(1, 6),
-            comments=None,
-            ndmin=1,
-        )
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            record = np.loadtxt(
+                io.BytesIO(text),
+                dtype=_RECORD,
+                delimiter=",",
+                usecols=range(1, 6),
+                comments=None,
+                ndmin=1,
+            )
+    except (ValueError, DeprecationWarning):
         return None
     lat, lon, year, month, value = (record[name] for name in _RECORD.names)
     later = (year[1:] > year[:-1]) | ((year[1:] == year[:-1]) & (month[1:] > month[:-1]))
@@ -313,7 +320,9 @@ def load_stations(
     pass with ``np.loadtxt`` and checked column by column.  Any other file,
     and any file that fails a column check, goes to the row parser
     (``csv.reader`` row by row), which finds the line at fault.  On a file
-    both accept, both give the same arrays, bit for bit.
+    both accept, both give the same arrays, bit for bit.  A row whose year
+    lies outside the int64 range passes the row checks and is then dropped,
+    as no int64 year range holds it.
     """
     stations = _stations_in_bulk(path)
     if stations is None:

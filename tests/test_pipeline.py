@@ -113,12 +113,14 @@ class TestLoadStations:
         with pytest.raises(ValueError, match="line 2: non-finite latitude 'NaN'"):
             load_stations(p)
 
-    def test_year_beyond_int64_names_line(self, tmp_path):
-        # such a year used to be dropped by the year filter, and could not be
-        # held in the int64 year column
+    def test_year_beyond_int64_dropped(self, tmp_path):
+        # no int64 year range holds such a year; its row is still checked
         p = tmp_path / "t.csv"
         write_csv(p, ["A,35,-80,1990,1,5.0", "A,35,-80,99999999999999999999,2,5.0"])
-        with pytest.raises(ValueError, match="line 3: year 99999999999999999999 outside the int64 range"):
+        (s,) = load_stations(p, min_months=1)
+        assert s.year.tolist() == [1990] and s.month.tolist() == [1]
+        write_csv(p, ["A,35,-80,99999999999999999999,1,5.0", "A,35,-80,1990,2,5.0"])
+        with pytest.raises(ValueError, match="line 3: station A has non-increasing"):
             load_stations(p)
 
     def test_non_increasing_months(self, tmp_path):
@@ -265,7 +267,10 @@ MUTATIONS = {
     "coordinate_change": (_field((1, 2), _shift), False),
     "non_finite": (_field((1, 2, 3, 4, 5), lambda f, k: ["nan", "inf", "-inf", "NaN"][k % 4]), False),
     "month_0_or_13": (_field((4,), lambda f, k: ["0", "13"][k % 2]), False),
-    "year_spelling": (_field((3,), lambda f, k: [f + ".0", f[:1] + "_" + f[1:], f.translate(ARABIC_INDIC)][k % 3]), False),
+    "year_spelling": (
+        _field((3,), lambda f, k: [f + ".0", f + "e0", f[:1] + "_" + f[1:], f.translate(ARABIC_INDIC), "9" * 20][k % 5]),
+        False,
+    ),
     "five_fields": (lambda rows, k: [r.rsplit(",", 1)[0] if i == k % len(rows) else r for i, r in enumerate(rows)], False),
     "seven_fields": (_field((5,), lambda f, k: f + "," + ["", "x", "1"][k % 3]), False),
     "empty_id": (_field((0,), lambda f, k: ""), False),
@@ -331,18 +336,49 @@ class TestLoaderPaths:
         def load(p):
             return _series_bits(load_stations(p, min_months=1))
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a loadtxt warning would reach the CLI's stderr
+        # warnings are recorded, not raised, so both paths run as under the
+        # CLI's filters; a loadtxt warning would reach the CLI's stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             want = _outcome(lambda p: _columns_bits(pipeline._stations_by_rows(p)), path)
             bulk = pipeline._stations_in_bulk(path)
             got = _outcome(load, path)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(pipeline, "_stations_in_bulk", lambda p: None)
                 assert got == _outcome(load, path)
+        assert [str(w.message) for w in caught] == []
         if bulk is not None:
             assert _columns_bits(bulk) == want
         if all(MUTATIONS[name][1] for name in names):
             assert not isinstance(want, str) and bulk is not None
+
+    @pytest.mark.parametrize(
+        "year, month", [("1980.0", "1"), ("1e3", "1"), ("nan", "1"), ("inf", "1"), ("1990", "5.9"), ("9" * 20, "2")]
+    )
+    def test_integer_read_through_a_float_defers(self, tmp_path, monkeypatch, year, month):
+        # some numpy releases read an int field that int() refuses through a
+        # float, with only a DeprecationWarning; the bulk pass must not take
+        # that value, under the default filters that ignore the warning
+        real_loadtxt = np.loadtxt
+
+        def loadtxt_via_float(fh, dtype, **kwargs):
+            try:
+                return real_loadtxt(fh, dtype=dtype, **kwargs)
+            except ValueError:
+                fh.seek(0)
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            floats = real_loadtxt(fh, dtype=[(name, "f8") for name in dtype.names], **kwargs)
+            with np.errstate(invalid="ignore"):
+                return floats.astype(dtype)
+
+        path = tmp_path / "t.csv"
+        write_csv(path, [f"A,35,-80,{year},{month},5.0", "A,35,-80,9999,12,5.0"])
+        want = _outcome(lambda p: _series_bits(load_stations(p, min_months=1)), path)
+        monkeypatch.setattr(pipeline.np, "loadtxt", loadtxt_via_float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert pipeline._stations_in_bulk(path) is None
+            assert _outcome(lambda p: _series_bits(load_stations(p, min_months=1)), path) == want
 
     def test_bulk_pass_reads_fixtures(self, tmp_path):
         path = tmp_path / "fixture.csv"

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+QUAD_TOL = 1e-10  # two-group limit and exact finite-n quadrature, at every K
+MULTI_QUAD_TOL = 1e-9  # K-group limits; 1e-10 costs about 2% more evaluations
+SOLVE_TOL = 1e-9  # |p - p_target| at which solve_c_for_target stops
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ def _probability(result: QuadResult) -> QuadResult:
     return result if value == result.value else replace(result, value=value)
 
 
-def _limit_components(alphas, kappas, rows, *, tol, note=None) -> list[QuadResult]:
+def _limit_components(alphas, kappas, rows, tol, note=None) -> list[QuadResult]:
     """p_k for each k in ``rows`` as u-space integrals on one grid, u = log x.
 
     log integrand of row k: log(alpha_k) - kappa_k + alpha_k u - sum_j exp(alpha_j u - kappa_j);
@@ -108,7 +111,7 @@ def _limit_components(alphas, kappas, rows, *, tol, note=None) -> list[QuadResul
     return [_probability(r) for r in concave_log_quad(log_f, center - 8.0, 8.0, tol=tol, note=note)]
 
 
-def two_group_limit_from_kappa(kappa_value: float, sigma: float, *, tol: float = 1e-10) -> QuadResult:
+def two_group_limit_from_kappa(kappa_value: float, sigma: float) -> QuadResult:
     """Limiting winning probability parameterized directly by kappa.
 
     Evaluates int_0^inf exp(-y - e^{-kappa} y^{1/sigma^2}) dy for finite
@@ -124,10 +127,10 @@ def two_group_limit_from_kappa(kappa_value: float, sigma: float, *, tol: float =
         return QuadResult(value=0.0, abs_err=0.0, evaluations=0, note="degenerate")
     if kappa_value == math.inf:
         return QuadResult(value=1.0, abs_err=0.0, evaluations=0, note="degenerate")
-    return _limit_components([1.0, 1.0 / (sigma * sigma)], [0.0, kappa_value], [0], tol=tol)[0]
+    return _limit_components([1.0, 1.0 / (sigma * sigma)], [0.0, kappa_value], [0], QUAD_TOL)[0]
 
 
-def two_group_limit(c: float, sigma: float, *, tol: float = 1e-10) -> QuadResult:
+def two_group_limit(c: float, sigma: float) -> QuadResult:
     """Limiting probability that the unit-variance group wins, at (C, sigma).
 
     The degenerate endpoints C = 0 and C = +inf return exactly 0 and 1.
@@ -136,10 +139,10 @@ def two_group_limit(c: float, sigma: float, *, tol: float = 1e-10) -> QuadResult
         raise ValueError(f"sigma must be a finite real > 1, got {sigma}")
     if math.isnan(c) or c < 0.0:
         raise ValueError(f"c must lie in [0, +inf], got {c}")
-    return two_group_limit_from_kappa(kappa(c, sigma), sigma, tol=tol)
+    return two_group_limit_from_kappa(kappa(c, sigma), sigma)
 
 
-def multi_group_limits(spec: LimitSpecK, *, tol: float = 1e-9) -> list[QuadResult]:
+def multi_group_limits(spec: LimitSpecK) -> list[QuadResult]:
     """All K limiting winning probabilities for a multi-group spec.
 
     Every kappa_k must be finite: a partially degenerate configuration
@@ -159,7 +162,7 @@ def multi_group_limits(spec: LimitSpecK, *, tol: float = 1e-9) -> list[QuadResul
     note = None
     if len(set(non_baseline)) < len(non_baseline):
         note = "repeated sigma among non-baseline groups"
-    return _limit_components(alphas, kappas, range(len(spec.groups)), tol=tol, note=note)
+    return _limit_components(alphas, kappas, range(len(spec.groups)), MULTI_QUAD_TOL, note)
 
 
 def _winner_log_integrand(groups: Sequence[GroupSpec], k: int):
@@ -182,7 +185,7 @@ def _winner_log_integrand(groups: Sequence[GroupSpec], k: int):
     return log_f, sizes, sigmas
 
 
-def finite_n_winner_multi(groups: Sequence[GroupSpec], k: int, *, tol: float = 1e-9) -> QuadResult:
+def finite_n_winner_multi(groups: Sequence[GroupSpec], k: int) -> QuadResult:
     """Exact P(group k attains the overall maximum) for finite sizes.
 
     ``k`` is a zero-based index.  Sizes may be any reals >= 1; all
@@ -200,15 +203,15 @@ def finite_n_winner_multi(groups: Sequence[GroupSpec], k: int, *, tol: float = 1
     # larger sigmas would otherwise set a step that jumps over the peak.
     s_k, n_k = float(sigmas[k]), float(sizes[k])
     center = s_k * math.sqrt(2.0 * math.log(n_k)) if n_k >= 2.0 else 0.0
-    return _probability(concave_log_quad(log_f, center - 8.0 * s_k, center + 8.0 * s_k, tol=tol))
+    return _probability(concave_log_quad(log_f, center - 8.0 * s_k, center + 8.0 * s_k, tol=QUAD_TOL))
 
 
-def finite_n_winner(g1: GroupSpec, g2: GroupSpec, *, tol: float = 1e-10) -> QuadResult:
+def finite_n_winner(g1: GroupSpec, g2: GroupSpec) -> QuadResult:
     """Exact P(max of group 1 > max of group 2) for finite real sizes."""
-    return finite_n_winner_multi([g1, g2], 0, tol=tol)
+    return finite_n_winner_multi([g1, g2], 0)
 
 
-def solve_c_for_target(p_target: float, sigma: float, *, tol: float = 1e-9) -> float:
+def solve_c_for_target(p_target: float, sigma: float) -> float:
     """Invert the limit law: find C with two_group_limit(C, sigma) = p_target.
 
     Secant steps on logit p - logit p_target in kappa = kappa(C, sigma),
@@ -217,7 +220,7 @@ def solve_c_for_target(p_target: float, sigma: float, *, tol: float = 1e-9) -> f
     every evaluated iterate narrows a bracket that starts at log C = -60
     and 60; a step that leaves the bracket is replaced by its midpoint, or
     by the original bound the first time it is reached.  Stops when
-    |p - p_target| <= tol and returns the C of that iterate, inverted from
+    |p - p_target| <= SOLVE_TOL and returns the C of that iterate, inverted from
     kappa in closed form; a solve takes about 5 quadratures.  Raises if the
     target is not bracketed by log C in [-60, 60].
     """
@@ -260,7 +263,7 @@ def solve_c_for_target(p_target: float, sigma: float, *, tol: float = 1e-9) -> f
                 f"p_target={p_target} not bracketed by log C in [-60, 60] "
                 f"(p({bounds[0]:.3g})={p_lo:.3g}, p({bounds[1]:.3g})={p_hi:.3g})"
             )
-        if abs(p - p_target) <= tol:
+        if abs(p - p_target) <= SOLVE_TOL:
             return c
         g = logit(p) - target
         if g < 0.0:

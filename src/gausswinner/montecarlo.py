@@ -32,12 +32,10 @@ __all__ = [
     "RngStream",
     "McEstimate",
     "StudyRow",
-    "ArgmaxIdentityCheck",
     "sample_group_max",
     "sample_gumbel",
     "mc_two_group",
     "mc_multi",
-    "mc_argmax_identity",
     "mc_limit_pair",
     "convergence_study",
 ]
@@ -47,6 +45,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _CHUNK_DRAWS = 1 << 21  # ~2M doubles per chunk keeps memory modest
 _MIN_SPLIT_TRIALS = 1 << 14  # so a large worker count cannot cut tiny chunks
 _TINY_U = 0.5**53  # replacement for the measure-zero u == 0 draw
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 def _mix64(z: int) -> int:
@@ -123,24 +122,6 @@ class StudyRow:
     p_exact_finite_n: float | None = None
 
 
-@dataclass(frozen=True)
-class ArgmaxIdentityCheck:
-    """One group's two sides of the exchangeability identity.
-
-    lhs = n_k * P(overall argmax is the group's first element),
-    rhs = P(the group's maximum wins); the two must agree within
-    Monte Carlo error.
-    """
-
-    group: int
-    size: int
-    lhs: float
-    lhs_std_err: float
-    rhs: float
-    rhs_std_err: float
-    trials: int
-
-
 def _uniforms(stream: RngStream, start_trial: int, n_trials: int, per_trial: int) -> np.ndarray:
     """Uniform draws for trials [start_trial, start_trial + n_trials).
 
@@ -189,6 +170,9 @@ def sample_group_max(n, sigma, u):
     Phi(x/sigma)^n exactly, for any real n >= 1.  The upper-tail
     probability 1 - u^{1/n} is formed in log space via expm1, so the
     transform survives n ~ 1e16 where the direct difference underflows.
+    Past n ~ 5e291, where log(u) / n is subnormal or zero, the probability
+    equals -log(u) / n to double precision, and its log is taken as
+    log(-log u) - log n.
     """
     scalar_in = np.ndim(u) == 0
     u_arr = np.asarray(u, dtype=float)
@@ -199,7 +183,10 @@ def sample_group_max(n, sigma, u):
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise ValueError("u must lie strictly inside (0, 1)")
     log_p = np.log(u_arr) / n
-    log_q = np.log(-np.expm1(log_p))
+    with np.errstate(divide="ignore"):  # log(0) where log_p underflowed to zero; replaced below
+        log_q = np.log(-np.expm1(log_p))
+    if np.max(log_p) > -_TINY:
+        log_q = np.where(log_p > -_TINY, np.log(-np.log(u_arr)) - math.log(n), log_q)
     # one tail pass over the whole column is cheaper than a masked gather
     x = np.asarray(upper_tail_quantile(np.minimum(log_q, LOG_HALF)))
     central = log_q > LOG_HALF
@@ -278,63 +265,6 @@ def mc_multi(
 
     counts = _sum_chunks(rng, trials, len(groups), count_wins, workers=workers)
     return [McEstimate.from_counts(int(c), trials) for c in counts]
-
-
-def mc_argmax_identity(
-    groups: Sequence[GroupSpec],
-    trials: int,
-    rng: RngStream,
-    *,
-    workers: int = 1,
-) -> list[ArgmaxIdentityCheck]:
-    """Simulate every individual variable and test the exchangeability identity.
-
-    For each group k this reports n_k * P_hat(overall argmax is the
-    group's first element) against P_hat(group k wins).  Sizes must be
-    small integers: this is the one estimator that cannot use the
-    max-transform shortcut.
-    """
-    groups = list(groups)
-    if len(groups) < 2:
-        raise ValueError("need at least 2 groups")
-    sizes = []
-    for g in groups:
-        if g.size != int(g.size):
-            raise ValueError(f"argmax identity requires integer sizes, got {g.size}")
-        sizes.append(int(g.size))
-    if max(sizes) > 1000:
-        raise ValueError("argmax identity caps group sizes at 1000 (full-vector simulation)")
-    total = sum(sizes)
-    starts = np.cumsum([0] + sizes)
-    sigmas = np.concatenate([np.full(n, g.sigma) for n, g in zip(sizes, groups)])
-
-    def count(u):
-        draws = std_normal_quantile(u) * sigmas
-        arg = np.argmax(draws, axis=1)
-        first = np.array([np.count_nonzero(arg == starts[j]) for j in range(len(groups))])
-        wins = np.array(
-            [np.count_nonzero((arg >= starts[j]) & (arg < starts[j + 1])) for j in range(len(groups))]
-        )
-        return np.concatenate([first, wins])
-
-    counts = _sum_chunks(rng, trials, total, count, workers=workers)
-    first, wins = counts[: len(groups)], counts[len(groups):]
-    out = []
-    for j, n in enumerate(sizes):
-        p_first = first[j] / trials
-        p_win = wins[j] / trials
-        out.append(
-            ArgmaxIdentityCheck(
-                group=j,
-                size=n,
-                lhs=n * p_first,
-                lhs_std_err=n * math.sqrt(p_first * (1.0 - p_first) / trials),
-                rhs=p_win,
-                rhs_std_err=math.sqrt(p_win * (1.0 - p_win) / trials),
-                trials=trials,
-            )
-        )
-    return out
 
 
 def mc_limit_pair(

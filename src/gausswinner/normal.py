@@ -1,10 +1,12 @@
-"""High-accuracy scalar functions for the standard normal and Gumbel laws.
+"""Standard normal quantiles, central and deep-tail.
 
-The deep-tail machinery works in log space throughout: an upper-tail
-probability q is carried as ``log q``, which stays representable far past
-the point where q itself underflows (log q down to about -1e6).  That is
-what makes quantile transforms of the form ``Phi^{-1}(u^{1/n})`` usable
-for effective sample sizes n of order 1e16 and beyond.
+The distribution functions need no wrapper: ``scipy.special.ndtr`` and
+``log_ndtr`` are Phi and log Phi.  The deep-tail machinery works in log
+space throughout: an upper-tail probability q is carried as ``log q``,
+which stays representable far past the point where q itself underflows
+(log q down to about -1e6).  That is what makes quantile transforms of
+the form ``Phi^{-1}(u^{1/n})`` usable for effective sample sizes n of
+order 1e16 and beyond.
 
 All functions accept scalars or array_like input and return a float for
 scalar input, an ndarray otherwise.  Non-finite inputs raise ValueError.
@@ -15,16 +17,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import ndtri, ndtri_exp
 
-__all__ = [
-    "LOG_HALF",
-    "std_normal_cdf",
-    "log_std_normal_cdf",
-    "std_normal_quantile",
-    "upper_tail_quantile",
-    "gumbel_cdf",
-]
+__all__ = ["LOG_HALF", "std_normal_quantile", "upper_tail_quantile"]
 
 LOG_HALF = math.log(0.5)
 
@@ -38,39 +33,6 @@ def _as_finite_array(x, name):
 
 def _maybe_scalar(arr, scalar_in):
     return float(arr) if scalar_in else arr
-
-
-def std_normal_cdf(x):
-    """Standard normal distribution function Phi(x).
-
-    Evaluated by ``scipy.special.ndtr``; the relative error stays below
-    1e-12 on both tails down to values of order 1e-300.
-
-    Parameters
-    ----------
-    x : array_like
-        Finite evaluation points.
-
-    Returns
-    -------
-    float or ndarray
-        Phi(x) in [0, 1].
-    """
-    scalar_in = np.ndim(x) == 0
-    arr = _as_finite_array(x, "x")
-    return _maybe_scalar(ndtr(arr), scalar_in)
-
-
-def log_std_normal_cdf(x):
-    """Natural log of Phi(x), accurate on the whole real line.
-
-    For very negative x this follows the asymptotic tail expansion, so
-    the result is reliable (relative error ~1e-15) even when Phi(x)
-    itself underflows, e.g. log Phi(-40) ~= -804.6.
-    """
-    scalar_in = np.ndim(x) == 0
-    arr = _as_finite_array(x, "x")
-    return _maybe_scalar(log_ndtr(arr), scalar_in)
 
 
 def std_normal_quantile(p):
@@ -112,13 +74,4 @@ def upper_tail_quantile(log_q):
     if np.any(lq > LOG_HALF):
         raise ValueError("log_q must be <= log(1/2); use std_normal_quantile for the central range")
     out = np.maximum(-ndtri_exp(lq), 0.0)
-    return _maybe_scalar(out, scalar_in)
-
-
-def gumbel_cdf(x):
-    """Gumbel distribution function exp(-exp(-x))."""
-    scalar_in = np.ndim(x) == 0
-    arr = _as_finite_array(x, "x")
-    with np.errstate(over="ignore"):
-        out = np.exp(-np.exp(-arr))
     return _maybe_scalar(out, scalar_in)

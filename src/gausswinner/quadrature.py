@@ -52,6 +52,7 @@ N_SCAN = 65  # nodes of the seed scan; the trim grid has 4 * N_SCAN + 1
 N_START = 129  # nodes of the first trapezoid level
 MAX_EXPANSIONS = 400  # outward steps allowed on each side of the window
 BATCH = 8  # window endpoints per log_f call: one call per side resolves most windows
+MAX_LEVELS = 14  # trapezoid levels, the first one included
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,6 @@ def concave_log_quad(
     hi: float,
     *,
     tol: float = 1e-10,
-    max_levels: int = 14,
     note: str | None = None,
 ) -> QuadResult | QuadRows:
     """Integrate exp(log_f) over the real line for concave log_f.
@@ -140,7 +140,8 @@ def concave_log_quad(
         underflows, never NaN or +inf.  Given n nodes it returns either n values
         or a (K, n) array of K rows, each a concave log-integrand.  The
         window stage also calls it up to ``BATCH - 1`` steps beyond the
-        endpoint it keeps, far out in the tails.
+        endpoint it keeps, far out in the tails, and ignores floating-point
+        overflow in those calls.
     lo, hi : float
         Seed window.  It does not need to contain the peak; the
         expansion stage walks outward until the tails are resolved.
@@ -157,16 +158,13 @@ def concave_log_quad(
     Raises
     ------
     ValueError
-        If the seed window is not finite and increasing, or ``max_levels``
-        is below 1.
+        If the seed window is not finite and increasing.
     QuadratureError
         If log_f returns NaN or +inf, the window cannot be resolved, or
-        refinement does not settle within ``max_levels`` doublings.
+        refinement does not settle within ``MAX_LEVELS`` levels.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid seed window [{lo}, {hi}]")
-    if max_levels < 1:
-        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     lo, hi = float(lo), float(hi)
 
     evaluations = 0
@@ -192,30 +190,32 @@ def concave_log_quad(
     _check((ymax,))
 
     # grow each side until its endpoint is deep below the running peak; the
-    # next BATCH endpoints go to log_f at once and are then taken in order
-    for side in (-1, +1):
-        step = (hi - lo) / 4.0
-        end = lo if side < 0 else hi
-        end_val = float(ys[:, 0 if side < 0 else -1].max())
-        expansions = 0
-        while not (end_val <= ymax - DROP):
-            ends = []
-            for _ in range(BATCH):
-                end += side * step
-                step *= 1.5
-                ends.append(end)
-            for end, end_val in zip(ends, sample(np.array(ends)).max(axis=0).tolist()):
-                _check((end_val,))
-                ymax = max(ymax, end_val)
-                expansions += 1
-                if expansions > MAX_EXPANSIONS:
-                    raise QuadratureError("window expansion did not resolve the integrand tail")
-                if end_val <= ymax - DROP:
-                    break
-        if side < 0:
-            lo = end
-        else:
-            hi = end
+    # next BATCH endpoints go to log_f at once and are then taken in order.
+    # The later ones can lie far past the kept one, where log_f may overflow.
+    with np.errstate(over="ignore"):
+        for side in (-1, +1):
+            step = (hi - lo) / 4.0
+            end = lo if side < 0 else hi
+            end_val = float(ys[:, 0 if side < 0 else -1].max())
+            expansions = 0
+            while not (end_val <= ymax - DROP):
+                ends = []
+                for _ in range(BATCH):
+                    end += side * step
+                    step *= 1.5
+                    ends.append(end)
+                for end, end_val in zip(ends, sample(np.array(ends)).max(axis=0).tolist()):
+                    _check((end_val,))
+                    ymax = max(ymax, end_val)
+                    expansions += 1
+                    if expansions > MAX_EXPANSIONS:
+                        raise QuadratureError("window expansion did not resolve the integrand tail")
+                    if end_val <= ymax - DROP:
+                        break
+            if side < 0:
+                lo = end
+            else:
+                hi = end
 
     if not math.isfinite(ymax):
         raise QuadratureError("integrand is zero everywhere in the resolved window")
@@ -241,7 +241,7 @@ def concave_log_quad(
         prev = None
         diffs = np.full(len(m), np.inf)
         settled = 0
-        for level in range(max_levels):
+        for level in range(MAX_LEVELS):
             if level:
                 n = 2 * n - 1
                 mids = sample(_nodes(lo, hi, n, odd=True))

@@ -4,9 +4,9 @@ Generates station records from the model the pipeline assumes: a
 month-of-year seasonal cycle, a linear trend, and AR(1) noise whose
 innovation standard deviation is drawn from one of two clusters.  The
 returned truth record carries the parameters the pipeline should
-recover (AR coefficient and the two innovation sds); the seasonal
-cycle, trend, year range and the stations a loader must drop are
-module constants.
+recover (AR coefficient and the two innovation sds).  Those three, the
+seasonal cycle, trend, year range and the stations a loader must drop
+are module constants.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ TREND_PER_DECADE = 0.3
 FIRST_YEAR, LAST_YEAR = 1980, 2025  # the pipeline's default year filter
 N_OUTSIDE_BOX = 2  # extra stations north of the default lat/lon box
 N_SPARSE = 1  # extra stations with too few months for the completeness filter
+PHI = 0.5  # AR(1) coefficient of every station
+SD_LOW, SD_HIGH = 1.0, 1.5  # innovation sds of the two clusters
 
 
 @dataclass(frozen=True)
@@ -56,16 +58,13 @@ def write_synthetic_stations(
     *,
     n_low: int = 24,
     n_high: int = 14,
-    phi: float = 0.5,
-    sd_low: float = 1.0,
-    sd_high: float = 1.5,
     seed: int = 0,
     missing_rate: float = 0.0,
 ) -> SyntheticTruth:
     """Write a fixture CSV and return the generating truth.
 
-    ``n_low`` / ``n_high`` stations get innovation sd ``sd_low`` /
-    ``sd_high``.  ``N_OUTSIDE_BOX`` extra stations fall outside the
+    ``n_low`` / ``n_high`` stations get innovation sd ``SD_LOW`` /
+    ``SD_HIGH``.  ``N_OUTSIDE_BOX`` extra stations fall outside the
     default lat/lon box and ``N_SPARSE`` extra ones carry too few months
     to survive the completeness filter; both must be dropped by a
     correct loader.  ``missing_rate`` > 0 blanks that fraction of values
@@ -88,14 +87,14 @@ def write_synthetic_stations(
         blocks.append(prefix + ("\n" + prefix).join(map(str.__add__, middles, fields)))
 
     def ar1_noise(g, sd):
-        """AR(1) noise x_t = e_t + phi * x_{t-1} from x_{-1} = 0, e_t ~ N(0, sd^2)."""
+        """AR(1) noise x_t = e_t + PHI * x_{t-1} from x_{-1} = 0, e_t ~ N(0, sd^2)."""
         acc = 0.0
-        return np.array([acc := v + phi * acc for v in (sd * _normals(g, months)).tolist()])
+        return np.array([acc := v + PHI * acc for v in (sd * _normals(g, months)).tolist()])
 
     def station_rng(index):
         return RngStream(seed=seed, stream_id=index).generator()
 
-    sds = [sd_low] * n_low + [sd_high] * n_high
+    sds = [SD_LOW] * n_low + [SD_HIGH] * n_high
     for i, sd in enumerate(sds):
         g = station_rng(i)
         lat = 30.0 + 10.0 * g.random()
@@ -111,14 +110,14 @@ def write_synthetic_stations(
         g = station_rng(10_000 + j)
         lat = 45.0 + 2.0 * g.random()  # north of the box
         lon = -95.0 + 20.0 * g.random()
-        values = 5.0 + season + ar1_noise(g, sd_low)
+        values = 5.0 + season + ar1_noise(g, SD_LOW)
         emit("OUT", lat, lon, values, np.ones(months, dtype=bool))
 
     for j in range(N_SPARSE):
         g = station_rng(20_000 + j)
         lat = 30.0 + 10.0 * g.random()
         lon = -95.0 + 20.0 * g.random()
-        values = 5.0 + season + ar1_noise(g, sd_low)
+        values = 5.0 + season + ar1_noise(g, SD_LOW)
         keep = np.zeros(months, dtype=bool)
         keep[:120] = True  # below any sane completeness threshold
         emit("SPR", lat, lon, values, keep)
@@ -126,4 +125,4 @@ def write_synthetic_stations(
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(blocks) + "\n")
 
-    return SyntheticTruth(n_low=n_low, n_high=n_high, phi=phi, sd_low=sd_low, sd_high=sd_high, seed=seed)
+    return SyntheticTruth(n_low=n_low, n_high=n_high, phi=PHI, sd_low=SD_LOW, sd_high=SD_HIGH, seed=seed)

@@ -4,17 +4,24 @@ Everything here is deliberately written from scratch with different
 algorithms than the package (continued fractions and power series
 instead of scipy's ndtr, bisection instead of rational inverses, fixed-grid
 Simpson instead of adaptive trapezoid, 30-digit mpmath tanh-sinh
-quadrature instead of the float64 trapezoid rule), so agreement is
-evidence rather than tautology.
+quadrature instead of the float64 trapezoid rule, every variable of a
+group simulated instead of one quantile-transformed maximum), so
+agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import mpmath
 import numpy as np
+
+from gausswinner.montecarlo import RngStream, _sum_chunks
+from gausswinner.normal import std_normal_quantile
+from gausswinner.scaling import GroupSpec
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -205,3 +212,76 @@ def ideal_bootstrap_winner(pool1, pool2, n1: float, n2: float) -> float:
         total += (power(j / len(a), n1) - power(i / len(a), n1)) * power(f2_below, n2)
         i = j
     return total
+
+
+@dataclass(frozen=True)
+class ArgmaxIdentityCheck:
+    """One group's two sides of the exchangeability identity.
+
+    lhs = n_k * P(overall argmax is the group's first element),
+    rhs = P(the group's maximum wins); the two must agree within
+    Monte Carlo error.
+    """
+
+    group: int
+    size: int
+    lhs: float
+    lhs_std_err: float
+    rhs: float
+    rhs_std_err: float
+    trials: int
+
+
+def mc_argmax_identity(
+    groups: Sequence[GroupSpec],
+    trials: int,
+    rng: RngStream,
+) -> list[ArgmaxIdentityCheck]:
+    """Simulate every individual variable and test the exchangeability identity.
+
+    For each group k this reports n_k * P_hat(overall argmax is the
+    group's first element) against P_hat(group k wins).  Sizes must be
+    small integers: this is the one estimator that cannot use the
+    max-transform shortcut.
+    """
+    groups = list(groups)
+    if len(groups) < 2:
+        raise ValueError("need at least 2 groups")
+    sizes = []
+    for g in groups:
+        if g.size != int(g.size):
+            raise ValueError(f"argmax identity requires integer sizes, got {g.size}")
+        sizes.append(int(g.size))
+    if max(sizes) > 1000:
+        raise ValueError("argmax identity caps group sizes at 1000 (full-vector simulation)")
+    total = sum(sizes)
+    starts = np.cumsum([0] + sizes)
+    sigmas = np.concatenate([np.full(n, g.sigma) for n, g in zip(sizes, groups)])
+
+    def count(u):
+        draws = std_normal_quantile(u) * sigmas
+        arg = np.argmax(draws, axis=1)
+        first = np.array([np.count_nonzero(arg == starts[j]) for j in range(len(groups))])
+        wins = np.array(
+            [np.count_nonzero((arg >= starts[j]) & (arg < starts[j + 1])) for j in range(len(groups))]
+        )
+        return np.concatenate([first, wins])
+
+    counts = _sum_chunks(rng, trials, total, count)
+    first, wins = counts[: len(groups)], counts[len(groups):]
+    out = []
+    for j, n in enumerate(sizes):
+        p_first = first[j] / trials
+        p_win = wins[j] / trials
+        out.append(
+            ArgmaxIdentityCheck(
+                group=j,
+                size=n,
+                lhs=n * p_first,
+                lhs_std_err=n * math.sqrt(p_first * (1.0 - p_first) / trials),
+                rhs=p_win,
+                rhs_std_err=math.sqrt(p_win * (1.0 - p_win) / trials),
+                trials=trials,
+            )
+        )
+    return out

@@ -177,17 +177,22 @@ class TestSimulateCommand:
         assert len(payload["rows"]) == 1
         assert set(payload["rows"][0]) >= {"n2", "n1", "p_hat", "p_limit"}
 
-    def test_usage_error_exit_2(self):
+    def test_usage_error_exit_2(self, capsys):
         for argv in (
             ["simulate", "--format", "yaml"],
             ["simulate", "--workers", "0"],
             ["simulate", "--workers", "-3"],
+            ["simulate", "--trials", "0"],
+            ["simulate", "--trials", "-3"],
             ["empirical", "--input", "stations.csv", "--workers", "0"],
             ["empirical", "--input", "stations.csv", "--workers", "-3"],
+            ["empirical", "--input", "stations.csv", "--b", "0"],
+            ["empirical", "--input", "stations.csv", "--b", "1.5"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2, argv
+            assert argv[-2] in capsys.readouterr().err, argv
 
 
 @pytest.fixture(scope="module")

@@ -292,8 +292,10 @@ class TestFiniteNWinnerMulti:
             assert res.value == pytest.approx(0.25, abs=1e-9)
 
     def test_k2_matches_two_group_exactly(self):
-        g1, g2 = GroupSpec(10.0, 1.0), GroupSpec(5.0, 1.5)
-        assert finite_n_winner_multi([g1, g2], 0, tol=1e-10).value == finite_n_winner(g1, g2).value
+        # one tolerance at every K: value, abs_err and evaluations agree bit for bit
+        pairs = [(GroupSpec(10.0, 1.0), GroupSpec(5.0, 1.5)), (GroupSpec(1e6, 1.0), GroupSpec(300.0, 2.0))]
+        for g1, g2 in pairs:
+            assert finite_n_winner_multi([g1, g2], 0) == finite_n_winner(g1, g2)
 
     def test_components_sum_to_one(self):
         groups = [GroupSpec(10.0, 1.0), GroupSpec(5.0, 1.5), GroupSpec(3.0, 2.0)]

@@ -7,24 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
 import gausswinner.montecarlo as mc
 from gausswinner.limits import finite_n_winner, two_group_limit
 from gausswinner.montecarlo import (
     RngStream,
     convergence_study,
-    mc_argmax_identity,
     mc_limit_pair,
     mc_multi,
     mc_two_group,
     sample_group_max,
     sample_gumbel,
 )
-from gausswinner.normal import log_std_normal_cdf
 from gausswinner.pipeline import InnovationPool, bootstrap_winner
 from gausswinner.scaling import GroupSpec
 
 import oracles
+from oracles import mc_argmax_identity
 
 
 class TestRngStream:
@@ -77,8 +77,19 @@ class TestSampleGroupMax:
         for n in (1.0, 10.0, 1e4, 1e16):
             for u in (0.1, math.exp(-1.0), 0.9):
                 m = sample_group_max(n, 1.7, u)
-                back = n * log_std_normal_cdf(m / 1.7)
+                back = n * log_ndtr(m / 1.7)
                 assert back == pytest.approx(math.log(u), rel=1e-8), f"n={n}, u={u}"
+
+    @pytest.mark.parametrize("n", [5e291, 1e300, 1e308])
+    def test_tail_identity_where_log_u_over_n_underflows(self, n):
+        # log Phi-bar(M) = log(-log u) - log n once Phi-bar(M) is far below
+        # double epsilon; log(u) / n is subnormal or zero for the u near 1
+        u = np.array([1.0 - 2.0**-53, 1.0 - 2.0**-40, 0.5, 1e-300])
+        m = sample_group_max(n, 2.0, u)
+        assert np.all(np.isfinite(m))
+        expected = np.log(-np.log(u)) - math.log(n)
+        assert np.max(np.abs(log_ndtr(-m / 2.0) - expected) / np.abs(expected)) <= 1e-12
+        assert sample_group_max(n, 2.0, float(u[0])) == m[0]
 
     def test_monotone_in_n_for_fixed_u(self):
         u = np.linspace(0.01, 0.99, 25)
@@ -94,7 +105,7 @@ class TestSampleGroupMax:
         u[u == 0.0] = 0.5**53
         for n in (1.0, 10.0, 1e4, 1e12):
             draws = sample_group_max(n, 1.0, u)
-            cdf = lambda x: np.exp(n * log_std_normal_cdf(x))
+            cdf = lambda x: np.exp(n * log_ndtr(x))
             d = oracles.ks_statistic(draws, cdf)
             assert d < oracles.ks_critical_1pct(len(draws)), f"n={n}: KS={d:.5f}"
 

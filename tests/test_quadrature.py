@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausswinner import limits
+from gausswinner import limits, quadrature
 from gausswinner.quadrature import BATCH, MAX_EXPANSIONS, N_START, QuadratureError, _nodes, concave_log_quad
 from gausswinner.scaling import GroupSpec
 
@@ -48,9 +48,10 @@ def test_note_passthrough():
     assert res.note == "flagged"
 
 
-def test_failure_carries_partial_estimate():
+def test_failure_carries_partial_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_LEVELS", 2)
     with pytest.raises(QuadratureError) as excinfo:
-        concave_log_quad(lambda x: -0.5 * x * x, -5.0, 5.0, tol=1e-13, max_levels=2)
+        concave_log_quad(lambda x: -0.5 * x * x, -5.0, 5.0, tol=1e-13)
     partial = excinfo.value.partial
     assert partial is not None
     assert partial.value == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-3)
@@ -66,11 +67,11 @@ def test_rejects_bad_window():
         concave_log_quad(lambda x: -x * x, 1.0, 1.0, tol=1e-9)
 
 
-@pytest.mark.parametrize("max_levels", [0, -1])
-def test_rejects_max_levels_below_one(max_levels):
-    # zero levels used to fail building the partial result with a TypeError
-    with pytest.raises(ValueError, match="max_levels must be >= 1"):
-        concave_log_quad(lambda x: -x * x, -1.0, 1.0, max_levels=max_levels)
+def test_window_candidates_past_the_kept_endpoint_may_overflow():
+    # Gamma(1) = 1 in u-space; a later candidate of the right-hand batch
+    # sits where exp(u) overflows, which must not warn
+    res = concave_log_quad(lambda u: u - np.exp(u), -10.0, -9.0)
+    assert res.value == pytest.approx(1.0, abs=1e-10)
 
 
 # float.hex of (value, abs_err).  Speed work on the engine or on the limits
@@ -194,13 +195,14 @@ def _indicator_resolving_at(k):
     return lambda x: np.where((x >= -1.0) & (x <= t), 0.0, -np.inf)
 
 
-def test_expansion_limit_counts_candidates():
+def test_expansion_limit_counts_candidates(monkeypatch):
     # candidate MAX_EXPANSIONS resolves the window; refinement then runs
     # (and, with one level, stops short)
+    monkeypatch.setattr(quadrature, "MAX_LEVELS", 1)
     with pytest.raises(QuadratureError, match="trapezoid refinement"):
-        concave_log_quad(_indicator_resolving_at(MAX_EXPANSIONS), -1.0, 1.0, max_levels=1)
+        concave_log_quad(_indicator_resolving_at(MAX_EXPANSIONS), -1.0, 1.0)
     with pytest.raises(QuadratureError, match="window expansion did not resolve"):
-        concave_log_quad(_indicator_resolving_at(MAX_EXPANSIONS + 1), -1.0, 1.0, max_levels=1)
+        concave_log_quad(_indicator_resolving_at(MAX_EXPANSIONS + 1), -1.0, 1.0)
 
 
 @pytest.mark.parametrize("rows", [False, True])

@@ -1,7 +1,14 @@
-"""The top-level names are exactly those the README quick start and the demos import."""
+"""The exported names are the ones users reach.
+
+The top-level names are exactly those the README quick start and the
+demos import, and every name a submodule exports is used by the package,
+the README, the demos or the benchmark, not by the tests alone.
+"""
 
 import ast
+import importlib
 import pathlib
+import pkgutil
 import re
 
 import gausswinner
@@ -30,3 +37,30 @@ def test_top_level_names_are_what_readme_and_demos_import():
     assert len(gausswinner.__all__) == len(set(gausswinner.__all__))
     for name in gausswinner.__all__:
         assert getattr(gausswinner, name) is not None
+
+
+def _loaded_names(source):
+    """Names and attributes the code reads; definitions and ``__all__`` strings are not reads."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_submodule_exports_have_a_user_outside_the_tests():
+    used = set()
+    for path in (ROOT / "src" / "gausswinner").glob("*.py"):
+        used |= _loaded_names(path.read_text(encoding="utf-8"))
+    texts = [(ROOT / "README.md").read_text(encoding="utf-8")]
+    for folder in ("demos", "perfbench"):
+        texts += [p.read_text(encoding="utf-8") for p in sorted((ROOT / folder).glob("*.py"))]
+    unused = []
+    for info in pkgutil.iter_modules(gausswinner.__path__):
+        module = importlib.import_module(f"gausswinner.{info.name}")
+        for name in module.__all__:
+            if name not in used and not any(re.search(rf"\b{name}\b", t) for t in texts):
+                unused.append(f"{info.name}.{name}")
+    assert unused == []

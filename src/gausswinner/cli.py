@@ -60,15 +60,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _positive_int(raw: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
-    return value
+def _count(minimum: int):
+    """argparse type for integer counts that must be at least ``minimum``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {raw!r}")
+        return value
+
+    return parse
 
 
 def _parse_grid(spec: str, *, integer: bool = False) -> list[float]:
@@ -87,14 +91,8 @@ def _parse_grid(spec: str, *, integer: bool = False) -> list[float]:
         values = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
     if not values:
         raise ValueError(f"empty grid {spec!r}")
-    if integer:
-        seen, out = set(), []
-        for v in values:
-            i = int(round(v))
-            if i not in seen:
-                seen.add(i)
-                out.append(i)
-        return out
+    if integer:  # rounded, duplicates dropped, first-seen order kept
+        return list(dict.fromkeys(int(round(v)) for v in values))
     return values
 
 
@@ -453,25 +451,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sigma", default="1.2,1.5,2.0", help="comma list or lo:hi[:count]")
     p_sim.add_argument("--c", default="0.1,1.0,5.0")
     p_sim.add_argument("--n2", default="100:1000000:5")
-    p_sim.add_argument("--trials", type=_positive_int, default=100_000)
+    p_sim.add_argument("--trials", type=_count(1), default=100_000)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--exact", action="store_true", help="append the finite-n quadrature column")
-    p_sim.add_argument("--workers", type=_positive_int, default=1)
+    p_sim.add_argument("--workers", type=_count(1), default=1)
     p_sim.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sim.add_argument("--output", default=None)
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_emp = sub.add_parser("empirical", help="bootstrap pipeline on a monthly CSV")
     p_emp.add_argument("--input", required=True)
-    p_emp.add_argument("--b", type=_positive_int, default=10_000)
+    p_emp.add_argument("--b", type=_count(1), default=10_000)
     p_emp.add_argument("--c", default="0.1,0.6,3.0")
     p_emp.add_argument("--n2", default="5:150:8")
     p_emp.add_argument("--seed", type=int, default=None)
-    p_emp.add_argument("--min-months", type=int, default=pipeline.DEFAULT_MIN_MONTHS)
+    p_emp.add_argument("--min-months", type=_count(0), default=pipeline.DEFAULT_MIN_MONTHS)
     p_emp.add_argument("--lat", default="30:40")
     p_emp.add_argument("--lon", default="-95:-75")
     p_emp.add_argument("--years", default="1980:2025")
-    p_emp.add_argument("--workers", type=_positive_int, default=1)
+    p_emp.add_argument("--workers", type=_count(1), default=1)
     p_emp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_emp.add_argument("--output", default=None)
     p_emp.set_defaults(fn=cmd_empirical)

@@ -6,7 +6,10 @@ Trial t with d draws per trial owns positions [t*d, (t+1)*d).  Chunked
 and multi-threaded execution merely partition the trial range, position
 each chunk's generator at its own counter offset, and sum integer win
 counts, so the estimates are bit-identical to serial execution for any
-chunk size, worker count, or scheduling order.
+chunk size, worker count, or scheduling order.  A convergence study
+schedules at grid level: the chunks of all its rows and their exact
+quadratures share one set of threads, and each row still sums only its
+own integer counts, so the rows are the serial rows bit for bit.
 
 Group maxima are sampled directly through the uniform quantile
 transform M = sigma * Phi^{-1}(u^{1/n}) (one uniform per group per
@@ -137,30 +140,59 @@ def _uniforms(stream: RngStream, start_trial: int, n_trials: int, per_trial: int
     return u.reshape(n_trials, per_trial)
 
 
-def _sum_chunks(stream, trials, per_trial, chunk_fn, *, workers=1):
-    """Deterministic reduction of integer count vectors over trial chunks.
+def _chunk_counts(stream, per_trial, count_wins, start_trial, n_trials):
+    """Integer counts of one chunk of consecutive trials."""
+    return np.asarray(count_wins(_uniforms(stream, start_trial, n_trials, per_trial)), dtype=np.int64)
 
-    A chunk holds at most ``_CHUNK_DRAWS`` draws.  With several workers
-    the trials are also cut into at least ``workers`` chunks of at least
-    ``_MIN_SPLIT_TRIALS`` trials, and no more threads start than chunks.
+
+def _run_rows(jobs, *, workers=1):
+    """Integer count vectors of several estimator rows, run on one set of threads.
+
+    A job is ``(stream, trials, per_trial, count_wins, extra)``.  Its
+    trials are cut into chunks of at most ``_CHUNK_DRAWS`` draws; with
+    several workers also into at least ``workers`` chunks of at least
+    ``_MIN_SPLIT_TRIALS`` trials.  ``count_wins`` maps one chunk's
+    uniforms to integer counts, and the job's counts are their sum over
+    its chunks.  ``extra`` is None or a no-argument callable (a grid row's
+    exact quadrature), run as one more task after the job's chunks.
+
+    With one worker, or one task in all, the tasks run inline in order.
+    Otherwise every task of every job goes to one pool of
+    ``min(workers, tasks)`` threads, so a row's last chunk overlaps the
+    next row's first.  Results are read in task order: the first failing
+    task raises, as it would serially, and the tasks not yet started are
+    cancelled.  Returns one ``(counts, extra value or None)`` pair per
+    job, in job order.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    chunk_trials = max(1, _CHUNK_DRAWS // max(per_trial, 1))
-    if workers > 1:
-        chunk_trials = min(chunk_trials, max(-(-trials // workers), _MIN_SPLIT_TRIALS))
-    spans = [(t0, min(chunk_trials, trials - t0)) for t0 in range(0, trials, chunk_trials)]
-
-    def run(span):
-        t0, m = span
-        return np.asarray(chunk_fn(_uniforms(stream, t0, m, per_trial)), dtype=np.int64)
-
-    if workers <= 1 or len(spans) == 1:
-        parts = [run(s) for s in spans]
+    tasks, layout = [], []
+    for stream, trials, per_trial, count_wins, extra in jobs:
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
+        chunk_trials = max(1, _CHUNK_DRAWS // max(per_trial, 1))
+        if workers > 1:
+            chunk_trials = min(chunk_trials, max(-(-trials // workers), _MIN_SPLIT_TRIALS))
+        run = functools.partial(_chunk_counts, stream, per_trial, count_wins)
+        first = len(tasks)
+        tasks += [(run, (t0, min(chunk_trials, trials - t0))) for t0 in range(0, trials, chunk_trials)]
+        layout.append((first, len(tasks), extra is not None))
+        if extra is not None:
+            tasks.append((extra, ()))
+    if workers <= 1 or len(tasks) == 1:
+        values = [fn(*args) for fn, args in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(spans))) as pool:
-            parts = list(pool.map(run, spans))
-    return np.sum(parts, axis=0)
+        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            futures = [pool.submit(fn, *args) for fn, args in tasks]
+            try:
+                values = [f.result() for f in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    return [(np.sum(values[a:b], axis=0), values[b] if has_extra else None) for a, b, has_extra in layout]
+
+
+def _sum_chunks(stream, trials, per_trial, chunk_fn, *, workers=1):
+    """Summed integer counts of one estimator: the one-row case of :func:`_run_rows`."""
+    return _run_rows([(stream, trials, per_trial, chunk_fn, None)], workers=workers)[0][0]
 
 
 def sample_group_max(n, sigma, u):
@@ -241,6 +273,11 @@ def _winner_counts(maxima) -> list[int]:
     return counts
 
 
+def _max_wins(groups, u):
+    """Per-group win counts of one chunk; column j of ``u`` draws group j's maxima."""
+    return _winner_counts([sample_group_max(g.size, g.sigma, u[:, j]) for j, g in enumerate(groups)])
+
+
 def mc_multi(
     groups: Sequence[GroupSpec],
     trials: int,
@@ -259,11 +296,7 @@ def mc_multi(
     if len(groups) < 2:
         raise ValueError("need at least 2 groups")
 
-    def count_wins(u):
-        maxima = [sample_group_max(g.size, g.sigma, u[:, j]) for j, g in enumerate(groups)]
-        return _winner_counts(maxima)
-
-    counts = _sum_chunks(rng, trials, len(groups), count_wins, workers=workers)
+    counts = _sum_chunks(rng, trials, len(groups), functools.partial(_max_wins, groups), workers=workers)
     return [McEstimate.from_counts(int(c), trials) for c in counts]
 
 
@@ -294,35 +327,34 @@ def mc_limit_pair(
     return McEstimate.from_counts(int(wins[0]), trials)
 
 
-def _critical_grid(sigma, c_values, n2_grid, rng, estimate, p_exact=None) -> list[StudyRow]:
+def _critical_grid(sigma, c_values, n2_grid, trials, rng, counter, p_exact=None, *, workers=1):
     """Rows along the critical law at one sigma, in (C outer, n2 inner) order.
 
     At each (C, n2), n1 is the critical size: the int floor when it is
-    exactly representable, the real value otherwise.  Row i gets
-    ``estimate(n1, n2, rng.substream(i))`` as its p_hat, the two-group
-    limit as p_limit and, when ``p_exact`` is given, ``p_exact(n1, n2)``.
+    exactly representable, the real value otherwise.  Row i counts its
+    p_hat over ``trials`` trials of stream ``rng.substream(i)``, two draws
+    per trial, with the chunk counter ``counter(n1, n2)`` (group-1 wins
+    first); p_limit is the two-group limit and, when ``p_exact`` is given,
+    p_exact is ``p_exact(n1, n2)``.  Every row is set up before any trial
+    runs, then the chunks and exact quadratures of all rows share one
+    :func:`_run_rows` call, so the rows match a row-by-row serial run bit
+    for bit at any worker count.
     """
     if not c_values or not n2_grid:
         raise ValueError("c_values and n2_grid must be nonempty")
-    rows = []
+    points, jobs = [], []
     for c in c_values:
         p_limit = two_group_limit(c, sigma).value
         for n2 in n2_grid:
             size = critical_n1(n2, sigma, c)
             n1 = size.real_value if size.floor_value is None else size.floor_value
-            est = estimate(n1, n2, rng.substream(len(rows)))
-            rows.append(
-                StudyRow(
-                    n2=float(n2),
-                    n1=float(n1),
-                    sigma=float(sigma),
-                    c=float(c),
-                    p_hat=est.p_hat,
-                    std_err=est.std_err,
-                    p_limit=p_limit,
-                    p_exact_finite_n=None if p_exact is None else p_exact(n1, n2),
-                )
-            )
+            extra = None if p_exact is None else functools.partial(p_exact, n1, n2)
+            jobs.append((rng.substream(len(jobs)), trials, 2, counter(n1, n2), extra))
+            points.append((c, p_limit, n1, n2))
+    rows = []
+    for (c, p_limit, n1, n2), (counts, exact) in zip(points, _run_rows(jobs, workers=workers)):
+        est = McEstimate.from_counts(int(counts[0]), trials)
+        rows.append(StudyRow(float(n2), float(n1), float(sigma), float(c), est.p_hat, est.std_err, p_limit, exact))
     return rows
 
 
@@ -338,15 +370,15 @@ def convergence_study(
 ) -> list[StudyRow]:
     """Simulated winning probabilities along the critical law vs their limits.
 
-    Rows of :func:`_critical_grid` with p_hat from :func:`mc_two_group`
-    and, when ``exact`` is set, the finite-n quadrature as p_exact.
+    Rows of :func:`_critical_grid` with p_hat counted as :func:`mc_two_group`
+    counts it and, when ``exact`` is set, the finite-n quadrature as p_exact.
     """
 
-    def estimate(n1, n2, stream):
-        return mc_two_group(GroupSpec(n1, 1.0), GroupSpec(n2, sigma), trials, stream, workers=workers)
+    def counter(n1, n2):
+        return functools.partial(_max_wins, [GroupSpec(n1, 1.0), GroupSpec(n2, sigma)])
 
     def finite_n(n1, n2):
         return finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(n2, sigma)).value
 
     p_exact = finite_n if exact else None
-    return _critical_grid(sigma, list(c_values), list(n2_grid), rng, estimate, p_exact)
+    return _critical_grid(sigma, list(c_values), list(n2_grid), trials, rng, counter, p_exact, workers=workers)

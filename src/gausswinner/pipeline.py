@@ -494,6 +494,12 @@ def bootstrap_winner(
     grow with n1 or n2.  Iteration t owns stream positions 2t (group 1)
     and 2t+1 (group 2).
     """
+    wins = _sum_chunks(rng, b, 2, _bootstrap_counter(pool1, pool2, n1, n2), workers=workers)
+    return McEstimate.from_counts(int(wins[0]), b)
+
+
+def _bootstrap_counter(pool1, pool2, n1, n2):
+    """Group-1 win count of one chunk of :func:`bootstrap_winner` iterations."""
     if len(pool1.values) == 0 or len(pool2.values) == 0:
         raise ValueError("pools must be nonempty")
     if n1 < 1 or n2 < 1:
@@ -507,8 +513,7 @@ def bootstrap_winner(
     def count_wins(u):
         return [np.count_nonzero(pool_max(s1, n1, u[:, 0]) > pool_max(s2, n2, u[:, 1]))]
 
-    wins = _sum_chunks(rng, b, 2, count_wins, workers=workers)
-    return McEstimate.from_counts(int(wins[0]), b)
+    return count_wins
 
 
 def empirical_study(
@@ -525,16 +530,17 @@ def empirical_study(
     """Bootstrap winner probabilities along the critical law vs their limits.
 
     Rows of :func:`gausswinner.montecarlo._critical_grid` at the
-    empirical sigma ratio, with p_hat from :func:`bootstrap_winner`.
-    The critical n1 must have an exact integer floor.
+    empirical sigma ratio, with p_hat counted as :func:`bootstrap_winner`
+    counts it.  The critical n1 must have an exact integer floor.
     """
 
-    def estimate(n1, n2, stream):
+    def counter(n1, n2):
         if not isinstance(n1, int):
             raise ValueError(f"critical n1 at n2={n2} overflows the bootstrap range")
-        return bootstrap_winner(pool1, pool2, n1, n2, b, stream, workers=workers)
+        return _bootstrap_counter(pool1, pool2, n1, n2)
 
-    return _critical_grid(sigma_ratio, list(c_values), [int(n) for n in n2_grid], rng, estimate)
+    n2_grid = [int(n) for n in n2_grid]
+    return _critical_grid(sigma_ratio, list(c_values), n2_grid, b, rng, counter, workers=workers)
 
 
 def process_station(series: StationSeries) -> Ar1Fit:

@@ -5,11 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import gausswinner.limits
+import gausswinner.montecarlo
 from gausswinner.cli import EXIT_IO, EXIT_MATH, EXIT_OK, main
+from gausswinner.quadrature import QuadratureError
 from gausswinner.scaling import kappa as real_kappa
 from gausswinner.synthetic import write_synthetic_stations
 
@@ -177,6 +180,24 @@ class TestSimulateCommand:
         assert len(payload["rows"]) == 1
         assert set(payload["rows"][0]) >= {"n2", "n1", "p_hat", "p_limit"}
 
+    def test_quadrature_error_in_pool_exit_3(self, capsys, monkeypatch):
+        real = gausswinner.montecarlo.finite_n_winner
+
+        def stalls(g1, g2):
+            if g2.size == 1000.0:
+                raise QuadratureError("refinement stalled")
+            return real(g1, g2)
+
+        monkeypatch.setattr(gausswinner.montecarlo, "finite_n_winner", stalls)
+        before = threading.active_count()
+        for workers in ("1", "2"):
+            code, out, err = run(
+                capsys, "simulate", "--sigma", "1.5", "--c", "0.5,2", "--n2", "100,1000",
+                "--trials", "20000", "--exact", "--workers", workers,
+            )
+            assert (code, out, err) == (EXIT_MATH, "", "error: refinement stalled\n")
+        assert threading.active_count() == before
+
     def test_usage_error_exit_2(self, capsys):
         for argv in (
             ["simulate", "--format", "yaml"],
@@ -188,6 +209,8 @@ class TestSimulateCommand:
             ["empirical", "--input", "stations.csv", "--workers", "-3"],
             ["empirical", "--input", "stations.csv", "--b", "0"],
             ["empirical", "--input", "stations.csv", "--b", "1.5"],
+            ["empirical", "--input", "stations.csv", "--min-months", "-5"],
+            ["empirical", "--input", "stations.csv", "--min-months", "2.5"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
@@ -248,6 +271,16 @@ class TestEmpiricalCommand:
         assert payload["split"]["low_count"] == 14
         assert len(payload["stations"]) == 22
         assert len(payload["rows"]) == 1
+
+    def test_min_months_zero_is_a_valid_count(self, capsys, fixture_csv):
+        code, out, _ = run(
+            capsys, "empirical", "--input", str(fixture_csv), "--min-months", "0",
+            "--b", "200", "--c", "0.6", "--n2", "10", "--seed", "5", "--format", "json",
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["config"]["min_months"] == 0
+        assert len(payload["stations"]) == 23  # the sparse station the default 240 drops
 
     def test_non_finite_value_exit_3(self, capsys, fixture_csv, tmp_path):
         lines = fixture_csv.read_text().splitlines()

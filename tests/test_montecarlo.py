@@ -1,6 +1,9 @@
 """Reproducible Monte Carlo: stream contract, transforms, estimators."""
 
 import math
+import sys
+import threading
+from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
@@ -20,11 +23,19 @@ from gausswinner.montecarlo import (
     sample_group_max,
     sample_gumbel,
 )
-from gausswinner.pipeline import InnovationPool, bootstrap_winner
+from gausswinner.pipeline import InnovationPool, bootstrap_winner, empirical_study
+from gausswinner.quadrature import QuadratureError
 from gausswinner.scaling import GroupSpec
 
 import oracles
 from oracles import mc_argmax_identity
+
+
+def _done(value):
+    """A finished future holding ``value``, as a fake pool that runs tasks at submit returns."""
+    future = Future()
+    future.set_result(value)
+    return future
 
 
 class TestRngStream:
@@ -164,7 +175,8 @@ class TestMcTwoGroup:
 
         class SerialPool:  # records threads and chunks requested, starts no thread
             def __init__(self, max_workers):
-                self.max_workers = max_workers
+                self.spans = []
+                calls.append((max_workers, self.spans))
 
             def __enter__(self):
                 return self
@@ -172,9 +184,9 @@ class TestMcTwoGroup:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, spans):
-                calls.append((self.max_workers, list(spans)))
-                return map(fn, calls[-1][1])
+            def submit(self, fn, *span):
+                self.spans.append(span)
+                return _done(fn(*span))
 
         g1, g2 = GroupSpec(50, 1.0), GroupSpec(20, 1.5)
         base = mc_two_group(g1, g2, 100_000, RngStream(4))
@@ -371,3 +383,112 @@ class TestConvergenceStudy:
     def test_empty_grids_rejected(self):
         with pytest.raises(ValueError):
             convergence_study(1.5, [], [100.0], 10, RngStream(0))
+
+
+GRID_TRIALS = 20_000
+
+
+def _studies(workers):
+    """A 6-row exact convergence study and a 4-row bootstrap study at one worker count."""
+    g = np.random.default_rng(30)
+    p1 = InnovationPool("low_variance", g.standard_normal(500), 1.0)
+    p2 = InnovationPool("high_variance", 1.5 * g.standard_normal(400), 1.5)
+    return (
+        convergence_study(
+            1.5, [0.5, 2.0], [100.0, 1e4, 1e6], GRID_TRIALS, RngStream(31), exact=True, workers=workers
+        ),
+        empirical_study(p1, p2, 1.5, [0.6, 3.0], [10, 40], GRID_TRIALS, RngStream(32), workers=workers),
+    )
+
+
+class TestGridScheduling:
+    """All rows of a study share one pool; the rows match the serial rows bit for bit."""
+
+    @pytest.mark.parametrize("chunk_draws", [None, 1 << 12])
+    def test_rows_identical_at_any_worker_count(self, monkeypatch, chunk_draws):
+        base = _studies(1)
+        before = threading.active_count()
+        if chunk_draws is not None:  # 10 chunks a row, so rows interleave in the pool
+            monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so tasks finish out of order
+        try:
+            for workers in (1, 2, 3, 8):
+                assert _studies(workers) == base, workers
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    def test_one_worker_starts_no_pool(self, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("workers=1 started a pool")
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+        _studies(1)
+
+    @pytest.mark.parametrize("workers", [2, 3, 64])
+    @pytest.mark.parametrize("chunk_draws", [1 << 21, 1 << 12])
+    def test_one_pool_per_study_with_bounded_tasks(self, monkeypatch, workers, chunk_draws):
+        base = _studies(1)
+        pools = []
+
+        class RecordingPool:  # runs each task at submit, starts no thread
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.tasks = []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                self.tasks.append(args)
+                return _done(fn(*args))
+
+        monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+        assert _studies(workers) == base
+        assert len(pools) == 2  # one per study call
+        chunk_trials = min(chunk_draws // 2, max(-(-GRID_TRIALS // workers), mc._MIN_SPLIT_TRIALS))
+        for pool, n_rows, exact in zip(pools, (6, 4), (True, False)):
+            assert pool.max_workers == min(workers, len(pool.tasks))
+            spans = [task for task in pool.tasks if task]  # an exact quadrature takes no arguments
+            assert len(pool.tasks) - len(spans) == (n_rows if exact else 0)
+            assert all(2 * m <= chunk_draws for _, m in spans)
+            row = [(t0, min(chunk_trials, GRID_TRIALS - t0)) for t0 in range(0, GRID_TRIALS, chunk_trials)]
+            assert spans == row * n_rows  # rows in order, each cut by the one chunk rule
+
+    def test_row_setup_error_matches_serial(self):
+        g = np.random.default_rng(30)
+        p1 = InnovationPool("low_variance", g.standard_normal(500), 1.0)
+        p2 = InnovationPool("high_variance", 2.0 * g.standard_normal(400), 2.0)
+        before = threading.active_count()
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(ValueError) as excinfo:
+                empirical_study(p1, p2, 2.0, [5.0], [100, 1_000_000], 1_000, RngStream(33), workers=workers)
+            errors.append(str(excinfo.value))
+        assert errors == ["critical n1 at n2=1000000 overflows the bootstrap range"] * 2
+        assert threading.active_count() == before
+
+    def test_quadrature_error_in_pool_matches_serial(self, monkeypatch):
+        real = mc.finite_n_winner
+
+        def stalls_at_n2_1e4(g1, g2):
+            if g2.size == 1e4:
+                raise QuadratureError(f"refinement stalled at n1={g1.size}")
+            return real(g1, g2)
+
+        monkeypatch.setattr(mc, "finite_n_winner", stalls_at_n2_1e4)
+        before = threading.active_count()
+        errors = []
+        for workers in (1, 2, 8):
+            with pytest.raises(QuadratureError) as excinfo:
+                _studies(workers)
+            errors.append(str(excinfo.value))
+        assert errors == ["refinement stalled at n1=124823887"] * 3  # row 1 (C=0.5) fails first
+        assert threading.active_count() == before
+

@@ -76,7 +76,7 @@ def _count(minimum: int):
 
 
 def _parse_grid(spec: str, *, integer: bool = False) -> list[float]:
-    """Comma list or log-spaced range lo:hi[:count] (count defaults to 10)."""
+    """Comma list or log-spaced range lo:hi[:count] (count defaults to 10) of finite entries."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
@@ -84,13 +84,15 @@ def _parse_grid(spec: str, *, integer: bool = False) -> list[float]:
             raise ValueError(f"bad range {spec!r}, expected lo:hi[:count]")
         lo, hi = float(parts[0]), float(parts[1])
         count = int(parts[2]) if len(parts) == 3 else 10
-        if lo <= 0 or hi <= 0 or count < 1:
-            raise ValueError(f"log-spaced range needs positive lo, hi and count >= 1, got {spec!r}")
+        if not (0 < lo < math.inf and 0 < hi < math.inf and count >= 1):
+            raise ValueError(f"log-spaced range needs finite positive lo, hi and count >= 1, got {spec!r}")
         values = list(np.geomspace(lo, hi, count)) if count > 1 else [lo]
     else:
         values = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
     if not values:
         raise ValueError(f"empty grid {spec!r}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"grid {spec!r} has a non-finite entry")
     if integer:  # rounded, duplicates dropped, first-seen order kept
         return list(dict.fromkeys(int(round(v)) for v in values))
     return values

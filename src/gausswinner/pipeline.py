@@ -45,13 +45,14 @@ __all__ = [
 
 CSV_HEADER = ["station_id", "latitude", "longitude", "year", "month", "tavg_c"]
 _HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
-# the bytes of a plain file: printable ASCII other than the space and the
-# quote, and LF.  csv.reader, str.strip and float read the rest differently
-# from np.loadtxt (quoting, CR line ends, surrounding whitespace, non-ASCII
-# digits), so a file holding any of them goes to the row parser.
+# the bytes of a plain file once each CRLF is read as LF: printable ASCII
+# other than the space and the quote, and LF.  csv.reader, str.strip and
+# float read the rest differently from np.loadtxt (quoting, a lone CR,
+# surrounding whitespace, non-ASCII digits), so a file holding any of them
+# goes to the row parser.
 _PLAIN = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\n"
 _INT64 = range(-(2**63), 2**63)
-_RECORD = np.dtype([("lat", "f8"), ("lon", "f8"), ("year", "i8"), ("month", "i8"), ("value", "f8")])
+_RECORD = [("lat", "f8"), ("lon", "f8"), ("year", "i8"), ("month", "i8"), ("value", "f8")]
 
 DEFAULT_LAT_RANGE = (30.0, 40.0)
 DEFAULT_LON_RANGE = (-95.0, -75.0)
@@ -200,17 +201,19 @@ def _stations_by_rows(path) -> dict:
 def _stations_in_bulk(path) -> dict | None:
     """``_stations_by_rows(path)`` from one columnar pass, or None to defer to it.
 
-    Only a plain file is read here: the exact header line, then rows of six
-    comma-separated fields in printable ASCII without a space or a quote, and
-    no blank line.  Anything else (a CR, a tab, a quote, non-ASCII text, a
-    blank line, a field count other than 6) returns None, as does any value
-    ``np.loadtxt`` cannot parse as ``float``/``int`` would (``1980.0`` as a
-    year) or any failed column check, so the row parser gives the result or
-    the error with its line number.  On a plain file ``loadtxt`` and
-    ``float``/``int`` parse every field to the same bits.
+    Only a plain file is read here: once each CR right before an LF is
+    dropped, the exact header line, then lines of six comma-separated fields
+    in printable ASCII without a space or a quote, each with a non-empty id.
+    Any other file returns None, as does a value ``np.loadtxt`` cannot parse
+    as ``float``/``int`` would (``1980.0`` as a year), an id column larger
+    than the file, or a failed column check; the row parser then gives the
+    result or the error with its line number.  On a plain file ``loadtxt``
+    and ``float``/``int`` parse every field to the same bits.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
     if not data.startswith(_HEADER_LINE) or data.translate(None, _PLAIN):
         return None
     if not data.endswith(b"\n"):
@@ -221,33 +224,22 @@ def _stations_in_bulk(path) -> dict | None:
     commas = np.flatnonzero(raw == ord(","))[5:]  # after the header's five
     if not ends.size or commas.size != 5 * ends.size:
         return None
-    firsts, lasts = commas.reshape(-1, 5)[:, [0, 4]].T
+    # the count here and loadtxt's own field check leave five commas a line,
+    # so an id ends at its line's first comma and none may be empty; csv
+    # would refuse a field above its size limit; the id column is as wide
+    # as the longest id and must not outgrow the file
+    width = commas[::5] - starts
     del commas
-    # each line holds its own five commas, the first after a non-empty id
-    # (so no line is blank); csv would refuse a field above its size limit
     if not (
-        (firsts > starts).all()
-        and (lasts < ends).all()
+        width.min() > 0
         and (ends - starts).max() <= csv.field_size_limit()
+        and width.max() <= len(data) // ends.size
     ):
         return None
 
-    # a run is a stretch of lines with the same id.  Neighbouring ids are
-    # compared byte by byte, each pair only while its bytes still agree.
-    size = firsts - starts
-    same = size[1:] == size[:-1]
-    pairs, k = np.flatnonzero(same), 0
-    while pairs.size:
-        pairs = pairs[size[pairs] > k]
-        differ = raw[starts[pairs] + k] != raw[starts[pairs + 1] + k]
-        same[pairs[differ]] = False
-        pairs, k = pairs[~differ], k + 1
-    bounds = [0, *(np.flatnonzero(~same) + 1).tolist(), len(ends)]
-    ids = [data[starts[a]:firsts[a]].decode("ascii") for a in bounds[:-1]]
-
     # an empty tavg_c is a line ending in a comma; it is read as "nan".  The
     # file's bytes are freed before the parse, which holds the rewritten copy.
-    blank = ends[lasts == ends - 1].tolist()
+    blank = ends[raw[ends - 1] == ord(",")].tolist()
     cuts = zip([len(_HEADER_LINE), *blank], [*blank, len(data)])
     text = b"nan".join([data[a:b] for a, b in cuts])
     del raw, data
@@ -259,15 +251,25 @@ def _stations_in_bulk(path) -> dict | None:
             warnings.simplefilter("error", DeprecationWarning)
             record = np.loadtxt(
                 io.BytesIO(text),
-                dtype=_RECORD,
+                dtype=np.dtype([("id", f"S{width.max()}"), *_RECORD]),
                 delimiter=",",
-                usecols=range(1, 6),
                 comments=None,
                 ndmin=1,
             )
     except (ValueError, DeprecationWarning):
         return None
-    lat, lon, year, month, value = (record[name] for name in _RECORD.names)
+
+    # a run is a stretch of rows with the same id.  A station that comes back
+    # after other stations has its runs gathered into one block, in file
+    # order, so the column checks below cover it like any other.
+    ids = record["id"]
+    bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+    runs: dict[bytes, list[range]] = {}
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        runs.setdefault(ids[a], []).append(range(a, b))
+    if len(runs) < len(bounds) - 1:
+        record = record[np.concatenate([np.arange(r.start, r.stop) for spans in runs.values() for r in spans])]
+    ids, lat, lon, year, month, value = (record[name] for name in record.dtype.names)
     later = (year[1:] > year[:-1]) | ((year[1:] == year[:-1]) & (month[1:] > month[:-1]))
     if not (
         np.isfinite(lat).all()
@@ -275,26 +277,14 @@ def _stations_in_bulk(path) -> dict | None:
         and ((month >= 1) & (month <= 12)).all()
         and not np.isinf(value).any()
         and np.count_nonzero(np.isnan(value)) == len(blank)  # a literal nan is not a blank
-        and (~same | ((lat[1:] == lat[:-1]) & (lon[1:] == lon[:-1]) & later)).all()
+        and ((ids[1:] != ids[:-1]) | ((lat[1:] == lat[:-1]) & (lon[1:] == lon[:-1]) & later)).all()
     ):
         return None
-
-    # a station may come back after other stations: its runs join in file order
-    runs: dict[str, list[tuple[int, int]]] = {}
-    for sid, a, b in zip(ids, bounds[:-1], bounds[1:]):
-        seen = runs.setdefault(sid, [])
-        if seen:
-            first, last = seen[0][0], seen[-1][1] - 1
-            if lat[a] != lat[first] or lon[a] != lon[first]:
-                return None
-            if (year[a], month[a]) <= (year[last], month[last]):
-                return None
-        seen.append((a, b))
-    out = {}
+    out, a = {}, 0
     for sid, spans in runs.items():
-        rows = np.r_[tuple(slice(a, b) for a, b in spans)] if len(spans) > 1 else slice(*spans[0])
-        first = spans[0][0]
-        out[sid] = (float(lat[first]), float(lon[first]), year[rows], month[rows], value[rows])
+        b = a + sum(map(len, spans))
+        out[sid.decode("ascii")] = (float(lat[a]), float(lon[a]), year[a:b], month[a:b], value[a:b])
+        a = b
     return out
 
 
@@ -315,14 +305,12 @@ def load_stations(
     inclusive year range.  Malformed rows raise ValueError naming the
     line; an empty selection returns an empty list.
 
-    A plain file (the exact header, then six fields a line in printable
-    ASCII with no space, quote, CR or blank line) is read in one columnar
-    pass with ``np.loadtxt`` and checked column by column.  Any other file,
-    and any file that fails a column check, goes to the row parser
-    (``csv.reader`` row by row), which finds the line at fault.  On a file
-    both accept, both give the same arrays, bit for bit.  A row whose year
-    lies outside the int64 range passes the row checks and is then dropped,
-    as no int64 year range holds it.
+    A plain file, LF or CRLF, is read in one columnar pass (see
+    ``_stations_in_bulk``); any other file, and any file that fails a column
+    check, goes to the row parser (``csv.reader`` row by row), which finds
+    the line at fault.  Both give the same arrays, bit for bit.  A row whose
+    year lies outside the int64 range passes the row checks and is then
+    dropped, as no int64 year range holds it.
     """
     stations = _stations_in_bulk(path)
     if stations is None:

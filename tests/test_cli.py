@@ -198,6 +198,21 @@ class TestSimulateCommand:
             assert (code, out, err) == (EXIT_MATH, "", "error: refinement stalled\n")
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize(
+        "flag, spec, message",
+        [
+            ("--n2", "inf", "grid 'inf' has a non-finite entry"),
+            ("--n2", "5,1e400", "grid '5,1e400' has a non-finite entry"),
+            ("--n2", "nan", "grid 'nan' has a non-finite entry"),
+            ("--c", "1,-inf", "grid '1,-inf' has a non-finite entry"),
+            ("--n2", "10:inf", "log-spaced range needs finite positive lo, hi and count >= 1, got '10:inf'"),
+            ("--sigma", "nan:2:3", "log-spaced range needs finite positive lo, hi and count >= 1, got 'nan:2:3'"),
+        ],
+    )
+    def test_non_finite_grid_exit_3(self, capsys, flag, spec, message):
+        code, out, err = run(capsys, "simulate", "--sigma", "1.5", "--c", "1", "--n2", "100", "--trials", "10", flag, spec)
+        assert (code, out, err) == (EXIT_MATH, "", f"error: {message}\n")
+
     def test_usage_error_exit_2(self, capsys):
         for argv in (
             ["simulate", "--format", "yaml"],
@@ -305,6 +320,21 @@ class TestEmpiricalCommand:
         assert out == ""
         name = "latitude" if field == 1 else "longitude"
         assert f"line 6: non-finite {name} '{raw}'" in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("inf", "grid 'inf' has a non-finite entry"),
+            ("5,1e400", "grid '5,1e400' has a non-finite entry"),
+            ("nan", "grid 'nan' has a non-finite entry"),
+            ("5:inf:3", "log-spaced range needs finite positive lo, hi and count >= 1, got '5:inf:3'"),
+        ],
+    )
+    def test_non_finite_n2_exit_3(self, capsys, fixture_csv, spec, message):
+        # the integer grid used to raise OverflowError (exit 1) at inf, and
+        # "cannot convert float NaN to integer" at nan
+        code, out, err = run(capsys, "empirical", "--input", str(fixture_csv), "--b", "10", "--n2", spec)
+        assert (code, out, err) == (EXIT_MATH, "", f"error: {message}\n")
 
     def test_empty_selection_exit_3(self, capsys, fixture_csv):
         code, _, err = run(

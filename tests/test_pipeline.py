@@ -78,6 +78,13 @@ class TestLoadStations:
         with pytest.raises(ValueError, match="header"):
             load_stations(p)
 
+    def test_header_of_other_names(self, tmp_path):
+        # as long as the right header and as plain, so only its names differ
+        p = tmp_path / "t.csv"
+        p.write_text(",".join(pipeline.CSV_HEADER).upper() + "\nA,35,-80,1990,1,5.0\n")
+        with pytest.raises(ValueError, match="line 1: header must be"):
+            load_stations(p)
+
     def test_bad_float_names_line(self, tmp_path):
         p = tmp_path / "t.csv"
         write_csv(p, ["A,35,-80,1990,1,abc"])
@@ -113,6 +120,12 @@ class TestLoadStations:
         with pytest.raises(ValueError, match="line 2: non-finite latitude 'NaN'"):
             load_stations(p)
 
+    def test_non_finite_longitude_on_every_row(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, ["A,35,-inf,1990,1,5.0", "A,35,-inf,1990,2,5.0"])
+        with pytest.raises(ValueError, match="line 2: non-finite longitude '-inf'"):
+            load_stations(p)
+
     def test_year_beyond_int64_dropped(self, tmp_path):
         # no int64 year range holds such a year; its row is still checked
         p = tmp_path / "t.csv"
@@ -133,6 +146,12 @@ class TestLoadStations:
         p = tmp_path / "t.csv"
         write_csv(p, ["A,35,-80,1990,1,5.0", "A,36,-80,1990,2,5.0"])
         with pytest.raises(ValueError, match="coordinates"):
+            load_stations(p)
+
+    def test_longitude_change(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, ["A,35,-80,1990,1,5.0", "A,35,-81,1990,2,5.0"])
+        with pytest.raises(ValueError, match="line 3: station A changes coordinates"):
             load_stations(p)
 
     def test_empty_value_marks_absent(self, tmp_path):
@@ -157,6 +176,9 @@ class TestLoadStations:
 
 
 HEADER = ",".join(pipeline.CSV_HEADER)
+# long, yet its id column never outgrows a generated file: one line of it
+# beside eight 17-byte lines of the other stations still fits
+LONG_ID = "S01-USW00013874-ATLANTA"
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 
 
@@ -164,7 +186,7 @@ ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665
 def station_rows(draw):
     """Data lines of 1-3 stations, 1-4 months each, with gaps, blanks and varied spellings."""
     rows = []
-    ids = draw(st.lists(st.sampled_from(["A", "AB", "B", "S01", "S02", "#7", "x/y"]), min_size=1, max_size=3, unique=True))
+    ids = draw(st.lists(st.sampled_from(["A", "AB", "B", "S01", "S02", LONG_ID, "#7", "x/y"]), min_size=1, max_size=3, unique=True))
     for sid in ids:
         lat = draw(st.sampled_from(["35", "35.25", "39.9999", "29.5", "0.0", "40"]))
         lon = draw(st.sampled_from(["-80", "-80.125", "-95", "-74.5", "-1e2"]))
@@ -253,7 +275,7 @@ def _unchanged(rows, k):
 # name -> (mutation of the data lines, whether a plain valid file stays plain and valid).
 # "crlf" and "no_final_newline" act on the line ends, in _assemble.
 MUTATIONS = {
-    "crlf": (_unchanged, False),
+    "crlf": (_unchanged, True),
     "no_final_newline": (_unchanged, True),
     "quote_field": (_field(range(6), lambda f, k: f'"{f}"'), False),
     "spaces_around_field": (_field(range(6), lambda f, k: [f" {f} ", f"\t{f}"][k % 2]), False),
@@ -317,12 +339,17 @@ class TestLoaderPaths:
     # a station that comes back with other coordinates, with an earlier month,
     # or with its first coordinate respelled (-0.0 for 0.0); an infinite
     # latitude on a station's only row; an empty, a quoted and a spaced id;
+    # a header with no data line, a line of seven fields, no final newline;
     # a blank line and then a line with the commas of two
     @example(rows=["A,35,-80,1990,1,5", "A,35,-80,1990,2,5", "B,35,-80,1990,1,5"], mutations=[("reappear", 0), ("coordinate_change", 2)])
     @example(rows=["A,35,-80,1990,1,5", "A,35,-80,1990,2,5", "B,35,-80,1990,1,5"], mutations=[("swap_rows", 0), ("reappear", 0)])
     @example(rows=["A,35,0.0,1990,1,5", "A,35,0.0,1990,2,5", "B,35,0.0,1990,1,5"], mutations=[("reappear", 0), ("respell_coordinate", 11)])
+    @example(rows=[f"{LONG_ID},35,-80,1990,1,5", "S01,35,-80,1990,1,", "S01,35,-80,1990,2,5"], mutations=[("reappear", 0), ("crlf", 0)])
     @example(rows=["A,35,-80,1990,1,5"], mutations=[("non_finite", 5)])
     @example(rows=["A,35,-80,1990,1,5"], mutations=[("empty_id", 0)])
+    @example(rows=["A,35,-80,1990,1,5"], mutations=[("header_only", 0)])
+    @example(rows=["A,35,-80,1990,1,5"], mutations=[("seven_fields", 0)])
+    @example(rows=["A,35,-80,1990,1,5"], mutations=[("no_final_newline", 0)])
     @example(rows=["A,35,-80,1990,1,5"], mutations=[("quote_field", 0)])
     @example(rows=["A,35,-80,1990,1,5"], mutations=[("spaces_around_field", 0)])
     @example(rows=["A,35,-80,1990,1,5,6,7,8,9,10"], mutations=[("blank_line", 0)])
@@ -367,7 +394,7 @@ class TestLoaderPaths:
             except ValueError:
                 fh.seek(0)
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-            floats = real_loadtxt(fh, dtype=[(name, "f8") for name in dtype.names], **kwargs)
+            floats = real_loadtxt(fh, dtype=[(n, "f8" if dtype[n].kind == "i" else dtype[n]) for n in dtype.names], **kwargs)
             with np.errstate(invalid="ignore"):
                 return floats.astype(dtype)
 
@@ -381,11 +408,39 @@ class TestLoaderPaths:
             assert _outcome(lambda p: _series_bits(load_stations(p, min_months=1)), path) == want
 
     def test_bulk_pass_reads_fixtures(self, tmp_path):
-        path = tmp_path / "fixture.csv"
+        path, crlf = tmp_path / "fixture.csv", tmp_path / "crlf.csv"
         write_synthetic_stations(path, n_low=3, n_high=2, seed=1, missing_rate=0.05)
-        bulk = pipeline._stations_in_bulk(path)
-        assert bulk is not None
-        assert _columns_bits(bulk) == _columns_bits(pipeline._stations_by_rows(path))
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        want = _columns_bits(pipeline._stations_by_rows(path))
+        for p in (path, crlf):
+            bulk = pipeline._stations_in_bulk(p)
+            assert bulk is not None
+            assert _columns_bits(bulk) == want == _columns_bits(pipeline._stations_by_rows(p))
+
+    def test_lone_cr_defers(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"{HEADER}\r\nA,35,-80,1990,1,5.0\rA,35,-80,1990,2,5.0\r\n".encode())
+        assert pipeline._stations_in_bulk(path) is None
+        (s,) = load_stations(path, min_months=1)  # csv.reader ends a line at a lone CR
+        assert s.month.tolist() == [1, 2]
+
+    def test_id_column_larger_than_file_defers(self, tmp_path):
+        # read at the width of a 50,000-byte id, the 13 ids would take 650 kB
+        # for a 50 kB file; the row parser reads it instead
+        long_id = "L" * 50_000
+        path = tmp_path / "t.csv"
+        write_csv(path, [f"{long_id},35,-80,1990,1,5.0"] + [f"A,35,-80,1990,{m},5.0" for m in range(1, 13)])
+        assert pipeline._stations_in_bulk(path) is None
+        assert [(s.station_id, s.month.size) for s in load_stations(path, min_months=1)] == [(long_id, 1), ("A", 12)]
+
+    def test_field_above_csv_limit_defers(self, tmp_path):
+        # csv.reader refuses a field longer than its limit, so the columnar
+        # pass must not read a line that could hold one
+        path = tmp_path / "t.csv"
+        write_csv(path, ["A,35." + "0" * csv.field_size_limit() + ",-80,1990,1,5.0"])
+        assert pipeline._stations_in_bulk(path) is None
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_stations(path, min_months=1)
 
 
 class TestDeseasonalize:

@@ -241,6 +241,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_empirical(args) -> int:
+    c_values = _parse_grid(args.c)
+    n2_grid = _parse_grid(args.n2, integer=True)
     if not os.path.exists(args.input):
         raise OSError(f"input file not found: {args.input}")
     lat = tuple(float(v) for v in args.lat.split(":"))
@@ -259,8 +261,6 @@ def cmd_empirical(args) -> int:
     if not stations:
         raise ValueError("no stations pass the location, date and completeness filters")
     result = pipeline.run_pipeline(stations)
-    c_values = _parse_grid(args.c)
-    n2_grid = _parse_grid(args.n2, integer=True)
     rows = pipeline.empirical_study(
         result.pool_low,
         result.pool_high,

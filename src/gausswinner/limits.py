@@ -15,8 +15,9 @@ integrand on the whole line; the finite-n integrand is log-concave as
 it stands.  All exponents are assembled in log space (n log Phi can
 reach -1e15) and exponentiated once per node inside the quadrature.
 Returned probabilities are clamped to [0, 1].  ``abs_err`` is the
-quadrature's estimate for the unclamped value: the last inter-level
-difference plus the tail term, without floating-point rounding.
+quadrature's estimate for the unclamped value: the first settled
+inter-level difference plus the tail term, without floating-point
+rounding.  It measures the coarser level, so it reads up to tol/2.
 """
 
 from __future__ import annotations

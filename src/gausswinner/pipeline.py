@@ -165,27 +165,27 @@ def _stations_by_rows(path) -> dict:
     coords: dict[str, tuple[float, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("line 1: empty file, header required") from None
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise ValueError(f"line 1: header must be {','.join(CSV_HEADER)}")
-        for line_no, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            sid, lat, lon, year, month, value = _parse_row(fields, line_no)
-            if sid not in rows:
-                rows[sid] = []
-                coords[sid] = (lat, lon)
-            elif coords[sid] != (lat, lon):
-                raise ValueError(f"line {line_no}: station {sid} changes coordinates")
-            prev = rows[sid][-1] if rows[sid] else None
-            if prev is not None and (year, month) <= (prev[0], prev[1]):
-                raise ValueError(
-                    f"line {line_no}: station {sid} has non-increasing (year, month)"
-                )
-            rows[sid].append((year, month, value))
+        try:  # a csv.Error (a field above csv.field_size_limit()) gets the line number too
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("line 1: empty file, header required")
+            if [h.strip() for h in header] != CSV_HEADER:
+                raise ValueError(f"line 1: header must be {','.join(CSV_HEADER)}")
+            for line_no, fields in enumerate(reader, start=2):
+                if not fields:
+                    continue
+                sid, lat, lon, year, month, value = _parse_row(fields, line_no)
+                if sid not in rows:
+                    rows[sid] = []
+                    coords[sid] = (lat, lon)
+                elif coords[sid] != (lat, lon):
+                    raise ValueError(f"line {line_no}: station {sid} changes coordinates")
+                prev = rows[sid][-1] if rows[sid] else None
+                if prev is not None and (year, month) <= (prev[0], prev[1]):
+                    raise ValueError(f"line {line_no}: station {sid} has non-increasing (year, month)")
+                rows[sid].append((year, month, value))
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     out = {}
     for sid, station_rows in rows.items():
         station_rows = [row for row in station_rows if row[0] in _INT64]

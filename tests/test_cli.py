@@ -336,6 +336,27 @@ class TestEmpiricalCommand:
         code, out, err = run(capsys, "empirical", "--input", str(fixture_csv), "--b", "10", "--n2", spec)
         assert (code, out, err) == (EXIT_MATH, "", f"error: {message}\n")
 
+    def test_field_above_csv_limit_exit_3(self, capsys, tmp_path):
+        # csv.Error used to escape as a traceback with exit 1
+        bad = tmp_path / "bad.csv"
+        bad.write_text("station_id,latitude,longitude,year,month,tavg_c\nA,35." + "0" * 140_000 + ",-80,1990,1,5.0\n")
+        code, out, err = run(capsys, "empirical", "--input", str(bad))
+        assert (code, out) == (EXIT_MATH, "")
+        assert err.startswith("error: line 2: field larger than field limit")
+
+    @pytest.mark.parametrize("grid", [["--n2", "inf"], ["--c", "nan"]])
+    @pytest.mark.parametrize("input_file", ["bad", "absent"])
+    def test_bad_grid_wins_over_bad_file(self, capsys, fixture_csv, tmp_path, grid, input_file):
+        # the grids are parsed before the file is opened, so a bad grid fails
+        # fast and its error is the one reported
+        lines = fixture_csv.read_text().splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:5] + ["nan"])
+        path = tmp_path / f"{input_file}.csv"
+        if input_file == "bad":
+            path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "empirical", "--input", str(path), *grid)
+        assert (code, out, err) == (EXIT_MATH, "", f"error: grid '{grid[1]}' has a non-finite entry\n")
+
     def test_empty_selection_exit_3(self, capsys, fixture_csv):
         code, _, err = run(
             capsys, "empirical", "--input", str(fixture_csv), "--lat", "50:60",

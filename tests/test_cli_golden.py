@@ -8,12 +8,17 @@ output change re-pins them by running this file as a script, which
 prints the current digest of every case::
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+With ``--dump DIR`` the script writes each case's exit code, stdout,
+stderr and output file as text to ``DIR/<case>.txt`` instead, so a
+re-pin can be reviewed as ``diff -r`` of two such directories.
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import sys
 import tempfile
 
 import pytest
@@ -64,39 +69,47 @@ DIGESTS = {
     "limit_c0_text": "b4ee0ed6aef3f5d0b613f981852ec5547a50e50d370008c1101b99379cc23bea",
     "limit_cinf_json": "c39f585e8929fea1fa4ec522e36f13a197984a5ad9eacb9c78dcade4d04de406",
     "limit_cinf_text": "88ef940c1da53ca46e05116324d01feee48905895c3a6e834ceb7be2187ddbc0",
-    "limit_multi_json": "e3bd2e90f7c1d20121736c9dfe854cc9cc5a7c5fdbf5f3ea286b2d3dc8312e23",
-    "limit_multi_text": "6e34b3d7df10e3dba8264c16edd4ef5f9cda845dc958221195fc9ca23757aa5c",
-    "limit_two_group_json": "f1e70ac2ad60453dc5470872082e197f20b26c2e6ef067f51c5c2b8d62fb5eb2",
-    "limit_two_group_text": "2d72a71d789a31cfb211dc9b8b7bc454c94568e63272ced43988bfeb2ed7b022",
+    "limit_multi_json": "5e6af7c5508240875642bc1dca0acc3381ef92fa592b3db10cfe9470361b6e28",
+    "limit_multi_text": "93ff0315b6b04ba0883b201427ffc030177bb03a7f1ee7a02dc869c932552054",
+    "limit_two_group_json": "b42eb4782b0f5961b543746d04fea49dbf2440cf551717055522228529136470",
+    "limit_two_group_text": "74b9d23763492583cdd733e1f5ff885ec62d8b0ededba33880f25c32c9f4991e",
     "scale_json": "509404e9d2215b5064d197bff60d41a0176d446766d9edeff502258f7021b460",
     "scale_overflow_json": "0453f0d41890e1d0822b28395ce7331ad061214c2ae586f63605596d109c3658",
     "scale_overflow_text": "0efb4f0a9a2c4d991f0bf77803188217aec34361a4f2958026fdec75c0fecbff",
     "scale_text": "d9b9e4d5aca84e4833550ed3508dda542a743462462948c2f7377d97d2ec71b8",
-    "selftest_json": "5534a6023a1bd46f5e089f5844cfb9006579aa3bdeee880dab1aa345b2678431",
-    "selftest_text": "c9d0192b72f4501817e98e551c746fb45c6b180aacb1f242b0bc58a52ca47eb3",
-    "simulate_csv_w1": "43a3b9eb28807b7a07f0a8ed7f84a0923f0ca1a1ce404e55fee5a947b5c71078",
-    "simulate_csv_w2": "43a3b9eb28807b7a07f0a8ed7f84a0923f0ca1a1ce404e55fee5a947b5c71078",
-    "simulate_csv_w3": "43a3b9eb28807b7a07f0a8ed7f84a0923f0ca1a1ce404e55fee5a947b5c71078",
-    "simulate_json_w1": "dfc7fc6a4411e3c6a6964422087657c1c7b331f9ad1f21f5e5f60f9e4a8fbcfc",
-    "simulate_json_w2": "dfc7fc6a4411e3c6a6964422087657c1c7b331f9ad1f21f5e5f60f9e4a8fbcfc",
+    "selftest_json": "92d8e624b9b7a92dfc0152cf117c79a7ab947730b6a9037af6d88dbbca043aca",
+    "selftest_text": "06222afe79ecb7c2911e8d052dd7d009a386dc31d8df0342a5e07c2367d9aefc",
+    "simulate_csv_w1": "7d7d8a56b1923bc920fbfff4de8fb3d31ef83c5fe711d69407dfce0bdfc42df7",
+    "simulate_csv_w2": "7d7d8a56b1923bc920fbfff4de8fb3d31ef83c5fe711d69407dfce0bdfc42df7",
+    "simulate_csv_w3": "7d7d8a56b1923bc920fbfff4de8fb3d31ef83c5fe711d69407dfce0bdfc42df7",
+    "simulate_json_w1": "84aefd6d2969f013cdfb832c81b3cf7af6e05cb6faa68f86aa727446fb65b0db",
+    "simulate_json_w2": "84aefd6d2969f013cdfb832c81b3cf7af6e05cb6faa68f86aa727446fb65b0db",
 }
 
 
-def case_digest(name) -> str:
-    """Run one case in the current directory and hash everything it wrote."""
+def case_outputs(name) -> tuple[int, str, str, bytes | None]:
+    """Run one case in the current directory: exit code, stdout, stderr and ``--output`` bytes."""
     argv = CASES[name]
     if FIXTURE in argv:
         write_synthetic_stations(FIXTURE, n_low=10, n_high=6, seed=42, missing_rate=0.02)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    h = hashlib.sha256()
-    h.update(f"exit={code}\n".encode())
-    for part in (out.getvalue(), err.getvalue()):
-        h.update(f"{len(part)}\n{part}".encode())
+    data = None
     if OUTPUT in argv:
         with open(OUTPUT, "rb") as fh:
             data = fh.read()
+    return code, out.getvalue(), err.getvalue(), data
+
+
+def case_digest(name) -> str:
+    """Run one case in the current directory and hash everything it wrote."""
+    code, stdout, stderr, data = case_outputs(name)
+    h = hashlib.sha256()
+    h.update(f"exit={code}\n".encode())
+    for part in (stdout, stderr):
+        h.update(f"{len(part)}\n{part}".encode())
+    if data is not None:
         h.update(f"{len(data)}\n".encode() + data)
     return h.hexdigest()
 
@@ -114,7 +127,17 @@ def test_simulate_digest_independent_of_workers():
 
 
 if __name__ == "__main__":
+    dump = os.path.abspath(sys.argv[sys.argv.index("--dump") + 1]) if "--dump" in sys.argv else None
+    if dump:
+        os.makedirs(dump, exist_ok=True)
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
-            print(f'    "{case}": "{case_digest(case)}",')
+            if not dump:
+                print(f'    "{case}": "{case_digest(case)}",')
+                continue
+            code, stdout, stderr, data = case_outputs(case)
+            with open(os.path.join(dump, f"{case}.txt"), "w", encoding="utf-8") as fh:
+                fh.write(f"exit={code}\n--- stdout\n{stdout}--- stderr\n{stderr}")
+                if data is not None:
+                    fh.write("--- output\n" + data.decode("utf-8"))

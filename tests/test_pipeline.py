@@ -439,7 +439,17 @@ class TestLoaderPaths:
         path = tmp_path / "t.csv"
         write_csv(path, ["A,35." + "0" * csv.field_size_limit() + ",-80,1990,1,5.0"])
         assert pipeline._stations_in_bulk(path) is None
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(ValueError, match=r"^line 2: field larger than field limit"):
+            load_stations(path, min_months=1)
+
+    @pytest.mark.parametrize("line", [1, 2, 4])
+    def test_field_above_csv_limit_names_its_line(self, tmp_path, line):
+        # csv.Error used to escape load_stations, and it is not a ValueError
+        rows = ["station_id,latitude,longitude,year,month,tavg_c"] + [f"A,35,-80,1990,{m},5.0" for m in (1, 2, 3)]
+        rows[line - 1] = rows[line - 1].replace(",", "," + "0" * csv.field_size_limit(), 1)
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^line {line}: field larger than field limit"):
             load_stations(path, min_months=1)
 
 

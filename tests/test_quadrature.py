@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
-from gausswinner import limits, quadrature
-from gausswinner.quadrature import BATCH, MAX_EXPANSIONS, N_START, QuadratureError, _nodes, concave_log_quad
+from gausswinner import limits, quadrature, scaling
+from gausswinner.quadrature import (
+    BATCH,
+    DROP,
+    MAX_EXPANSIONS,
+    N_SCAN,
+    N_START,
+    QuadratureError,
+    _nodes,
+    concave_log_quad,
+)
 from gausswinner.scaling import GroupSpec
 
 
@@ -49,7 +59,8 @@ def test_note_passthrough():
 
 
 def test_failure_carries_partial_estimate(monkeypatch):
-    monkeypatch.setattr(quadrature, "MAX_LEVELS", 2)
+    # a Gaussian settles at the second level, so only one level is allowed
+    monkeypatch.setattr(quadrature, "MAX_LEVELS", 1)
     with pytest.raises(QuadratureError) as excinfo:
         concave_log_quad(lambda x: -0.5 * x * x, -5.0, 5.0, tol=1e-13)
     partial = excinfo.value.partial
@@ -60,6 +71,13 @@ def test_failure_carries_partial_estimate(monkeypatch):
 def test_rejects_nan_integrand():
     with pytest.raises(QuadratureError, match="NaN"):
         concave_log_quad(lambda x: np.where(x > 0, np.nan, -x * x), -5.0, 5.0, tol=1e-9)
+
+
+def test_seed_where_drop_is_below_rounding():
+    # u - e^u on [49, 51] is about -2e21, where ymax - DROP rounds to ymax:
+    # the window stage once took the seed as resolved and the trim found no node
+    res = concave_log_quad(lambda u: u - np.exp(u), 49.0, 51.0)
+    assert res.value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_rejects_bad_window():
@@ -79,22 +97,22 @@ def test_window_candidates_past_the_kept_endpoint_may_overflow():
 PINNED = {
     "two_group_limit(1, 1.5)": (
         lambda: [limits.two_group_limit(1.0, 1.5)],
-        [("0x1.37d9a47bb5307p-1", "0x1.ad060e1b27784p-64")],
+        [("0x1.37d9a47bb5309p-1", "0x1.136fec4a8c099p-63")],
     ),
     "two_group_limit_from_kappa(0, sqrt 2)": (
         lambda: [limits.two_group_limit_from_kappa(0.0, math.sqrt(2.0))],
-        [("0x1.d1436420ad3efp-2", "0x1.0052bb982b0fep-54")],
+        [("0x1.d1436420ad3edp-2", "0x1.f6f400150e3c0p-36")],
     ),
     "finite_n_winner(1e6 x 1, 100 x 1.5)": (
         lambda: [limits.finite_n_winner(GroupSpec(1e6, 1.0), GroupSpec(100, 1.5))],
-        [("0x1.deb0e916114aap-1", "0x1.002a1755ddcdap-53")],
+        [("0x1.deb0e916114abp-1", "0x1.002a1755ddcdap-53")],
     ),
     "multi_group_limits K=3": (
         lambda: limits.multi_group_limits(limits.LimitSpecK(groups=((1.0, 1.0), (0.5, 1.3), (2.0, 1.8)))),
         [
-            ("0x1.5639eb7770066p-2", "0x1.80000742d6ccap-53"),
-            ("0x1.c0f2af83f945dp-2", "0x1.000000ecaabacp-53"),
-            ("0x1.d1a6ca092d680p-3", "0x1.554462156b863p-63"),
+            ("0x1.5639eb7770065p-2", "0x1.6000000000003p-51"),
+            ("0x1.c0f2af83f945cp-2", "0x1.8000000000001p-53"),
+            ("0x1.d1a6ca092d67ep-3", "0x1.00bec0c2b4ebdp-54"),
         ],
     ),
 }
@@ -107,7 +125,7 @@ def test_library_bits_pinned(name):
 
 
 def test_solve_c_for_target_bits_pinned():
-    assert limits.solve_c_for_target(0.3, 1.5).hex() == "0x1.c4abf38577bb2p-4"
+    assert limits.solve_c_for_target(0.3, 1.5).hex() == "0x1.c4abf38577baep-4"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -136,31 +154,54 @@ def test_window_that_never_decays_raises():
         concave_log_quad(lambda x: np.zeros_like(x), -3.0, 3.0)
 
 
+def _bent(x):
+    """-x^2/2 - sqrt(0.01 + x^2)/2: concave, and its bend at 0 keeps refinement going to level 3."""
+    return -0.5 * x * x - 0.5 * np.sqrt(0.01 + x * x)
+
+
 def test_nan_beyond_accepted_endpoint_is_ignored():
-    # -x^2 on [-1, 1] resolves its window at -11.39 and 11.2; the batches
-    # also reach -17.1 and 18.4, where this integrand is NaN
-    plain = concave_log_quad(lambda x: -x * x, -1.0, 1.0)
-    res = concave_log_quad(lambda x: np.where(np.abs(x) > 15.0, np.nan, -x * x), -1.0, 1.0)
-    assert (res.value.hex(), res.abs_err.hex()) == ("0x1.c5bf891b4ef6cp+0", "0x1.16ec4c3031e11p-62")
-    assert (res.value, res.abs_err) == (plain.value, plain.abs_err)
+    # from [2, 4], beside the peak at 0, the left side rises outward and walks:
+    # its batch ends at -8.390625, -14.0859375 and -22.62890625, and -14.0859375
+    # is the first endpoint deep enough.  The right side ends at its bound.
+    plain = concave_log_quad(_bent, 2.0, 4.0)
+    res = concave_log_quad(lambda x: np.where(x < -20.0, np.nan, _bent(x)), 2.0, 4.0)
+    assert (res.value.hex(), res.abs_err.hex()) == (plain.value.hex(), plain.abs_err.hex()) == (
+        "0x1.bcd029cb9f09cp+0",
+        "0x1.6620021538de9p-39",
+    )
+
+
+# stage -> (nodes in the log_f call, index of the bad node) for the seed scan,
+# the trim grid, a node of level 0 (129 nodes) and of level 1 (128 midpoints)
+# in the first refinement call, and a node of the 256 level-2 midpoints
+_CALL_NODE = {
+    N_SCAN: (N_SCAN, N_SCAN // 2),
+    4 * N_SCAN + 1: (4 * N_SCAN + 1, 2 * N_SCAN),
+    N_START: (2 * N_START - 1, N_START - 1),
+    N_START - 1: (2 * N_START - 1, N_START),
+    2 * (N_START - 1): (2 * (N_START - 1), N_START - 1),
+}
 
 
 def _bad_at(stage, rows, bad=np.nan):
-    """-x^2/2 (and a second row) with one ``bad`` node in the call of ``stage`` nodes, or at x == stage."""
+    """``_bent`` (and a second row) with one ``bad`` node: at x == stage, or the node ``_CALL_NODE[stage]``."""
 
     def log_f(x):
-        y = -0.5 * x * x
+        y = _bent(x)
         y = np.vstack([y, y - 1.0]) if rows else y.copy()
-        hit = (x == stage) if isinstance(stage, float) else (np.arange(len(x)) == len(x) // 2) & (len(x) == stage)
-        y[..., hit] = bad
+        if isinstance(stage, float):
+            y[..., x == stage] = bad
+        elif len(x) == _CALL_NODE[stage][0]:
+            y[..., _CALL_NODE[stage][1]] = bad
         return y
 
     return log_f
 
 
 # the seed scan, a window candidate before the accepted one (-3.375 on the
-# left of [-1, 1]), the accepted candidate, the trim grid, the first
-# refinement level and two levels of midpoints
+# left of [-1, 1], whose secant bound lies past the first batch), the accepted
+# candidate, the trim grid, levels 0 and 1 (both in the first refinement call)
+# and the level-2 midpoints
 STAGES = [65, -3.375, -11.390625, 261, N_START, N_START - 1, 2 * (N_START - 1)]
 
 
@@ -178,6 +219,22 @@ def test_inf_raises_at_every_stage(stage, rows):
     # or an invalid-value warning and "did not reach tol" in refinement
     with pytest.raises(QuadratureError, match=r"log integrand returned \+inf"):
         concave_log_quad(_bad_at(stage, rows, bad=np.inf), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("rows", [False, True])
+def test_stage_calls_and_window(rows):
+    # the calls STAGES is keyed to: scan, one left batch, trim grid from the
+    # accepted -11.390625, the first refinement call and two midpoint levels
+    seen = []
+
+    def log_f(x):
+        seen.append(x)
+        return _bad_at(0.5, rows, bad=-1.0)(x)
+
+    concave_log_quad(log_f, -1.0, 1.0)
+    assert [len(x) for x in seen] == [N_SCAN, BATCH, 4 * N_SCAN + 1, 2 * N_START - 1, 2 * (N_START - 1),
+                                      4 * (N_START - 1)]
+    assert seen[1][2] == -3.375 and seen[2][0] == -11.390625
 
 
 def _indicator_resolving_at(k):
@@ -217,3 +274,109 @@ def test_evaluations_count_every_node(rows):
     res = concave_log_quad(log_f, -1.0, 1.0)
     assert res.evaluations == sum(seen)
     assert BATCH in seen  # the unused window candidates are counted too
+
+
+def _traced(log_f, lo, hi, tol):
+    """concave_log_quad's result and the window its trim grid spans."""
+    calls = []
+
+    def traced(x):
+        calls.append(x)
+        return log_f(x)
+
+    res = concave_log_quad(traced, lo, hi, tol=tol)
+    trim = next(x for x in calls if len(x) == 4 * N_SCAN + 1)
+    return res, float(trim[0]), float(trim[-1])
+
+
+@st.composite
+def _concave_cases(draw):
+    """(log_f, peak, width, exact) for a Gaussian, a u-space gamma or a log_ndtr sum."""
+    kind = draw(st.sampled_from(["gauss", "gamma", "ndtr"]))
+    if kind == "gauss":
+        mu, s = draw(st.floats(-50.0, 50.0)), draw(st.floats(0.01, 20.0))
+        return (lambda x: -0.5 * ((x - mu) / s) ** 2), mu, s, s * math.sqrt(2.0 * math.pi)
+    if kind == "gamma":
+        a = draw(st.floats(0.2, 8.0))
+        return (lambda u: a * u - np.exp(u)), math.log(a), 1.0 / math.sqrt(a), math.gamma(a)
+    w, s = draw(st.floats(1.0, 1e4)), draw(st.floats(0.3, 3.0))
+
+    def log_f(x):
+        return w * log_ndtr(x / s) - 0.5 * x * x
+
+    # dense trapezoid reference around the peak; the integrand is analytic
+    xs = np.linspace(-15.0, 25.0, 40001)
+    ys = log_f(xs)
+    peak = float(xs[np.argmax(ys)])
+    xs = np.linspace(peak - 15.0, peak + 15.0, 30001)
+    ys = log_f(xs)
+    return log_f, peak, 1.0, float(np.exp(ys - ys.max()).sum() * (xs[1] - xs[0]) * np.exp(ys.max()))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    case=_concave_cases(),
+    offset=st.sampled_from([0.0, 3.0, -3.0, 50.0, -50.0]),
+    half=st.floats(0.5, 4.0),
+)
+def test_concave_family_value_and_window(case, offset, half):
+    # seeds inside the peak, beside it and far from it, in widths
+    log_f, peak, width, exact = case
+    tol = 1e-10 * max(1.0, exact)
+    center = peak + offset * width
+    res, lo, hi = _traced(log_f, center - half * width, center + half * width, tol)
+    assert abs(res.value - exact) <= tol
+    # nothing outside the window may come within DROP of the peak
+    span = 10.0 * (hi - lo)
+    inside = np.linspace(lo, hi, 20001)
+    outside = np.concatenate([np.linspace(lo - span, lo, 2001)[:-1], np.linspace(hi, hi + span, 2001)[1:]])
+    with np.errstate(over="ignore"):
+        top = float(log_f(inside).max())
+        assert float(log_f(outside).max()) <= top - DROP + 1e-6
+
+
+def test_falling_side_ends_at_its_concavity_bound():
+    # both scan ends of -x^2/2 on [-3, 3] fall outward; each bound lies within
+    # the first batch, so no window endpoint is evaluated
+    seen = []
+
+    def log_f(x):
+        seen.append(len(x))
+        return -0.5 * x * x
+
+    res, lo, hi = _traced(log_f, -3.0, 3.0, 1e-10)
+    assert seen == [N_SCAN, 4 * N_SCAN + 1, 2 * N_START - 1]
+    # the secant through the two outer scan nodes meets 0 - DROP at the end
+    x0, x1 = 3.0, 3.0 - 6.0 / (N_SCAN - 1)
+    y0, y1 = -0.5 * x0 * x0, -0.5 * x1 * x1
+    bound = x0 + (x0 - x1) * (y0 + DROP) / (y1 - y0)
+    assert hi == pytest.approx(bound, rel=1e-12) and lo == pytest.approx(-bound, rel=1e-12)
+    assert res.value == pytest.approx(math.sqrt(2.0 * math.pi), abs=1e-12)
+
+
+def test_evaluation_budget_on_limits_and_critical_curve():
+    # 25 limit laws (sigma 1.1 to 3, C 0.01 to 100) and 27 finite-n points on the critical curve
+    evaluations = [
+        limits.two_group_limit(float(c), float(s)).evaluations
+        for s in np.geomspace(1.1, 3.0, 5)
+        for c in np.geomspace(0.01, 100.0, 5)
+    ]
+    for s in (1.2, 1.5, 2.0):
+        for c in (0.1, 1.0, 5.0):
+            for n2 in (10.0, 1e3, 1e5):
+                n1 = scaling.critical_n1(n2, s, c).real_value
+                evaluations.append(limits.finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(n2, s)).evaluations)
+    assert len(evaluations) == 52
+    assert sum(evaluations) / len(evaluations) <= 800
+
+
+def test_bound_holds_for_every_row():
+    # on the right the narrow row tops the envelope at both outer scan nodes,
+    # but the wide row falls slowly: a bound from the envelope's secant would
+    # end the window near 17 and drop 3% of the wide row's mass
+    def log_f(x):
+        return np.vstack([-0.5 * x * x, -0.5 * (x / 8.0) ** 2 - 20.0])
+
+    narrow, wide = concave_log_quad(log_f, -3.0, 3.0)
+    assert narrow.value == pytest.approx(math.sqrt(2.0 * math.pi), abs=1e-10)
+    assert wide.value == pytest.approx(8.0 * math.sqrt(2.0 * math.pi) * math.exp(-20.0), rel=1e-10)

@@ -269,6 +269,11 @@ class TestMcMulti:
             exact = finite_n_winner_multi(groups, k).value
             assert abs(est.p_hat - exact) <= 4.0 * est.std_err, f"group {k}"
 
+    def test_pinned_successes_k3(self):
+        groups = [GroupSpec(10, 1.0), GroupSpec(5, 1.5), GroupSpec(3, 2.0)]
+        ests = mc_multi(groups, 200_000, RngStream(10))
+        assert [e.successes for e in ests] == [47_608, 73_556, 78_836]
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_winner_counts_match_argmax_with_ties(self, k):
         g = np.random.default_rng(100 + k)
@@ -328,6 +333,10 @@ class TestMcLimitPair:
         est = mc_limit_pair(1.0, 1.5, 200_000, RngStream(15))
         exact = two_group_limit(1.0, 1.5).value
         assert abs(est.p_hat - exact) <= 4.0 * est.std_err
+
+    def test_pinned_successes(self):
+        # no CLI path reaches this estimator, so no golden digest covers its draws
+        assert mc_limit_pair(1.0, 1.5, 200_000, RngStream(15)).successes == 121_517
 
     def test_large_c_near_one(self):
         est = mc_limit_pair(1e5, 1.5, 50_000, RngStream(16))

@@ -706,6 +706,12 @@ class TestBootstrapWinner:
         assert 0.01 < ideal < 0.99
         assert abs(est.p_hat - ideal) <= 4.0 * math.sqrt(ideal * (1.0 - ideal) / b)
 
+    def test_pinned_successes_on_tied_pools(self):
+        # the tie-heavy pools of test_matches_ideal_bootstrap: a tie is a group-1 loss
+        p1, p2 = (InnovationPool(p.label, np.round(p.values, 1), p.sd) for p in self._pools())
+        est = bootstrap_winner(p1, p2, 300, 40, 20_000, RngStream(26, stream_id=40))
+        assert est.successes == 7_118
+
     def test_pool_values_held_sorted(self):
         g = RngStream(seed=27).generator(0)
         values = g.standard_normal(500)

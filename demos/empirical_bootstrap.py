@@ -30,7 +30,7 @@ print(f"fixture: {truth.n_low}+{truth.n_high} stations, phi={truth.phi}, "
 stations = load_stations(path)
 result = run_pipeline(stations)
 print(f"loaded {len(stations)} stations after box/completeness filters")
-print(f"variance split: {len(result.low_indices)} low / {len(result.high_indices)} high")
+print(f"variance split: {len(result.pool_low.indices)} low / {len(result.pool_high.indices)} high")
 print(f"recovered sigma ratio: {result.sigma_ratio:.4f}")
 phis = [f.phi for f in result.fits]
 print(f"AR(1) coefficients: mean {sum(phis)/len(phis):.3f}, "

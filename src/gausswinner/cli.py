@@ -297,15 +297,15 @@ def cmd_empirical(args) -> int:
     fields, lines = _table(rows)
     fields["stations"] = stations_out
     fields["split"] = {
-        "low_count": len(result.low_indices),
-        "high_count": len(result.high_indices),
+        "low_count": len(result.pool_low.indices),
+        "high_count": len(result.pool_high.indices),
         "centers": list(result.centers),
         "sigma_ratio": result.sigma_ratio,
     }
     _emit(args, config, fields, lines)
     if args.format != "json" and args.output is not None:
         diag_lines = [
-            f"stations={len(stations)} low={len(result.low_indices)} high={len(result.high_indices)}",
+            f"stations={len(stations)} low={len(result.pool_low.indices)} high={len(result.pool_high.indices)}",
             f"variance_centers low={_fmt(result.centers[0])} high={_fmt(result.centers[1])}",
             f"pool_sd low={_fmt(result.pool_low.sd)} high={_fmt(result.pool_high.sd)}",
             f"sigma_ratio={_fmt(result.sigma_ratio)}",

@@ -98,7 +98,7 @@ class McEstimate:
     p_hat: float
     trials: int
     std_err: float
-    successes: int | None = None
+    successes: int
 
     @classmethod
     def from_counts(cls, successes: int, trials: int) -> "McEstimate":
@@ -140,21 +140,23 @@ def _uniforms(stream: RngStream, start_trial: int, n_trials: int, per_trial: int
     return u.reshape(n_trials, per_trial)
 
 
-def _chunk_counts(stream, per_trial, count_wins, start_trial, n_trials):
-    """Integer counts of one chunk of consecutive trials."""
-    return np.asarray(count_wins(_uniforms(stream, start_trial, n_trials, per_trial)), dtype=np.int64)
+def _chunk_counts(stream, samplers, start_trial, n_trials):
+    """Per-group win counts of one chunk of consecutive trials; ``samplers[j]`` maps uniform column j."""
+    u = _uniforms(stream, start_trial, n_trials, len(samplers))
+    return np.array(_winner_counts([draw(u[:, j]) for j, draw in enumerate(samplers)]), dtype=np.int64)
 
 
 def _run_rows(jobs, *, workers=1):
-    """Integer count vectors of several estimator rows, run on one set of threads.
+    """Per-group win counts of several estimator rows, run on one set of threads.
 
-    A job is ``(stream, trials, per_trial, count_wins, extra)``.  Its
-    trials are cut into chunks of at most ``_CHUNK_DRAWS`` draws; with
-    several workers also into at least ``workers`` chunks of at least
-    ``_MIN_SPLIT_TRIALS`` trials.  ``count_wins`` maps one chunk's
-    uniforms to integer counts, and the job's counts are their sum over
-    its chunks.  ``extra`` is None or a no-argument callable (a grid row's
-    exact quadrature), run as one more task after the job's chunks.
+    A job is ``(stream, trials, samplers, extra)``: ``samplers`` holds one
+    callable per group that maps a column of uniforms to that group's
+    maxima.  Its trials are cut into chunks of at most ``_CHUNK_DRAWS``
+    draws; with several workers also into at least ``workers`` chunks of
+    at least ``_MIN_SPLIT_TRIALS`` trials.  The job's counts are the sum of
+    its chunks' :func:`_chunk_counts`.  ``extra`` is None or a no-argument
+    callable (a grid row's exact quadrature), run as one more task after
+    the job's chunks.
 
     With one worker, or one task in all, the tasks run inline in order.
     Otherwise every task of every job goes to one pool of
@@ -165,13 +167,13 @@ def _run_rows(jobs, *, workers=1):
     job, in job order.
     """
     tasks, layout = [], []
-    for stream, trials, per_trial, count_wins, extra in jobs:
+    for stream, trials, samplers, extra in jobs:
         if trials < 1:
             raise ValueError("trials must be >= 1")
-        chunk_trials = max(1, _CHUNK_DRAWS // max(per_trial, 1))
+        chunk_trials = max(1, _CHUNK_DRAWS // len(samplers))
         if workers > 1:
             chunk_trials = min(chunk_trials, max(-(-trials // workers), _MIN_SPLIT_TRIALS))
-        run = functools.partial(_chunk_counts, stream, per_trial, count_wins)
+        run = functools.partial(_chunk_counts, stream, samplers)
         first = len(tasks)
         tasks += [(run, (t0, min(chunk_trials, trials - t0))) for t0 in range(0, trials, chunk_trials)]
         layout.append((first, len(tasks), extra is not None))
@@ -190,9 +192,9 @@ def _run_rows(jobs, *, workers=1):
     return [(np.sum(values[a:b], axis=0), values[b] if has_extra else None) for a, b, has_extra in layout]
 
 
-def _sum_chunks(stream, trials, per_trial, chunk_fn, *, workers=1):
-    """Summed integer counts of one estimator: the one-row case of :func:`_run_rows`."""
-    return _run_rows([(stream, trials, per_trial, chunk_fn, None)], workers=workers)[0][0]
+def _sum_chunks(stream, trials, samplers, *, workers=1):
+    """Per-group win counts of one estimator: the one-row case of :func:`_run_rows`."""
+    return _run_rows([(stream, trials, samplers, None)], workers=workers)[0][0]
 
 
 def sample_group_max(n, sigma, u):
@@ -249,8 +251,9 @@ def mc_two_group(
     """Winner frequency of group 1 over independent paired max draws.
 
     This is :func:`mc_multi` at K=2: trial t consumes stream positions
-    2t (group 1) and 2t+1 (group 2), and an exact tie (a probability-zero
-    event) counts as a win for group 1.
+    2t (group 1) and 2t+1 (group 2), and group 1 wins only when its
+    maximum is strictly larger, so an exact tie (a probability-zero event)
+    counts as a loss.
     """
     return mc_multi([g1, g2], trials, rng, workers=workers)[0]
 
@@ -258,24 +261,26 @@ def mc_two_group(
 def _winner_counts(maxima) -> list[int]:
     """Trials won by each group, given one array of per-trial maxima per group.
 
-    Ties break toward the lowest group index, as ``argmax`` would; the
-    last group takes every trial left over, so the counts partition the
-    trials exactly.
+    This is the package's one tie rule: a tie goes to the later group, so a
+    group wins a trial when its maximum is strictly larger than every later
+    group's and no smaller than any earlier group's.  At K=2 group 1 wins
+    exactly when its maximum exceeds group 2's, the paper's event.  The first
+    group takes every trial left over, so the counts partition the trials.
     """
     top = functools.reduce(np.maximum, maxima)
-    taken = maxima[0] == top
+    taken = maxima[-1] == top
     counts = [int(np.count_nonzero(taken))]
-    for m in maxima[1:-1]:
+    for m in maxima[-2:0:-1]:
         won = (m == top) & ~taken
         counts.append(int(np.count_nonzero(won)))
         taken |= won
     counts.append(top.size - sum(counts))
-    return counts
+    return counts[::-1]
 
 
-def _max_wins(groups, u):
-    """Per-group win counts of one chunk; column j of ``u`` draws group j's maxima."""
-    return _winner_counts([sample_group_max(g.size, g.sigma, u[:, j]) for j, g in enumerate(groups)])
+def _max_samplers(groups):
+    """One :func:`sample_group_max` sampler per group."""
+    return [functools.partial(sample_group_max, g.size, g.sigma) for g in groups]
 
 
 def mc_multi(
@@ -288,15 +293,14 @@ def mc_multi(
     """Per-group winning frequencies; exactly one winner per trial.
 
     Trial t consumes stream positions [tK, (t+1)K), one per group in
-    order.  Ties (a probability-zero event for continuous draws) break
-    toward the lowest group index, so the success counts always
-    partition the trial count exactly.
+    order.  Ties (a probability-zero event for continuous draws) go to the
+    later group, as :func:`_winner_counts` counts them, so the success
+    counts always partition the trial count exactly.
     """
     groups = list(groups)
     if len(groups) < 2:
         raise ValueError("need at least 2 groups")
-
-    counts = _sum_chunks(rng, trials, len(groups), functools.partial(_max_wins, groups), workers=workers)
+    counts = _sum_chunks(rng, trials, _max_samplers(groups), workers=workers)
     return [McEstimate.from_counts(int(c), trials) for c in counts]
 
 
@@ -317,24 +321,19 @@ def mc_limit_pair(
     if not math.isfinite(k):
         raise ValueError(f"kappa(c={c}, sigma={sigma}) is not finite")
     s2 = sigma * sigma
-
-    def count_wins(u):
-        lam1 = sample_gumbel(u[:, 0])
-        lam2 = sample_gumbel(u[:, 1])
-        return [np.count_nonzero(lam1 > s2 * (lam2 - k))]
-
-    wins = _sum_chunks(rng, trials, 2, count_wins, workers=workers)
+    samplers = [sample_gumbel, lambda u: s2 * (sample_gumbel(u) - k)]
+    wins = _sum_chunks(rng, trials, samplers, workers=workers)
     return McEstimate.from_counts(int(wins[0]), trials)
 
 
-def _critical_grid(sigma, c_values, n2_grid, trials, rng, counter, p_exact=None, *, workers=1):
+def _critical_grid(sigma, c_values, n2_grid, trials, rng, samplers, p_exact=None, *, workers=1):
     """Rows along the critical law at one sigma, in (C outer, n2 inner) order.
 
     At each (C, n2), n1 is the critical size: the int floor when it is
     exactly representable, the real value otherwise.  Row i counts its
     p_hat over ``trials`` trials of stream ``rng.substream(i)``, two draws
-    per trial, with the chunk counter ``counter(n1, n2)`` (group-1 wins
-    first); p_limit is the two-group limit and, when ``p_exact`` is given,
+    per trial, as group-1 wins of the two samplers ``samplers(n1, n2)``;
+    p_limit is the two-group limit and, when ``p_exact`` is given,
     p_exact is ``p_exact(n1, n2)``.  Every row is set up before any trial
     runs, then the chunks and exact quadratures of all rows share one
     :func:`_run_rows` call, so the rows match a row-by-row serial run bit
@@ -349,7 +348,7 @@ def _critical_grid(sigma, c_values, n2_grid, trials, rng, counter, p_exact=None,
             size = critical_n1(n2, sigma, c)
             n1 = size.real_value if size.floor_value is None else size.floor_value
             extra = None if p_exact is None else functools.partial(p_exact, n1, n2)
-            jobs.append((rng.substream(len(jobs)), trials, 2, counter(n1, n2), extra))
+            jobs.append((rng.substream(len(jobs)), trials, samplers(n1, n2), extra))
             points.append((c, p_limit, n1, n2))
     rows = []
     for (c, p_limit, n1, n2), (counts, exact) in zip(points, _run_rows(jobs, workers=workers)):
@@ -374,11 +373,11 @@ def convergence_study(
     counts it and, when ``exact`` is set, the finite-n quadrature as p_exact.
     """
 
-    def counter(n1, n2):
-        return functools.partial(_max_wins, [GroupSpec(n1, 1.0), GroupSpec(n2, sigma)])
+    def samplers(n1, n2):
+        return _max_samplers([GroupSpec(n1, 1.0), GroupSpec(n2, sigma)])
 
     def finite_n(n1, n2):
         return finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(n2, sigma)).value
 
     p_exact = finite_n if exact else None
-    return _critical_grid(sigma, list(c_values), list(n2_grid), trials, rng, counter, p_exact, workers=workers)
+    return _critical_grid(sigma, list(c_values), list(n2_grid), trials, rng, samplers, p_exact, workers=workers)

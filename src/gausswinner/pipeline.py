@@ -16,6 +16,7 @@ rescaling, so this is observationally neutral).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import warnings
@@ -114,8 +115,6 @@ class PipelineResult:
     station_ids: list[str]
     fits: list[Ar1Fit]
     variances: np.ndarray
-    low_indices: tuple[int, ...]
-    high_indices: tuple[int, ...]
     centers: tuple[float, float]
     pool_low: InnovationPool
     pool_high: InnovationPool
@@ -480,28 +479,26 @@ def bootstrap_winner(
     ceil(N u^{1/n}) - 1 (the quantile transform of
     :func:`gausswinner.montecarlo.sample_group_max`).  The cost does not
     grow with n1 or n2.  Iteration t owns stream positions 2t (group 1)
-    and 2t+1 (group 2).
+    and 2t+1 (group 2).  A tie, which tied pool values make common, is a
+    group-1 loss.
     """
-    wins = _sum_chunks(rng, b, 2, _bootstrap_counter(pool1, pool2, n1, n2), workers=workers)
+    wins = _sum_chunks(rng, b, _pool_samplers(pool1, pool2, n1, n2), workers=workers)
     return McEstimate.from_counts(int(wins[0]), b)
 
 
-def _bootstrap_counter(pool1, pool2, n1, n2):
-    """Group-1 win count of one chunk of :func:`bootstrap_winner` iterations."""
+def _pool_max(values, n, u):
+    """Maxima of n draws with replacement from the sorted ``values``, one per uniform in u."""
+    idx = np.ceil(values.size * np.exp(np.log(u) / n)) - 1.0
+    return values[np.clip(idx, 0, values.size - 1).astype(np.int64)]
+
+
+def _pool_samplers(pool1, pool2, n1, n2):
+    """The two group samplers of :func:`bootstrap_winner`."""
     if len(pool1.values) == 0 or len(pool2.values) == 0:
         raise ValueError("pools must be nonempty")
     if n1 < 1 or n2 < 1:
         raise ValueError("n1 and n2 must be >= 1")
-    s1, s2 = pool1.values, pool2.values
-
-    def pool_max(s, n, u):
-        idx = np.ceil(s.size * np.exp(np.log(u) / n)) - 1.0
-        return s[np.clip(idx, 0, s.size - 1).astype(np.int64)]
-
-    def count_wins(u):
-        return [np.count_nonzero(pool_max(s1, n1, u[:, 0]) > pool_max(s2, n2, u[:, 1]))]
-
-    return count_wins
+    return [functools.partial(_pool_max, pool1.values, n1), functools.partial(_pool_max, pool2.values, n2)]
 
 
 def empirical_study(
@@ -522,13 +519,13 @@ def empirical_study(
     counts it.  The critical n1 must have an exact integer floor.
     """
 
-    def counter(n1, n2):
+    def samplers(n1, n2):
         if not isinstance(n1, int):
             raise ValueError(f"critical n1 at n2={n2} overflows the bootstrap range")
-        return _bootstrap_counter(pool1, pool2, n1, n2)
+        return _pool_samplers(pool1, pool2, n1, n2)
 
     n2_grid = [int(n) for n in n2_grid]
-    return _critical_grid(sigma_ratio, list(c_values), n2_grid, b, rng, counter, workers=workers)
+    return _critical_grid(sigma_ratio, list(c_values), n2_grid, b, rng, samplers, workers=workers)
 
 
 def process_station(series: StationSeries) -> Ar1Fit:
@@ -554,8 +551,6 @@ def run_pipeline(stations: Sequence[StationSeries]) -> PipelineResult:
         station_ids=[s.station_id for s in stations],
         fits=fits,
         variances=variances,
-        low_indices=pool_low.indices,
-        high_indices=pool_high.indices,
         centers=centers,
         pool_low=pool_low,
         pool_high=pool_high,

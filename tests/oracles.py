@@ -19,7 +19,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from gausswinner.montecarlo import RngStream, _sum_chunks
+from gausswinner.montecarlo import _CHUNK_DRAWS, RngStream, _uniforms
 from gausswinner.normal import std_normal_quantile
 from gausswinner.scaling import GroupSpec
 
@@ -267,7 +267,8 @@ def mc_argmax_identity(
         )
         return np.concatenate([first, wins])
 
-    counts = _sum_chunks(rng, trials, total, count)
+    chunk = max(1, _CHUNK_DRAWS // total)
+    counts = sum(count(_uniforms(rng, t0, min(chunk, trials - t0), total)) for t0 in range(0, trials, chunk))
     first, wins = counts[: len(groups)], counts[len(groups):]
     out = []
     for j, n in enumerate(sizes):

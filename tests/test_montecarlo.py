@@ -280,9 +280,10 @@ class TestMcMulti:
         # coarse integer maxima make exact ties, including k-way ties, common
         maxima = [g.integers(0, 4, size=5_000).astype(float) for _ in range(k)]
         maxima[-1][:3] = maxima[0][:3] = 9.0  # first and last group tie at the top
-        expected = np.bincount(np.argmax(np.stack(maxima, axis=1), axis=1), minlength=k)
+        # a tie goes to the later group: argmax over the reversed group order
+        expected = np.bincount(k - 1 - np.argmax(np.stack(maxima[::-1], axis=1), axis=1), minlength=k)
         assert mc._winner_counts(maxima) == list(expected)
-        assert mc._winner_counts([np.zeros(7)] * k) == [7] + [0] * (k - 1)
+        assert mc._winner_counts([np.zeros(7)] * k) == [0] * (k - 1) + [7]
 
     def test_coupled_monotonicity_in_n1(self):
         # same stream: raising n1 never flips a group-1 win into a loss
@@ -482,6 +483,12 @@ class TestGridScheduling:
             errors.append(str(excinfo.value))
         assert errors == ["critical n1 at n2=1000000 overflows the bootstrap range"] * 2
         assert threading.active_count() == before
+
+    def test_infinite_critical_size_fails_at_row_setup(self):
+        # the groups are checked before any trial runs, so the error is GroupSpec's
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="group size must be a finite real >= 1, got inf"):
+                convergence_study(1.5, [1.0], [100.0, 1e300], 1_000, RngStream(34), workers=workers)
 
     def test_quadrature_error_in_pool_matches_serial(self, monkeypatch):
         real = mc.finite_n_winner

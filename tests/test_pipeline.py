@@ -762,8 +762,8 @@ class TestEndToEnd:
         stations = load_stations(path)
         assert len(stations) == truth.n_low + truth.n_high  # OUT/SPR stations dropped
         result = run_pipeline(stations)
-        assert len(result.low_indices) == truth.n_low
-        assert len(result.high_indices) == truth.n_high
+        assert len(result.pool_low.indices) == truth.n_low
+        assert len(result.pool_high.indices) == truth.n_high
         assert abs(result.sigma_ratio - truth.sigma_ratio) / truth.sigma_ratio < 0.10
         phis = [f.phi for f in result.fits]
         assert abs(np.mean(phis) - truth.phi) < 0.05
@@ -781,7 +781,8 @@ class TestEndToEnd:
 
         monkeypatch.setattr(pipeline, "kmeans1d_split", reversed_split)
         swapped = run_pipeline(stations)
-        assert (swapped.low_indices, swapped.high_indices) == (base.low_indices, base.high_indices)
+        assert swapped.pool_low.indices == base.pool_low.indices
+        assert swapped.pool_high.indices == base.pool_high.indices
         assert swapped.centers == base.centers
         assert swapped.centers[0] < swapped.centers[1]
         assert np.array_equal(swapped.pool_low.values, base.pool_low.values)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
@@ -319,6 +319,9 @@ def _concave_cases(draw):
     offset=st.sampled_from([0.0, 3.0, -3.0, 50.0, -50.0]),
     half=st.floats(0.5, 4.0),
 )
+# the gamma case at a = 1 seeded on [49, 51], where ymax - DROP once rounded
+# to ymax; whether the strategy draws it depends on the tests collected
+@example(case=(lambda u: u - np.exp(u), 0.0, 1.0, 1.0), offset=50.0, half=1.0)
 def test_concave_family_value_and_window(case, offset, half):
     # seeds inside the peak, beside it and far from it, in widths
     log_f, peak, width, exact = case

@@ -1,12 +1,14 @@
 """The exported names are the ones users reach.
 
 The top-level names are exactly those the README quick start and the
-demos import, and every name a submodule exports is used by the package,
-the README, the demos or the benchmark, not by the tests alone.
+demos import, every name a submodule exports is used by the package,
+the README, the demos or the benchmark, not by the tests alone, and every
+function the benchmark traces still exists.
 """
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 import pkgutil
 import re
@@ -64,3 +66,19 @@ def test_submodule_exports_have_a_user_outside_the_tests():
             if name not in used and not any(re.search(rf"\b{name}\b", t) for t in texts):
                 unused.append(f"{info.name}.{name}")
     assert unused == []
+
+
+def test_benchmark_trace_targets_resolve():
+    # the tracer skips a target it cannot find, so a renamed function would
+    # silently leave its layer metric without spans
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PACKAGE == "gausswinner"
+    missing = []
+    for home in tracing.TARGETS:
+        module_name, attr = home.split(".")
+        module = importlib.import_module(f"gausswinner.{module_name}")
+        if not callable(getattr(module, attr, None)):
+            missing.append(home)
+    assert missing == []

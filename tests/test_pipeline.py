@@ -175,6 +175,44 @@ class TestLoadStations:
             load_stations(tmp_path / "absent.csv")
 
 
+def _present_digest(stations):
+    """sha256 of every station's (id, lat, lon, year, month, value) over its present rows."""
+    h = hashlib.sha256()
+    for s in stations:
+        keep = ~np.isnan(s.value)
+        h.update(f"{s.station_id}\n{s.latitude.hex()}\n{s.longitude.hex()}\n".encode())
+        for column, dtype in ((s.year, "<i8"), (s.month, "<i8"), (s.value, "<f8")):
+            h.update(np.ascontiguousarray(column[keep], dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def test_loaded_present_observations_pinned(tmp_path):
+    """Station selection and the present rows kept, pinned on the golden and pipeline fixtures."""
+    golden, small, blank = tmp_path / "golden.csv", tmp_path / "small.csv", tmp_path / "blank.csv"
+    write_synthetic_stations(golden, n_low=10, n_high=6, seed=42, missing_rate=0.02)
+    write_synthetic_stations(small, n_low=3, n_high=2, seed=1, missing_rate=0.05)
+    # B has rows in the year range, all blank: with no completeness filter it
+    # is kept, empty.  C has no row in the range and is dropped even then.
+    rows = [f"A,35,-80,{y},{m},{m % 5}.{y % 7}" for y in (1990, 1991) for m in range(1, 13)]
+    rows += [f"B,36,-81,{y},1," for y in (1979, 1990, 1991)]
+    write_csv(blank, rows + [f"C,37,-82,1979,{m},5.0" for m in range(1, 13)])
+    got = {}
+    for path in (golden, small, blank):
+        for min_months in (pipeline.DEFAULT_MIN_MONTHS, 0):
+            stations = load_stations(path, min_months=min_months)
+            got[path.stem, min_months] = (len(stations), _present_digest(stations))
+    assert got == {
+        ("golden", 240): (16, "9fb65015398c05facb8e84beaa93a9a1e27f56b643eef61a65b469542954e9c8"),
+        ("golden", 0): (17, "6d9388ffc0daf9f935abe0772049b23f8a8397ced08300f9776edc8af902aa5a"),
+        ("small", 240): (5, "eaa948bc7aecd8510c2751da0349ce45881dae5c9687c903fa1ad0d018701b70"),
+        ("small", 0): (6, "195321f2d59c329cc963fc00d75270d00159ddffbf9bfbe893afce9881bd9704"),
+        ("blank", 240): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("blank", 0): (2, "657ec70473f1900860bffdd372ff4c448e63620903f53532cade34b88af0e6fc"),
+    }
+    with pytest.raises(ValueError, match=r"^detrend needs at least 3 points, got 0$"):
+        run_pipeline(load_stations(blank, min_months=0))
+
+
 HEADER = ",".join(pipeline.CSV_HEADER)
 # long, yet its id column never outgrows a generated file: one line of it
 # beside eight 17-byte lines of the other stations still fits

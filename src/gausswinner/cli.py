@@ -98,6 +98,18 @@ def _parse_grid(spec: str, *, integer: bool = False) -> list[float]:
     return values
 
 
+def _bounds(flag: str, spec: str, *, integer: bool = False) -> tuple:
+    """``LO:HI`` of a selection flag: finite LO < HI, or integers LO <= HI for ``--years``."""
+    try:
+        lo, hi = (int(v) if integer else float(v) for v in spec.split(":"))
+    except ValueError:
+        lo = hi = math.nan
+    if not (lo <= hi if integer else -math.inf < lo < hi < math.inf):
+        rule = "integers LO <= HI" if integer else "finite LO < HI"
+        raise ValueError(f"{flag} must be LO:HI with {rule}, got {spec!r}")
+    return lo, hi
+
+
 def _metadata_lines(config: dict) -> list[str]:
     lines = [f"# gausswinner {config['command']}"]
     for key in sorted(k for k in config if k != "command"):
@@ -170,11 +182,12 @@ def cmd_limit(args) -> int:
     c, sigma = float(args.c), float(args.sigma)
     result = limits.two_group_limit(c, sigma)
     config.update({"c": c, "sigma": sigma})
+    kappa = scaling.kappa(c, sigma)
     fields = {
-        "kappa": scaling.kappa(c, sigma),
+        "kappa": kappa,
         "p": result.value,
         "abs_err": result.abs_err,
-        "regime": "degenerate" if result.note == "degenerate" else "critical",
+        "regime": "degenerate" if math.isinf(kappa) else "critical",
     }
     _emit(args, config, fields)
     return EXIT_OK
@@ -243,13 +256,11 @@ def cmd_simulate(args) -> int:
 def cmd_empirical(args) -> int:
     c_values = _parse_grid(args.c)
     n2_grid = _parse_grid(args.n2, integer=True)
+    lat = _bounds("--lat", args.lat)
+    lon = _bounds("--lon", args.lon)
+    years = _bounds("--years", args.years, integer=True)
     if not os.path.exists(args.input):
         raise OSError(f"input file not found: {args.input}")
-    lat = tuple(float(v) for v in args.lat.split(":"))
-    lon = tuple(float(v) for v in args.lon.split(":"))
-    years = tuple(int(v) for v in args.years.split(":"))
-    if len(lat) != 2 or len(lon) != 2 or len(years) != 2:
-        raise ValueError("--lat, --lon and --years must look like LO:HI")
     seed = args.seed if args.seed is not None else _default_seed()
     stations = pipeline.load_stations(
         args.input,
@@ -287,12 +298,12 @@ def cmd_empirical(args) -> int:
     }
     stations_out = [
         {
-            "station_id": sid,
+            "station_id": station.station_id,
             "phi": fit.phi,
             "innovation_sd": float(fit.innovations.std(ddof=1)),
             "n_used": fit.n_used,
         }
-        for sid, fit in zip(result.station_ids, result.fits)
+        for station, fit in zip(stations, result.fits)
     ]
     fields, lines = _table(rows)
     fields["stations"] = stations_out

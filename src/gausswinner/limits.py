@@ -78,10 +78,6 @@ class LimitSpecK:
             if math.isnan(c) or c <= 0.0:
                 raise ValueError(f"group {i}: c must lie in (0, +inf], got {c}")
 
-    @property
-    def baseline(self) -> int:
-        return next(i for i, (_, s) in enumerate(self.groups) if s == 1.0)
-
     def kappas(self) -> tuple[float, ...]:
         return tuple(kappa(c, s) for c, s in self.groups)
 
@@ -92,7 +88,7 @@ def _probability(result: QuadResult) -> QuadResult:
     return result if value == result.value else replace(result, value=value)
 
 
-def _limit_components(alphas, kappas, rows, tol, note=None) -> list[QuadResult]:
+def _limit_components(alphas, kappas, rows, tol) -> list[QuadResult]:
     """p_k for each k in ``rows`` as u-space integrals on one grid, u = log x.
 
     log integrand of row k: log(alpha_k) - kappa_k + alpha_k u - sum_j exp(alpha_j u - kappa_j);
@@ -109,7 +105,7 @@ def _limit_components(alphas, kappas, rows, tol, note=None) -> list[QuadResult]:
 
     # mass sits where the dominating exponential sum is O(1)
     center = min(0.0, min(k / a for a, k in zip(alphas, kappas)))
-    return [_probability(r) for r in concave_log_quad(log_f, center - 8.0, 8.0, tol=tol, note=note)]
+    return [_probability(r) for r in concave_log_quad(log_f, center - 8.0, 8.0, tol=tol)]
 
 
 def two_group_limit_from_kappa(kappa_value: float, sigma: float) -> QuadResult:
@@ -125,9 +121,9 @@ def two_group_limit_from_kappa(kappa_value: float, sigma: float) -> QuadResult:
     if math.isnan(kappa_value):
         raise ValueError("kappa is NaN")
     if kappa_value == -math.inf:
-        return QuadResult(value=0.0, abs_err=0.0, evaluations=0, note="degenerate")
+        return QuadResult(value=0.0, abs_err=0.0, evaluations=0)
     if kappa_value == math.inf:
-        return QuadResult(value=1.0, abs_err=0.0, evaluations=0, note="degenerate")
+        return QuadResult(value=1.0, abs_err=0.0, evaluations=0)
     return _limit_components([1.0, 1.0 / (sigma * sigma)], [0.0, kappa_value], [0], QUAD_TOL)[0]
 
 
@@ -152,18 +148,14 @@ def multi_group_limits(spec: LimitSpecK) -> list[QuadResult]:
     returned values, each clamped to [0, 1], sum to 1 up to quadrature error.
     All K integrands are evaluated as rows of one quadrature on one grid:
     the exponential sum is computed once per node, and refinement stops
-    when the largest row difference has settled.
+    when the largest row difference has settled.  Groups may share a
+    sigma; the result carries no flag for it.
     """
     kappas = spec.kappas()
     if not all(math.isfinite(k) for k in kappas):
         raise ValueError(f"all kappa values must be finite, got {kappas}")
-    sigmas = [s for _, s in spec.groups]
-    alphas = [1.0 / (s * s) for s in sigmas]
-    non_baseline = [s for i, s in enumerate(sigmas) if i != spec.baseline]
-    note = None
-    if len(set(non_baseline)) < len(non_baseline):
-        note = "repeated sigma among non-baseline groups"
-    return _limit_components(alphas, kappas, range(len(spec.groups)), MULTI_QUAD_TOL, note)
+    alphas = [1.0 / (s * s) for _, s in spec.groups]
+    return _limit_components(alphas, kappas, range(len(spec.groups)), MULTI_QUAD_TOL)
 
 
 def _winner_log_integrand(groups: Sequence[GroupSpec], k: int):

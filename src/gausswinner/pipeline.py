@@ -5,12 +5,13 @@ Flow: load a station-month temperature CSV -> per-station month-of-year anomaly
 split on innovation variances -> pooled low/high variance innovation
 groups -> bootstrap winner probabilities against the theoretical limit.
 
-Stations may have gaps; innovations are only formed across pairs of
-consecutive calendar months, never across a gap.  Pools concatenate all
-innovations within a variance cluster and are standardized by the
-low-variance pool's standard deviation so the theory's sigma_1 = 1
-normalization holds exactly (winner events are invariant under common
-rescaling, so this is observationally neutral).
+A blank temperature is a month the station does not have, and no row
+holds it, so stations may have gaps; innovations are only formed across
+pairs of consecutive calendar months, never across a gap.  Pools
+concatenate all innovations within a variance cluster and are
+standardized by the low-variance pool's standard deviation so the
+theory's sigma_1 = 1 normalization holds exactly (winner events are
+invariant under common rescaling, so this is observationally neutral).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ DEFAULT_MIN_MONTHS = 240
 
 @dataclass
 class StationSeries:
-    """Monthly series of one station; absent values carry present=False."""
+    """The present monthly observations of one station; a missing month has no row."""
 
     station_id: str
     latitude: float
@@ -71,14 +72,10 @@ class StationSeries:
     year: np.ndarray
     month: np.ndarray
     value: np.ndarray
-    present: np.ndarray
 
     def month_index(self) -> np.ndarray:
         """Months since year 0, for gap detection and trend fitting."""
         return self.year * 12 + (self.month - 1)
-
-    def n_present(self) -> int:
-        return int(np.count_nonzero(self.present))
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,6 @@ class InnovationPool:
     ``indices`` are the positions of the stations pooled, when known.
     """
 
-    label: str  # 'low_variance' or 'high_variance'
     values: np.ndarray
     sd: float
     indices: tuple[int, ...] = ()
@@ -112,9 +108,7 @@ class InnovationPool:
 class PipelineResult:
     """Everything produced by the per-station stage plus the pooled split."""
 
-    station_ids: list[str]
     fits: list[Ar1Fit]
-    variances: np.ndarray
     centers: tuple[float, float]
     pool_low: InnovationPool
     pool_high: InnovationPool
@@ -299,10 +293,11 @@ def load_stations(
 
     The file must carry the header ``station_id,latitude,longitude,year,
     month,tavg_c``; missing temperatures are empty fields.  Stations are
-    kept when their coordinates fall in the half-open lat/lon boxes and
-    they have at least ``min_months`` present observations inside the
-    inclusive year range.  Malformed rows raise ValueError naming the
-    line; an empty selection returns an empty list.
+    kept when their coordinates fall in the half-open lat/lon boxes, they
+    have a row in the inclusive year range, and at least ``min_months`` of
+    those rows are present; a kept station holds only its present rows.
+    Malformed rows raise ValueError naming the line; an empty selection
+    returns an empty list.
 
     A plain file, LF or CRLF, is read in one columnar pass (see
     ``_stations_in_bulk``); any other file, and any file that fails a column
@@ -318,41 +313,28 @@ def load_stations(
     for sid, (lat, lon, year, month, value) in stations.items():
         if not (lat_range[0] <= lat < lat_range[1] and lon_range[0] <= lon < lon_range[1]):
             continue
-        kept = (year >= year_range[0]) & (year <= year_range[1])
-        if not kept.any():
-            continue
-        value = value[kept]
-        series = StationSeries(
-            station_id=sid,
-            latitude=lat,
-            longitude=lon,
-            year=year[kept],
-            month=month[kept],
-            value=value,
-            present=~np.isnan(value),
-        )
-        if series.n_present() >= min_months:
-            out.append(series)
+        in_range = (year >= year_range[0]) & (year <= year_range[1])
+        kept = in_range & ~np.isnan(value)
+        if in_range.any() and np.count_nonzero(kept) >= min_months:
+            out.append(StationSeries(sid, lat, lon, year[kept], month[kept], value[kept]))
     return out
 
 
 def deseasonalize(series: StationSeries) -> np.ndarray:
-    """Anomalies of the present observations: value minus its month-of-year mean.
+    """Anomalies of the observations: value minus its month-of-year mean.
 
-    Every month-of-year that occurs among present observations needs at
-    least 2 of them, otherwise the mean is not a meaningful seasonal
-    estimate and a ValueError lists the offending months.
+    Every month-of-year that occurs needs at least 2 observations,
+    otherwise the mean is not a meaningful seasonal estimate and a
+    ValueError lists the offending months.
     """
-    months = series.month[series.present]
-    values = series.value[series.present]
-    anomalies = np.empty_like(values)
+    anomalies = np.empty_like(series.value)
     thin = []
-    for m in np.unique(months):
-        sel = months == m
+    for m in np.unique(series.month):
+        sel = series.month == m
         if np.count_nonzero(sel) < 2:
             thin.append(int(m))
             continue
-        anomalies[sel] = values[sel] - values[sel].mean()
+        anomalies[sel] = series.value[sel] - series.value[sel].mean()
     if thin:
         raise ValueError(
             f"station {series.station_id}: months {thin} have fewer than 2 observations"
@@ -360,12 +342,12 @@ def deseasonalize(series: StationSeries) -> np.ndarray:
     return anomalies
 
 
-def detrend_linear(x, t=None) -> np.ndarray:
-    """Residuals of an ordinary least-squares line in the time index."""
+def detrend_linear(x, t) -> np.ndarray:
+    """Residuals of an ordinary least-squares line in the time index ``t``."""
     x = np.asarray(x, dtype=float)
     if x.size < 3:
         raise ValueError(f"detrend needs at least 3 points, got {x.size}")
-    t = np.arange(x.size, dtype=float) if t is None else np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype=float)
     tc = t - t.mean()
     denom = float(tc @ tc)
     if denom == 0.0:
@@ -374,23 +356,19 @@ def detrend_linear(x, t=None) -> np.ndarray:
     return x - x.mean() - slope * tc
 
 
-def ar1_innovations(x, t=None) -> Ar1Fit:
+def ar1_innovations(x, t) -> Ar1Fit:
     """AR(1) conditional least squares and one-step innovations.
 
     phi_hat = sum x_t x_{t-1} / sum x_{t-1}^2 over lag pairs, with no
-    intercept (the input is already centered by construction).  When a
-    time index is supplied, only pairs of consecutive indices count, so
-    gaps in a station record never fabricate a lag relation.
+    intercept (the input is already centered by construction).  Only
+    pairs of consecutive time indices ``t`` count, so gaps in a station
+    record never fabricate a lag relation.
     """
     x = np.asarray(x, dtype=float)
     if x.size < 10:
         raise ValueError(f"AR(1) fit needs at least 10 points, got {x.size}")
-    if t is None:
-        lag, cur = x[:-1], x[1:]
-    else:
-        t = np.asarray(t)
-        consecutive = np.diff(t) == 1
-        lag, cur = x[:-1][consecutive], x[1:][consecutive]
+    consecutive = np.diff(t) == 1
+    lag, cur = x[:-1][consecutive], x[1:][consecutive]
     if lag.size < 2:
         raise ValueError("fewer than 2 consecutive lag pairs")
     denom = float(lag @ lag)
@@ -456,8 +434,8 @@ def build_pools(fits: Sequence[Ar1Fit], partition) -> tuple[InnovationPool, Inno
     ratio = sd_b / sd_a
     if ratio <= 1.0 + 1e-9:
         raise ValueError(f"degenerate variance split: sigma ratio {ratio:.6f} <= 1")
-    low = InnovationPool("low_variance", pool_a / sd_a, sd_a, tuple(idx_a))
-    high = InnovationPool("high_variance", pool_b / sd_a, sd_b, tuple(idx_b))
+    low = InnovationPool(pool_a / sd_a, sd_a, tuple(idx_a))
+    high = InnovationPool(pool_b / sd_a, sd_b, tuple(idx_b))
     return low, high, ratio
 
 
@@ -530,7 +508,7 @@ def empirical_study(
 
 def process_station(series: StationSeries) -> Ar1Fit:
     """Anomaly -> detrend -> AR(1) innovations for one station."""
-    t = series.month_index()[series.present]
+    t = series.month_index()
     anomalies = deseasonalize(series)
     residuals = detrend_linear(anomalies, t)
     return ar1_innovations(residuals, t)
@@ -542,15 +520,12 @@ def run_pipeline(stations: Sequence[StationSeries]) -> PipelineResult:
     if len(stations) < 2:
         raise ValueError("pipeline needs at least 2 stations")
     fits = [process_station(s) for s in stations]
-    variances = np.array([float(f.innovations.var(ddof=1)) for f in fits])
-    partition, centers = kmeans1d_split(variances)
+    partition, centers = kmeans1d_split([f.innovations.var(ddof=1) for f in fits])
     pool_low, pool_high, ratio = build_pools(fits, partition)
     if pool_low.indices != partition[0]:  # build_pools labels by pooled sd
         centers = (centers[1], centers[0])
     return PipelineResult(
-        station_ids=[s.station_id for s in stations],
         fits=fits,
-        variances=variances,
         centers=centers,
         pool_low=pool_low,
         pool_high=pool_high,

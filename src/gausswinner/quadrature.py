@@ -67,15 +67,12 @@ class QuadResult:
     ``abs_err`` is the first settled inter-level difference plus the tail
     term, without floating-point rounding; it measures the coarser level,
     so it reads larger than the accepted value's error.  ``evaluations``
-    counts every node passed to log_f.  ``note`` carries optional metadata
-    flags (e.g. repeated sigma values in a multi-group spec); it never
-    affects the numbers.
+    counts every node passed to log_f.
     """
 
     value: float
     abs_err: float
     evaluations: int
-    note: str | None = None
 
 
 class QuadRows(tuple):
@@ -136,7 +133,6 @@ def concave_log_quad(
     hi: float,
     *,
     tol: float = 1e-10,
-    note: str | None = None,
 ) -> QuadResult | QuadRows:
     """Integrate exp(log_f) over the real line for concave log_f.
 
@@ -188,7 +184,7 @@ def concave_log_quad(
         return vals.reshape(1, -1) if single else vals
 
     def results(values, errors):
-        rows = [QuadResult(float(v), float(e), evaluations, note) for v, e in zip(values, errors)]
+        rows = [QuadResult(float(v), float(e), evaluations) for v, e in zip(values, errors)]
         return rows[0] if single else QuadRows(rows)
 
     xs = _nodes(lo, hi, N_SCAN)

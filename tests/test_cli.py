@@ -357,6 +357,35 @@ class TestEmpiricalCommand:
         code, out, err = run(capsys, "empirical", "--input", str(path), *grid)
         assert (code, out, err) == (EXIT_MATH, "", f"error: grid '{grid[1]}' has a non-finite entry\n")
 
+    @pytest.mark.parametrize(
+        "flag, spec",
+        [
+            ("--lat", "x:y"),
+            ("--lat", "40:30"),
+            ("--lat", "35:35"),
+            ("--lat", "nan:40"),
+            ("--lat", "35"),
+            ("--lon", "-95:inf"),
+            ("--lon", "-95:-85:-75"),
+            ("--years", "1980.5:2000"),
+            ("--years", "2000:1980"),
+            ("--years", "1980:"),
+        ],
+    )
+    @pytest.mark.parametrize("input_file", ["good", "absent"])
+    def test_bad_selection_wins_over_bad_file(self, capsys, fixture_csv, tmp_path, flag, spec, input_file):
+        # the boxes and the year range are checked before the file is opened,
+        # and an empty or inverted one no longer ends in "no stations pass"
+        path = fixture_csv if input_file == "good" else tmp_path / "absent.csv"
+        code, out, err = run(capsys, "empirical", "--input", str(path), f"{flag}={spec}")
+        rule = "integers LO <= HI" if flag == "--years" else "finite LO < HI"
+        assert (code, out, err) == (EXIT_MATH, "", f"error: {flag} must be LO:HI with {rule}, got {spec!r}\n")
+
+    def test_single_year_is_a_valid_range(self, capsys, tmp_path):
+        code, _, err = run(capsys, "empirical", "--input", str(tmp_path / "absent.csv"), "--years", "1990:1990")
+        assert code == EXIT_IO
+        assert "input file not found" in err
+
     def test_empty_selection_exit_3(self, capsys, fixture_csv):
         code, _, err = run(
             capsys, "empirical", "--input", str(fixture_csv), "--lat", "50:60",

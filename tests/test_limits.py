@@ -75,7 +75,6 @@ class TestTwoGroupFromKappa:
     def test_degenerate_conventions(self):
         assert two_group_limit_from_kappa(-math.inf, 1.5).value == 0.0
         assert two_group_limit_from_kappa(math.inf, 1.5).value == 1.0
-        assert two_group_limit_from_kappa(math.inf, 1.5).note == "degenerate"
 
     def test_rejects_nan_and_bad_sigma(self):
         with pytest.raises(ValueError):
@@ -88,7 +87,7 @@ class TestTwoGroupLimit:
     def test_degenerate_endpoints_exact(self):
         zero = two_group_limit(0.0, 2.0)
         one = two_group_limit(math.inf, 2.0)
-        assert zero.value == 0.0 and zero.abs_err == 0.0 and zero.note == "degenerate"
+        assert zero.value == 0.0 and zero.abs_err == 0.0
         assert one.value == 1.0 and one.abs_err == 0.0
 
     def test_symmetric_boundary(self):
@@ -138,7 +137,6 @@ class TestLimitSpecK:
 
     def test_baseline_index_and_kappas(self):
         spec = LimitSpecK(groups=((0.5, 1.7), (1.0, 1.0)))
-        assert spec.baseline == 1
         ks = spec.kappas()
         assert ks[1] == 0.0
         assert ks[0] == pytest.approx(kappa(0.5, 1.7), rel=1e-15)
@@ -179,10 +177,9 @@ class TestMultiGroupLimits:
         with pytest.raises(ValueError, match="finite"):
             multi_group_limits(spec)
 
-    def test_repeated_sigma_flagged(self):
+    def test_repeated_sigma_sums_to_one(self):
         spec = LimitSpecK(groups=((1.0, 1.0), (1.0, 1.5), (2.0, 1.5)))
         res = multi_group_limits(spec)
-        assert all(r.note == "repeated sigma among non-baseline groups" for r in res)
         assert sum(r.value for r in res) == pytest.approx(1.0, abs=1e-8)
 
     def test_mixed_spec_against_gumbel_mc(self):

@@ -218,8 +218,8 @@ class TestMcTwoGroup:
 def test_estimates_identical_across_chunks_and_workers(chunk_draws, workers, k, trials, seed):
     groups = [GroupSpec(10.0**j, 1.0 + 0.25 * j) for j in range(k)]
     g = np.random.default_rng(seed)
-    pool1 = InnovationPool("low_variance", g.standard_normal(200), 1.0)
-    pool2 = InnovationPool("high_variance", 1.5 * g.standard_normal(150), 1.5)
+    pool1 = InnovationPool(g.standard_normal(200), 1.0)
+    pool2 = InnovationPool(1.5 * g.standard_normal(150), 1.5)
 
     def run(w):
         rng = RngStream(seed)
@@ -401,8 +401,8 @@ GRID_TRIALS = 20_000
 def _studies(workers):
     """A 6-row exact convergence study and a 4-row bootstrap study at one worker count."""
     g = np.random.default_rng(30)
-    p1 = InnovationPool("low_variance", g.standard_normal(500), 1.0)
-    p2 = InnovationPool("high_variance", 1.5 * g.standard_normal(400), 1.5)
+    p1 = InnovationPool(g.standard_normal(500), 1.0)
+    p2 = InnovationPool(1.5 * g.standard_normal(400), 1.5)
     return (
         convergence_study(
             1.5, [0.5, 2.0], [100.0, 1e4, 1e6], GRID_TRIALS, RngStream(31), exact=True, workers=workers
@@ -473,8 +473,8 @@ class TestGridScheduling:
 
     def test_row_setup_error_matches_serial(self):
         g = np.random.default_rng(30)
-        p1 = InnovationPool("low_variance", g.standard_normal(500), 1.0)
-        p2 = InnovationPool("high_variance", 2.0 * g.standard_normal(400), 2.0)
+        p1 = InnovationPool(g.standard_normal(500), 1.0)
+        p2 = InnovationPool(2.0 * g.standard_normal(400), 2.0)
         before = threading.active_count()
         errors = []
         for workers in (1, 2):

@@ -34,20 +34,11 @@ from gausswinner.synthetic import write_synthetic_stations
 import oracles
 
 
-def make_series(values, present=None, sid="T1", lat=35.0, lon=-80.0, start_year=1980):
+def make_series(values, sid="T1", lat=35.0, lon=-80.0, start_year=1980):
+    """Consecutive months from January of ``start_year``, one per value."""
     values = np.asarray(values, dtype=float)
-    n = len(values)
-    t = np.arange(n)
-    series = StationSeries(
-        station_id=sid,
-        latitude=lat,
-        longitude=lon,
-        year=start_year + t // 12,
-        month=1 + t % 12,
-        value=values,
-        present=np.ones(n, dtype=bool) if present is None else np.asarray(present, dtype=bool),
-    )
-    return series
+    t = np.arange(len(values))
+    return StationSeries(sid, lat, lon, start_year + t // 12, 1 + t % 12, values)
 
 
 def write_csv(path, rows):
@@ -157,9 +148,9 @@ class TestLoadStations:
     def test_empty_value_marks_absent(self, tmp_path):
         p = tmp_path / "t.csv"
         write_csv(p, ["A,35,-80,1990,1,5.0", "A,35,-80,1990,2,", "A,35,-80,1990,3,6.0"])
-        out = load_stations(p, min_months=2)
-        assert out[0].n_present() == 2
-        assert list(out[0].present) == [True, False, True]
+        (s,) = load_stations(p, min_months=2)
+        assert s.month.tolist() == [1, 3] and s.value.tolist() == [5.0, 6.0]
+        assert load_stations(p, min_months=3) == []
 
     def test_completeness_and_date_filters(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -168,7 +159,7 @@ class TestLoadStations:
         write_csv(p, rows)
         assert load_stations(p, min_months=7) == []
         out = load_stations(p, min_months=6)
-        assert out[0].n_present() == 6  # the 1979 rows fall outside the range
+        assert out[0].year.tolist() == [1990] * 6  # the 1979 rows fall outside the range
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -348,14 +339,14 @@ def _series_bits(series):
     """Every field of a list of StationSeries, bit for bit."""
     return [
         (s.station_id, type(s.latitude), s.latitude.hex(), type(s.longitude), s.longitude.hex())
-        + tuple((a.dtype.str, a.tobytes()) for a in (s.year, s.month, s.value, s.present))
+        + tuple((a.dtype.str, a.tobytes()) for a in (s.year, s.month, s.value))
         for s in series
     ]
 
 
 def _columns_bits(stations):
     """Every field of a ``{station_id: (lat, lon, year, month, value)}`` map, bit for bit."""
-    return _series_bits([StationSeries(sid, *columns, np.isnan(columns[-1])) for sid, columns in stations.items()])
+    return _series_bits([StationSeries(sid, *columns) for sid, columns in stations.items()])
 
 
 def _outcome(load, path):
@@ -507,9 +498,8 @@ class TestDeseasonalize:
         vals = 10.0 * np.sin(2 * np.pi * (1 + t % 12) / 12.0) + g.random(240)
         series = make_series(vals)
         out = deseasonalize(series)
-        months = series.month[series.present]
         for m in range(1, 13):
-            assert abs(out[months == m].mean()) < 1e-9
+            assert abs(out[series.month == m].mean()) < 1e-9
 
     def test_idempotent(self):
         g = RngStream(seed=4).generator(0)
@@ -519,22 +509,22 @@ class TestDeseasonalize:
         assert np.max(np.abs(twice - once)) < 1e-10
 
     def test_thin_month_listed(self):
-        present = np.ones(14, dtype=bool)  # months 1 and 2 appear twice, 3..12 once
+        # months 1 and 2 appear twice, 3..12 once
         with pytest.raises(ValueError, match=r"\[3"):
-            deseasonalize(make_series(np.arange(14.0), present=present))
+            deseasonalize(make_series(np.arange(14.0)))
 
 
 class TestDetrendLinear:
     def test_exact_line_removed(self):
         t = np.arange(60, dtype=float)
-        out = detrend_linear(3.0 + 0.25 * t)
+        out = detrend_linear(3.0 + 0.25 * t, t)
         assert np.max(np.abs(out)) < 1e-10
 
     def test_white_noise_slope_within_se(self):
         g = RngStream(seed=5).generator(0)
         x = g.standard_normal(10_000)
-        out = detrend_linear(x)
         t = np.arange(10_000, dtype=float)
+        out = detrend_linear(x, t)
         tc = t - t.mean()
         slope_hat = float(tc @ (x - x.mean())) / float(tc @ tc)
         se = 1.0 / math.sqrt(float(tc @ tc))  # OLS slope standard error, sigma = 1
@@ -546,20 +536,20 @@ class TestDetrendLinear:
         g = RngStream(seed=6).generator(0)
         x = g.standard_normal(500)
         t = np.arange(500, dtype=float)
-        a = detrend_linear(x)
-        b = detrend_linear(x + 4.0 - 0.37 * t)
+        a = detrend_linear(x, t)
+        b = detrend_linear(x + 4.0 - 0.37 * t, t)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_short_input(self):
         with pytest.raises(ValueError):
-            detrend_linear([1.0, 2.0])
+            detrend_linear([1.0, 2.0], [0, 1])
 
 
 class TestAr1Innovations:
     def test_white_noise_phi_near_zero(self):
         g = RngStream(seed=7).generator(0)
         x = g.standard_normal(5000)
-        fit = ar1_innovations(x)
+        fit = ar1_innovations(x, np.arange(x.size))
         assert abs(fit.phi) <= 4.0 / math.sqrt(5000)
         assert fit.n_used == 4999
 
@@ -570,7 +560,7 @@ class TestAr1Innovations:
         x[0] = e[0]
         for i in range(1, 5000):
             x[i] = 0.6 * x[i - 1] + e[i]
-        fit = ar1_innovations(x)
+        fit = ar1_innovations(x, np.arange(x.size))
         assert fit.phi == pytest.approx(0.6, abs=0.05)
 
     def test_innovations_are_white(self):
@@ -580,14 +570,14 @@ class TestAr1Innovations:
         x[0] = e[0]
         for i in range(1, 4000):
             x[i] = 0.5 * x[i - 1] + e[i]
-        fit = ar1_innovations(x)
+        fit = ar1_innovations(x, np.arange(x.size))
         inn = fit.innovations
         r1 = float(inn[1:] @ inn[:-1]) / float(inn @ inn)
         assert abs(r1) <= 4.0 / math.sqrt(fit.n_used)
 
     def test_exact_decay(self):
         x = 0.8 ** np.arange(50)
-        fit = ar1_innovations(x)
+        fit = ar1_innovations(x, np.arange(x.size))
         assert fit.phi == pytest.approx(0.8, rel=1e-12)
         assert np.max(np.abs(fit.innovations)) < 1e-12
 
@@ -600,9 +590,9 @@ class TestAr1Innovations:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            ar1_innovations(np.arange(5.0))
+            ar1_innovations(np.arange(5.0), np.arange(5))
         with pytest.raises(ValueError):
-            ar1_innovations(np.zeros(100))
+            ar1_innovations(np.zeros(100), np.arange(100))
 
 
 class TestKmeans1dSplit:
@@ -661,7 +651,6 @@ class TestBuildPools:
         fits = self._fits([1.0, 1.0, 2.0, 2.0], 10_000, seed=12)
         low, high, ratio = build_pools(fits, ((0, 1), (2, 3)))
         assert ratio == pytest.approx(2.0, abs=0.1)
-        assert low.label == "low_variance" and high.label == "high_variance"
 
     def test_standardization(self):
         fits = self._fits([1.0, 1.5], 5_000, seed=13)
@@ -691,28 +680,28 @@ class TestBuildPools:
 class TestBootstrapWinner:
     def _pools(self, seed=16, n=5000, s2=1.5):
         g = RngStream(seed=seed).generator(0)
-        p1 = InnovationPool("low_variance", g.standard_normal(n), 1.0)
-        p2 = InnovationPool("high_variance", s2 * g.standard_normal(n), s2)
+        p1 = InnovationPool(g.standard_normal(n), 1.0)
+        p2 = InnovationPool(s2 * g.standard_normal(n), s2)
         return p1, p2
 
     def test_dominant_pool_wins_never(self):
-        p1 = InnovationPool("low_variance", np.array([0.0, 1.0, 2.0]), 1.0)
-        p2 = InnovationPool("high_variance", np.array([5.0, 6.0]), 1.0)
+        p1 = InnovationPool(np.array([0.0, 1.0, 2.0]), 1.0)
+        p2 = InnovationPool(np.array([5.0, 6.0]), 1.0)
         est = bootstrap_winner(p1, p2, 4, 3, 500, RngStream(17))
         assert est.p_hat == 0.0
 
     def test_identical_pools_symmetric(self):
         g = RngStream(seed=18).generator(0)
         vals = g.standard_normal(2000)
-        p = InnovationPool("low_variance", vals, 1.0)
+        p = InnovationPool(vals, 1.0)
         est = bootstrap_winner(p, p, 10, 10, 10_000, RngStream(19))
         assert abs(est.p_hat - 0.5) <= 4.0 * est.std_err
 
     def test_scale_consistency(self):
         p1, p2 = self._pools()
         a = bootstrap_winner(p1, p2, 20, 10, 5_000, RngStream(20))
-        p1s = InnovationPool(p1.label, 3.0 * p1.values, p1.sd)
-        p2s = InnovationPool(p2.label, 3.0 * p2.values, p2.sd)
+        p1s = InnovationPool(3.0 * p1.values, p1.sd)
+        p2s = InnovationPool(3.0 * p2.values, p2.sd)
         b = bootstrap_winner(p1s, p2s, 20, 10, 5_000, RngStream(20))
         assert a == b
 
@@ -737,7 +726,7 @@ class TestBootstrapWinner:
     @pytest.mark.parametrize("n1, n2", [(1, 1), (5, 20), (300, 40), (80_000, 150), (10**8, 10)])
     def test_matches_ideal_bootstrap(self, n1, n2):
         # rounding to 0.1 ties values within and across the pools
-        p1, p2 = (InnovationPool(p.label, np.round(p.values, 1), p.sd) for p in self._pools())
+        p1, p2 = (InnovationPool(np.round(p.values, 1), p.sd) for p in self._pools())
         b = 20_000
         est = bootstrap_winner(p1, p2, n1, n2, b, RngStream(26, stream_id=n2))
         ideal = oracles.ideal_bootstrap_winner(p1.values, p2.values, n1, n2)
@@ -746,17 +735,17 @@ class TestBootstrapWinner:
 
     def test_pinned_successes_on_tied_pools(self):
         # the tie-heavy pools of test_matches_ideal_bootstrap: a tie is a group-1 loss
-        p1, p2 = (InnovationPool(p.label, np.round(p.values, 1), p.sd) for p in self._pools())
+        p1, p2 = (InnovationPool(np.round(p.values, 1), p.sd) for p in self._pools())
         est = bootstrap_winner(p1, p2, 300, 40, 20_000, RngStream(26, stream_id=40))
         assert est.successes == 7_118
 
     def test_pool_values_held_sorted(self):
         g = RngStream(seed=27).generator(0)
         values = g.standard_normal(500)
-        pool = InnovationPool("low_variance", values, 1.0)
+        pool = InnovationPool(values, 1.0)
         assert np.array_equal(pool.values, np.sort(values))
-        shuffled = InnovationPool("low_variance", g.permutation(values), 1.0)
-        rival = InnovationPool("high_variance", 1.5 * g.standard_normal(400), 1.5)
+        shuffled = InnovationPool(g.permutation(values), 1.0)
+        rival = InnovationPool(1.5 * g.standard_normal(400), 1.5)
         a = bootstrap_winner(pool, rival, 30, 20, 2_000, RngStream(28))
         b = bootstrap_winner(shuffled, rival, 30, 20, 2_000, RngStream(28))
         assert a == b
@@ -770,8 +759,8 @@ class TestBootstrapWinner:
 class TestEmpiricalStudy:
     def test_single_point_reduces_to_bootstrap(self):
         g = RngStream(seed=22).generator(0)
-        p1 = InnovationPool("low_variance", g.standard_normal(20_000), 1.0)
-        p2 = InnovationPool("high_variance", 1.5 * g.standard_normal(20_000), 1.5)
+        p1 = InnovationPool(g.standard_normal(20_000), 1.0)
+        p2 = InnovationPool(1.5 * g.standard_normal(20_000), 1.5)
         rows = empirical_study(p1, p2, 1.5, [0.6], [30], 2_000, RngStream(23))
         from gausswinner.scaling import critical_n1
 
@@ -782,8 +771,8 @@ class TestEmpiricalStudy:
 
     def test_p_limit_ordering_in_c(self):
         g = RngStream(seed=24).generator(0)
-        p1 = InnovationPool("low_variance", g.standard_normal(50_000), 1.0)
-        p2 = InnovationPool("high_variance", 1.5 * g.standard_normal(50_000), 1.5)
+        p1 = InnovationPool(g.standard_normal(50_000), 1.0)
+        p2 = InnovationPool(1.5 * g.standard_normal(50_000), 1.5)
         rows = empirical_study(p1, p2, 1.5, [0.1, 0.6, 3.0], [40], 4_000, RngStream(25))
         limits_by_c = [r.p_limit for r in rows]
         p_hats = [r.p_hat for r in rows]
@@ -858,20 +847,17 @@ class TestEndToEnd:
         assert len(stations) == len(expected) == n_low + n_high
         assert [s.station_id for s in stations] == list(expected)
         for s in stations:
-            rs = expected[s.station_id]
-            assert s.n_present() == sum(r["tavg_c"] != "" for r in rs)
+            rs = [r for r in expected[s.station_id] if r["tavg_c"] != ""]
             assert s.year.tolist() == [int(r["year"]) for r in rs]
             assert s.month.tolist() == [int(r["month"]) for r in rs]
-            values = [float(r["tavg_c"]) for r in rs if r["tavg_c"] != ""]
-            assert s.value[s.present].tolist() == values
-            assert np.isnan(s.value[~s.present]).all()
+            assert s.value.tolist() == [float(r["tavg_c"]) for r in rs]
 
     def test_process_station_handles_gaps(self, tmp_path):
         path = tmp_path / "fixture.csv"
         write_synthetic_stations(path, n_low=3, n_high=2, seed=1, missing_rate=0.05)
         stations = load_stations(path)
-        gappy = [s for s in stations if s.n_present() < len(s.value)]
+        gappy = [s for s in stations if (np.diff(s.month_index()) > 1).any()]
         assert gappy, "fixture should contain gapped stations"
         fit = process_station(gappy[0])
-        assert fit.n_used < gappy[0].n_present() - 1
+        assert fit.n_used < len(gappy[0].value) - 1
         assert math.isfinite(fit.phi)

@@ -53,11 +53,6 @@ def test_tiny_total_mass_absolute_tolerance():
     assert res.value == pytest.approx(math.exp(-80.0) * math.sqrt(2.0 * math.pi), rel=1e-10)
 
 
-def test_note_passthrough():
-    res = concave_log_quad(lambda x: -0.5 * x * x, -5.0, 5.0, tol=1e-10, note="flagged")
-    assert res.note == "flagged"
-
-
 def test_failure_carries_partial_estimate(monkeypatch):
     # a Gaussian settles at the second level, so only one level is allowed
     monkeypatch.setattr(quadrature, "MAX_LEVELS", 1)

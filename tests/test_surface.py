@@ -2,11 +2,13 @@
 
 The top-level names are exactly those the README quick start and the
 demos import, every name a submodule exports is used by the package,
-the README, the demos or the benchmark, not by the tests alone, and every
-function the benchmark traces still exists.
+the README, the demos or the benchmark, not by the tests alone, so is
+every field and property of a result type, and every function the
+benchmark traces still exists.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -52,13 +54,21 @@ def _loaded_names(source):
     return names
 
 
-def test_submodule_exports_have_a_user_outside_the_tests():
-    used = set()
-    for path in (ROOT / "src" / "gausswinner").glob("*.py"):
-        used |= _loaded_names(path.read_text(encoding="utf-8"))
+def _package_sources():
+    return [path.read_text(encoding="utf-8") for path in (ROOT / "src" / "gausswinner").glob("*.py")]
+
+
+def _texts_outside_the_package():
+    """README, the demos and the benchmark: the users outside the package and the tests."""
     texts = [(ROOT / "README.md").read_text(encoding="utf-8")]
     for folder in ("demos", "perfbench"):
         texts += [p.read_text(encoding="utf-8") for p in sorted((ROOT / folder).glob("*.py"))]
+    return texts
+
+
+def test_submodule_exports_have_a_user_outside_the_tests():
+    used = set().union(*map(_loaded_names, _package_sources()))
+    texts = _texts_outside_the_package()
     unused = []
     for info in pkgutil.iter_modules(gausswinner.__path__):
         module = importlib.import_module(f"gausswinner.{info.name}")
@@ -66,6 +76,27 @@ def test_submodule_exports_have_a_user_outside_the_tests():
             if name not in used and not any(re.search(rf"\b{name}\b", t) for t in texts):
                 unused.append(f"{info.name}.{name}")
     assert unused == []
+
+
+def test_result_fields_have_a_reader_outside_the_tests():
+    # a field or property that only the tests read is state the library
+    # carries for them; StationSeries is an input record, not a result
+    read = set()
+    for source in _package_sources():
+        read |= {n.attr for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    texts = _texts_outside_the_package()
+    unread = []
+    for module_name in ("quadrature", "limits", "pipeline"):
+        module = importlib.import_module(f"gausswinner.{module_name}")
+        for cls in vars(module).values():
+            if not dataclasses.is_dataclass(cls) or cls.__module__ != module.__name__ or cls.__name__ == "StationSeries":
+                continue
+            names = [f.name for f in dataclasses.fields(cls)]
+            names += [name for name, value in vars(cls).items() if isinstance(value, property)]
+            for name in names:
+                if name not in read and not any(re.search(rf"\.{name}\b", t) for t in texts):
+                    unread.append(f"{module_name}.{cls.__name__}.{name}")
+    assert unread == []
 
 
 def test_benchmark_trace_targets_resolve():

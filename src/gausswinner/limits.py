@@ -148,8 +148,8 @@ def multi_group_limits(spec: LimitSpecK) -> list[QuadResult]:
     returned values, each clamped to [0, 1], sum to 1 up to quadrature error.
     All K integrands are evaluated as rows of one quadrature on one grid:
     the exponential sum is computed once per node, and refinement stops
-    when the largest row difference has settled.  Groups may share a
-    sigma; the result carries no flag for it.
+    when the largest row difference has settled.  Non-baseline groups may
+    share a sigma.
     """
     kappas = spec.kappas()
     if not all(math.isfinite(k) for k in kappas):

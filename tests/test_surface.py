@@ -1,10 +1,10 @@
 """The exported names are the ones users reach.
 
 The top-level names are exactly those the README quick start and the
-demos import, every name a submodule exports is used by the package,
-the README, the demos or the benchmark, not by the tests alone, so is
-every field and property of a result type, and every function the
-benchmark traces still exists.
+demos import.  Every name a submodule exports, and every field and
+property of a result type, is used by the package, the README, the demos
+or the benchmark, not by the tests alone.  Every function the benchmark
+traces still exists.
 """
 
 import ast
@@ -54,6 +54,11 @@ def _loaded_names(source):
     return names
 
 
+def _attributes_read(source):
+    """Attribute names the code reads, as in ``obj.name``; an assignment is not a read."""
+    return {n.attr for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
 def _package_sources():
     return [path.read_text(encoding="utf-8") for path in (ROOT / "src" / "gausswinner").glob("*.py")]
 
@@ -67,7 +72,9 @@ def _texts_outside_the_package():
 
 
 def test_submodule_exports_have_a_user_outside_the_tests():
-    used = set().union(*map(_loaded_names, _package_sources()))
+    used = set()
+    for source in _package_sources():
+        used |= _loaded_names(source)
     texts = _texts_outside_the_package()
     unused = []
     for info in pkgutil.iter_modules(gausswinner.__path__):
@@ -83,7 +90,7 @@ def test_result_fields_have_a_reader_outside_the_tests():
     # carries for them; StationSeries is an input record, not a result
     read = set()
     for source in _package_sources():
-        read |= {n.attr for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        read |= _attributes_read(source)
     texts = _texts_outside_the_package()
     unread = []
     for module_name in ("quadrature", "limits", "pipeline"):

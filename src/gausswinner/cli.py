@@ -17,11 +17,11 @@ error, 3 domain/math error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import astuple
 
 import numpy as np
 from scipy.special import erfc, log_ndtr, ndtr
@@ -34,7 +34,7 @@ __all__ = ["main"]
 
 ENV_SEED = "GAUSSWINNER_SEED"
 DEFAULT_SEED = 20260101
-CSV_COLUMNS = ["n2", "n1", "sigma", "c", "p_hat", "std_err", "p_limit", "p_exact"]
+CSV_COLUMNS = [f.name for f in dataclasses.fields(montecarlo.StudyRow)]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -119,7 +119,7 @@ def _metadata_lines(config: dict) -> list[str]:
 
 def _table(rows) -> tuple[dict, list[str]]:
     """Study rows as records keyed by CSV_COLUMNS: JSON fields and CSV lines (header first)."""
-    records = [dict(zip(CSV_COLUMNS, astuple(r))) for r in rows]  # StudyRow fields are in column order
+    records = [dataclasses.asdict(r) for r in rows]
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(",".join(_fmt(rec[c]) for c in CSV_COLUMNS) for rec in records)
     return {"columns": CSV_COLUMNS, "rows": records}, lines
@@ -301,7 +301,7 @@ def cmd_empirical(args) -> int:
             "station_id": station.station_id,
             "phi": fit.phi,
             "innovation_sd": float(fit.innovations.std(ddof=1)),
-            "n_used": fit.n_used,
+            "n_used": fit.innovations.size,
         }
         for station, fit in zip(stations, result.fits)
     ]
@@ -479,8 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_emp.add_argument("--n2", default="5:150:8")
     p_emp.add_argument("--seed", type=int, default=None)
     p_emp.add_argument("--min-months", type=_count(0), default=pipeline.DEFAULT_MIN_MONTHS)
-    p_emp.add_argument("--lat", default="30:40")
-    p_emp.add_argument("--lon", default="-95:-75")
+    p_emp.add_argument("--lat", default="30:40", help="box LO:HI; a negative LO needs the = form, --lat=-10:10")
+    p_emp.add_argument("--lon", default="-95:-75", help="box LO:HI; a negative LO needs the = form, --lon=-95:-75")
     p_emp.add_argument("--years", default="1980:2025")
     p_emp.add_argument("--workers", type=_count(1), default=1)
     p_emp.add_argument("--format", choices=["csv", "json"], default="csv")

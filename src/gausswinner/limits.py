@@ -75,8 +75,8 @@ class LimitSpecK:
                 continue
             if not (math.isfinite(s) and s > 1.0):
                 raise ValueError(f"group {i}: sigma must be a finite real > 1, got {s}")
-            if math.isnan(c) or c <= 0.0:
-                raise ValueError(f"group {i}: c must lie in (0, +inf], got {c}")
+            if not 0.0 < c < math.inf:
+                raise ValueError(f"group {i}: c must be a finite real > 0, got {c}")
 
     def kappas(self) -> tuple[float, ...]:
         return tuple(kappa(c, s) for c, s in self.groups)
@@ -142,8 +142,8 @@ def two_group_limit(c: float, sigma: float) -> QuadResult:
 def multi_group_limits(spec: LimitSpecK) -> list[QuadResult]:
     """All K limiting winning probabilities for a multi-group spec.
 
-    Every kappa_k must be finite: a partially degenerate configuration
-    has no joint limit law of this form and is rejected.  The integrands sum to the exact
+    Every kappa_k is finite, as :class:`LimitSpecK` admits only 0 < c < inf:
+    a partially degenerate configuration has no joint limit law of this form.  The integrands sum to the exact
     derivative of -exp(-sum_j e^{-kappa_j} x^{1/sigma_j^2}), so the
     returned values, each clamped to [0, 1], sum to 1 up to quadrature error.
     All K integrands are evaluated as rows of one quadrature on one grid:
@@ -152,8 +152,6 @@ def multi_group_limits(spec: LimitSpecK) -> list[QuadResult]:
     share a sigma.
     """
     kappas = spec.kappas()
-    if not all(math.isfinite(k) for k in kappas):
-        raise ValueError(f"all kappa values must be finite, got {kappas}")
     alphas = [1.0 / (s * s) for _, s in spec.groups]
     return _limit_components(alphas, kappas, range(len(spec.groups)), MULTI_QUAD_TOL)
 

@@ -7,9 +7,10 @@ and multi-threaded execution merely partition the trial range, position
 each chunk's generator at its own counter offset, and sum integer win
 counts, so the estimates are bit-identical to serial execution for any
 chunk size, worker count, or scheduling order.  A convergence study
-schedules at grid level: the chunks of all its rows and their exact
-quadratures share one set of threads, and each row still sums only its
-own integer counts, so the rows are the serial rows bit for bit.
+schedules at grid level: it sets up every row and runs their exact
+quadratures in row order before any trial, then the chunks of all its
+rows share one set of threads, and each row still sums only its own
+integer counts, so the rows are the serial rows bit for bit.
 
 Group maxima are sampled directly through the uniform quantile
 transform M = sigma * Phi^{-1}(u^{1/n}) (one uniform per group per
@@ -98,7 +99,6 @@ class McEstimate:
     p_hat: float
     trials: int
     std_err: float
-    successes: int
 
     @classmethod
     def from_counts(cls, successes: int, trials: int) -> "McEstimate":
@@ -107,13 +107,12 @@ class McEstimate:
             p_hat=p,
             trials=trials,
             std_err=math.sqrt(p * (1.0 - p) / trials),
-            successes=successes,
         )
 
 
 @dataclass(frozen=True)
 class StudyRow:
-    """One grid point of a convergence study (simulated or bootstrap)."""
+    """One grid point of a convergence study (simulated or bootstrap); the fields are the CSV columns in order."""
 
     n2: float
     n1: float
@@ -122,7 +121,7 @@ class StudyRow:
     p_hat: float
     std_err: float
     p_limit: float
-    p_exact_finite_n: float | None = None
+    p_exact: float | None
 
 
 def _uniforms(stream: RngStream, start_trial: int, n_trials: int, per_trial: int) -> np.ndarray:
@@ -149,52 +148,46 @@ def _chunk_counts(stream, samplers, start_trial, n_trials):
 def _run_rows(jobs, *, workers=1):
     """Per-group win counts of several estimator rows, run on one set of threads.
 
-    A job is ``(stream, trials, samplers, extra)``: ``samplers`` holds one
+    A job is ``(stream, trials, samplers)``: ``samplers`` holds one
     callable per group that maps a column of uniforms to that group's
     maxima.  Its trials are cut into chunks of at most ``_CHUNK_DRAWS``
     draws; with several workers also into at least ``workers`` chunks of
     at least ``_MIN_SPLIT_TRIALS`` trials.  The job's counts are the sum of
-    its chunks' :func:`_chunk_counts`.  ``extra`` is None or a no-argument
-    callable (a grid row's exact quadrature), run as one more task after
-    the job's chunks.
+    its chunks' :func:`_chunk_counts`.
 
-    With one worker, or one task in all, the tasks run inline in order.
-    Otherwise every task of every job goes to one pool of
-    ``min(workers, tasks)`` threads, so a row's last chunk overlaps the
-    next row's first.  Results are read in task order: the first failing
-    task raises, as it would serially, and the tasks not yet started are
-    cancelled.  Returns one ``(counts, extra value or None)`` pair per
-    job, in job order.
+    With one worker, or one chunk in all, the chunks run inline in order.
+    Otherwise every chunk of every job goes to one pool of
+    ``min(workers, chunks)`` threads, so a row's last chunk overlaps the
+    next row's first.  Results are read in chunk order: the first failing
+    chunk raises, as it would serially, and the chunks not yet started are
+    cancelled.  Returns one count array per job, in job order.
     """
-    tasks, layout = [], []
-    for stream, trials, samplers, extra in jobs:
+    tasks, ends = [], []
+    for stream, trials, samplers in jobs:
         if trials < 1:
             raise ValueError("trials must be >= 1")
         chunk_trials = max(1, _CHUNK_DRAWS // len(samplers))
         if workers > 1:
             chunk_trials = min(chunk_trials, max(-(-trials // workers), _MIN_SPLIT_TRIALS))
         run = functools.partial(_chunk_counts, stream, samplers)
-        first = len(tasks)
-        tasks += [(run, (t0, min(chunk_trials, trials - t0))) for t0 in range(0, trials, chunk_trials)]
-        layout.append((first, len(tasks), extra is not None))
-        if extra is not None:
-            tasks.append((extra, ()))
+        tasks += [(run, t0, min(chunk_trials, trials - t0)) for t0 in range(0, trials, chunk_trials)]
+        ends.append(len(tasks))
     if workers <= 1 or len(tasks) == 1:
-        values = [fn(*args) for fn, args in tasks]
+        values = [fn(t0, n) for fn, t0, n in tasks]
     else:
         with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            futures = [pool.submit(fn, *args) for fn, args in tasks]
+            futures = [pool.submit(*task) for task in tasks]
             try:
                 values = [f.result() for f in futures]
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
-    return [(np.sum(values[a:b], axis=0), values[b] if has_extra else None) for a, b, has_extra in layout]
+    return [np.sum(values[a:b], axis=0) for a, b in zip([0] + ends, ends)]
 
 
 def _sum_chunks(stream, trials, samplers, *, workers=1):
     """Per-group win counts of one estimator: the one-row case of :func:`_run_rows`."""
-    return _run_rows([(stream, trials, samplers, None)], workers=workers)[0][0]
+    return _run_rows([(stream, trials, samplers)], workers=workers)[0]
 
 
 def sample_group_max(n, sigma, u):
@@ -334,10 +327,10 @@ def _critical_grid(sigma, c_values, n2_grid, trials, rng, samplers, p_exact=None
     p_hat over ``trials`` trials of stream ``rng.substream(i)``, two draws
     per trial, as group-1 wins of the two samplers ``samplers(n1, n2)``;
     p_limit is the two-group limit and, when ``p_exact`` is given,
-    p_exact is ``p_exact(n1, n2)``.  Every row is set up before any trial
-    runs, then the chunks and exact quadratures of all rows share one
-    :func:`_run_rows` call, so the rows match a row-by-row serial run bit
-    for bit at any worker count.
+    p_exact is ``p_exact(n1, n2)``.  Every row is set up and then every
+    p_exact computed, in row order, before any trial runs; the chunks of
+    all rows then share one :func:`_run_rows` call, so the rows match a
+    row-by-row serial run bit for bit at any worker count.
     """
     if not c_values or not n2_grid:
         raise ValueError("c_values and n2_grid must be nonempty")
@@ -347,13 +340,13 @@ def _critical_grid(sigma, c_values, n2_grid, trials, rng, samplers, p_exact=None
         for n2 in n2_grid:
             size = critical_n1(n2, sigma, c)
             n1 = size.real_value if size.floor_value is None else size.floor_value
-            extra = None if p_exact is None else functools.partial(p_exact, n1, n2)
-            jobs.append((rng.substream(len(jobs)), trials, samplers(n1, n2), extra))
+            jobs.append((rng.substream(len(jobs)), trials, samplers(n1, n2)))
             points.append((c, p_limit, n1, n2))
+    exact = [None if p_exact is None else p_exact(n1, n2) for _, _, n1, n2 in points]
     rows = []
-    for (c, p_limit, n1, n2), (counts, exact) in zip(points, _run_rows(jobs, workers=workers)):
+    for (c, p_limit, n1, n2), p, counts in zip(points, exact, _run_rows(jobs, workers=workers)):
         est = McEstimate.from_counts(int(counts[0]), trials)
-        rows.append(StudyRow(float(n2), float(n1), float(sigma), float(c), est.p_hat, est.std_err, p_limit, exact))
+        rows.append(StudyRow(float(n2), float(n1), float(sigma), float(c), est.p_hat, est.std_err, p_limit, p))
     return rows
 
 

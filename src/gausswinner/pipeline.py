@@ -84,7 +84,6 @@ class Ar1Fit:
 
     phi: float
     innovations: np.ndarray
-    n_used: int
 
 
 @dataclass(frozen=True)
@@ -376,7 +375,7 @@ def ar1_innovations(x, t) -> Ar1Fit:
         raise ValueError("degenerate series: zero lag variance")
     phi = float(lag @ cur) / denom
     innovations = cur - phi * lag
-    return Ar1Fit(phi=phi, innovations=innovations, n_used=int(lag.size))
+    return Ar1Fit(phi=phi, innovations=innovations)
 
 
 def kmeans1d_split(values) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, float]]:

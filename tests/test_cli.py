@@ -50,6 +50,11 @@ class TestLimitCommand:
         kv = parse_kv(out)
         assert float(kv["sum_p"]) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("c", ["inf", "nan"])
+    def test_multi_rejects_non_finite_c(self, capsys, c):
+        code, out, err = run(capsys, "limit", "--multi", "--group", "1:1", "--group", f"{c}:1.5")
+        assert (code, out, err) == (EXIT_MATH, "", f"error: group 1: c must be a finite real > 0, got {c}\n")
+
     def test_degenerate_zero(self, capsys):
         code, out, _ = run(capsys, "limit", "--two-group", "--c", "0", "--sigma", "2")
         assert code == EXIT_OK
@@ -380,6 +385,17 @@ class TestEmpiricalCommand:
         code, out, err = run(capsys, "empirical", "--input", str(path), f"{flag}={spec}")
         rule = "integers LO <= HI" if flag == "--years" else "finite LO < HI"
         assert (code, out, err) == (EXIT_MATH, "", f"error: {flag} must be LO:HI with {rule}, got {spec!r}\n")
+
+    def test_equals_form_spells_out_the_default_selection(self, capsys, fixture_csv):
+        # a bound that starts with "-" must follow "=", or argparse reads it as an option
+        grid = ("--b", "200", "--c", "0.6", "--n2", "10", "--seed", "5")
+        default = run(capsys, "empirical", "--input", str(fixture_csv), *grid)
+        spelled = run(
+            capsys, "empirical", "--input", str(fixture_csv), *grid,
+            "--lat=30:40", "--lon=-95:-75", "--years=1980:2025",
+        )
+        assert default[0] == EXIT_OK
+        assert spelled == default
 
     def test_single_year_is_a_valid_range(self, capsys, tmp_path):
         code, _, err = run(capsys, "empirical", "--input", str(tmp_path / "absent.csv"), "--years", "1990:1990")

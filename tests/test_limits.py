@@ -173,9 +173,11 @@ class TestMultiGroupLimits:
             assert all(-1e-9 <= r.value <= 1.0 + 1e-9 for r in res)
 
     def test_rejects_infinite_kappa(self):
-        spec = LimitSpecK(groups=((1.0, 1.0), (math.inf, 1.5)))
-        with pytest.raises(ValueError, match="finite"):
-            multi_group_limits(spec)
+        # c = inf would make kappa infinite; the spec refuses it when built
+        with pytest.raises(ValueError, match="group 1: c must be a finite real > 0, got inf"):
+            LimitSpecK(groups=((1.0, 1.0), (math.inf, 1.5)))
+        with pytest.raises(ValueError, match="group 2: c must be a finite real > 0, got nan"):
+            LimitSpecK(groups=((1.0, 1.0), (2.0, 1.5), (math.nan, 2.0)))
 
     def test_repeated_sigma_sums_to_one(self):
         spec = LimitSpecK(groups=((1.0, 1.0), (1.0, 1.5), (2.0, 1.5)))

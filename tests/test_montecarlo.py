@@ -204,7 +204,6 @@ class TestMcTwoGroup:
         assert est.std_err == pytest.approx(
             math.sqrt(est.p_hat * (1.0 - est.p_hat) / est.trials), rel=1e-12
         )
-        assert est.successes == round(est.p_hat * est.trials)
 
 
 @settings(max_examples=50, deadline=None, database=None, derandomize=True)
@@ -244,21 +243,21 @@ class TestMcMulti:
         ests = mc_multi(
             [GroupSpec(10, 1.0), GroupSpec(5, 1.5), GroupSpec(3, 2.0)], 10_000, RngStream(7)
         )
-        assert sum(e.successes for e in ests) == 10_000
+        assert sum(round(e.p_hat * e.trials) for e in ests) == 10_000
 
     def test_k2_matches_mc_two_group(self):
         g1, g2 = GroupSpec(8, 1.0), GroupSpec(6, 1.6)
         pair = mc_two_group(g1, g2, 50_000, RngStream(8))
         multi = mc_multi([g1, g2], 50_000, RngStream(8))
         assert multi[0].p_hat == pair.p_hat
-        assert multi[0].successes == pair.successes
+        assert round(multi[0].p_hat * multi[0].trials) == round(pair.p_hat * pair.trials)
 
     def test_scale_invariance(self):
         groups = [GroupSpec(10, 1.0), GroupSpec(5, 1.5), GroupSpec(3, 2.0)]
         scaled = [GroupSpec(g.size, 10.0 * g.sigma) for g in groups]
         a = mc_multi(groups, 20_000, RngStream(9))
         b = mc_multi(scaled, 20_000, RngStream(9))
-        assert [e.successes for e in a] == [e.successes for e in b]
+        assert [round(e.p_hat * e.trials) for e in a] == [round(e.p_hat * e.trials) for e in b]
 
     def test_against_multi_quadrature(self):
         from gausswinner.limits import finite_n_winner_multi
@@ -272,7 +271,7 @@ class TestMcMulti:
     def test_pinned_successes_k3(self):
         groups = [GroupSpec(10, 1.0), GroupSpec(5, 1.5), GroupSpec(3, 2.0)]
         ests = mc_multi(groups, 200_000, RngStream(10))
-        assert [e.successes for e in ests] == [47_608, 73_556, 78_836]
+        assert [e.p_hat for e in ests] == [47_608 / 200_000, 73_556 / 200_000, 78_836 / 200_000]
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_winner_counts_match_argmax_with_ties(self, k):
@@ -337,7 +336,7 @@ class TestMcLimitPair:
 
     def test_pinned_successes(self):
         # no CLI path reaches this estimator, so no golden digest covers its draws
-        assert mc_limit_pair(1.0, 1.5, 200_000, RngStream(15)).successes == 121_517
+        assert mc_limit_pair(1.0, 1.5, 200_000, RngStream(15)).p_hat == 121_517 / 200_000
 
     def test_large_c_near_one(self):
         est = mc_limit_pair(1e5, 1.5, 50_000, RngStream(16))
@@ -374,8 +373,8 @@ class TestConvergenceStudy:
             (2.0, 1000.0),
         ]
         for r in rows:
-            assert r.p_exact_finite_n is not None
-            assert abs(r.p_hat - r.p_exact_finite_n) <= 5.0 * max(r.std_err, 1e-3)
+            assert r.p_exact is not None
+            assert abs(r.p_hat - r.p_exact) <= 5.0 * max(r.std_err, 1e-3)
 
     def test_gap_shrinks_toward_limit(self):
         # (sigma, C) = (1.5, 0.1): true finite-n gap 0.0205 at n2=1e2 vs
@@ -440,7 +439,12 @@ class TestGridScheduling:
     @pytest.mark.parametrize("chunk_draws", [1 << 21, 1 << 12])
     def test_one_pool_per_study_with_bounded_tasks(self, monkeypatch, workers, chunk_draws):
         base = _studies(1)
-        pools = []
+        pools, pools_at_quadrature = [], []
+        real = mc.finite_n_winner
+
+        def counted(g1, g2):
+            pools_at_quadrature.append(len(pools))
+            return real(g1, g2)
 
         class RecordingPool:  # runs each task at submit, starts no thread
             def __init__(self, max_workers):
@@ -455,18 +459,20 @@ class TestGridScheduling:
                 return False
 
             def submit(self, fn, *args):
-                self.tasks.append(args)
+                self.tasks.append((fn, args))
                 return _done(fn(*args))
 
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
         monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mc, "finite_n_winner", counted)
         assert _studies(workers) == base
         assert len(pools) == 2  # one per study call
+        assert pools_at_quadrature == [0] * 6  # every exact quadrature ran before the first pool was built
         chunk_trials = min(chunk_draws // 2, max(-(-GRID_TRIALS // workers), mc._MIN_SPLIT_TRIALS))
-        for pool, n_rows, exact in zip(pools, (6, 4), (True, False)):
+        for pool, n_rows in zip(pools, (6, 4)):
             assert pool.max_workers == min(workers, len(pool.tasks))
-            spans = [task for task in pool.tasks if task]  # an exact quadrature takes no arguments
-            assert len(pool.tasks) - len(spans) == (n_rows if exact else 0)
+            assert all(fn.func is mc._chunk_counts for fn, _ in pool.tasks)  # every task is a trial chunk
+            spans = [args for _, args in pool.tasks]
             assert all(2 * m <= chunk_draws for _, m in spans)
             row = [(t0, min(chunk_trials, GRID_TRIALS - t0)) for t0 in range(0, GRID_TRIALS, chunk_trials)]
             assert spans == row * n_rows  # rows in order, each cut by the one chunk rule
@@ -490,15 +496,21 @@ class TestGridScheduling:
             with pytest.raises(ValueError, match="group size must be a finite real >= 1, got inf"):
                 convergence_study(1.5, [1.0], [100.0, 1e300], 1_000, RngStream(34), workers=workers)
 
-    def test_quadrature_error_in_pool_matches_serial(self, monkeypatch):
-        real = mc.finite_n_winner
+    def test_quadrature_error_raises_before_any_trial(self, monkeypatch):
+        real, real_chunk = mc.finite_n_winner, mc._chunk_counts
+        chunks = []
 
         def stalls_at_n2_1e4(g1, g2):
             if g2.size == 1e4:
                 raise QuadratureError(f"refinement stalled at n1={g1.size}")
             return real(g1, g2)
 
+        def recorded(stream, samplers, t0, n):
+            chunks.append((t0, n))
+            return real_chunk(stream, samplers, t0, n)
+
         monkeypatch.setattr(mc, "finite_n_winner", stalls_at_n2_1e4)
+        monkeypatch.setattr(mc, "_chunk_counts", recorded)
         before = threading.active_count()
         errors = []
         for workers in (1, 2, 8):
@@ -506,5 +518,6 @@ class TestGridScheduling:
                 _studies(workers)
             errors.append(str(excinfo.value))
         assert errors == ["refinement stalled at n1=124823887"] * 3  # row 1 (C=0.5) fails first
+        assert chunks == []
         assert threading.active_count() == before
 

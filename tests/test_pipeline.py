@@ -551,7 +551,7 @@ class TestAr1Innovations:
         x = g.standard_normal(5000)
         fit = ar1_innovations(x, np.arange(x.size))
         assert abs(fit.phi) <= 4.0 / math.sqrt(5000)
-        assert fit.n_used == 4999
+        assert fit.innovations.size == 4999
 
     def test_recovers_phi(self):
         g = RngStream(seed=8).generator(0)
@@ -573,7 +573,7 @@ class TestAr1Innovations:
         fit = ar1_innovations(x, np.arange(x.size))
         inn = fit.innovations
         r1 = float(inn[1:] @ inn[:-1]) / float(inn @ inn)
-        assert abs(r1) <= 4.0 / math.sqrt(fit.n_used)
+        assert abs(r1) <= 4.0 / math.sqrt(fit.innovations.size)
 
     def test_exact_decay(self):
         x = 0.8 ** np.arange(50)
@@ -586,7 +586,7 @@ class TestAr1Innovations:
         t = np.arange(20)
         t[10:] += 5  # one gap; pairs across it must be dropped
         fit = ar1_innovations(x, t)
-        assert fit.n_used == 18
+        assert fit.innovations.size == 18
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -644,7 +644,7 @@ class TestBuildPools:
     def _fits(self, sds, n, seed):
         g = RngStream(seed=seed).generator(0)
         return [
-            Ar1Fit(phi=0.0, innovations=sd * g.standard_normal(n), n_used=n) for sd in sds
+            Ar1Fit(phi=0.0, innovations=sd * g.standard_normal(n)) for sd in sds
         ]
 
     def test_ratio_recovery(self):
@@ -672,7 +672,7 @@ class TestBuildPools:
     def test_degenerate_split_rejected(self):
         g = RngStream(seed=15).generator(0)
         shared = g.standard_normal(1000)
-        fits = [Ar1Fit(phi=0.0, innovations=shared, n_used=1000)] * 2
+        fits = [Ar1Fit(phi=0.0, innovations=shared)] * 2
         with pytest.raises(ValueError, match="degenerate"):
             build_pools(fits, ((0,), (1,)))
 
@@ -737,7 +737,7 @@ class TestBootstrapWinner:
         # the tie-heavy pools of test_matches_ideal_bootstrap: a tie is a group-1 loss
         p1, p2 = (InnovationPool(np.round(p.values, 1), p.sd) for p in self._pools())
         est = bootstrap_winner(p1, p2, 300, 40, 20_000, RngStream(26, stream_id=40))
-        assert est.successes == 7_118
+        assert est.p_hat == 7_118 / 20_000
 
     def test_pool_values_held_sorted(self):
         g = RngStream(seed=27).generator(0)
@@ -859,5 +859,5 @@ class TestEndToEnd:
         gappy = [s for s in stations if (np.diff(s.month_index()) > 1).any()]
         assert gappy, "fixture should contain gapped stations"
         fit = process_station(gappy[0])
-        assert fit.n_used < len(gappy[0].value) - 1
+        assert fit.innovations.size < len(gappy[0].value) - 1
         assert math.isfinite(fit.phi)

@@ -87,22 +87,25 @@ def test_submodule_exports_have_a_user_outside_the_tests():
 
 def test_result_fields_have_a_reader_outside_the_tests():
     # a field or property that only the tests read is state the library
-    # carries for them; StationSeries is an input record, not a result
+    # carries for them.  StationSeries is an input record, not a result;
+    # StudyRow is the output record, which cli._table writes out whole
+    # through dataclasses.asdict, so no field of it is read by name.
+    exempt = {"StationSeries", "StudyRow"}
     read = set()
     for source in _package_sources():
         read |= _attributes_read(source)
     texts = _texts_outside_the_package()
     unread = []
-    for module_name in ("quadrature", "limits", "pipeline"):
-        module = importlib.import_module(f"gausswinner.{module_name}")
+    for info in pkgutil.iter_modules(gausswinner.__path__):
+        module = importlib.import_module(f"gausswinner.{info.name}")
         for cls in vars(module).values():
-            if not dataclasses.is_dataclass(cls) or cls.__module__ != module.__name__ or cls.__name__ == "StationSeries":
+            if not dataclasses.is_dataclass(cls) or cls.__module__ != module.__name__ or cls.__name__ in exempt:
                 continue
             names = [f.name for f in dataclasses.fields(cls)]
             names += [name for name, value in vars(cls).items() if isinstance(value, property)]
             for name in names:
                 if name not in read and not any(re.search(rf"\.{name}\b", t) for t in texts):
-                    unread.append(f"{module_name}.{cls.__name__}.{name}")
+                    unread.append(f"{info.name}.{cls.__name__}.{name}")
     assert unread == []
 
 

@@ -134,8 +134,6 @@ def two_group_limit(c: float, sigma: float) -> QuadResult:
     """
     if not (math.isfinite(sigma) and sigma > 1.0):
         raise ValueError(f"sigma must be a finite real > 1, got {sigma}")
-    if math.isnan(c) or c < 0.0:
-        raise ValueError(f"c must lie in [0, +inf], got {c}")
     return two_group_limit_from_kappa(kappa(c, sigma), sigma)
 
 

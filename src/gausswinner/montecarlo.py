@@ -6,11 +6,11 @@ Trial t with d draws per trial owns positions [t*d, (t+1)*d).  Chunked
 and multi-threaded execution merely partition the trial range, position
 each chunk's generator at its own counter offset, and sum integer win
 counts, so the estimates are bit-identical to serial execution for any
-chunk size, worker count, or scheduling order.  A convergence study
-schedules at grid level: it sets up every row and runs their exact
-quadratures in row order before any trial, then the chunks of all its
-rows share one set of threads, and each row still sums only its own
-integer counts, so the rows are the serial rows bit for bit.
+chunk size, worker count, or scheduling order.  The chunk layout follows
+from the trial and group counts alone; workers only run the chunks.  A
+convergence study sets up every row and runs their exact quadratures in
+row order before any trial, then the chunks of all its rows share one
+pool, and each row sums only its own counts, bit for bit as serially.
 
 Group maxima are sampled directly through the uniform quantile
 transform M = sigma * Phi^{-1}(u^{1/n}) (one uniform per group per
@@ -46,8 +46,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_CHUNK_DRAWS = 1 << 21  # ~2M doubles per chunk keeps memory modest
-_MIN_SPLIT_TRIALS = 1 << 14  # so a large worker count cannot cut tiny chunks
+_CHUNK_DRAWS = 1 << 17  # uniforms per chunk: 1 MB of doubles keeps memory modest
 _TINY_U = 0.5**53  # replacement for the measure-zero u == 0 draw
 _TINY = np.finfo(float).tiny  # smallest normal double
 
@@ -150,44 +149,33 @@ def _run_rows(jobs, *, workers=1):
 
     A job is ``(stream, trials, samplers)``: ``samplers`` holds one
     callable per group that maps a column of uniforms to that group's
-    maxima.  Its trials are cut into chunks of at most ``_CHUNK_DRAWS``
-    draws; with several workers also into at least ``workers`` chunks of
-    at least ``_MIN_SPLIT_TRIALS`` trials.  The job's counts are the sum of
-    its chunks' :func:`_chunk_counts`.
+    maxima.  Its trials are cut into the fewest chunks of at most
+    ``_CHUNK_DRAWS`` draws, equal in size up to one trial; the layout
+    depends on the trials and the group count only, never on ``workers``.
+    The job's counts are the sum of its chunks' :func:`_chunk_counts`.
 
     With one worker, or one chunk in all, the chunks run inline in order.
-    Otherwise every chunk of every job goes to one pool of
-    ``min(workers, chunks)`` threads, so a row's last chunk overlaps the
-    next row's first.  Results are read in chunk order: the first failing
-    chunk raises, as it would serially, and the chunks not yet started are
-    cancelled.  Returns one count array per job, in job order.
+    Otherwise every chunk of every job goes through one
+    ``ThreadPoolExecutor.map`` on ``min(workers, chunks)`` threads, so a
+    row's last chunk overlaps the next row's first.  ``map`` reads results
+    in chunk order: the first failing chunk raises, as it would serially,
+    and the chunks not yet started are cancelled.  Returns one count array
+    per job, in job order.
     """
-    tasks, ends = [], []
+    chunks, ends = [], []
     for stream, trials, samplers in jobs:
         if trials < 1:
             raise ValueError("trials must be >= 1")
-        chunk_trials = max(1, _CHUNK_DRAWS // len(samplers))
-        if workers > 1:
-            chunk_trials = min(chunk_trials, max(-(-trials // workers), _MIN_SPLIT_TRIALS))
-        run = functools.partial(_chunk_counts, stream, samplers)
-        tasks += [(run, t0, min(chunk_trials, trials - t0)) for t0 in range(0, trials, chunk_trials)]
-        ends.append(len(tasks))
-    if workers <= 1 or len(tasks) == 1:
-        values = [fn(t0, n) for fn, t0, n in tasks]
+        k = -(-trials // max(1, _CHUNK_DRAWS // len(samplers)))
+        cuts = [j * trials // k for j in range(k + 1)]
+        chunks += [(stream, samplers, t0, t1 - t0) for t0, t1 in zip(cuts, cuts[1:])]
+        ends.append(len(chunks))
+    if workers <= 1 or len(chunks) == 1:
+        values = list(map(_chunk_counts, *zip(*chunks)))
     else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            futures = [pool.submit(*task) for task in tasks]
-            try:
-                values = [f.result() for f in futures]
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            values = list(pool.map(_chunk_counts, *zip(*chunks)))
     return [np.sum(values[a:b], axis=0) for a, b in zip([0] + ends, ends)]
-
-
-def _sum_chunks(stream, trials, samplers, *, workers=1):
-    """Per-group win counts of one estimator: the one-row case of :func:`_run_rows`."""
-    return _run_rows([(stream, trials, samplers)], workers=workers)[0]
 
 
 def sample_group_max(n, sigma, u):
@@ -293,7 +281,7 @@ def mc_multi(
     groups = list(groups)
     if len(groups) < 2:
         raise ValueError("need at least 2 groups")
-    counts = _sum_chunks(rng, trials, _max_samplers(groups), workers=workers)
+    counts = _run_rows([(rng, trials, _max_samplers(groups))], workers=workers)[0]
     return [McEstimate.from_counts(int(c), trials) for c in counts]
 
 
@@ -315,7 +303,7 @@ def mc_limit_pair(
         raise ValueError(f"kappa(c={c}, sigma={sigma}) is not finite")
     s2 = sigma * sigma
     samplers = [sample_gumbel, lambda u: s2 * (sample_gumbel(u) - k)]
-    wins = _sum_chunks(rng, trials, samplers, workers=workers)
+    wins = _run_rows([(rng, trials, samplers)], workers=workers)[0]
     return McEstimate.from_counts(int(wins[0]), trials)
 
 

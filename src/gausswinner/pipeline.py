@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .montecarlo import McEstimate, RngStream, StudyRow, _critical_grid, _sum_chunks
+from .montecarlo import McEstimate, RngStream, StudyRow, _critical_grid, _run_rows
 
 __all__ = [
     "StationSeries",
@@ -459,7 +459,7 @@ def bootstrap_winner(
     and 2t+1 (group 2).  A tie, which tied pool values make common, is a
     group-1 loss.
     """
-    wins = _sum_chunks(rng, b, _pool_samplers(pool1, pool2, n1, n2), workers=workers)
+    wins = _run_rows([(rng, b, _pool_samplers(pool1, pool2, n1, n2))], workers=workers)[0]
     return McEstimate.from_counts(int(wins[0]), b)
 
 

@@ -93,11 +93,7 @@ class QuadRows(tuple):
 
 
 class QuadratureError(RuntimeError):
-    """Raised when refinement stalls; carries the partial estimate."""
-
-    def __init__(self, message: str, partial: QuadResult | QuadRows | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """Raised when refinement stalls, the window fails to resolve or the log integrand is NaN or +inf."""
 
 
 def _nodes(lo: float, hi: float, n: int, odd: bool = False) -> np.ndarray:
@@ -270,4 +266,4 @@ def concave_log_quad(
             prev = total
 
     message = f"trapezoid refinement did not reach tol={tol:g} (last diff {float(diffs.max()):.3g})"
-    raise QuadratureError(message, partial=results(prev, diffs))
+    raise QuadratureError(message)

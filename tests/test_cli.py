@@ -75,6 +75,10 @@ class TestLimitCommand:
         assert code == EXIT_MATH
         assert "sigma" in err
 
+    def test_negative_c_exit_code(self, capsys):
+        code, out, err = run(capsys, "limit", "--two-group", "--c", "-1", "--sigma", "1.5")
+        assert (code, out, err) == (EXIT_MATH, "", "error: c must lie in [0, +inf], got -1.0\n")
+
 
 class TestScaleCommand:
     def test_floor_example(self, capsys):
@@ -185,7 +189,7 @@ class TestSimulateCommand:
         assert len(payload["rows"]) == 1
         assert set(payload["rows"][0]) >= {"n2", "n1", "p_hat", "p_limit"}
 
-    def test_quadrature_error_in_pool_exit_3(self, capsys, monkeypatch):
+    def test_quadrature_error_exit_3(self, capsys, monkeypatch):
         real = gausswinner.montecarlo.finite_n_winner
 
         def stalls(g1, g2):

@@ -90,6 +90,16 @@ class TestTwoGroupLimit:
         assert zero.value == 0.0 and zero.abs_err == 0.0
         assert one.value == 1.0 and one.abs_err == 0.0
 
+    def test_checks_sigma_then_c(self):
+        for c, sigma, message in [
+            (-1.0, 1.5, "c must lie in [0, +inf], got -1.0"),
+            (math.nan, 1.5, "c must lie in [0, +inf], got nan"),
+            (-1.0, 0.8, "sigma must be a finite real > 1, got 0.8"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                two_group_limit(c, sigma)
+            assert str(excinfo.value) == message
+
     def test_symmetric_boundary(self):
         assert two_group_limit(1.0, 1.0 + 1e-9).value == pytest.approx(0.5, abs=1e-6)
 

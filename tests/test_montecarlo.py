@@ -3,12 +3,13 @@
 import math
 import sys
 import threading
-from concurrent.futures import Future
+import time
+from concurrent.futures import Executor, Future
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
@@ -36,6 +37,29 @@ def _done(value):
     future = Future()
     future.set_result(value)
     return future
+
+
+class RecordingPool(Executor):
+    """Runs each task at submit and records it, starting no thread; ``map`` is ``Executor``'s."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = []
+        RecordingPool.made.append(self)
+
+    def submit(self, fn, *args):
+        self.tasks.append((fn, args))
+        return _done(fn(*args))
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Put :class:`RecordingPool` in place of the thread pool; returns the pools made."""
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+    return RecordingPool.made
 
 
 class TestRngStream:
@@ -170,34 +194,39 @@ class TestMcTwoGroup:
         threaded = mc_two_group(g1, g2, 30_000, RngStream(4), workers=4)
         assert base == chunked == threaded
 
-    def test_worker_split_is_bounded(self, monkeypatch):
-        calls = []
-
-        class SerialPool:  # records threads and chunks requested, starts no thread
-            def __init__(self, max_workers):
-                self.spans = []
-                calls.append((max_workers, self.spans))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *span):
-                self.spans.append(span)
-                return _done(fn(*span))
-
+    def test_chunk_layout_ignores_workers(self, recording_pool):
         g1, g2 = GroupSpec(50, 1.0), GroupSpec(20, 1.5)
-        base = mc_two_group(g1, g2, 100_000, RngStream(4))
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
-        assert mc_two_group(g1, g2, 100_000, RngStream(4), workers=2) == base
-        assert calls.pop() == (2, [(0, 50_000), (50_000, 50_000)])
-        assert mc_two_group(g1, g2, 100_000, RngStream(4), workers=10**5) == base
-        threads, spans = calls.pop()
-        assert threads == len(spans) <= 7
-        assert [t0 for t0, _ in spans] == list(range(0, 100_000, spans[0][1]))
-        assert sum(m for _, m in spans) == 100_000
+        trials = 3 * (mc._CHUNK_DRAWS // 2) + 1  # 4 chunks of at most _CHUNK_DRAWS draws
+        base = mc_two_group(g1, g2, trials, RngStream(4))
+        for workers in (2, 3, 10**5):
+            assert mc_two_group(g1, g2, trials, RngStream(4), workers=workers) == base
+        assert [pool.max_workers for pool in recording_pool] == [2, 3, 4]
+        spans = [[args[2:] for _, args in pool.tasks] for pool in recording_pool]
+        assert spans[0] == spans[1] == spans[2]
+        assert [t0 for t0, _ in spans[0]] == [j * trials // 4 for j in range(4)]
+        assert sum(n for _, n in spans[0]) == trials
+        assert max(n for _, n in spans[0]) - min(n for _, n in spans[0]) <= 1
+        assert all(2 * n <= mc._CHUNK_DRAWS for _, n in spans[0])
+
+    def test_failing_first_chunk_cancels_the_rest(self, monkeypatch):
+        real, started = mc._chunk_counts, []
+
+        def first_fails(stream, samplers, t0, n):
+            started.append(t0)
+            if t0 == 0:
+                raise RuntimeError("chunk 0 failed")
+            time.sleep(0.02)  # keeps the threads busy while the failure is read
+            return real(stream, samplers, t0, n)
+
+        monkeypatch.setattr(mc, "_CHUNK_DRAWS", 200)  # 100 trials a chunk, 64 chunks
+        monkeypatch.setattr(mc, "_chunk_counts", first_fails)
+        before = threading.active_count()
+        for workers, most_started in ((1, 1), (2, 63)):
+            started.clear()
+            with pytest.raises(RuntimeError, match="chunk 0 failed"):
+                mc_two_group(GroupSpec(5, 1.0), GroupSpec(5, 1.5), 6_400, RngStream(35), workers=workers)
+            assert 0 in started and len(started) <= most_started, workers
+        assert threading.active_count() == before
 
     def test_std_err_contract(self):
         est = mc_two_group(GroupSpec(5, 1.0), GroupSpec(5, 2.0), 1000, RngStream(5))
@@ -206,7 +235,18 @@ class TestMcTwoGroup:
         )
 
 
+def _chunk_boundary_examples(test, chunk_draws=1 << 4):
+    """Pin trials = cap, cap + 1 and 2 cap + 1 at K = 2 and 3, serially and on 3 workers."""
+    for k in (2, 3):
+        cap = chunk_draws // k
+        for trials in (cap, cap + 1, 2 * cap + 1):
+            for workers in (1, 3):
+                test = example(chunk_draws=chunk_draws, workers=workers, k=k, trials=trials, seed=0)(test)
+    return test
+
+
 @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@_chunk_boundary_examples
 @given(
     chunk_draws=st.sampled_from([1 << e for e in range(4, 22)]),
     workers=st.sampled_from([1, 2, 3, 4]),
@@ -437,45 +477,26 @@ class TestGridScheduling:
 
     @pytest.mark.parametrize("workers", [2, 3, 64])
     @pytest.mark.parametrize("chunk_draws", [1 << 21, 1 << 12])
-    def test_one_pool_per_study_with_bounded_tasks(self, monkeypatch, workers, chunk_draws):
+    def test_one_pool_per_study_with_bounded_tasks(self, monkeypatch, recording_pool, workers, chunk_draws):
         base = _studies(1)
-        pools, pools_at_quadrature = [], []
+        pools_at_quadrature = []
         real = mc.finite_n_winner
 
         def counted(g1, g2):
-            pools_at_quadrature.append(len(pools))
+            pools_at_quadrature.append(len(recording_pool))
             return real(g1, g2)
 
-        class RecordingPool:  # runs each task at submit, starts no thread
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                self.tasks = []
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                self.tasks.append((fn, args))
-                return _done(fn(*args))
-
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(mc, "finite_n_winner", counted)
         assert _studies(workers) == base
-        assert len(pools) == 2  # one per study call
+        assert len(recording_pool) == 2  # one per study call
         assert pools_at_quadrature == [0] * 6  # every exact quadrature ran before the first pool was built
-        chunk_trials = min(chunk_draws // 2, max(-(-GRID_TRIALS // workers), mc._MIN_SPLIT_TRIALS))
-        for pool, n_rows in zip(pools, (6, 4)):
+        # each row is cut by trials and K alone: one chunk, or ten of 2,000 trials at 2,048 a chunk
+        row = {1 << 21: [(0, GRID_TRIALS)], 1 << 12: [(2_000 * j, 2_000) for j in range(10)]}[chunk_draws]
+        for pool, n_rows in zip(recording_pool, (6, 4)):
             assert pool.max_workers == min(workers, len(pool.tasks))
-            assert all(fn.func is mc._chunk_counts for fn, _ in pool.tasks)  # every task is a trial chunk
-            spans = [args for _, args in pool.tasks]
-            assert all(2 * m <= chunk_draws for _, m in spans)
-            row = [(t0, min(chunk_trials, GRID_TRIALS - t0)) for t0 in range(0, GRID_TRIALS, chunk_trials)]
-            assert spans == row * n_rows  # rows in order, each cut by the one chunk rule
+            assert all(fn is mc._chunk_counts for fn, _ in pool.tasks)  # every task is a trial chunk
+            assert [args[2:] for _, args in pool.tasks] == row * n_rows  # rows in order
 
     def test_row_setup_error_matches_serial(self):
         g = np.random.default_rng(30)

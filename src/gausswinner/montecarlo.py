@@ -12,6 +12,18 @@ convergence study sets up every row and runs their exact quadratures in
 row order before any trial, then the chunks of all its rows share one
 pool, and each row sums only its own counts, bit for bit as serially.
 
+Only the comparisons are counted: an estimator needs to know which group's
+maximum is largest in a trial, not the maxima themselves.  Every sampler
+is a nondecreasing map of its uniform, so a chunk first reads a lower
+and an upper bound for each draw from a table of the sampler at the
+edges of ``_CELLS`` equal cells of (0, 1), widened by the sampler's
+stated accuracy (see :func:`_cell_bounds`).  A trial in which one
+group's lower bound exceeds every rival's upper bound is won by that
+group, whatever the exact draws; only the remaining trials (0.4% on the
+default ``simulate`` grid) are drawn exactly and counted by
+:func:`_winner_counts`.  Since the bounds hold for the computed draws,
+the counts are those of drawing every trial exactly, bit for bit.
+
 Group maxima are sampled directly through the uniform quantile
 transform M = sigma * Phi^{-1}(u^{1/n}) (one uniform per group per
 trial), which is exact in distribution for any real n >= 1 and is the
@@ -49,6 +61,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _CHUNK_DRAWS = 1 << 17  # uniforms per chunk: 1 MB of doubles keeps memory modest
 _TINY_U = 0.5**53  # replacement for the measure-zero u == 0 draw
 _TINY = np.finfo(float).tiny  # smallest normal double
+_CELLS = 1 << 9  # cells of (0, 1) in the bounds tables; a power of two, so u * _CELLS is exact
+_REL, _ABS = 1e-9, 1e-12  # stated accuracy of the samplers, relative and absolute
+_UNBOUNDED = np.full(_CELLS, -np.inf), np.full(_CELLS, np.inf)  # cell bounds of a sampler with no stated accuracy
 
 
 def _mix64(z: int) -> int:
@@ -138,10 +153,60 @@ def _uniforms(stream: RngStream, start_trial: int, n_trials: int, per_trial: int
     return u.reshape(n_trials, per_trial)
 
 
+def _stated(draw, rel, err):
+    """``draw`` marked as lying within ``rel * |x| + err`` of an exact nondecreasing map x(u)."""
+    draw = functools.partial(draw)
+    draw.accuracy = (rel, err)
+    return draw
+
+
+def _cell_bounds(draw):
+    """Bounds ``(lo, hi)`` on ``draw(u)`` for u in each cell, ``floor(u * _CELLS)``, of (0, 1).
+
+    A sampler made by :func:`_stated` approximates a nondecreasing map x
+    with |draw(u) - x(u)| <= rel |x(u)| + err.  Take u in cell i and its
+    edge e = i / _CELLS, with table value v = draw(e).  The map
+    y -> y - rel |y| - err is increasing, and x(u) >= x(e), so
+    draw(u) >= x(e) - rel |x(e)| - err >= v - 2 (rel |x(e)| + err), and
+    |x(e)| <= (|v| + err) / (1 - rel).  The slack
+    2 (rel |v| + err) / (1 - 2 rel) covers that with room for its own
+    rounding, and one step outward with ``nextafter`` covers the rounding
+    of v - slack.  The upper bound is the same argument at the edge
+    (i + 1) / _CELLS.  The first cell has no lower bound and the last no
+    upper bound, and a sampler with no stated accuracy gets (-inf, inf)
+    in every cell.
+    """
+    if not hasattr(draw, "accuracy"):
+        return _UNBOUNDED
+    rel, err = draw.accuracy
+    edge = draw(np.arange(1, _CELLS) / _CELLS)
+    slack = 2.0 * (rel * np.abs(edge) + err) / (1.0 - 2.0 * rel)
+    lo = np.concatenate([[-np.inf], np.nextafter(edge - slack, -np.inf)])
+    hi = np.concatenate([np.nextafter(edge + slack, np.inf), [np.inf]])
+    return lo, hi
+
+
 def _chunk_counts(stream, samplers, start_trial, n_trials):
-    """Per-group win counts of one chunk of consecutive trials; ``samplers[j]`` maps uniform column j."""
+    """Per-group win counts of one chunk of consecutive trials; ``samplers[j]`` maps uniform column j.
+
+    A trial whose group j has a lower bound above every rival's upper
+    bound (:func:`_cell_bounds`) is a win for j, with no tie possible;
+    only the other trials are drawn and go to :func:`_winner_counts`.
+    A group with no stated accuracy has infinite bounds in every cell, so
+    it leaves no trial decided; with one in the chunk, the table reads are
+    skipped and every trial is drawn.
+    """
     u = _uniforms(stream, start_trial, n_trials, len(samplers))
-    return np.array(_winner_counts([draw(u[:, j]) for j, draw in enumerate(samplers)]), dtype=np.int64)
+    bounds = [_cell_bounds(draw) for draw in samplers]
+    decided, rest = np.zeros(len(samplers), dtype=np.int64), u
+    if not any(b is _UNBOUNDED for b in bounds):
+        cell = (u * _CELLS).astype(np.intp)
+        lo = [b[0][cell[:, j]] for j, b in enumerate(bounds)]
+        hi = [b[1][cell[:, j]] for j, b in enumerate(bounds)]
+        won = np.array([lo[j] > functools.reduce(np.maximum, hi[:j] + hi[j + 1:]) for j in range(len(samplers))])
+        decided = np.count_nonzero(won, axis=1)
+        rest = np.compress(~won.any(axis=0), u, axis=0)
+    return decided + _winner_counts([draw(rest[:, j]) for j, draw in enumerate(samplers)])
 
 
 def _run_rows(jobs, *, workers=1):
@@ -149,7 +214,8 @@ def _run_rows(jobs, *, workers=1):
 
     A job is ``(stream, trials, samplers)``: ``samplers`` holds one
     callable per group that maps a column of uniforms to that group's
-    maxima.  Its trials are cut into the fewest chunks of at most
+    maxima; one made by :func:`_stated` also states its accuracy, so
+    :func:`_chunk_counts` can decide trials from its cell bounds.  Its trials are cut into the fewest chunks of at most
     ``_CHUNK_DRAWS`` draws, equal in size up to one trial; the layout
     depends on the trials and the group count only, never on ``workers``.
     The job's counts are the sum of its chunks' :func:`_chunk_counts`.
@@ -188,19 +254,27 @@ def sample_group_max(n, sigma, u):
     Past n ~ 5e291, where log(u) / n is subnormal or zero, the probability
     equals -log(u) / n to double precision, and its log is taken as
     log(-log u) - log n.
+
+    Accuracy: the result lies within 1e-9 |M| + 1e-12 sigma of the exact
+    transform (``_REL`` and ``_ABS``; :func:`_cell_bounds` builds the
+    Monte Carlo bounds on this).  The tail kernel's contract is a
+    relative error of 1e-10, and ``ndtri`` on the central branch is good
+    to a few rounding units.  The steps before them move log q, or p, by
+    a few rounding units, and the quantile moves by at most 1.26 times
+    that on either branch.  Largest error measured against 40-digit
+    mpmath, at n from 1 to 1e300 and u at the 511 cell edges, 2^-53,
+    1 - 2^-53 and 50 random points: 5.4e-14 (|M| + 1e-3 sigma).
     """
     scalar_in = np.ndim(u) == 0
-    u_arr = np.asarray(u, dtype=float)
+    u_arr = _open_unit(u)
     if not (np.isfinite(n) and n >= 1.0):
         raise ValueError(f"n must be a finite real >= 1, got {n}")
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be a finite real > 0, got {sigma}")
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise ValueError("u must lie strictly inside (0, 1)")
     log_p = np.log(u_arr) / n
     with np.errstate(divide="ignore"):  # log(0) where log_p underflowed to zero; replaced below
         log_q = np.log(-np.expm1(log_p))
-    if np.max(log_p) > -_TINY:
+    if np.any(log_p > -_TINY):
         log_q = np.where(log_p > -_TINY, np.log(-np.log(u_arr)) - math.log(n), log_q)
     # one tail pass over the whole column is cheaper than a masked gather
     x = np.asarray(upper_tail_quantile(np.minimum(log_q, LOG_HALF)))
@@ -211,12 +285,22 @@ def sample_group_max(n, sigma, u):
     return float(out) if scalar_in else out
 
 
-def sample_gumbel(u):
-    """Gumbel draw -log(-log u); exact inverse of the Gumbel CDF."""
-    scalar_in = np.ndim(u) == 0
+def _open_unit(u):
+    """``u`` as a float array, checked to lie strictly inside (0, 1); NaN fails the check."""
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
+    if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
+    return u_arr
+
+
+def sample_gumbel(u):
+    """Gumbel draw -log(-log u); exact inverse of the Gumbel CDF.
+
+    Two logarithms, so the result lies within 1e-9 |G| + 1e-12 of the
+    exact value (measured: 3.6e-14 (|G| + 1e-3) against 40-digit mpmath).
+    """
+    scalar_in = np.ndim(u) == 0
+    u_arr = _open_unit(u)
     out = -np.log(-np.log(u_arr))
     return float(out) if scalar_in else out
 
@@ -260,8 +344,8 @@ def _winner_counts(maxima) -> list[int]:
 
 
 def _max_samplers(groups):
-    """One :func:`sample_group_max` sampler per group."""
-    return [functools.partial(sample_group_max, g.size, g.sigma) for g in groups]
+    """One :func:`sample_group_max` sampler per group, with its stated accuracy."""
+    return [_stated(functools.partial(sample_group_max, g.size, g.sigma), _REL, _ABS * g.sigma) for g in groups]
 
 
 def mc_multi(
@@ -302,7 +386,12 @@ def mc_limit_pair(
     if not math.isfinite(k):
         raise ValueError(f"kappa(c={c}, sigma={sigma}) is not finite")
     s2 = sigma * sigma
-    samplers = [sample_gumbel, lambda u: s2 * (sample_gumbel(u) - k)]
+    # s2 (G - k) is off by at most s2 (_REL |G| + _ABS), and |G| <= |x| / s2 + |k|;
+    # the doubled relative share covers the rounding of the shift and the scaling
+    samplers = [
+        _stated(sample_gumbel, _REL, _ABS),
+        _stated(lambda u: s2 * (sample_gumbel(u) - k), 2.0 * _REL, s2 * (_REL * abs(k) + _ABS)),
+    ]
     wins = _run_rows([(rng, trials, samplers)], workers=workers)[0]
     return McEstimate.from_counts(int(wins[0]), trials)
 

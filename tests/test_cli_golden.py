@@ -33,6 +33,9 @@ _SIM = ["simulate", "--sigma", "1.5,2.0", "--c", "0.5,2.0", "--n2", "100:10000:3
         "--trials", "2000", "--seed", "9", "--exact"]
 _EMP = ["empirical", "--input", FIXTURE, "--b", "200", "--c", "0.1,0.6", "--n2", "5,30",
         "--seed", "5"]
+# extreme sizes: n2 from 3 to 1e16, so n1 reaches 2.7e138 at sigma 3
+_SIM_EXTREME = ["simulate", "--sigma", "1.05,3.0", "--c", "1,5", "--n2", "3:1e16:3",
+                "--trials", "20000", "--seed", "3"]
 
 # name -> argv; a case that passes --output OUTPUT has that file hashed too
 CASES = {
@@ -55,6 +58,9 @@ CASES = {
     "simulate_csv_w3": _SIM + ["--workers", "3", "--output", OUTPUT],
     "simulate_json_w1": _SIM + ["--workers", "1", "--format", "json"],
     "simulate_json_w2": _SIM + ["--workers", "2", "--format", "json"],
+    "simulate_extreme_w1": _SIM_EXTREME + ["--workers", "1"],
+    "simulate_extreme_w2": _SIM_EXTREME + ["--workers", "2"],
+    "simulate_extreme_exact": _SIM_EXTREME[:2] + ["3.0"] + _SIM_EXTREME[3:] + ["--exact", "--workers", "2"],
     "empirical_csv": _EMP + ["--output", OUTPUT],
     "empirical_json": _EMP + ["--format", "json"],
     "selftest_text": ["selftest"],
@@ -82,6 +88,9 @@ DIGESTS = {
     "simulate_csv_w1": "7d7d8a56b1923bc920fbfff4de8fb3d31ef83c5fe711d69407dfce0bdfc42df7",
     "simulate_csv_w2": "7d7d8a56b1923bc920fbfff4de8fb3d31ef83c5fe711d69407dfce0bdfc42df7",
     "simulate_csv_w3": "7d7d8a56b1923bc920fbfff4de8fb3d31ef83c5fe711d69407dfce0bdfc42df7",
+    "simulate_extreme_exact": "538cf97a24e82a69e3f1b5261f3c0318f3cd5a680fc4df2f7720a0a252968738",
+    "simulate_extreme_w1": "b1f33fdc1d9577157f74b018fe2bf18ee9572b0fc625bed169de3cc619ed15ad",
+    "simulate_extreme_w2": "b1f33fdc1d9577157f74b018fe2bf18ee9572b0fc625bed169de3cc619ed15ad",
     "simulate_json_w1": "84aefd6d2969f013cdfb832c81b3cf7af6e05cb6faa68f86aa727446fb65b0db",
     "simulate_json_w2": "84aefd6d2969f013cdfb832c81b3cf7af6e05cb6faa68f86aa727446fb65b0db",
 }
@@ -124,6 +133,7 @@ def test_simulate_digest_independent_of_workers():
     for fmt in ("csv", "json"):
         assert DIGESTS[f"simulate_{fmt}_w1"] == DIGESTS[f"simulate_{fmt}_w2"]
     assert DIGESTS["simulate_csv_w1"] == DIGESTS["simulate_csv_w3"]
+    assert DIGESTS["simulate_extreme_w1"] == DIGESTS["simulate_extreme_w2"]
 
 
 if __name__ == "__main__":

@@ -152,6 +152,16 @@ class TestSampleGroupMax:
         with pytest.raises(ValueError):
             sample_group_max(0.5, 1.0, 0.3)
 
+    def test_empty_input_gives_empty_array(self):
+        for n in (1.0, 10.0, 1e300):
+            out = sample_group_max(n, 2.0, np.array([]))
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_nan_u_rejected(self):
+        for u in (math.nan, np.array([0.3, math.nan, 0.7])):
+            with pytest.raises(ValueError, match=r"u must lie strictly inside \(0, 1\)"):
+                sample_group_max(10.0, 1.0, u)
+
 
 class TestSampleGumbel:
     def test_frozen_points(self):
@@ -169,6 +179,54 @@ class TestSampleGumbel:
     def test_domain(self):
         with pytest.raises(ValueError):
             sample_gumbel(1.0)
+        for u in (math.nan, np.array([0.3, math.nan])):
+            with pytest.raises(ValueError, match=r"u must lie strictly inside \(0, 1\)"):
+                sample_gumbel(u)
+        assert sample_gumbel(np.array([])).shape == (0,)
+
+
+def _near_edges():
+    """Every interior cell edge, one ``nextafter`` step either side of it, and the extreme uniforms."""
+    edges = np.arange(1, mc._CELLS) / mc._CELLS
+    return np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [0.5**53, 1.0 - 0.5**53]])
+
+
+def _bound_examples(test):
+    """Pin the listed sizes (small n takes the central branch, huge n the log(-log u) branch) at four sigmas."""
+    for n in (1.0, 1.5, 54.0, 1e6, 1e23, 1e300):
+        for sigma in (1e-3, 1.0, 3.0, 1e4):
+            test = example(n=n, sigma=sigma, u=[0.5, 0.1, 0.9])(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@_bound_examples
+@given(
+    n=st.floats(0.0, 300.0).map(lambda e: 10.0**e),
+    sigma=st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
+    u=st.lists(st.floats(0.5**53, 1.0 - 0.5**53), min_size=1, max_size=20),
+)
+def test_cell_bounds_hold_for_every_draw(n, sigma, u):
+    draw = mc._max_samplers([GroupSpec(n, sigma)])[0]
+    lo, hi = mc._cell_bounds(draw)
+    u = np.concatenate([_near_edges(), u])
+    cell = (u * mc._CELLS).astype(np.intp)
+    x = draw(u)
+    assert np.all(lo[cell] <= x) and np.all(x <= hi[cell])
+    assert np.all(lo[1:] > -np.inf) and np.all(hi[:-1] < np.inf)
+
+
+def test_bound_examples_reach_both_special_branches():
+    u = _near_edges()
+    # the central branch: u^(1/n) below 1/2 at n = 1 and 1.5
+    assert np.any(u ** (1 / 1.5) < 0.5)
+    # the branch past n ~ 5e291, where log(u) / n is subnormal or zero
+    assert np.any(np.log(u) / 1e300 > -mc._TINY)
+
+
+def test_sampler_without_stated_accuracy_is_unbounded():
+    lo, hi = mc._cell_bounds(sample_gumbel)
+    assert np.all(lo == -np.inf) and np.all(hi == np.inf)
 
 
 class TestMcTwoGroup:
@@ -332,6 +390,49 @@ class TestMcMulti:
         wins_small = sample_group_max(30.0, 1.0, u[:, 0]) > m2
         wins_big = sample_group_max(300.0, 1.0, u[:, 0]) > m2
         assert np.all(wins_big >= wins_small)
+
+
+@pytest.fixture
+def exact_draws(monkeypatch):
+    """Sizes of the trial sets that chunks draw exactly and pass to ``_winner_counts``."""
+    sizes = []
+    count = mc._winner_counts
+
+    def recorded(maxima):
+        sizes.append(maxima[0].size)
+        return count(maxima)
+
+    monkeypatch.setattr(mc, "_winner_counts", recorded)
+    return sizes
+
+
+class TestCellBounds:
+    TRIALS = 30_000
+    RUNS = {
+        "k2": lambda t: mc_multi([GroupSpec(1e4, 1.0), GroupSpec(100, 1.5)], t, RngStream(31)),
+        "k2_extreme": lambda t: mc_multi([GroupSpec(5e137, 1.0), GroupSpec(1e16, 3.0)], t, RngStream(32)),
+        "k3": lambda t: mc_multi([GroupSpec(10, 1.0), GroupSpec(5, 1.5), GroupSpec(3, 2.0)], t, RngStream(33)),
+        "limit_pair": lambda t: mc_limit_pair(1.0, 1.5, t, RngStream(34)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_counts_equal_all_exact_counts(self, monkeypatch, exact_draws, name):
+        bounded = self.RUNS[name](self.TRIALS)
+        assert 0 < sum(exact_draws) < 0.05 * self.TRIALS  # the bounds decide nearly every trial
+        exact_draws.clear()
+        # infinite tables that are not ``_UNBOUNDED`` itself, so the per-trial reads run and decide nothing
+        monkeypatch.setattr(mc, "_cell_bounds", lambda draw: (np.full(mc._CELLS, -np.inf), np.full(mc._CELLS, np.inf)))
+        assert self.RUNS[name](self.TRIALS) == bounded
+        assert sum(exact_draws) == self.TRIALS
+
+    def test_chunk_with_every_trial_decided(self, exact_draws):
+        stream = RngStream(31)
+        samplers = mc._max_samplers([GroupSpec(1e6, 1.0), GroupSpec(2, 1e-3)])
+        cell = (mc._uniforms(stream, 0, 40, 2) * mc._CELLS).astype(np.intp)
+        # no draw in group 1's first cell or group 2's last, the only cells with an infinite bound
+        assert np.all(cell[:, 0] > 0) and np.all(cell[:, 1] < mc._CELLS - 1)
+        assert list(mc._chunk_counts(stream, samplers, 0, 40)) == [40, 0]
+        assert exact_draws == [0]
 
 
 class TestMcArgmaxIdentity:

@@ -44,7 +44,7 @@ __all__ = [
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 QUAD_TOL = 1e-10  # two-group limit and exact finite-n quadrature, at every K
-MULTI_QUAD_TOL = 1e-9  # K-group limits; 1e-10 costs about 2% more evaluations
+MULTI_QUAD_TOL = 1e-9  # K-group limits; 1e-10 costs about 9% more evaluations (random K = 3-5 specs)
 SOLVE_TOL = 1e-9  # |p - p_target| at which solve_c_for_target stops
 
 

@@ -18,7 +18,14 @@ decay).  Concavity makes a simple strategy rigorous:
    ``BATCH`` geometric endpoints in one log_f call and stops at the first
    one deep enough; the later ones are never used, and a NaN there is
    ignored.  ``MAX_EXPANSIONS`` counts endpoints, not batches.
-2. trim to the region above the cutoff,
+2. trim to the region above the cutoff.  While no side has evaluated a
+   window endpoint, the scan nodes still span the window, and the trim
+   costs no evaluation: each end moves in to the scan node just outside
+   the run of nodes above the cutoff (the run holds a higher node, so
+   concavity keeps the integrand below the cutoff past it), or stays at
+   its secant bound where the run reaches the scan's end.  A side's geometric endpoints are too coarse
+   to place the window, so once a side has walked, the trim runs on a
+   grid of ``4 * N_SCAN + 1`` nodes across the whole window instead.
 3. refine an equispaced trapezoid rule by repeated halving and accept
    the first level within tol/2 of the one before.  The first log_f call
    holds levels 0 and 1 (level 0 is its even-indexed subset); each later
@@ -32,7 +39,7 @@ stops when the largest row difference has settled, and the result is
 one QuadResult per row.  ``evaluations`` counts every node passed to
 log_f: the scan, each evaluated window endpoint (the unused ones of a
 side's last batch included; an end set by the bound costs none), the
-trim grid and the refinement nodes.
+trim grid if a side walked, and the refinement nodes.
 
 For analytic integrands the trapezoid rule converges geometrically in
 the step size, so the first level that settles is already at the
@@ -193,6 +200,7 @@ def concave_log_quad(
     # grow each side until its endpoint is deep below the running peak: at the
     # secant bound of its two outermost nodes if they fall outward and the bound
     # lies within the next batch, else by a batch taken in order (see step 1).
+    walked = False
     for side in (-1, +1):
         step = (hi - lo) / 4.0
         end = lo if side < 0 else hi
@@ -214,6 +222,7 @@ def concave_log_quad(
                     break
             with np.errstate(over="ignore"):
                 batch = sample(np.array(ends))
+            walked = True
             for end, end_val in zip(ends, batch.max(axis=0).tolist()):
                 _check((end_val,))
                 ymax = max(ymax, end_val)
@@ -225,14 +234,17 @@ def concave_log_quad(
             near, (outer, inner) = ends[:-3:-1], batch[:, :-3:-1].T.tolist()
         lo, hi = (end, hi) if side < 0 else (lo, end)
 
-    # trim to the region that actually carries mass
-    xs = _nodes(lo, hi, 4 * N_SCAN + 1)
-    envelope = sample(xs).max(axis=0)
+    # trim to the region that carries mass (see step 2): on the scan nodes
+    # while they still span the window, else on a finer grid across it
+    if walked:
+        xs = _nodes(lo, hi, 4 * N_SCAN + 1)
+        ys = sample(xs)
+    envelope = ys.max(axis=0)
     ymax = float(envelope.max())
     _check((ymax,))
     above = np.nonzero(envelope - ymax > -DROP)[0]
-    lo = float(xs[max(above[0] - 1, 0)])
-    hi = float(xs[min(above[-1] + 1, len(xs) - 1)])
+    lo = float(xs[above[0] - 1]) if above[0] > 0 else lo
+    hi = float(xs[above[-1] + 1]) if above[-1] < len(xs) - 1 else hi
 
     # nested trapezoid refinement, accepted at the first settled level; the first
     # call holds levels 0 and 1.  ``scaled`` is each row's node sum (end nodes

@@ -68,31 +68,31 @@ CASES = {
 }
 
 DIGESTS = {
-    "empirical_csv": "41a5c327f1453cdad671c3bea6181b9a8a1d9f2262c44159652e7064a51f1cf3",
-    "empirical_json": "b16edec0beea2b49b8268633fa8e02012576a6db8e955936645c93600af1bfbe",
+    "empirical_csv": "0d5193b4d587c89072d13fe4fb5de9901494a1cc626c61884ebd0a233a946edb",
+    "empirical_json": "330aac72d293a8deb7395ed23ce94ecf01184f4644d9b6243c87ec4f179acbbd",
     "limit_bad_sigma": "183ceae064922f615d55b63fed9c3998e64edcf13c5ccdb6d9c954f79350a2a8",
     "limit_c0_json": "74fbdc8e748e3493fea4666de8f2887e28a4991ddf18e0151cc45d9571f1c705",
     "limit_c0_text": "b4ee0ed6aef3f5d0b613f981852ec5547a50e50d370008c1101b99379cc23bea",
     "limit_cinf_json": "c39f585e8929fea1fa4ec522e36f13a197984a5ad9eacb9c78dcade4d04de406",
     "limit_cinf_text": "88ef940c1da53ca46e05116324d01feee48905895c3a6e834ceb7be2187ddbc0",
-    "limit_multi_json": "5e6af7c5508240875642bc1dca0acc3381ef92fa592b3db10cfe9470361b6e28",
-    "limit_multi_text": "93ff0315b6b04ba0883b201427ffc030177bb03a7f1ee7a02dc869c932552054",
-    "limit_two_group_json": "b42eb4782b0f5961b543746d04fea49dbf2440cf551717055522228529136470",
-    "limit_two_group_text": "74b9d23763492583cdd733e1f5ff885ec62d8b0ededba33880f25c32c9f4991e",
+    "limit_multi_json": "b490661b7e4589d96f7bf471732551f9d86b8f5d86df23ce58a708ff5c88c52d",
+    "limit_multi_text": "66e174654fa8c9d9317380d5769d0650102da7e316b51d70176da1dea84ddfd7",
+    "limit_two_group_json": "25d3450f83229a4adca8331572f1bf3876788ac525d33912e527fd20d7dbb785",
+    "limit_two_group_text": "2df506249b64aec539b415b790a936db20c67f197ffa657f064980b9bf37b48a",
     "scale_json": "509404e9d2215b5064d197bff60d41a0176d446766d9edeff502258f7021b460",
     "scale_overflow_json": "0453f0d41890e1d0822b28395ce7331ad061214c2ae586f63605596d109c3658",
     "scale_overflow_text": "0efb4f0a9a2c4d991f0bf77803188217aec34361a4f2958026fdec75c0fecbff",
     "scale_text": "d9b9e4d5aca84e4833550ed3508dda542a743462462948c2f7377d97d2ec71b8",
-    "selftest_json": "92d8e624b9b7a92dfc0152cf117c79a7ab947730b6a9037af6d88dbbca043aca",
-    "selftest_text": "06222afe79ecb7c2911e8d052dd7d009a386dc31d8df0342a5e07c2367d9aefc",
-    "simulate_csv_w1": "7d7d8a56b1923bc920fbfff4de8fb3d31ef83c5fe711d69407dfce0bdfc42df7",
-    "simulate_csv_w2": "7d7d8a56b1923bc920fbfff4de8fb3d31ef83c5fe711d69407dfce0bdfc42df7",
-    "simulate_csv_w3": "7d7d8a56b1923bc920fbfff4de8fb3d31ef83c5fe711d69407dfce0bdfc42df7",
-    "simulate_extreme_exact": "538cf97a24e82a69e3f1b5261f3c0318f3cd5a680fc4df2f7720a0a252968738",
-    "simulate_extreme_w1": "b1f33fdc1d9577157f74b018fe2bf18ee9572b0fc625bed169de3cc619ed15ad",
-    "simulate_extreme_w2": "b1f33fdc1d9577157f74b018fe2bf18ee9572b0fc625bed169de3cc619ed15ad",
-    "simulate_json_w1": "84aefd6d2969f013cdfb832c81b3cf7af6e05cb6faa68f86aa727446fb65b0db",
-    "simulate_json_w2": "84aefd6d2969f013cdfb832c81b3cf7af6e05cb6faa68f86aa727446fb65b0db",
+    "selftest_json": "9228fe1b7d4ec06709117740ea04b8b85e2da67f37f6bc6a5d547c23df20f70d",
+    "selftest_text": "6927fc577e88e6a8ecec09d1b94ae9b8b448ed68516445dc4e089c89de953757",
+    "simulate_csv_w1": "a483c55fc07316d711a3ef5565336dbc872c56b12c148243a30b74f327208311",
+    "simulate_csv_w2": "a483c55fc07316d711a3ef5565336dbc872c56b12c148243a30b74f327208311",
+    "simulate_csv_w3": "a483c55fc07316d711a3ef5565336dbc872c56b12c148243a30b74f327208311",
+    "simulate_extreme_exact": "5ca8668ed51330ac23e3ee8d79431d19d84e956f1a490c210379cc7176b29058",
+    "simulate_extreme_w1": "adb3b200e2b854b28f09040ed53559b842c220721a43078a53935811fee717cc",
+    "simulate_extreme_w2": "adb3b200e2b854b28f09040ed53559b842c220721a43078a53935811fee717cc",
+    "simulate_json_w1": "239ba1d59940882980942aaee1d6096e55a2824200b57b94d4a945348ddaa894",
+    "simulate_json_w2": "239ba1d59940882980942aaee1d6096e55a2824200b57b94d4a945348ddaa894",
 }
 
 

@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import erfc, log_ndtr
@@ -370,7 +370,7 @@ class TestHighPrecisionOracle:
     """Values against 30-digit mpmath quadrature, which shares nothing with the trapezoid rule.
 
     ``abs_err`` leaves out rounding, so the bound is on the value itself:
-    the largest error measured on these points is 1.5e-15.
+    the largest error measured on these points is 1.8e-15, at n1 = 1e6.
     """
 
     def test_oracle_reproduces_closed_form(self):
@@ -386,10 +386,27 @@ class TestHighPrecisionOracle:
         ref = oracles.mp_finite_n(n1, s1, n2, s2)
         assert abs(finite_n_winner(GroupSpec(n1, s1), GroupSpec(n2, s2)).value - ref) <= 1e-13
 
+    def test_limit_grid_and_finite_n_to_rounding(self):
+        # C x sigma over the table's range and two finite-n sizes, all at the rounding level
+        errors = {
+            ("limit", c, sigma): abs(two_group_limit(c, sigma).value - oracles.mp_limit_law(kappa(c, sigma), sigma))
+            for c in (0.1, 1.0, 5.0, 20.0)
+            for sigma in (1.1, 1.5, 2.0, 3.0)
+        }
+        for n1, s1, n2, s2 in [(1e4, 1.0, 100.0, 1.5), (50.0, 1.0, 20.0, 2.0)]:
+            value = finite_n_winner(GroupSpec(n1, s1), GroupSpec(n2, s2)).value
+            errors["finite_n", n1, n2] = abs(value - oracles.mp_finite_n(n1, s1, n2, s2))
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= 5e-15, (worst, errors[worst])
+
 
 class TestProperties:
+    """Each property over random inputs, and explicitly at corners of its input ranges."""
+
     @_PROPERTY
     @given(p=st.floats(0.02, 0.98), dp=st.floats(1e-4, 0.5), sigma=_SIGMA)
+    @example(p=0.02, dp=0.5, sigma=3.0)
+    @example(p=0.98, dp=1e-4, sigma=1.05)  # p_up is capped at 0.99
     def test_solve_round_trips_and_increases_in_p(self, p, dp, sigma):
         c = solve_c_for_target(p, sigma)
         assert abs(two_group_limit(c, sigma).value - p) <= 1e-9
@@ -398,6 +415,8 @@ class TestProperties:
 
     @_PROPERTY
     @given(log_c=st.floats(-6.0, 6.0), step=st.floats(0.05, 3.0), sigma=_SIGMA)
+    @example(log_c=-6.0, step=0.05, sigma=3.0)
+    @example(log_c=6.0, step=3.0, sigma=1.05)
     def test_two_group_limit_increasing_in_c(self, log_c, step, sigma):
         low = two_group_limit(math.exp(log_c), sigma).value
         high = two_group_limit(math.exp(log_c + step), sigma).value
@@ -407,6 +426,8 @@ class TestProperties:
     @given(
         rest=st.lists(st.tuples(st.floats(0.05, 20.0), st.floats(1.01, 3.0)), min_size=1, max_size=4),
     )
+    @example(rest=[(1.0, 1.5)])
+    @example(rest=[(0.05, 1.01), (20.0, 3.0), (1.0, 2.0), (0.05, 3.0)])
     def test_k_group_sums_to_one_and_reduces_at_k2(self, rest):
         parts = multi_group_limits(LimitSpecK(groups=((1.0, 1.0), *rest)))
         assert sum(r.value for r in parts) == pytest.approx(1.0, abs=1e-9)
@@ -416,6 +437,8 @@ class TestProperties:
 
     @_PROPERTY
     @given(n1=st.integers(1, 10_000), dn=st.integers(1, 1_000), n2=st.integers(1, 10_000), sigma=_SIGMA)
+    @example(n1=1, dn=1, n2=10_000, sigma=3.0)
+    @example(n1=10_000, dn=1_000, n2=1, sigma=1.05)
     def test_finite_n_increasing_in_n1(self, n1, dn, n2, sigma):
         low = finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(n2, sigma)).value
         high = finite_n_winner(GroupSpec(n1 + dn, 1.0), GroupSpec(n2, sigma)).value
@@ -423,6 +446,8 @@ class TestProperties:
 
     @_PROPERTY
     @given(n1=st.integers(1, 10_000), n2=st.integers(1, 10_000), sigma=st.floats(0.1, 10.0))
+    @example(n1=1, n2=1, sigma=0.1)
+    @example(n1=10_000, n2=1, sigma=10.0)
     def test_finite_n_exchangeable(self, n1, n2, sigma):
         res = finite_n_winner(GroupSpec(n1, sigma), GroupSpec(n2, sigma))
         assert res.value == pytest.approx(n1 / (n1 + n2), abs=1e-10)

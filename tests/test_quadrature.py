@@ -90,22 +90,22 @@ def test_window_candidates_past_the_kept_endpoint_may_overflow():
 PINNED = {
     "two_group_limit(1, 1.5)": (
         lambda: [limits.two_group_limit(1.0, 1.5)],
-        [("0x1.37d9a47bb5309p-1", "0x1.136fec4a8c099p-63")],
+        [("0x1.37d9a47bb5306p-1", "0x1.000c64455a1eep-51")],
     ),
     "two_group_limit_from_kappa(0, sqrt 2)": (
         lambda: [limits.two_group_limit_from_kappa(0.0, math.sqrt(2.0))],
-        [("0x1.d1436420ad3edp-2", "0x1.f6f400150e3c0p-36")],
+        [("0x1.d1436420ad3eep-2", "0x1.c3264010b45e3p-36")],
     ),
     "finite_n_winner(1e6 x 1, 100 x 1.5)": (
         lambda: [limits.finite_n_winner(GroupSpec(1e6, 1.0), GroupSpec(100, 1.5))],
-        [("0x1.deb0e916114abp-1", "0x1.002a1755ddcdap-53")],
+        [("0x1.deb0e916114adp-1", "0x1.0e13817b56d4ap-66")],
     ),
     "multi_group_limits K=3": (
         lambda: limits.multi_group_limits(limits.LimitSpecK(groups=((1.0, 1.0), (0.5, 1.3), (2.0, 1.8)))),
         [
-            ("0x1.5639eb7770065p-2", "0x1.6000000000003p-51"),
-            ("0x1.c0f2af83f945cp-2", "0x1.8000000000001p-53"),
-            ("0x1.d1a6ca092d67ep-3", "0x1.00bec0c2b4ebdp-54"),
+            ("0x1.5639eb7770065p-2", "0x1.600892e0b61c8p-50"),
+            ("0x1.c0f2af83f945dp-2", "0x1.c002532e2eecdp-51"),
+            ("0x1.d1a6ca092d680p-3", "0x1.0014391b0ea6cp-54"),
         ],
     ),
 }
@@ -270,7 +270,7 @@ def test_evaluations_count_every_node(rows):
 
 
 def _traced(log_f, lo, hi, tol):
-    """concave_log_quad's result and the window its trim grid spans."""
+    """concave_log_quad's result, the window of its first refinement call and each call's node count."""
     calls = []
 
     def traced(x):
@@ -278,22 +278,29 @@ def _traced(log_f, lo, hi, tol):
         return log_f(x)
 
     res = concave_log_quad(traced, lo, hi, tol=tol)
-    trim = next(x for x in calls if len(x) == 4 * N_SCAN + 1)
-    return res, float(trim[0]), float(trim[-1])
+    first = next(x for x in calls if len(x) == 2 * N_START - 1)
+    return res, float(first[0]), float(first[-1]), [len(x) for x in calls]
 
 
-@st.composite
-def _concave_cases(draw):
-    """(log_f, peak, width, exact) for a Gaussian, a u-space gamma or a log_ndtr sum."""
-    kind = draw(st.sampled_from(["gauss", "gamma", "ndtr"]))
-    if kind == "gauss":
-        mu, s = draw(st.floats(-50.0, 50.0)), draw(st.floats(0.01, 20.0))
-        return (lambda x: -0.5 * ((x - mu) / s) ** 2), mu, s, s * math.sqrt(2.0 * math.pi)
-    if kind == "gamma":
-        a = draw(st.floats(0.2, 8.0))
-        return (lambda u: a * u - np.exp(u)), math.log(a), 1.0 / math.sqrt(a), math.gamma(a)
-    w, s = draw(st.floats(1.0, 1e4)), draw(st.floats(0.3, 3.0))
+def _assert_window_holds_mass(log_f, lo, hi):
+    """Nothing outside [lo, hi], within ten widths of it, comes within DROP of the peak inside."""
+    span = 10.0 * (hi - lo)
+    inside = np.linspace(lo, hi, 20001)
+    outside = np.concatenate([np.linspace(lo - span, lo, 2001)[:-1], np.linspace(hi, hi + span, 2001)[1:]])
+    with np.errstate(over="ignore"):
+        top = float(log_f(inside).max())
+        assert float(log_f(outside).max()) <= top - DROP + 1e-6
 
+
+def _gauss_case(mu, s):
+    return (lambda x: -0.5 * ((x - mu) / s) ** 2), mu, s, s * math.sqrt(2.0 * math.pi)
+
+
+def _gamma_case(a):
+    return (lambda u: a * u - np.exp(u)), math.log(a), 1.0 / math.sqrt(a), math.gamma(a)
+
+
+def _ndtr_case(w, s):
     def log_f(x):
         return w * log_ndtr(x / s) - 0.5 * x * x
 
@@ -306,12 +313,31 @@ def _concave_cases(draw):
     return log_f, peak, 1.0, float(np.exp(ys - ys.max()).sum() * (xs[1] - xs[0]) * np.exp(ys.max()))
 
 
+@st.composite
+def _concave_cases(draw):
+    """(log_f, peak, width, exact) for a Gaussian, a u-space gamma or a log_ndtr sum."""
+    kind = draw(st.sampled_from(["gauss", "gamma", "ndtr"]))
+    if kind == "gauss":
+        return _gauss_case(draw(st.floats(-50.0, 50.0)), draw(st.floats(0.01, 20.0)))
+    if kind == "gamma":
+        return _gamma_case(draw(st.floats(0.2, 8.0)))
+    return _ndtr_case(draw(st.floats(1.0, 1e4)), draw(st.floats(0.3, 3.0)))
+
+
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(
     case=_concave_cases(),
     offset=st.sampled_from([0.0, 3.0, -3.0, 50.0, -50.0]),
     half=st.floats(0.5, 4.0),
 )
+# each family seeded on its peak, where the window is trimmed on the scan
+# nodes, and 50 widths away, where a side walks and the trim grid runs
+@example(case=_gauss_case(0.0, 1.0), offset=0.0, half=4.0)
+@example(case=_gauss_case(0.0, 1.0), offset=50.0, half=4.0)
+@example(case=_gamma_case(2.0), offset=0.0, half=4.0)
+@example(case=_gamma_case(2.0), offset=50.0, half=4.0)
+@example(case=_ndtr_case(100.0, 1.0), offset=0.0, half=4.0)
+@example(case=_ndtr_case(100.0, 1.0), offset=50.0, half=4.0)
 # the gamma case at a = 1 seeded on [49, 51], where ymax - DROP once rounded
 # to ymax; whether the strategy draws it depends on the tests collected
 @example(case=(lambda u: u - np.exp(u), 0.0, 1.0, 1.0), offset=50.0, half=1.0)
@@ -320,34 +346,38 @@ def test_concave_family_value_and_window(case, offset, half):
     log_f, peak, width, exact = case
     tol = 1e-10 * max(1.0, exact)
     center = peak + offset * width
-    res, lo, hi = _traced(log_f, center - half * width, center + half * width, tol)
+    res, lo, hi, _ = _traced(log_f, center - half * width, center + half * width, tol)
     assert abs(res.value - exact) <= tol
     # nothing outside the window may come within DROP of the peak
-    span = 10.0 * (hi - lo)
-    inside = np.linspace(lo, hi, 20001)
-    outside = np.concatenate([np.linspace(lo - span, lo, 2001)[:-1], np.linspace(hi, hi + span, 2001)[1:]])
-    with np.errstate(over="ignore"):
-        top = float(log_f(inside).max())
-        assert float(log_f(outside).max()) <= top - DROP + 1e-6
+    _assert_window_holds_mass(log_f, lo, hi)
 
 
 def test_falling_side_ends_at_its_concavity_bound():
     # both scan ends of -x^2/2 on [-3, 3] fall outward; each bound lies within
-    # the first batch, so no window endpoint is evaluated
-    seen = []
-
-    def log_f(x):
-        seen.append(len(x))
-        return -0.5 * x * x
-
-    res, lo, hi = _traced(log_f, -3.0, 3.0, 1e-10)
-    assert seen == [N_SCAN, 4 * N_SCAN + 1, 2 * N_START - 1]
+    # the first batch, so no window endpoint is evaluated, and the window is
+    # trimmed on the scan nodes, which run above the cutoff out to both ends
+    res, lo, hi, sizes = _traced(lambda x: -0.5 * x * x, -3.0, 3.0, 1e-10)
+    assert sizes == [N_SCAN, 2 * N_START - 1]
     # the secant through the two outer scan nodes meets 0 - DROP at the end
     x0, x1 = 3.0, 3.0 - 6.0 / (N_SCAN - 1)
     y0, y1 = -0.5 * x0 * x0, -0.5 * x1 * x1
     bound = x0 + (x0 - x1) * (y0 + DROP) / (y1 - y0)
     assert hi == pytest.approx(bound, rel=1e-12) and lo == pytest.approx(-bound, rel=1e-12)
     assert res.value == pytest.approx(math.sqrt(2.0 * math.pi), abs=1e-12)
+
+
+def test_walking_side_runs_the_trim_grid():
+    # the seed [-1, 1] misses the narrow peak at 50: the right side walks two
+    # batches of geometric endpoints, too coarse to place the window, so the
+    # window is trimmed on the finer grid across the whole walked span
+    def log_f(x):
+        return -0.5 * ((x - 50.0) / 0.01) ** 2
+
+    res, lo, hi, sizes = _traced(log_f, -1.0, 1.0, 1e-12)
+    assert sizes == [N_SCAN, BATCH, BATCH, 4 * N_SCAN + 1, 2 * N_START - 1]
+    assert lo < 50.0 < hi and hi - lo < 1.0
+    _assert_window_holds_mass(log_f, lo, hi)
+    assert res.value == pytest.approx(0.01 * math.sqrt(2.0 * math.pi), rel=1e-12)
 
 
 def test_evaluation_budget_on_limits_and_critical_curve():
@@ -363,7 +393,7 @@ def test_evaluation_budget_on_limits_and_critical_curve():
                 n1 = scaling.critical_n1(n2, s, c).real_value
                 evaluations.append(limits.finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(n2, s)).evaluations)
     assert len(evaluations) == 52
-    assert sum(evaluations) / len(evaluations) <= 800
+    assert sum(evaluations) / len(evaluations) <= 450
 
 
 def test_bound_holds_for_every_row():

@@ -37,7 +37,6 @@ DEFAULT_SEED = 20260101
 CSV_COLUMNS = [f.name for f in dataclasses.fields(montecarlo.StudyRow)]
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_MATH = 3
 EXIT_IO = 4
 
@@ -110,6 +109,15 @@ def _bounds(flag: str, spec: str, *, integer: bool = False) -> tuple:
     return lo, hi
 
 
+def _config(args, **resolved) -> dict:
+    """The run's configuration: every parsed option that has a value, then ``resolved`` in place.
+
+    ``fn``, ``output`` and ``workers`` change no output byte and are left out.
+    """
+    config = {k: v for k, v in vars(args).items() if v is not None and k not in ("fn", "output", "workers")}
+    return {**config, **resolved}
+
+
 def _metadata_lines(config: dict) -> list[str]:
     lines = [f"# gausswinner {config['command']}"]
     for key in sorted(k for k in config if k != "command"):
@@ -147,16 +155,13 @@ def _emit(args, config: dict, fields: dict, lines: list[str] | None = None) -> N
 
 
 def cmd_limit(args) -> int:
-    config = {
-        "command": "limit",
-        "mode": "multi" if args.multi else "two-group",
-        "format": args.format,
-    }
-    if args.multi:
-        if not args.group:
+    if args.mode == "multi":
+        if args.c is not None or args.sigma is not None:
+            raise ValueError("--multi takes its groups from --group C:SIGMA, not --c or --sigma")
+        if not args.groups:
             raise ValueError("--multi requires at least two --group C:SIGMA entries")
         groups = []
-        for token in args.group:
+        for token in args.groups:
             c_str, _, s_str = token.partition(":")
             if not s_str:
                 raise ValueError(f"bad --group {token!r}, expected C:SIGMA")
@@ -164,7 +169,7 @@ def cmd_limit(args) -> int:
         spec = limits.LimitSpecK(groups=tuple(groups))
         results = limits.multi_group_limits(spec)
         kappas = spec.kappas()
-        config["groups"] = ";".join(f"{c}:{s}" for c, s in groups)
+        config = _config(args, groups=";".join(f"{c}:{s}" for c, s in groups))
         records = [
             {"c": c, "sigma": s, "kappa": k, "p": r.value, "abs_err": r.abs_err}
             for (c, s), k, r in zip(groups, kappas, results)
@@ -177,11 +182,12 @@ def cmd_limit(args) -> int:
         _emit(args, config, {"groups": records, "sum_p": sum_p}, lines + [f"sum_p={_fmt(sum_p)}"])
         return EXIT_OK
 
+    if args.groups is not None:
+        raise ValueError("--two-group takes --c and --sigma, not --group")
     if args.c is None or args.sigma is None:
         raise ValueError("--two-group requires --c and --sigma")
     c, sigma = float(args.c), float(args.sigma)
     result = limits.two_group_limit(c, sigma)
-    config.update({"c": c, "sigma": sigma})
     kappa = scaling.kappa(c, sigma)
     fields = {
         "kappa": kappa,
@@ -189,12 +195,12 @@ def cmd_limit(args) -> int:
         "abs_err": result.abs_err,
         "regime": "degenerate" if math.isinf(kappa) else "critical",
     }
-    _emit(args, config, fields)
+    _emit(args, _config(args, c=c, sigma=sigma), fields)
     return EXIT_OK
 
 
 def cmd_scale(args) -> int:
-    n2, sigma, c = float(args.n2), float(args.sigma), float(args.c)
+    n2, sigma, c = args.n2, args.sigma, args.c
     size = scaling.critical_n1(n2, sigma, c)
     log_f = scaling.log_critical_scale(n2, sigma)
     f_value = scaling.critical_scale(n2, sigma)
@@ -205,7 +211,6 @@ def cmd_scale(args) -> int:
     else:
         b = math.exp(size.log_value - log_f)  # exactly c at the real-valued size
         gap = None
-    config = {"command": "scale", "n2": n2, "sigma": sigma, "c": c, "format": args.format}
     fields = {
         "log_f_n2": log_f,
         "f_n2": f_value if math.isfinite(f_value) else None,
@@ -216,7 +221,7 @@ def cmd_scale(args) -> int:
         "centering_gap": gap,
         "kappa": scaling.kappa(c, sigma),
     }
-    _emit(args, config, fields)
+    _emit(args, _config(args), fields)
     return EXIT_OK
 
 
@@ -225,16 +230,6 @@ def cmd_simulate(args) -> int:
     c_values = _parse_grid(args.c)
     n2_grid = _parse_grid(args.n2)
     seed = args.seed if args.seed is not None else _default_seed()
-    config = {
-        "command": "simulate",
-        "sigma": args.sigma,
-        "c": args.c,
-        "n2": args.n2,
-        "trials": args.trials,
-        "seed": seed,
-        "exact": args.exact,
-        "format": args.format,
-    }
     base = montecarlo.RngStream(seed=seed)
     rows = []
     for i, sigma in enumerate(sigmas):
@@ -249,7 +244,7 @@ def cmd_simulate(args) -> int:
                 workers=args.workers,
             )
         )
-    _emit(args, config, *_table(rows))
+    _emit(args, _config(args, seed=seed), *_table(rows))
     return EXIT_OK
 
 
@@ -282,20 +277,6 @@ def cmd_empirical(args) -> int:
         montecarlo.RngStream(seed=seed),
         workers=args.workers,
     )
-    config = {
-        "command": "empirical",
-        "input": args.input,
-        "b": args.b,
-        "c": args.c,
-        "n2": args.n2,
-        "seed": seed,
-        "min_months": args.min_months,
-        "lat": args.lat,
-        "lon": args.lon,
-        "years": args.years,
-        "format": args.format,
-        "sigma_ratio": result.sigma_ratio,
-    }
     stations_out = [
         {
             "station_id": station.station_id,
@@ -313,7 +294,7 @@ def cmd_empirical(args) -> int:
         "centers": list(result.centers),
         "sigma_ratio": result.sigma_ratio,
     }
-    _emit(args, config, fields, lines)
+    _emit(args, _config(args, seed=seed, sigma_ratio=result.sigma_ratio), fields, lines)
     if args.format != "json" and args.output is not None:
         diag_lines = [
             f"stations={len(stations)} low={len(result.pool_low.indices)} high={len(result.pool_high.indices)}",
@@ -330,78 +311,59 @@ def cmd_empirical(args) -> int:
 
 
 def _selftest_checks():
-    checks = []
-
-    def check(name):
-        def wrap(fn):
-            checks.append((name, fn))
-            return fn
-
-        return wrap
-
-    @check("quantile_round_trip")
-    def _():
+    def quantile_round_trip():
         grid = np.geomspace(1e-12, 0.5, 40)
         ps = np.concatenate([grid, 1.0 - grid])
         err = np.max(np.abs(ndtr(std_normal_quantile(ps)) - ps))
         return err <= 1e-12, f"max |Phi(Phi^-1(p)) - p| = {err:.3g}"
 
-    @check("deep_tail_round_trip")
-    def _():
+    def deep_tail_round_trip():
         log_q = -np.geomspace(1e5, -LOG_HALF, 40)
         x = upper_tail_quantile(log_q)
         back = log_ndtr(-x)
         err = np.max(np.abs(back - log_q) / np.abs(log_q))
         return err <= 1e-8, f"max rel log-q error = {err:.3g}"
 
-    @check("cdf_symmetry")
-    def _():
+    def cdf_symmetry():
         xs = np.linspace(-8, 8, 161)
         err = np.max(np.abs(ndtr(xs) + ndtr(-xs) - 1.0))
         return err <= 1e-15, f"max |Phi(x)+Phi(-x)-1| = {err:.3g}"
 
-    @check("exchangeable_finite_n")
-    def _():
+    def exchangeable_finite_n():
         worst = 0.0
         for n1, n2 in [(1, 1), (2, 1), (7, 13), (20, 5)]:
             p = limits.finite_n_winner(scaling.GroupSpec(n1, 1.0), scaling.GroupSpec(n2, 1.0))
             worst = max(worst, abs(p.value - n1 / (n1 + n2)))
         return worst <= 1e-10, f"max |p - n1/(n1+n2)| = {worst:.3g}"
 
-    @check("symmetric_boundary_limit")
-    def _():
+    def symmetric_boundary_limit():
         p = limits.two_group_limit(1.0, 1.0 + 1e-9).value
         return abs(p - 0.5) <= 1e-6, f"p(C=1, sigma->1) = {p:.9f}"
 
-    @check("closed_form_limit")
-    def _():
+    def closed_form_limit():
         p = limits.two_group_limit_from_kappa(0.0, math.sqrt(2.0)).value
         exact = 1.0 - math.sqrt(math.pi) / 2.0 * math.exp(0.25) * erfc(0.5)
         return abs(p - exact) <= 1e-9, f"|p - closed form| = {abs(p - exact):.3g}"
 
-    @check("multi_sum_to_one")
-    def _():
+    def multi_sum_to_one():
         spec = limits.LimitSpecK(groups=((1.0, 1.0), (1.0, 1.5), (2.0, 2.0)))
         total = sum(r.value for r in limits.multi_group_limits(spec))
         return abs(total - 1.0) <= 1e-8, f"|sum p - 1| = {abs(total - 1.0):.3g}"
 
-    @check("k2_reduction")
-    def _():
+    def k2_reduction():
         spec = limits.LimitSpecK(groups=((1.0, 1.0), (0.7, 1.4)))
         parts = limits.multi_group_limits(spec)
         tg = limits.two_group_limit(0.7, 1.4)
         err = abs(parts[0].value - tg.value)
         return err <= 1e-9, f"|p1(multi) - p(two-group)| = {err:.3g}"
 
-    @check("kappa_continuity")
-    def _():
+    def kappa_continuity():
         worst = max(
             abs(scaling.kappa(c, 1.0 + 1e-6) - math.log(c)) for c in (0.1, 0.5, 1.0, 2.0, 10.0)
         )
         return worst <= 1e-4, f"max |kappa(C, 1+1e-6) - log C| = {worst:.3g}"
 
-    @check("sample_max_cdf_identity")
-    def _():
+    def sample_max_cdf_identity():
         n, sigma = 1e16, 2.0
         worst = 0.0
         for u in (0.1, math.exp(-1.0), 0.9):
@@ -409,24 +371,35 @@ def _selftest_checks():
             worst = max(worst, abs(n * log_ndtr(m / sigma) - math.log(u)) / abs(math.log(u)))
         return worst <= 1e-8, f"max rel CDF identity error = {worst:.3g}"
 
-    @check("gumbel_round_trip")
-    def _():
+    def gumbel_round_trip():
         us = np.linspace(0.02, 0.98, 25)
         err = np.max(np.abs(np.exp(-np.exp(-montecarlo.sample_gumbel(us))) - us))
         return err <= 1e-12, f"max |F(F^-1(u)) - u| = {err:.3g}"
 
-    return checks
+    return [
+        quantile_round_trip,
+        deep_tail_round_trip,
+        cdf_symmetry,
+        exchangeable_finite_n,
+        symmetric_boundary_limit,
+        closed_form_limit,
+        multi_sum_to_one,
+        k2_reduction,
+        kappa_continuity,
+        sample_max_cdf_identity,
+        gumbel_round_trip,
+    ]
 
 
 def cmd_selftest(args) -> int:
     results = []
     failed = False
-    for name, fn in _selftest_checks():
+    for fn in _selftest_checks():
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append({"name": name, "passed": bool(ok), "detail": detail})
+        results.append({"name": fn.__name__, "passed": bool(ok), "detail": detail})
         failed = failed or not ok
     if args.json:
         payload = {"checks": results, "passed": not failed}
@@ -443,11 +416,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_limit = sub.add_parser("limit", help="limiting winning probabilities")
     mode = p_limit.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--two-group", action="store_true", dest="two_group")
-    mode.add_argument("--multi", action="store_true")
+    mode.add_argument("--two-group", action="store_const", const="two-group", dest="mode")
+    mode.add_argument("--multi", action="store_const", const="multi", dest="mode")
     p_limit.add_argument("--c", type=str, default=None, help="constant C (0 and inf allowed)")
     p_limit.add_argument("--sigma", type=str, default=None, help="sigma > 1")
-    p_limit.add_argument("--group", action="append", default=[], help="C:SIGMA, repeatable")
+    p_limit.add_argument("--group", action="append", dest="groups", metavar="GROUP", help="C:SIGMA, repeatable")
     p_limit.add_argument("--format", choices=["text", "json"], default="text")
     p_limit.add_argument("--output", default=None)
     p_limit.set_defaults(fn=cmd_limit)

@@ -335,9 +335,7 @@ def deseasonalize(series: StationSeries) -> np.ndarray:
             continue
         anomalies[sel] = series.value[sel] - series.value[sel].mean()
     if thin:
-        raise ValueError(
-            f"station {series.station_id}: months {thin} have fewer than 2 observations"
-        )
+        raise ValueError(f"months {thin} have fewer than 2 observations")
     return anomalies
 
 
@@ -506,11 +504,12 @@ def empirical_study(
 
 
 def process_station(series: StationSeries) -> Ar1Fit:
-    """Anomaly -> detrend -> AR(1) innovations for one station."""
+    """Anomaly -> detrend -> AR(1) innovations for one station; a ValueError names the station."""
     t = series.month_index()
-    anomalies = deseasonalize(series)
-    residuals = detrend_linear(anomalies, t)
-    return ar1_innovations(residuals, t)
+    try:
+        return ar1_innovations(detrend_linear(deseasonalize(series), t), t)
+    except ValueError as exc:
+        raise ValueError(f"station {series.station_id}: {exc}") from None
 
 
 def run_pipeline(stations: Sequence[StationSeries]) -> PipelineResult:

@@ -1,5 +1,6 @@
 """Command-line surface: parsing, output schema, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import gausswinner.limits
 import gausswinner.montecarlo
-from gausswinner.cli import EXIT_IO, EXIT_MATH, EXIT_OK, main
+from gausswinner.cli import EXIT_IO, EXIT_MATH, EXIT_OK, _build_parser, main
 from gausswinner.quadrature import QuadratureError
 from gausswinner.scaling import kappa as real_kappa
 from gausswinner.synthetic import write_synthetic_stations
@@ -78,6 +79,23 @@ class TestLimitCommand:
     def test_negative_c_exit_code(self, capsys):
         code, out, err = run(capsys, "limit", "--two-group", "--c", "-1", "--sigma", "1.5")
         assert (code, out, err) == (EXIT_MATH, "", "error: c must lie in [0, +inf], got -1.0\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--multi", "--group", "1:1", "--group", "1:1.5", "--c", "1"],
+            ["--multi", "--group", "1:1", "--group", "1:1.5", "--sigma", "2"],
+            ["--two-group", "--c", "1", "--sigma", "1.5", "--group", "1:1"],
+        ],
+    )
+    def test_option_the_mode_ignores_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, "limit", *argv)
+        message = (
+            "--multi takes its groups from --group C:SIGMA, not --c or --sigma"
+            if argv[0] == "--multi"
+            else "--two-group takes --c and --sigma, not --group"
+        )
+        assert (code, out, err) == (EXIT_MATH, "", f"error: {message}\n")
 
 
 class TestScaleCommand:
@@ -406,12 +424,52 @@ class TestEmpiricalCommand:
         assert code == EXIT_IO
         assert "input file not found" in err
 
+    @pytest.mark.parametrize(
+        "months, last, message",
+        [
+            ((1, 3, 5, 7, 9, 11), [], "fewer than 2 consecutive lag pairs"),
+            (tuple(range(1, 12)), [12], "months [12] have fewer than 2 observations"),
+        ],
+    )
+    def test_station_failure_names_the_station_exit_3(self, capsys, fixture_csv, tmp_path, months, last, message):
+        # one more station whose fit fails: every other month only, or one December in 46 years
+        dates = [(year, month) for year in range(1980, 2026) for month in months] + [(2025, m) for m in last]
+        rows = "".join(f"BADST,35.0,-85.0,{year},{month},12.5\n" for year, month in dates)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(fixture_csv.read_text() + rows)
+        code, out, err = run(capsys, "empirical", "--input", str(bad))
+        assert (code, out, err) == (EXIT_MATH, "", f"error: station BADST: {message}\n")
+
     def test_empty_selection_exit_3(self, capsys, fixture_csv):
         code, _, err = run(
             capsys, "empirical", "--input", str(fixture_csv), "--lat", "50:60",
         )
         assert code == EXIT_MATH
         assert "no stations" in err
+
+
+@pytest.mark.parametrize(
+    "argv, resolved",
+    [
+        (["limit", "--two-group", "--c", "1", "--sigma", "1.5"], set()),
+        (["limit", "--multi", "--group", "1:1", "--group", "0.7:1.4"], set()),
+        (["scale", "--n2", "100", "--sigma", "1.5", "--c", "1"], set()),
+        (["simulate", "--sigma", "1.5", "--c", "1", "--n2", "10", "--trials", "50", "--workers", "2"], {"seed"}),
+        (["simulate", "--sigma", "1.5", "--c", "1", "--n2", "10", "--trials", "50", "--seed", "3", "--exact"], set()),
+        (["empirical", "--input", "FIXTURE", "--b", "20", "--c", "1", "--n2", "10"], {"seed", "sigma_ratio"}),
+    ],
+)
+def test_config_records_every_option_with_a_value(capsys, fixture_csv, argv, resolved):
+    # the recorded keys are the subcommand's option dests that have a value,
+    # less --output and --workers, plus the values the run itself resolved
+    argv = [str(fixture_csv) if a == "FIXTURE" else a for a in argv] + ["--format", "json"]
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subcommands.choices[argv[0]]._actions if a.option_strings} - {"help", "output", "workers"}
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert set(json.loads(out)["config"]) == {"command"} | {d for d in dests if getattr(args, d) is not None} | resolved
 
 
 class TestSelftestCommand:

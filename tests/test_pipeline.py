@@ -200,7 +200,7 @@ def test_loaded_present_observations_pinned(tmp_path):
         ("blank", 240): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("blank", 0): (2, "657ec70473f1900860bffdd372ff4c448e63620903f53532cade34b88af0e6fc"),
     }
-    with pytest.raises(ValueError, match=r"^detrend needs at least 3 points, got 0$"):
+    with pytest.raises(ValueError, match=r"^station B: detrend needs at least 3 points, got 0$"):
         run_pipeline(load_stations(blank, min_months=0))
 
 

@@ -406,3 +406,15 @@ def test_bound_holds_for_every_row():
     narrow, wide = concave_log_quad(log_f, -3.0, 3.0)
     assert narrow.value == pytest.approx(math.sqrt(2.0 * math.pi), abs=1e-10)
     assert wide.value == pytest.approx(8.0 * math.sqrt(2.0 * math.pi) * math.exp(-20.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("peak, lo, hi", [(30.0, -3.0, 20.0), (60.0, -1.0, 1.0)])
+def test_side_ends_only_where_every_row_falls(peak, lo, hi):
+    # the envelope is deep below the peak at 0 at the right seed end (peak 30)
+    # or at the first walked endpoint past 9.6 (peak 60), but the second row
+    # still rises there, so the side walks on
+    def log_f(x):
+        return np.vstack([-0.5 * x * x, -0.5 * (x - peak) ** 2])
+
+    for res in concave_log_quad(log_f, lo, hi):
+        assert res.value == pytest.approx(math.sqrt(2.0 * math.pi), abs=1e-12)

@@ -79,15 +79,20 @@ def _parse_grid(spec: str, *, integer: bool = False) -> list[float]:
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
+        try:
+            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2]) if len(parts) == 3 else 10
+        except ValueError:
+            parts = []
         if len(parts) not in (2, 3):
             raise ValueError(f"bad range {spec!r}, expected lo:hi[:count]")
-        lo, hi = float(parts[0]), float(parts[1])
-        count = int(parts[2]) if len(parts) == 3 else 10
         if not (0 < lo < math.inf and 0 < hi < math.inf and count >= 1):
             raise ValueError(f"log-spaced range needs finite positive lo, hi and count >= 1, got {spec!r}")
         values = list(np.geomspace(lo, hi, count)) if count > 1 else [lo]
     else:
-        values = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
+        try:
+            values = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise ValueError(f"grid {spec!r} has a non-numeric entry") from None
     if not values:
         raise ValueError(f"empty grid {spec!r}")
     if not all(map(math.isfinite, values)):
@@ -163,9 +168,10 @@ def cmd_limit(args) -> int:
         groups = []
         for token in args.groups:
             c_str, _, s_str = token.partition(":")
-            if not s_str:
-                raise ValueError(f"bad --group {token!r}, expected C:SIGMA")
-            groups.append((float(c_str), float(s_str)))
+            try:
+                groups.append((float(c_str), float(s_str)))
+            except ValueError:
+                raise ValueError(f"bad --group {token!r}, expected C:SIGMA") from None
         spec = limits.LimitSpecK(groups=tuple(groups))
         results = limits.multi_group_limits(spec)
         kappas = spec.kappas()

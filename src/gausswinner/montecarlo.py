@@ -14,15 +14,17 @@ pool, and each row sums only its own counts, bit for bit as serially.
 
 Only the comparisons are counted: an estimator needs to know which group's
 maximum is largest in a trial, not the maxima themselves.  Every sampler
-is a nondecreasing map of its uniform, so a chunk first reads a lower
-and an upper bound for each draw from a table of the sampler at the
-edges of ``_CELLS`` equal cells of (0, 1), widened by the sampler's
-stated accuracy (see :func:`_cell_bounds`).  A trial in which one
-group's lower bound exceeds every rival's upper bound is won by that
-group, whatever the exact draws; only the remaining trials (0.4% on the
-default ``simulate`` grid) are drawn exactly and counted by
+is a nondecreasing map of its uniform, and an estimator states each
+group's accuracy with its samplers.  Each job then builds, once, a table
+per group of the sampler at the edges of ``_CELLS`` equal cells of
+(0, 1), widened by that accuracy (see :func:`_cell_bounds`), and every
+chunk reads a lower and an upper bound for each draw from it.  A trial
+in which one group's lower bound exceeds every rival's upper bound is
+won by that group, whatever the exact draws; only the remaining trials
+(0.4% on the default ``simulate`` grid) are drawn exactly and counted by
 :func:`_winner_counts`.  Since the bounds hold for the computed draws,
-the counts are those of drawing every trial exactly, bit for bit.
+the counts are those of drawing every trial exactly, bit for bit.  The
+bootstrap states no accuracy, so all of its trials are drawn.
 
 Group maxima are sampled directly through the uniform quantile
 transform M = sigma * Phi^{-1}(u^{1/n}) (one uniform per group per
@@ -63,7 +65,6 @@ _TINY_U = 0.5**53  # replacement for the measure-zero u == 0 draw
 _TINY = np.finfo(float).tiny  # smallest normal double
 _CELLS = 1 << 9  # cells of (0, 1) in the bounds tables; a power of two, so u * _CELLS is exact
 _REL, _ABS = 1e-9, 1e-12  # stated accuracy of the samplers, relative and absolute
-_UNBOUNDED = np.full(_CELLS, -np.inf), np.full(_CELLS, np.inf)  # cell bounds of a sampler with no stated accuracy
 
 
 def _mix64(z: int) -> int:
@@ -153,18 +154,11 @@ def _uniforms(stream: RngStream, start_trial: int, n_trials: int, per_trial: int
     return u.reshape(n_trials, per_trial)
 
 
-def _stated(draw, rel, err):
-    """``draw`` marked as lying within ``rel * |x| + err`` of an exact nondecreasing map x(u)."""
-    draw = functools.partial(draw)
-    draw.accuracy = (rel, err)
-    return draw
-
-
-def _cell_bounds(draw):
+def _cell_bounds(draw, rel, err):
     """Bounds ``(lo, hi)`` on ``draw(u)`` for u in each cell, ``floor(u * _CELLS)``, of (0, 1).
 
-    A sampler made by :func:`_stated` approximates a nondecreasing map x
-    with |draw(u) - x(u)| <= rel |x(u)| + err.  Take u in cell i and its
+    ``draw`` approximates a nondecreasing map x with its stated accuracy
+    |draw(u) - x(u)| <= rel |x(u)| + err.  Take u in cell i and its
     edge e = i / _CELLS, with table value v = draw(e).  The map
     y -> y - rel |y| - err is increasing, and x(u) >= x(e), so
     draw(u) >= x(e) - rel |x(e)| - err >= v - 2 (rel |x(e)| + err), and
@@ -173,12 +167,8 @@ def _cell_bounds(draw):
     rounding, and one step outward with ``nextafter`` covers the rounding
     of v - slack.  The upper bound is the same argument at the edge
     (i + 1) / _CELLS.  The first cell has no lower bound and the last no
-    upper bound, and a sampler with no stated accuracy gets (-inf, inf)
-    in every cell.
+    upper bound.
     """
-    if not hasattr(draw, "accuracy"):
-        return _UNBOUNDED
-    rel, err = draw.accuracy
     edge = draw(np.arange(1, _CELLS) / _CELLS)
     slack = 2.0 * (rel * np.abs(edge) + err) / (1.0 - 2.0 * rel)
     lo = np.concatenate([[-np.inf], np.nextafter(edge - slack, -np.inf)])
@@ -186,20 +176,18 @@ def _cell_bounds(draw):
     return lo, hi
 
 
-def _chunk_counts(stream, samplers, start_trial, n_trials):
+def _chunk_counts(stream, samplers, bounds, start_trial, n_trials):
     """Per-group win counts of one chunk of consecutive trials; ``samplers[j]`` maps uniform column j.
 
-    A trial whose group j has a lower bound above every rival's upper
-    bound (:func:`_cell_bounds`) is a win for j, with no tie possible;
-    only the other trials are drawn and go to :func:`_winner_counts`.
-    A group with no stated accuracy has infinite bounds in every cell, so
-    it leaves no trial decided; with one in the chunk, the table reads are
-    skipped and every trial is drawn.
+    ``bounds`` holds the :func:`_cell_bounds` tables of the job's groups,
+    or is None.  A trial whose group j has a lower bound above every
+    rival's upper bound is a win for j, with no tie possible; only the
+    other trials are drawn and go to :func:`_winner_counts`.  With no
+    tables, the table reads are skipped and every trial is drawn.
     """
     u = _uniforms(stream, start_trial, n_trials, len(samplers))
-    bounds = [_cell_bounds(draw) for draw in samplers]
     decided, rest = np.zeros(len(samplers), dtype=np.int64), u
-    if not any(b is _UNBOUNDED for b in bounds):
+    if bounds is not None:
         cell = (u * _CELLS).astype(np.intp)
         lo = [b[0][cell[:, j]] for j, b in enumerate(bounds)]
         hi = [b[1][cell[:, j]] for j, b in enumerate(bounds)]
@@ -212,13 +200,15 @@ def _chunk_counts(stream, samplers, start_trial, n_trials):
 def _run_rows(jobs, *, workers=1):
     """Per-group win counts of several estimator rows, run on one set of threads.
 
-    A job is ``(stream, trials, samplers)``: ``samplers`` holds one
-    callable per group that maps a column of uniforms to that group's
-    maxima; one made by :func:`_stated` also states its accuracy, so
-    :func:`_chunk_counts` can decide trials from its cell bounds.  Its trials are cut into the fewest chunks of at most
-    ``_CHUNK_DRAWS`` draws, equal in size up to one trial; the layout
-    depends on the trials and the group count only, never on ``workers``.
-    The job's counts are the sum of its chunks' :func:`_chunk_counts`.
+    A job is ``(stream, trials, samplers, accuracy)``: ``samplers`` holds
+    one callable per group that maps a column of uniforms to that group's
+    maxima, and ``accuracy`` one stated ``(rel, err)`` per sampler, or
+    None.  The job's :func:`_cell_bounds` tables are built here, once,
+    and passed to every chunk.  Its trials are cut into the fewest chunks
+    of at most ``_CHUNK_DRAWS`` draws, equal in size up to one trial; the
+    layout depends on the trials and the group count only, never on
+    ``workers``.  The job's counts are the sum of its chunks'
+    :func:`_chunk_counts`.
 
     With one worker, or one chunk in all, the chunks run inline in order.
     Otherwise every chunk of every job goes through one
@@ -229,12 +219,13 @@ def _run_rows(jobs, *, workers=1):
     per job, in job order.
     """
     chunks, ends = [], []
-    for stream, trials, samplers in jobs:
+    for stream, trials, samplers, accuracy in jobs:
         if trials < 1:
             raise ValueError("trials must be >= 1")
+        bounds = None if accuracy is None else [_cell_bounds(d, *a) for d, a in zip(samplers, accuracy)]
         k = -(-trials // max(1, _CHUNK_DRAWS // len(samplers)))
         cuts = [j * trials // k for j in range(k + 1)]
-        chunks += [(stream, samplers, t0, t1 - t0) for t0, t1 in zip(cuts, cuts[1:])]
+        chunks += [(stream, samplers, bounds, t0, t1 - t0) for t0, t1 in zip(cuts, cuts[1:])]
         ends.append(len(chunks))
     if workers <= 1 or len(chunks) == 1:
         values = list(map(_chunk_counts, *zip(*chunks)))
@@ -344,8 +335,9 @@ def _winner_counts(maxima) -> list[int]:
 
 
 def _max_samplers(groups):
-    """One :func:`sample_group_max` sampler per group, with its stated accuracy."""
-    return [_stated(functools.partial(sample_group_max, g.size, g.sigma), _REL, _ABS * g.sigma) for g in groups]
+    """One :func:`sample_group_max` sampler per group, and the stated accuracy of each."""
+    samplers = [functools.partial(sample_group_max, g.size, g.sigma) for g in groups]
+    return samplers, [(_REL, _ABS * g.sigma) for g in groups]
 
 
 def mc_multi(
@@ -365,7 +357,7 @@ def mc_multi(
     groups = list(groups)
     if len(groups) < 2:
         raise ValueError("need at least 2 groups")
-    counts = _run_rows([(rng, trials, _max_samplers(groups))], workers=workers)[0]
+    counts = _run_rows([(rng, trials, *_max_samplers(groups))], workers=workers)[0]
     return [McEstimate.from_counts(int(c), trials) for c in counts]
 
 
@@ -388,11 +380,9 @@ def mc_limit_pair(
     s2 = sigma * sigma
     # s2 (G - k) is off by at most s2 (_REL |G| + _ABS), and |G| <= |x| / s2 + |k|;
     # the doubled relative share covers the rounding of the shift and the scaling
-    samplers = [
-        _stated(sample_gumbel, _REL, _ABS),
-        _stated(lambda u: s2 * (sample_gumbel(u) - k), 2.0 * _REL, s2 * (_REL * abs(k) + _ABS)),
-    ]
-    wins = _run_rows([(rng, trials, samplers)], workers=workers)[0]
+    samplers = [sample_gumbel, lambda u: s2 * (sample_gumbel(u) - k)]
+    accuracy = [(_REL, _ABS), (2.0 * _REL, s2 * (_REL * abs(k) + _ABS))]
+    wins = _run_rows([(rng, trials, samplers, accuracy)], workers=workers)[0]
     return McEstimate.from_counts(int(wins[0]), trials)
 
 
@@ -402,7 +392,8 @@ def _critical_grid(sigma, c_values, n2_grid, trials, rng, samplers, p_exact=None
     At each (C, n2), n1 is the critical size: the int floor when it is
     exactly representable, the real value otherwise.  Row i counts its
     p_hat over ``trials`` trials of stream ``rng.substream(i)``, two draws
-    per trial, as group-1 wins of the two samplers ``samplers(n1, n2)``;
+    per trial, as group-1 wins of the two samplers ``samplers(n1, n2)``
+    returns with their accuracy, as a :func:`_run_rows` job holds them;
     p_limit is the two-group limit and, when ``p_exact`` is given,
     p_exact is ``p_exact(n1, n2)``.  Every row is set up and then every
     p_exact computed, in row order, before any trial runs; the chunks of
@@ -417,7 +408,7 @@ def _critical_grid(sigma, c_values, n2_grid, trials, rng, samplers, p_exact=None
         for n2 in n2_grid:
             size = critical_n1(n2, sigma, c)
             n1 = size.real_value if size.floor_value is None else size.floor_value
-            jobs.append((rng.substream(len(jobs)), trials, samplers(n1, n2)))
+            jobs.append((rng.substream(len(jobs)), trials, *samplers(n1, n2)))
             points.append((c, p_limit, n1, n2))
     exact = [None if p_exact is None else p_exact(n1, n2) for _, _, n1, n2 in points]
     rows = []

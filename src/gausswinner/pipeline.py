@@ -457,7 +457,7 @@ def bootstrap_winner(
     and 2t+1 (group 2).  A tie, which tied pool values make common, is a
     group-1 loss.
     """
-    wins = _run_rows([(rng, b, _pool_samplers(pool1, pool2, n1, n2))], workers=workers)[0]
+    wins = _run_rows([(rng, b, *_pool_samplers(pool1, pool2, n1, n2))], workers=workers)[0]
     return McEstimate.from_counts(int(wins[0]), b)
 
 
@@ -468,12 +468,12 @@ def _pool_max(values, n, u):
 
 
 def _pool_samplers(pool1, pool2, n1, n2):
-    """The two group samplers of :func:`bootstrap_winner`."""
+    """The two group samplers of :func:`bootstrap_winner`, which state no accuracy, so every trial is drawn."""
     if len(pool1.values) == 0 or len(pool2.values) == 0:
         raise ValueError("pools must be nonempty")
     if n1 < 1 or n2 < 1:
         raise ValueError("n1 and n2 must be >= 1")
-    return [functools.partial(_pool_max, pool1.values, n1), functools.partial(_pool_max, pool2.values, n2)]
+    return [functools.partial(_pool_max, pool1.values, n1), functools.partial(_pool_max, pool2.values, n2)], None
 
 
 def empirical_study(

@@ -56,6 +56,11 @@ class TestLimitCommand:
         code, out, err = run(capsys, "limit", "--multi", "--group", "1:1", "--group", f"{c}:1.5")
         assert (code, out, err) == (EXIT_MATH, "", f"error: group 1: c must be a finite real > 0, got {c}\n")
 
+    @pytest.mark.parametrize("token", ["x:2", "2", "1:", ":2", "1:2:3"])
+    def test_multi_bad_group_exit_3(self, capsys, token):
+        code, out, err = run(capsys, "limit", "--multi", "--group", "1:1", "--group", token)
+        assert (code, out, err) == (EXIT_MATH, "", f"error: bad --group '{token}', expected C:SIGMA\n")
+
     def test_degenerate_zero(self, capsys):
         code, out, _ = run(capsys, "limit", "--two-group", "--c", "0", "--sigma", "2")
         assert code == EXIT_OK
@@ -234,6 +239,8 @@ class TestSimulateCommand:
             ("--c", "1,-inf", "grid '1,-inf' has a non-finite entry"),
             ("--n2", "10:inf", "log-spaced range needs finite positive lo, hi and count >= 1, got '10:inf'"),
             ("--sigma", "nan:2:3", "log-spaced range needs finite positive lo, hi and count >= 1, got 'nan:2:3'"),
+            ("--c", "abc", "grid 'abc' has a non-numeric entry"),
+            ("--n2", "5:150:x", "bad range '5:150:x', expected lo:hi[:count]"),
         ],
     )
     def test_non_finite_grid_exit_3(self, capsys, flag, spec, message):
@@ -355,6 +362,8 @@ class TestEmpiricalCommand:
             ("5,1e400", "grid '5,1e400' has a non-finite entry"),
             ("nan", "grid 'nan' has a non-finite entry"),
             ("5:inf:3", "log-spaced range needs finite positive lo, hi and count >= 1, got '5:inf:3'"),
+            ("5:150:x", "bad range '5:150:x', expected lo:hi[:count]"),
+            ("5,x", "grid '5,x' has a non-numeric entry"),
         ],
     )
     def test_non_finite_n2_exit_3(self, capsys, fixture_csv, spec, message):
@@ -371,7 +380,14 @@ class TestEmpiricalCommand:
         assert (code, out) == (EXIT_MATH, "")
         assert err.startswith("error: line 2: field larger than field limit")
 
-    @pytest.mark.parametrize("grid", [["--n2", "inf"], ["--c", "nan"]])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--n2", "inf", "grid 'inf' has a non-finite entry"],
+            ["--c", "nan", "grid 'nan' has a non-finite entry"],
+            ["--c", "abc", "grid 'abc' has a non-numeric entry"],
+        ],
+    )
     @pytest.mark.parametrize("input_file", ["bad", "absent"])
     def test_bad_grid_wins_over_bad_file(self, capsys, fixture_csv, tmp_path, grid, input_file):
         # the grids are parsed before the file is opened, so a bad grid fails
@@ -381,8 +397,8 @@ class TestEmpiricalCommand:
         path = tmp_path / f"{input_file}.csv"
         if input_file == "bad":
             path.write_text("\n".join(lines) + "\n")
-        code, out, err = run(capsys, "empirical", "--input", str(path), *grid)
-        assert (code, out, err) == (EXIT_MATH, "", f"error: grid '{grid[1]}' has a non-finite entry\n")
+        code, out, err = run(capsys, "empirical", "--input", str(path), *grid[:2])
+        assert (code, out, err) == (EXIT_MATH, "", f"error: {grid[2]}\n")
 
     @pytest.mark.parametrize(
         "flag, spec",

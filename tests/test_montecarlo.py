@@ -207,8 +207,8 @@ def _bound_examples(test):
     u=st.lists(st.floats(0.5**53, 1.0 - 0.5**53), min_size=1, max_size=20),
 )
 def test_cell_bounds_hold_for_every_draw(n, sigma, u):
-    draw = mc._max_samplers([GroupSpec(n, sigma)])[0]
-    lo, hi = mc._cell_bounds(draw)
+    (draw,), (accuracy,) = mc._max_samplers([GroupSpec(n, sigma)])
+    lo, hi = mc._cell_bounds(draw, *accuracy)
     u = np.concatenate([_near_edges(), u])
     cell = (u * mc._CELLS).astype(np.intp)
     x = draw(u)
@@ -222,11 +222,6 @@ def test_bound_examples_reach_both_special_branches():
     assert np.any(u ** (1 / 1.5) < 0.5)
     # the branch past n ~ 5e291, where log(u) / n is subnormal or zero
     assert np.any(np.log(u) / 1e300 > -mc._TINY)
-
-
-def test_sampler_without_stated_accuracy_is_unbounded():
-    lo, hi = mc._cell_bounds(sample_gumbel)
-    assert np.all(lo == -np.inf) and np.all(hi == np.inf)
 
 
 class TestMcTwoGroup:
@@ -259,7 +254,7 @@ class TestMcTwoGroup:
         for workers in (2, 3, 10**5):
             assert mc_two_group(g1, g2, trials, RngStream(4), workers=workers) == base
         assert [pool.max_workers for pool in recording_pool] == [2, 3, 4]
-        spans = [[args[2:] for _, args in pool.tasks] for pool in recording_pool]
+        spans = [[args[3:] for _, args in pool.tasks] for pool in recording_pool]
         assert spans[0] == spans[1] == spans[2]
         assert [t0 for t0, _ in spans[0]] == [j * trials // 4 for j in range(4)]
         assert sum(n for _, n in spans[0]) == trials
@@ -269,12 +264,12 @@ class TestMcTwoGroup:
     def test_failing_first_chunk_cancels_the_rest(self, monkeypatch):
         real, started = mc._chunk_counts, []
 
-        def first_fails(stream, samplers, t0, n):
+        def first_fails(stream, samplers, bounds, t0, n):
             started.append(t0)
             if t0 == 0:
                 raise RuntimeError("chunk 0 failed")
             time.sleep(0.02)  # keeps the threads busy while the failure is read
-            return real(stream, samplers, t0, n)
+            return real(stream, samplers, bounds, t0, n)
 
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", 200)  # 100 trials a chunk, 64 chunks
         monkeypatch.setattr(mc, "_chunk_counts", first_fails)
@@ -420,19 +415,55 @@ class TestCellBounds:
         bounded = self.RUNS[name](self.TRIALS)
         assert 0 < sum(exact_draws) < 0.05 * self.TRIALS  # the bounds decide nearly every trial
         exact_draws.clear()
-        # infinite tables that are not ``_UNBOUNDED`` itself, so the per-trial reads run and decide nothing
-        monkeypatch.setattr(mc, "_cell_bounds", lambda draw: (np.full(mc._CELLS, -np.inf), np.full(mc._CELLS, np.inf)))
+        # infinite tables, so the per-trial reads run and decide nothing
+        monkeypatch.setattr(
+            mc, "_cell_bounds", lambda draw, rel, err: (np.full(mc._CELLS, -np.inf), np.full(mc._CELLS, np.inf))
+        )
         assert self.RUNS[name](self.TRIALS) == bounded
         assert sum(exact_draws) == self.TRIALS
 
     def test_chunk_with_every_trial_decided(self, exact_draws):
         stream = RngStream(31)
-        samplers = mc._max_samplers([GroupSpec(1e6, 1.0), GroupSpec(2, 1e-3)])
+        samplers, accuracy = mc._max_samplers([GroupSpec(1e6, 1.0), GroupSpec(2, 1e-3)])
+        bounds = [mc._cell_bounds(draw, *a) for draw, a in zip(samplers, accuracy)]
         cell = (mc._uniforms(stream, 0, 40, 2) * mc._CELLS).astype(np.intp)
         # no draw in group 1's first cell or group 2's last, the only cells with an infinite bound
         assert np.all(cell[:, 0] > 0) and np.all(cell[:, 1] < mc._CELLS - 1)
-        assert list(mc._chunk_counts(stream, samplers, 0, 40)) == [40, 0]
+        assert list(mc._chunk_counts(stream, samplers, bounds, 0, 40)) == [40, 0]
         assert exact_draws == [0]
+
+    def test_tables_built_once_per_job(self, monkeypatch, recording_pool):
+        real, calls = mc._cell_bounds, []
+
+        def counted(draw, rel, err):
+            calls.append((rel, err))
+            return real(draw, rel, err)
+
+        monkeypatch.setattr(mc, "_cell_bounds", counted)
+        g1, g2 = GroupSpec(50, 1.0), GroupSpec(20, 1.5)
+        trials = 3 * (mc._CHUNK_DRAWS // 2) + 1  # 4 chunks of at most _CHUNK_DRAWS draws
+        mc_two_group(g1, g2, trials, RngStream(4), workers=2)
+        assert len(recording_pool[0].tasks) == 4
+        assert calls == [(mc._REL, mc._ABS), (mc._REL, 1.5 * mc._ABS)]
+        calls.clear()
+        monkeypatch.setattr(mc, "_CHUNK_DRAWS", 1 << 12)  # 10 chunks of 2,000 trials a row
+        convergence_study(1.5, [0.5, 2.0], [100.0, 1e4, 1e6], GRID_TRIALS, RngStream(31), workers=2)
+        assert len(recording_pool[1].tasks) == 60
+        assert calls == [(mc._REL, mc._ABS), (mc._REL, 1.5 * mc._ABS)] * 6  # two tables a row
+
+    def test_bootstrap_job_builds_no_tables(self, monkeypatch, exact_draws):
+        def no_tables(draw, rel, err):
+            raise AssertionError("a bootstrap job built a cell table")
+
+        monkeypatch.setattr(mc, "_cell_bounds", no_tables)
+        g = np.random.default_rng(30)
+        p1 = InnovationPool(g.standard_normal(500), 1.0)
+        p2 = InnovationPool(1.5 * g.standard_normal(400), 1.5)
+        est = bootstrap_winner(p1, p2, 40, 10, 3_000, RngStream(36))
+        assert exact_draws == [3_000]  # every trial drawn exactly
+        monkeypatch.setattr(mc, "_CHUNK_DRAWS", 1 << 10)  # 6 chunks of at most 512 trials
+        assert bootstrap_winner(p1, p2, 40, 10, 3_000, RngStream(36), workers=2) == est
+        assert sum(exact_draws) == 6_000 and len(exact_draws) == 7
 
 
 class TestMcArgmaxIdentity:
@@ -597,7 +628,7 @@ class TestGridScheduling:
         for pool, n_rows in zip(recording_pool, (6, 4)):
             assert pool.max_workers == min(workers, len(pool.tasks))
             assert all(fn is mc._chunk_counts for fn, _ in pool.tasks)  # every task is a trial chunk
-            assert [args[2:] for _, args in pool.tasks] == row * n_rows  # rows in order
+            assert [args[3:] for _, args in pool.tasks] == row * n_rows  # rows in order
 
     def test_row_setup_error_matches_serial(self):
         g = np.random.default_rng(30)
@@ -627,9 +658,9 @@ class TestGridScheduling:
                 raise QuadratureError(f"refinement stalled at n1={g1.size}")
             return real(g1, g2)
 
-        def recorded(stream, samplers, t0, n):
+        def recorded(stream, samplers, bounds, t0, n):
             chunks.append((t0, n))
-            return real_chunk(stream, samplers, t0, n)
+            return real_chunk(stream, samplers, bounds, t0, n)
 
         monkeypatch.setattr(mc, "finite_n_winner", stalls_at_n2_1e4)
         monkeypatch.setattr(mc, "_chunk_counts", recorded)

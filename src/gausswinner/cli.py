@@ -159,6 +159,14 @@ def _emit(args, config: dict, fields: dict, lines: list[str] | None = None) -> N
             fh.write(text)
 
 
+def _number(option: str, token: str) -> float:
+    """``token`` as a float (inf and nan included), or a ValueError naming the option."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"bad {option} {token!r}, expected a number") from None
+
+
 def cmd_limit(args) -> int:
     if args.mode == "multi":
         if args.c is not None or args.sigma is not None:
@@ -192,7 +200,7 @@ def cmd_limit(args) -> int:
         raise ValueError("--two-group takes --c and --sigma, not --group")
     if args.c is None or args.sigma is None:
         raise ValueError("--two-group requires --c and --sigma")
-    c, sigma = float(args.c), float(args.sigma)
+    c, sigma = _number("--c", args.c), _number("--sigma", args.sigma)
     result = limits.two_group_limit(c, sigma)
     kappa = scaling.kappa(c, sigma)
     fields = {

@@ -23,6 +23,7 @@ rounding.  It measures the coarser level, so it reads up to tol/2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -89,23 +90,24 @@ def _probability(result: QuadResult) -> QuadResult:
 
 
 def _limit_components(alphas, kappas, rows, tol) -> list[QuadResult]:
-    """p_k for each k in ``rows`` as u-space integrals on one grid, u = log x.
+    """p_k for the first ``rows`` groups k as u-space integrals on one grid, u = log x.
 
     log integrand of row k: log(alpha_k) - kappa_k + alpha_k u - sum_j exp(alpha_j u - kappa_j);
-    the sum is computed once per node for all rows.
+    the products alpha_j u and the sum are computed once per node for all rows.
     """
-    log_pref = np.array([[math.log(alphas[k]) - kappas[k]] for k in rows])
-    a_rows = np.array([[alphas[k]] for k in rows])
-    a_all, k_all = np.array(alphas, dtype=float)[:, None], np.array(kappas, dtype=float)[:, None]
+    coef = np.array([alphas, kappas, [math.log(a) - k for a, k in zip(alphas, kappas)]], dtype=float)[:, :, None]
+    a_all, k_all, log_pref = coef[0], coef[1], coef[2, :rows]
 
     def log_f(u):
-        with np.errstate(over="ignore", under="ignore"):
-            total = np.exp(a_all * u - k_all).sum(axis=0)
-            return log_pref + a_rows * u - total
+        au = a_all * u
+        total = np.exp(au - k_all).sum(axis=0)
+        return log_pref + au[:rows] - total
 
-    # mass sits where the dominating exponential sum is O(1)
-    center = min(0.0, min(k / a for a, k in zip(alphas, kappas)))
-    return [_probability(r) for r in concave_log_quad(log_f, center - 8.0, 8.0, tol=tol)]
+    # mass sits where the dominating exponential sum is O(1); far out it over- and underflows harmlessly
+    center = min(0.0, *map(operator.truediv, kappas, alphas))
+    with np.errstate(over="ignore", under="ignore"):
+        results = concave_log_quad(log_f, center - 8.0, 8.0, tol=tol)
+    return [_probability(r) for r in results]
 
 
 def two_group_limit_from_kappa(kappa_value: float, sigma: float) -> QuadResult:
@@ -124,7 +126,7 @@ def two_group_limit_from_kappa(kappa_value: float, sigma: float) -> QuadResult:
         return QuadResult(value=0.0, abs_err=0.0, evaluations=0)
     if kappa_value == math.inf:
         return QuadResult(value=1.0, abs_err=0.0, evaluations=0)
-    return _limit_components([1.0, 1.0 / (sigma * sigma)], [0.0, kappa_value], [0], QUAD_TOL)[0]
+    return _limit_components([1.0, 1.0 / (sigma * sigma)], [0.0, kappa_value], 1, QUAD_TOL)[0]
 
 
 def two_group_limit(c: float, sigma: float) -> QuadResult:
@@ -151,27 +153,7 @@ def multi_group_limits(spec: LimitSpecK) -> list[QuadResult]:
     """
     kappas = spec.kappas()
     alphas = [1.0 / (s * s) for _, s in spec.groups]
-    return _limit_components(alphas, kappas, range(len(spec.groups)), MULTI_QUAD_TOL)
-
-
-def _winner_log_integrand(groups: Sequence[GroupSpec], k: int):
-    sizes = np.array([g.size for g in groups], dtype=float)
-    sigmas = np.array([g.sigma for g in groups], dtype=float)
-    weights = sizes.copy()
-    weights[k] -= 1.0  # the champion variable contributes the density factor
-    log_pref = math.log(sizes[k]) - math.log(sigmas[k])
-    s_k = float(sigmas[k])
-    terms = [(w, s) for w, s in zip(weights.tolist(), sigmas.tolist()) if w != 0.0]
-
-    def log_f(x):
-        total = log_pref  # a float until the first term makes it an array
-        for w, s in terms:
-            total += w * log_ndtr(x / s)
-        z = x / s_k
-        total += -0.5 * z * z - _LOG_SQRT_2PI
-        return total
-
-    return log_f, sizes, sigmas
+    return _limit_components(alphas, kappas, len(alphas), MULTI_QUAD_TOL)
 
 
 def finite_n_winner_multi(groups: Sequence[GroupSpec], k: int) -> QuadResult:
@@ -186,11 +168,23 @@ def finite_n_winner_multi(groups: Sequence[GroupSpec], k: int) -> QuadResult:
         raise ValueError("need at least 2 groups")
     if not 0 <= k < len(groups):
         raise ValueError(f"group index {k} out of range for {len(groups)} groups")
-    log_f, sizes, sigmas = _winner_log_integrand(groups, k)
+    s_k, n_k = float(groups[k].sigma), float(groups[k].size)
+    log_pref = math.log(n_k) - math.log(s_k)
+    # the champion variable contributes the density factor, so group k's power is n_k - 1
+    terms = [(float(g.size) - (1.0 if i == k else 0.0), float(g.sigma)) for i, g in enumerate(groups)]
+    terms = [(w, s) for w, s in terms if w != 0.0]
+
+    def log_f(x):
+        z = x / s_k
+        total = log_pref  # a float until the first term makes it an array
+        for w, s in terms:
+            total += w * log_ndtr(z if s == s_k else x / s)
+        total += -0.5 * z * z - _LOG_SQRT_2PI
+        return total
+
     # The champion's density is about sigma_k wide, so the seed scan steps in
     # fractions of sigma_k around the champion's own maximum; rivals with much
     # larger sigmas would otherwise set a step that jumps over the peak.
-    s_k, n_k = float(sigmas[k]), float(sizes[k])
     center = s_k * math.sqrt(2.0 * math.log(n_k)) if n_k >= 2.0 else 0.0
     return _probability(concave_log_quad(log_f, center - 8.0 * s_k, center + 8.0 * s_k, tol=QUAD_TOL))
 

@@ -326,16 +326,21 @@ def deseasonalize(series: StationSeries) -> np.ndarray:
     otherwise the mean is not a meaningful seasonal estimate and a
     ValueError lists the offending months.
     """
-    anomalies = np.empty_like(series.value)
-    thin = []
-    for m in np.unique(series.month):
-        sel = series.month == m
-        if np.count_nonzero(sel) < 2:
-            thin.append(int(m))
-            continue
-        anomalies[sel] = series.value[sel] - series.value[sel].mean()
+    # a stable sort keeps each month's values in their order, so each mean sums what
+    # the month's mask would select; ``bounds`` holds each run's start, then the end
+    order = np.argsort(series.month, kind="stable")
+    month, value = series.month[order], series.value[order]
+    bounds = np.flatnonzero(np.diff(month, prepend=month[:1] - 1)).tolist() + [len(month)]
+    means, thin = [], []
+    for start, stop in zip(bounds, bounds[1:]):
+        if stop - start < 2:
+            thin.append(int(month[start]))
+        else:
+            means.append(value[start:stop].mean())
     if thin:
         raise ValueError(f"months {thin} have fewer than 2 observations")
+    anomalies = np.empty_like(value)
+    anomalies[order] = value - np.repeat(means, np.diff(bounds))
     return anomalies
 
 

@@ -86,6 +86,23 @@ class TestLimitCommand:
         assert (code, out, err) == (EXIT_MATH, "", "error: c must lie in [0, +inf], got -1.0\n")
 
     @pytest.mark.parametrize(
+        "argv, option, token",
+        [
+            (["--c", "abc", "--sigma", "1.5"], "--c", "abc"),
+            (["--c", "1", "--sigma", "1,5"], "--sigma", "1,5"),
+            (["--c", "", "--sigma", "1.5"], "--c", ""),
+        ],
+    )
+    def test_non_numeric_value_names_the_option_exit_3(self, capsys, argv, option, token):
+        code, out, err = run(capsys, "limit", "--two-group", *argv)
+        assert (code, out, err) == (EXIT_MATH, "", f"error: bad {option} {token!r}, expected a number\n")
+
+    def test_infinite_c_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "limit", "--two-group", "--c", "inf", "--sigma", "2")
+        assert code == EXIT_OK
+        assert float(parse_kv(out)["p"]) == 1.0
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["--multi", "--group", "1:1", "--group", "1:1.5", "--c", "1"],

@@ -108,6 +108,32 @@ PINNED = {
             ("0x1.d1a6ca092d680p-3", "0x1.0014391b0ea6cp-54"),
         ],
     ),
+    # two K=3 specs drawn like the benchmark's: each walks a window side, and
+    # they settle at levels 3 (1,359 evaluations) and 4 (2,383 evaluations)
+    "multi_group_limits K=3, walked, level 3": (
+        lambda: limits.multi_group_limits(
+            limits.LimitSpecK(
+                groups=((1, 1), (0.22819626092295814, 1.4777013992694186), (0.2109281961583722, 1.9917463622500362))
+            )
+        ),
+        [
+            ("0x1.dd1676e732daap-3", "0x1.30032daa54069p-50"),
+            ("0x1.b2f5ac5fe441ep-2", "0x1.0f0000e0172c2p-44"),
+            ("0x1.5e7f182c8250ap-2", "0x1.dc016e8bc9e6cp-47"),
+        ],
+    ),
+    "multi_group_limits K=3, walked, level 4": (
+        lambda: limits.multi_group_limits(
+            limits.LimitSpecK(
+                groups=((1, 1), (1.4095173216084038, 2.2385783348803816), (2.093256384295341, 2.3778578081888107))
+            )
+        ),
+        [
+            ("0x1.0164e12b66de0p-1", "0x1.8005e16c13c36p-51"),
+            ("0x1.072fe67f6380cp-2", "0x1.00024f6f4169fp-54"),
+            ("0x1.ec0cae539d866p-3", "0x1.165e11f38d486p-61"),
+        ],
+    ),
 }
 
 
@@ -380,10 +406,10 @@ def test_walking_side_runs_the_trim_grid():
     assert res.value == pytest.approx(0.01 * math.sqrt(2.0 * math.pi), rel=1e-12)
 
 
-def test_evaluation_budget_on_limits_and_critical_curve():
-    # 25 limit laws (sigma 1.1 to 3, C 0.01 to 100) and 27 finite-n points on the critical curve
-    evaluations = [
-        limits.two_group_limit(float(c), float(s)).evaluations
+def _budget_points():
+    """25 limit laws (sigma 1.1 to 3, C 0.01 to 100) and 27 finite-n points on the critical curve."""
+    results = [
+        limits.two_group_limit(float(c), float(s))
         for s in np.geomspace(1.1, 3.0, 5)
         for c in np.geomspace(0.01, 100.0, 5)
     ]
@@ -391,9 +417,31 @@ def test_evaluation_budget_on_limits_and_critical_curve():
         for c in (0.1, 1.0, 5.0):
             for n2 in (10.0, 1e3, 1e5):
                 n1 = scaling.critical_n1(n2, s, c).real_value
-                evaluations.append(limits.finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(n2, s)).evaluations)
+                results.append(limits.finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(n2, s)))
+    return results
+
+
+def test_evaluation_budget_on_limits_and_critical_curve():
+    evaluations = [r.evaluations for r in _budget_points()]
     assert len(evaluations) == 52
     assert sum(evaluations) / len(evaluations) <= 450
+
+
+def test_call_budget_on_limits_and_critical_curve(monkeypatch):
+    # a log_f call costs as much as hundreds of extra nodes, so the same 52
+    # points may not trade nodes for calls: 123 calls, about 2.4 a quadrature
+    calls = []
+
+    def counted(log_f, lo, hi, **kwargs):
+        def log_f_counted(x):
+            calls.append(len(x))
+            return log_f(x)
+
+        return concave_log_quad(log_f_counted, lo, hi, **kwargs)
+
+    monkeypatch.setattr(limits, "concave_log_quad", counted)
+    assert len(_budget_points()) == 52
+    assert len(calls) <= 123
 
 
 def test_bound_holds_for_every_row():

@@ -12,19 +12,19 @@ convergence study sets up every row and runs their exact quadratures in
 row order before any trial, then the chunks of all its rows share one
 pool, and each row sums only its own counts, bit for bit as serially.
 
-Only the comparisons are counted: an estimator needs to know which group's
-maximum is largest in a trial, not the maxima themselves.  Every sampler
-is a nondecreasing map of its uniform, and an estimator states each
-group's accuracy with its samplers.  Each job then builds, once, a table
-per group of the sampler at the edges of ``_CELLS`` equal cells of
-(0, 1), widened by that accuracy (see :func:`_cell_bounds`), and every
-chunk reads a lower and an upper bound for each draw from it.  A trial
-in which one group's lower bound exceeds every rival's upper bound is
-won by that group, whatever the exact draws; only the remaining trials
-(0.4% on the default ``simulate`` grid) are drawn exactly and counted by
-:func:`_winner_counts`.  Since the bounds hold for the computed draws,
-the counts are those of drawing every trial exactly, bit for bit.  The
-bootstrap states no accuracy, so all of its trials are drawn.
+Only the comparisons are counted: an estimator needs to know which
+group's maximum is largest in a trial, not the maxima themselves.  Every
+sampler is a nondecreasing map of its uniform, and an estimator states
+each group's accuracy with its samplers.  Each job then tables, once, the
+samplers at the edges of ``_CELLS`` equal cells of (0, 1), widened by
+that accuracy (see :func:`_cell_bounds`) and kept as integer thresholds,
+and a chunk reads each draw's cell from the top bits of its raw Philox
+word.  A trial in which one group's lower bound exceeds every rival's
+upper bound is won by that group, whatever the exact draws; only the
+remaining trials (0.4% on the default ``simulate`` grid) are drawn
+exactly and counted by :func:`_winner_counts`.  Since the bounds hold for
+the computed draws, the counts are those of drawing every trial exactly,
+bit for bit.  The bootstrap states no accuracy, so every trial is drawn.
 
 Group maxima are sampled directly through the uniform quantile
 transform M = sigma * Phi^{-1}(u^{1/n}) (one uniform per group per
@@ -60,7 +60,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_CHUNK_DRAWS = 1 << 17  # uniforms per chunk: 1 MB of doubles keeps memory modest
+_CHUNK_DRAWS = 1 << 17  # draws per chunk: 1 MB of raw words keeps memory modest
 _TINY_U = 0.5**53  # replacement for the measure-zero u == 0 draw
 _TINY = np.finfo(float).tiny  # smallest normal double
 _CELLS = 1 << 9  # cells of (0, 1) in the bounds tables; a power of two, so u * _CELLS is exact
@@ -91,7 +91,7 @@ class RngStream:
 
         Philox advances its counter once per 4 output words, so the
         counter encodes offsets in multiples of 4; the remainder is
-        consumed by the caller (see _uniforms).
+        consumed by the caller (see _words).
         """
         if draw_offset % 4 != 0:
             raise ValueError("draw_offset must be a multiple of 4")
@@ -139,19 +139,22 @@ class StudyRow:
     p_exact: float | None
 
 
-def _uniforms(stream: RngStream, start_trial: int, n_trials: int, per_trial: int) -> np.ndarray:
-    """Uniform draws for trials [start_trial, start_trial + n_trials).
-
-    Returns an (n_trials, per_trial) matrix of open-interval (0, 1)
-    uniforms taken from the stream positions owned by those trials.
-    """
+def _words(stream: RngStream, start_trial: int, n_trials: int, per_trial: int) -> np.ndarray:
+    """Raw 64-bit Philox words of trials [start_trial, start_trial + n_trials), one row per trial."""
     offset = start_trial * per_trial
     aligned = offset - (offset % 4)
-    g = stream.generator(aligned)
-    u = g.random(n_trials * per_trial + (offset - aligned))
-    u = u[offset - aligned:]
-    u[u == 0.0] = _TINY_U  # keep the open-interval contract, measure-zero event
-    return u.reshape(n_trials, per_trial)
+    w = stream.generator(aligned).bit_generator.random_raw(n_trials * per_trial + (offset - aligned))
+    return w[offset - aligned:].reshape(n_trials, per_trial)
+
+
+def _unit(w: np.ndarray) -> np.ndarray:
+    """``Generator.random`` of raw words, bit for bit, with 0 (the only value below ``_TINY_U``) raised to it."""
+    return np.maximum((w >> np.uint64(11)) * 0.5**53, _TINY_U)
+
+
+def _uniforms(stream: RngStream, start_trial: int, n_trials: int, per_trial: int) -> np.ndarray:
+    """Uniform draws for trials [start_trial, start_trial + n_trials), one row per trial."""
+    return _unit(_words(stream, start_trial, n_trials, per_trial))
 
 
 def _cell_bounds(draw, rel, err):
@@ -167,34 +170,55 @@ def _cell_bounds(draw, rel, err):
     rounding, and one step outward with ``nextafter`` covers the rounding
     of v - slack.  The upper bound is the same argument at the edge
     (i + 1) / _CELLS.  The first cell has no lower bound and the last no
-    upper bound.
+    upper bound, and an edge whose value is NaN or infinite bounds neither
+    cell beside it.
     """
     edge = draw(np.arange(1, _CELLS) / _CELLS)
+    finite = np.isfinite(edge)
+    edge = np.where(finite, edge, 0.0)
     slack = 2.0 * (rel * np.abs(edge) + err) / (1.0 - 2.0 * rel)
-    lo = np.concatenate([[-np.inf], np.nextafter(edge - slack, -np.inf)])
-    hi = np.concatenate([np.nextafter(edge + slack, np.inf), [np.inf]])
-    return lo, hi
+    with np.errstate(over="ignore"):  # a bound past the largest double is infinite, and still a bound
+        lo = np.where(finite, np.nextafter(edge - slack, -np.inf), -np.inf)
+        hi = np.where(finite, np.nextafter(edge + slack, np.inf), np.inf)
+    return np.concatenate([[-np.inf], lo]), np.concatenate([hi, [np.inf]])
 
 
-def _chunk_counts(stream, samplers, bounds, start_trial, n_trials):
+def _thresholds(bounds):
+    """Integer thresholds of a job's :func:`_cell_bounds` tables: ``c_i < t[j][i][c]`` iff ``hi_i[c_i] < lo_j[c]``.
+
+    Each ``hi`` is first made its running maximum from the left and each ``lo``
+    its running minimum from the right, which only widens the bounds.
+    """
+    lo = [np.minimum.accumulate(b[0][::-1])[::-1] for b in bounds]
+    hi = [np.maximum.accumulate(b[1]) for b in bounds]
+    return [[np.searchsorted(h, low).astype(np.uint16) for h in hi] for low in lo]
+
+
+def _won(cell, tables):
+    """Row j marks the trials that group j wins on ``cell`` (one row per group) alone, by :func:`_thresholds`."""
+    return np.array([functools.reduce(np.logical_and, [cell[i] < t[i].take(c) for i in range(len(t)) if i != j])
+                     for j, (c, t) in enumerate(zip(cell, tables))])
+
+
+def _chunk_counts(stream, samplers, tables, start_trial, n_trials):
     """Per-group win counts of one chunk of consecutive trials; ``samplers[j]`` maps uniform column j.
 
-    ``bounds`` holds the :func:`_cell_bounds` tables of the job's groups,
-    or is None.  A trial whose group j has a lower bound above every
-    rival's upper bound is a win for j, with no tie possible; only the
-    other trials are drawn and go to :func:`_winner_counts`.  With no
-    tables, the table reads are skipped and every trial is drawn.
+    ``tables`` holds the job's :func:`_thresholds`, or is None.  A draw's cell
+    is the top 9 bits of its raw word w, ``w >> 55 == floor(u * _CELLS)`` for
+    its uniform u.  A trial that :func:`_won` gives to group j is a win for j,
+    with no tie possible; only the other trials are turned into uniforms,
+    drawn and counted by :func:`_winner_counts`.  With no tables, all are.
     """
-    u = _uniforms(stream, start_trial, n_trials, len(samplers))
-    decided, rest = np.zeros(len(samplers), dtype=np.int64), u
-    if bounds is not None:
-        cell = (u * _CELLS).astype(np.intp)
-        lo = [b[0][cell[:, j]] for j, b in enumerate(bounds)]
-        hi = [b[1][cell[:, j]] for j, b in enumerate(bounds)]
-        won = np.array([lo[j] > functools.reduce(np.maximum, hi[:j] + hi[j + 1:]) for j in range(len(samplers))])
+    w = _words(stream, start_trial, n_trials, len(samplers))
+    decided = np.zeros(len(samplers), dtype=np.int64)
+    if tables is not None:
+        # one row of cells per group, shifted straight into uint16: no uint64 copy of the words
+        cell = np.right_shift(w.T, np.uint64(55), out=np.empty(w.T.shape, np.uint16), casting="unsafe")
+        won = _won(cell, tables)
         decided = np.count_nonzero(won, axis=1)
-        rest = np.compress(~won.any(axis=0), u, axis=0)
-    return decided + _winner_counts([draw(rest[:, j]) for j, draw in enumerate(samplers)])
+        w = np.compress(~won.any(axis=0), w, axis=0)
+    u = _unit(w)
+    return decided + _winner_counts([draw(u[:, j]) for j, draw in enumerate(samplers)])
 
 
 def _run_rows(jobs, *, workers=1):
@@ -203,12 +227,12 @@ def _run_rows(jobs, *, workers=1):
     A job is ``(stream, trials, samplers, accuracy)``: ``samplers`` holds
     one callable per group that maps a column of uniforms to that group's
     maxima, and ``accuracy`` one stated ``(rel, err)`` per sampler, or
-    None.  The job's :func:`_cell_bounds` tables are built here, once,
-    and passed to every chunk.  Its trials are cut into the fewest chunks
-    of at most ``_CHUNK_DRAWS`` draws, equal in size up to one trial; the
-    layout depends on the trials and the group count only, never on
-    ``workers``.  The job's counts are the sum of its chunks'
-    :func:`_chunk_counts`.
+    None.  The job's :func:`_cell_bounds` tables and their :func:`_thresholds`
+    are built here, once, and passed to every chunk.  Its trials are cut
+    into the fewest chunks of at most ``_CHUNK_DRAWS`` draws, equal in size
+    up to one trial; the layout depends on the trials and the group count
+    only, never on ``workers``.  The job's counts are the sum of its
+    chunks' :func:`_chunk_counts`.
 
     With one worker, or one chunk in all, the chunks run inline in order.
     Otherwise every chunk of every job goes through one
@@ -223,9 +247,10 @@ def _run_rows(jobs, *, workers=1):
         if trials < 1:
             raise ValueError("trials must be >= 1")
         bounds = None if accuracy is None else [_cell_bounds(d, *a) for d, a in zip(samplers, accuracy)]
+        tables = None if bounds is None else _thresholds(bounds)
         k = -(-trials // max(1, _CHUNK_DRAWS // len(samplers)))
         cuts = [j * trials // k for j in range(k + 1)]
-        chunks += [(stream, samplers, bounds, t0, t1 - t0) for t0, t1 in zip(cuts, cuts[1:])]
+        chunks += [(stream, samplers, tables, t0, t1 - t0) for t0, t1 in zip(cuts, cuts[1:])]
         ends.append(len(chunks))
     if workers <= 1 or len(chunks) == 1:
         values = list(map(_chunk_counts, *zip(*chunks)))

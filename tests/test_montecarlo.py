@@ -1,9 +1,11 @@
 """Reproducible Monte Carlo: stream contract, transforms, estimators."""
 
+import functools
 import math
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Executor, Future
 from unittest import mock
 
@@ -79,6 +81,25 @@ class TestRngStream:
         whole = mc._uniforms(s, 0, 100, 3)
         parts = np.vstack([mc._uniforms(s, 0, 37, 3), mc._uniforms(s, 37, 63, 3)])
         assert np.array_equal(whole, parts)
+
+    @pytest.mark.parametrize("per_trial", [1, 2, 3, 4, 5])
+    def test_unit_words_are_generator_random_bit_for_bit(self, per_trial):
+        s = RngStream(seed=8, stream_id=3)
+        for start in (0, 1, 3, 5, 7):  # start * per_trial % 4 != 0 makes _words skip words
+            ref = s.generator(0).random((start + 60) * per_trial)[start * per_trial:]
+            u = mc._unit(mc._words(s, start, 60, per_trial))
+            assert u.shape == (60, per_trial)
+            assert np.array_equal(u.ravel().view(np.uint64), ref.view(np.uint64))
+
+    def test_crafted_words(self):
+        w = np.array([0, 2047, 2048, 2**64 - 1], dtype=np.uint64)
+        u = mc._unit(w)
+        assert u.tolist() == [0.5**53, 0.5**53, 0.5**53, 1.0 - 0.5**53]  # 0 and 2047 both map to 0, then _TINY_U
+        assert int(w[-1] >> np.uint64(55)) == int(u[-1] * mc._CELLS) == mc._CELLS - 1
+
+    def test_cell_is_top_bits_of_word(self):
+        w = mc._words(RngStream(seed=9), 3, 20_000, 2)
+        assert np.array_equal(w >> np.uint64(55), (mc._unit(w) * mc._CELLS).astype(np.uint64))
 
     def test_substreams_distinct_and_deterministic(self):
         s = RngStream(seed=7)
@@ -214,6 +235,54 @@ def test_cell_bounds_hold_for_every_draw(n, sigma, u):
     x = draw(u)
     assert np.all(lo[cell] <= x) and np.all(x <= hi[cell])
     assert np.all(lo[1:] > -np.inf) and np.all(hi[:-1] < np.inf)
+
+
+def _float_won(cell, bounds):
+    """Trials each group wins on float bounds: its lower bound above every rival's upper bound."""
+    lo = [b[0][c] for b, c in zip(bounds, cell)]
+    hi = [b[1][c] for b, c in zip(bounds, cell)]
+    return np.array([lo[j] > functools.reduce(np.maximum, hi[:j] + hi[j + 1:]) for j in range(len(bounds))])
+
+
+_BOUND = st.one_of(st.sampled_from([-np.inf, np.inf, 0.0, 1.0]), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _bound_tables(draw):
+    """Float bounds tables of 2 or 3 groups over a few cells, and the cells of some trials (one row per group)."""
+    k, cells = draw(st.sampled_from([2, 3])), draw(st.integers(1, 6))
+    table = st.lists(_BOUND, min_size=cells, max_size=cells).map(np.array)
+    bounds = [(draw(table), draw(table)) for _ in range(k)]
+    trials = draw(st.lists(st.lists(st.integers(0, cells - 1), min_size=k, max_size=k), min_size=1, max_size=40))
+    return bounds, np.array(trials, dtype=np.uint16).T
+
+
+def _every_cell_pair(bounds):
+    """Every combination of cells, one row per group."""
+    grid = np.meshgrid(*[np.arange(len(b[0])) for b in bounds], indexing="ij")
+    return np.array([g.ravel() for g in grid], dtype=np.uint16)
+
+
+_TIES = [(np.array([-np.inf, 1.0, 2.0]), np.array([1.0, 2.0, np.inf]))] * 2  # lo of one group equals hi of the other
+_SHUFFLED = [
+    (np.array([-np.inf, 2.0, 1.0, -np.inf]), np.array([3.0, np.inf, 1.0, 2.0])),
+    (np.array([0.0, -np.inf, 2.0, 2.0]), np.array([2.0, 0.0, np.inf, np.inf])),
+    (np.array([1.0, 1.0, np.inf, 3.0]), np.array([-np.inf, 1.0, 1.0, np.inf])),
+]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@example(case=(_TIES, _every_cell_pair(_TIES)))
+@example(case=(_SHUFFLED, _every_cell_pair(_SHUFFLED)))
+@example(case=(_SHUFFLED[:2], _every_cell_pair(_SHUFFLED[:2])))
+@given(case=_bound_tables())
+def test_thresholds_decide_what_float_bounds_decide(case):
+    bounds, cell = case
+    ints = mc._won(cell, mc._thresholds(bounds))
+    assert ints.shape == (len(bounds), cell.shape[1])
+    assert not np.any(ints & ~_float_won(cell, bounds))  # on any tables, a subset
+    monotone = [(np.sort(lo), np.sort(hi)) for lo, hi in bounds]
+    assert np.array_equal(mc._won(cell, mc._thresholds(monotone)), _float_won(cell, monotone))
 
 
 def test_bound_examples_reach_both_special_branches():
@@ -401,11 +470,18 @@ def exact_draws(monkeypatch):
     return sizes
 
 
+def _overflowing(trials):
+    """Group 2's maxima (sigma = 1e308) overflow to inf in the sampler above x = 1.8, a third of the draws."""
+    with np.errstate(all="ignore"):
+        return mc_multi([GroupSpec(10, 1.0), GroupSpec(10, 1e308)], trials, RngStream(5))
+
+
 class TestCellBounds:
     TRIALS = 30_000
     RUNS = {
         "k2": lambda t: mc_multi([GroupSpec(1e4, 1.0), GroupSpec(100, 1.5)], t, RngStream(31)),
         "k2_extreme": lambda t: mc_multi([GroupSpec(5e137, 1.0), GroupSpec(1e16, 3.0)], t, RngStream(32)),
+        "k2_overflow": _overflowing,
         "k3": lambda t: mc_multi([GroupSpec(10, 1.0), GroupSpec(5, 1.5), GroupSpec(3, 2.0)], t, RngStream(33)),
         "limit_pair": lambda t: mc_limit_pair(1.0, 1.5, t, RngStream(34)),
     }
@@ -413,7 +489,11 @@ class TestCellBounds:
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_counts_equal_all_exact_counts(self, monkeypatch, exact_draws, name):
         bounded = self.RUNS[name](self.TRIALS)
-        assert 0 < sum(exact_draws) < 0.05 * self.TRIALS  # the bounds decide nearly every trial
+        if name == "k2_overflow":
+            # an infinite edge's lower bound is -inf, and the running minimum carries it to every cell below
+            assert sum(exact_draws) == self.TRIALS
+        else:
+            assert 0 < sum(exact_draws) < 0.05 * self.TRIALS  # the bounds decide nearly every trial
         exact_draws.clear()
         # infinite tables, so the per-trial reads run and decide nothing
         monkeypatch.setattr(
@@ -425,12 +505,43 @@ class TestCellBounds:
     def test_chunk_with_every_trial_decided(self, exact_draws):
         stream = RngStream(31)
         samplers, accuracy = mc._max_samplers([GroupSpec(1e6, 1.0), GroupSpec(2, 1e-3)])
-        bounds = [mc._cell_bounds(draw, *a) for draw, a in zip(samplers, accuracy)]
-        cell = (mc._uniforms(stream, 0, 40, 2) * mc._CELLS).astype(np.intp)
+        tables = mc._thresholds([mc._cell_bounds(draw, *a) for draw, a in zip(samplers, accuracy)])
+        cell = mc._words(stream, 0, 40, 2) >> np.uint64(55)
         # no draw in group 1's first cell or group 2's last, the only cells with an infinite bound
         assert np.all(cell[:, 0] > 0) and np.all(cell[:, 1] < mc._CELLS - 1)
-        assert list(mc._chunk_counts(stream, samplers, bounds, 0, 40)) == [40, 0]
+        assert list(mc._chunk_counts(stream, samplers, tables, 0, 40)) == [40, 0]
         assert exact_draws == [0]
+
+    def test_non_finite_edges_bound_nothing(self):
+        def draw(u):
+            x = np.array(u)
+            x[[10, 20, 30]] = [np.inf, -np.inf, np.nan]
+            return x
+
+        lo, hi = mc._cell_bounds(draw, mc._REL, mc._ABS)  # no RuntimeWarning: Tier-1 runs with them as errors
+        # edge k is the upper edge of cell k and the lower edge of cell k + 1
+        assert np.flatnonzero(hi == np.inf).tolist() == [10, 20, 30, mc._CELLS - 1]
+        assert np.flatnonzero(lo == -np.inf).tolist() == [0, 11, 21, 31]
+        assert not np.any(np.isnan(lo) | np.isnan(hi))
+        # against a rival below every finite bound, group 1 wins exactly in the cells above 31:
+        # the running minimum carries cell 31's -inf lower bound down to cell 0
+        rival = (np.full(mc._CELLS, -np.inf), np.full(mc._CELLS, -1e300))
+        cell = _every_cell_pair([(lo, hi), rival])
+        won = mc._won(cell, mc._thresholds([(lo, hi), rival]))
+        assert np.array_equal(won[0], cell[0] > 31) and not np.any(won[1])
+
+    def test_chunk_memory_within_twice_its_words(self):
+        samplers, accuracy = mc._max_samplers([GroupSpec(1e4, 1.0), GroupSpec(100, 1.5)])
+        tables = mc._thresholds([mc._cell_bounds(draw, *a) for draw, a in zip(samplers, accuracy)])
+        stream, trials = RngStream(37), 50_000
+        mc._chunk_counts(stream, samplers, tables, 0, trials)
+        tracemalloc.start()
+        try:
+            mc._chunk_counts(stream, samplers, tables, 0, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * trials * 2 * 8  # twice the 0.8 MB word matrix
 
     def test_tables_built_once_per_job(self, monkeypatch, recording_pool):
         real, calls = mc._cell_bounds, []

@@ -5,8 +5,8 @@ Three families of integrals live here:
 * the two-group limit law  int_0^inf exp(-y - e^{-kappa} y^{1/sigma^2}) dy,
 * its K-group generalization with per-group integrands
   (e^{-kappa_k}/sigma_k^2) x^{1/sigma_k^2 - 1} exp(-sum_j e^{-kappa_j} x^{1/sigma_j^2}),
-* the exact finite-n probability
-  int_R exp(n2 log Phi(x/sigma2) + (n1-1) log Phi(x/sigma1)) (n1/sigma1) phi(x/sigma1) dx,
+* the exact finite-n probability that group 1 beats groups j = 2..K,
+  int_R exp((n1-1) log Phi(x/sigma1) + sum_j n_j log Phi(x/sigma_j)) (n1/sigma1) phi(x/sigma1) dx,
   which serves as the brute-force oracle for everything else.
 
 The [0, inf) integrals are evaluated after the substitution y = e^u,
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -39,7 +38,6 @@ __all__ = [
     "two_group_limit_from_kappa",
     "multi_group_limits",
     "finite_n_winner",
-    "finite_n_winner_multi",
     "solve_c_for_target",
 ]
 
@@ -156,22 +154,19 @@ def multi_group_limits(spec: LimitSpecK) -> list[QuadResult]:
     return _limit_components(alphas, kappas, len(alphas), MULTI_QUAD_TOL)
 
 
-def finite_n_winner_multi(groups: Sequence[GroupSpec], k: int) -> QuadResult:
-    """Exact P(group k attains the overall maximum) for finite sizes.
+def finite_n_winner(champion: GroupSpec, *rivals: GroupSpec) -> QuadResult:
+    """Exact P(the champion's maximum beats every rival's) for finite real sizes >= 1.
 
-    ``k`` is a zero-based index.  Sizes may be any reals >= 1; all
-    probability powers are assembled as n * log Phi, never by repeated
-    multiplication.  The value is clamped to [0, 1].
+    P(group k of K >= 2 wins) is ``finite_n_winner(groups[k], *others)``.
+    Powers are assembled as n * log Phi, never by repeated multiplication,
+    and the value is clamped to [0, 1].
     """
-    groups = list(groups)
-    if len(groups) < 2:
+    if not rivals:
         raise ValueError("need at least 2 groups")
-    if not 0 <= k < len(groups):
-        raise ValueError(f"group index {k} out of range for {len(groups)} groups")
-    s_k, n_k = float(groups[k].sigma), float(groups[k].size)
+    s_k, n_k = float(champion.sigma), float(champion.size)
     log_pref = math.log(n_k) - math.log(s_k)
-    # the champion variable contributes the density factor, so group k's power is n_k - 1
-    terms = [(float(g.size) - (1.0 if i == k else 0.0), float(g.sigma)) for i, g in enumerate(groups)]
+    # the champion variable contributes the density factor, so its own power is n_k - 1
+    terms = [(n_k - 1.0, s_k)] + [(float(g.size), float(g.sigma)) for g in rivals]
     terms = [(w, s) for w, s in terms if w != 0.0]
 
     def log_f(x):
@@ -187,11 +182,6 @@ def finite_n_winner_multi(groups: Sequence[GroupSpec], k: int) -> QuadResult:
     # larger sigmas would otherwise set a step that jumps over the peak.
     center = s_k * math.sqrt(2.0 * math.log(n_k)) if n_k >= 2.0 else 0.0
     return _probability(concave_log_quad(log_f, center - 8.0 * s_k, center + 8.0 * s_k, tol=QUAD_TOL))
-
-
-def finite_n_winner(g1: GroupSpec, g2: GroupSpec) -> QuadResult:
-    """Exact P(max of group 1 > max of group 2) for finite real sizes."""
-    return finite_n_winner_multi([g1, g2], 0)
 
 
 def solve_c_for_target(p_target: float, sigma: float) -> float:

@@ -393,6 +393,8 @@ def kmeans1d_split(values) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], tup
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         raise ValueError("need at least 2 values to split")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"split values must be finite, got {arr[~np.isfinite(arr)][0]}")
     if np.unique(arr).size < 2:
         raise ValueError("all values identical: no meaningful split")
     order = np.argsort(arr, kind="stable")

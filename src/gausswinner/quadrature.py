@@ -53,9 +53,11 @@ rounding level.  ``abs_err`` is that first settled difference plus the
 tail term: it measures the coarser of the two levels, so it reads up to
 tol/2 (median 1e-15, at most 5e-10 on the benchmark's tables).  It
 leaves out floating-point rounding, so it does not bound the error at
-that level: values differ from a 109-digit mpmath reference by up to
-1.0e-14 (finite-n at n1 = 1.1e69, n2 = 1.7e8, sigma = 3).  Sizes near
-n1 = 1e138 have no such oracle: mpmath's erfc overflows there.
+that level: finite-n values differ from mpmath by up to 1.2e-14 (n1 =
+6.3e30, n2 = 1e8, sigma = 2; 1.1e-15 with a correctly rounded log Phi).
+scipy takes log Phi's tail at x * fl(1/sqrt 2), 6.8e-17 too far out, which
+shrinks |log Phi| by x^2 times that at every node (1e-14 at the peak x =
+12).  Sizes near n1 = 1e138 have no such oracle: mpmath's erfc overflows.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ are module constants.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +68,14 @@ def write_synthetic_stations(
     ``SD_HIGH``.  ``N_OUTSIDE_BOX`` extra stations fall outside the
     default lat/lon box and ``N_SPARSE`` extra ones carry too few months
     to survive the completeness filter; both must be dropped by a
-    correct loader.  ``missing_rate`` > 0 blanks that fraction of values
-    (empty CSV fields) on every third in-box station, exercising the
-    gap-aware AR(1) pairing.
+    correct loader.  ``missing_rate`` in [0, 1) blanks that fraction of
+    values (empty CSV fields) on every third in-box station, exercising
+    the gap-aware AR(1) pairing.  Both counts are integers >= 0.
     """
+    if not all(isinstance(n, numbers.Integral) and n >= 0 for n in (n_low, n_high)):
+        raise ValueError(f"n_low and n_high must be integers >= 0, got {n_low!r} and {n_high!r}")
+    if not 0.0 <= missing_rate < 1.0:
+        raise ValueError(f"missing_rate must lie in [0, 1), got {missing_rate!r}")
     months = (LAST_YEAR - FIRST_YEAR + 1) * 12
     t = np.arange(months)
     month = 1 + t % 12

@@ -3,8 +3,8 @@
 Everything here is deliberately written from scratch with different
 algorithms than the package (continued fractions and power series
 instead of scipy's ndtr, bisection instead of rational inverses, fixed-grid
-Simpson instead of adaptive trapezoid, 30-digit mpmath tanh-sinh
-quadrature instead of the float64 trapezoid rule, every variable of a
+Simpson instead of adaptive trapezoid, mpmath tanh-sinh quadrature at 30
+or more digits instead of the float64 trapezoid rule, every variable of a
 group simulated instead of one quantile-transformed maximum), so
 agreement is evidence rather than tautology.
 """
@@ -135,22 +135,33 @@ def mp_limit_law(kappa_value: float, sigma: float, digits: int = 30) -> float:
         return float(mpmath.quad(lambda y: mpmath.exp(-y - weight * y**alpha), [0, 1, 10, mpmath.inf]))
 
 
-def mp_finite_n(n1: float, s1: float, n2: float, s2: float, digits: int = 30) -> float:
-    """P(max of n1 N(0, s1^2) > max of n2 N(0, s2^2)) by mpmath at ``digits`` digits.
+def mp_finite_n(champion: GroupSpec, *rivals: GroupSpec, digits: int | None = None) -> float:
+    """P(the champion's maximum exceeds every rival group's maximum) by mpmath at ``digits`` digits.
 
-    The integrand peaks near s1 sqrt(2 log n1) with a width of order s1, so
-    the range is split there for the tanh-sinh rule.
+    Near the peak Phi(x) is about 1 - 1/n, so n log Phi(x) keeps only
+    ``digits`` - log10 n of them; the default max(30, ceil(log10 max n) + 25)
+    leaves 25.  The integrand peaks near s1 sqrt(2 log n1) with a width of
+    order s1, and each rival's factor turns over near s_j sqrt(2 log n_j), so
+    the range is split at those points for the tanh-sinh rule.
     """
+    groups = (champion, *rivals)
+    if digits is None:
+        digits = max(30, math.ceil(math.log10(max(g.size for g in groups))) + 25)
     with mpmath.workdps(digits):
-        n1, s1, n2, s2 = (mpmath.mpf(v) for v in (n1, s1, n2, s2))
-        center = s1 * mpmath.sqrt(2 * mpmath.log(n1)) if n1 >= 2 else mpmath.mpf(0)
+        (n1, s1), *others = ((mpmath.mpf(g.size), mpmath.mpf(g.sigma)) for g in groups)
+
+        def center(n, s):
+            return s * mpmath.sqrt(2 * mpmath.log(n)) if n >= 2 else mpmath.mpf(0)
 
         def f(x):
-            log_rivals = n2 * mpmath.log(mpmath.ncdf(x / s2)) + (n1 - 1) * mpmath.log(mpmath.ncdf(x / s1))
+            log_rivals = (n1 - 1) * mpmath.log(mpmath.ncdf(x / s1))
+            for n, s in others:
+                log_rivals += n * mpmath.log(mpmath.ncdf(x / s))
             return mpmath.exp(log_rivals) * n1 / s1 * mpmath.npdf(x / s1)
 
-        splits = [center + s1 * k for k in (-4, -2, -1, 0, 1, 2, 4)]
-        return float(mpmath.quad(f, [-mpmath.inf, *splits, mpmath.inf]))
+        splits = {center(n1, s1) + s1 * k for k in (-4, -2, -1, 0, 1, 2, 4)}
+        splits.update(center(n, s) for n, s in others)
+        return float(mpmath.quad(f, [-mpmath.inf, *sorted(splits), mpmath.inf]))
 
 
 def ks_statistic(samples, cdf) -> float:

@@ -20,7 +20,6 @@ import gausswinner.limits as limits_module
 from gausswinner.limits import (
     LimitSpecK,
     finite_n_winner,
-    finite_n_winner_multi,
     multi_group_limits,
     solve_c_for_target,
     two_group_limit,
@@ -52,6 +51,11 @@ def scipy_finite_n(n1, s1, n2, s2):
 
     value, _ = scipy_quad(integrand, -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13, limit=400)
     return value
+
+
+def each_wins(groups):
+    """P(group k wins) for every k: ``finite_n_winner`` with group k first, the others in order."""
+    return [finite_n_winner(g, *groups[:k], *groups[k + 1:]) for k, g in enumerate(groups)]
 
 
 class TestTwoGroupFromKappa:
@@ -295,33 +299,23 @@ class TestFiniteNWinner:
 
 class TestFiniteNWinnerMulti:
     def test_identical_groups_uniform(self):
-        groups = [GroupSpec(7.0, 1.3)] * 4
-        for k in range(4):
-            res = finite_n_winner_multi(groups, k)
+        for res in each_wins([GroupSpec(7.0, 1.3)] * 4):
             assert res.value == pytest.approx(0.25, abs=1e-9)
-
-    def test_k2_matches_two_group_exactly(self):
-        # one tolerance at every K: value, abs_err and evaluations agree bit for bit
-        pairs = [(GroupSpec(10.0, 1.0), GroupSpec(5.0, 1.5)), (GroupSpec(1e6, 1.0), GroupSpec(300.0, 2.0))]
-        for g1, g2 in pairs:
-            assert finite_n_winner_multi([g1, g2], 0) == finite_n_winner(g1, g2)
 
     def test_components_sum_to_one(self):
         groups = [GroupSpec(10.0, 1.0), GroupSpec(5.0, 1.5), GroupSpec(3.0, 2.0)]
-        total = sum(finite_n_winner_multi(groups, k).value for k in range(3))
+        total = sum(r.value for r in each_wins(groups))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_complement_identity(self):
         g1, g2 = GroupSpec(8.0, 1.0), GroupSpec(6.0, 1.4)
         p1 = finite_n_winner(g1, g2).value
-        p2 = finite_n_winner_multi([g1, g2], 1).value
+        p2 = finite_n_winner(g2, g1).value
         assert p1 + p2 == pytest.approx(1.0, abs=1e-9)
 
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            finite_n_winner_multi([GroupSpec(2, 1.0), GroupSpec(2, 1.5)], 2)
-        with pytest.raises(ValueError):
-            finite_n_winner_multi([GroupSpec(2, 1.0)], 0)
+    def test_needs_a_rival(self):
+        with pytest.raises(ValueError, match="need at least 2 groups"):
+            finite_n_winner(GroupSpec(2, 1.0))
 
 
 class TestSolveCForTarget:
@@ -367,10 +361,13 @@ _SIGMA = st.floats(1.05, 3.0)
 
 
 class TestHighPrecisionOracle:
-    """Values against 30-digit mpmath quadrature, which shares nothing with the trapezoid rule.
+    """Values against mpmath quadrature, which shares nothing with the trapezoid rule.
 
-    ``abs_err`` leaves out rounding, so the bound is on the value itself:
-    the largest error measured on these points is 1.8e-15, at n1 = 1e6.
+    ``oracles.mp_finite_n`` works at max(30, log10 max n + 25) digits and
+    ``oracles.mp_limit_law`` at 30.  ``abs_err`` leaves out rounding, so the
+    bound is on the value itself: the largest error measured on these points
+    is 1.17e-14, at n1 = 6.3e30, where log Phi's own bias sets it (see the
+    ``quadrature`` module docstring); elsewhere it is at most 1.8e-15.
     """
 
     def test_oracle_reproduces_closed_form(self):
@@ -383,8 +380,27 @@ class TestHighPrecisionOracle:
 
     @pytest.mark.parametrize("n1, s1, n2, s2", [(1e6, 1.0, 100.0, 1.5), (3.0, 1.0, 7.0, 1.3)])
     def test_finite_n(self, n1, s1, n2, s2):
-        ref = oracles.mp_finite_n(n1, s1, n2, s2)
+        ref = oracles.mp_finite_n(GroupSpec(n1, s1), GroupSpec(n2, s2))
         assert abs(finite_n_winner(GroupSpec(n1, s1), GroupSpec(n2, s2)).value - ref) <= 1e-13
+
+    def test_finite_n_at_large_n1(self):
+        # n1 = 6.3e30 on the critical curve at C = 5, sigma = 2, where 30 digits are 1.6e-8 off
+        groups = GroupSpec(critical_n1(1e8, 2.0, 5.0).real_value, 1.0), GroupSpec(1e8, 2.0)
+        ref = oracles.mp_finite_n(*groups)  # 56 digits; 45, 60 and 90 agree
+        assert ref == pytest.approx(0.7577677369021163, abs=1e-16)
+        assert abs(finite_n_winner(*groups).value - ref) <= 2e-14
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            (GroupSpec(3, 2.0), GroupSpec(10, 1.0), GroupSpec(5, 1.5)),
+            (GroupSpec(300, 2.0), GroupSpec(1e6, 1.0), GroupSpec(100, 1.5)),
+            (GroupSpec(50, 1.5), GroupSpec(1e4, 1.0), GroupSpec(20, 2.0), GroupSpec(5, 3.0)),
+        ],
+        ids=["K3_small", "K3_large", "K4"],
+    )
+    def test_k_groups(self, groups):
+        assert abs(finite_n_winner(*groups).value - oracles.mp_finite_n(*groups)) <= 2e-14
 
     def test_limit_grid_and_finite_n_to_rounding(self):
         # C x sigma over the table's range and two finite-n sizes, all at the rounding level
@@ -395,7 +411,8 @@ class TestHighPrecisionOracle:
         }
         for n1, s1, n2, s2 in [(1e4, 1.0, 100.0, 1.5), (50.0, 1.0, 20.0, 2.0)]:
             value = finite_n_winner(GroupSpec(n1, s1), GroupSpec(n2, s2)).value
-            errors["finite_n", n1, n2] = abs(value - oracles.mp_finite_n(n1, s1, n2, s2))
+            ref = oracles.mp_finite_n(GroupSpec(n1, s1), GroupSpec(n2, s2))
+            errors["finite_n", n1, n2] = abs(value - ref)
         worst = max(errors, key=errors.get)
         assert errors[worst] <= 5e-15, (worst, errors[worst])
 
@@ -451,3 +468,12 @@ class TestProperties:
     def test_finite_n_exchangeable(self, n1, n2, sigma):
         res = finite_n_winner(GroupSpec(n1, sigma), GroupSpec(n2, sigma))
         assert res.value == pytest.approx(n1 / (n1 + n2), abs=1e-10)
+
+    @_PROPERTY
+    @given(groups=st.lists(st.tuples(st.floats(1.0, 1e6), st.floats(0.1, 10.0)), min_size=2, max_size=5))
+    @example(groups=[(7.0, 1.3), (20.0, 1.3)])  # exchangeable: 7/27 and 20/27
+    @example(groups=[(10.0, 0.5), (5.0, 1.0), (3.0, 1.5), (50.0, 2.0), (2.0, 3.0)])
+    @example(groups=[(1e6, 1.0), (3.0, 1e3), (40.0, 5.0)])  # sigma spread 1e3
+    def test_finite_n_winners_sum_to_one(self, groups):
+        parts = each_wins([GroupSpec(n, s) for n, s in groups])
+        assert abs(sum(r.value for r in parts) - 1.0) <= len(groups) * 1e-10

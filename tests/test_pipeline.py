@@ -668,6 +668,14 @@ class TestKmeans1dSplit:
         with pytest.raises(ValueError):
             kmeans1d_split([2.0, 2.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [([1.0, math.nan, 3.0], "got nan"), ([1.0, 2.0, math.inf], "got inf"), ([-math.inf, 0.0], "got -inf")],
+    )
+    def test_non_finite_values_rejected(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            kmeans1d_split(values)
+
 
 class TestBuildPools:
     def _fits(self, sds, n, seed):
@@ -842,6 +850,20 @@ class TestEndToEnd:
         assert swapped.centers == base.centers
         assert swapped.centers[0] < swapped.centers[1]
         assert np.array_equal(swapped.pool_low.values, base.pool_low.values)
+
+    @pytest.mark.parametrize("counts", [{"n_low": -3}, {"n_high": 2.5}])
+    def test_synthetic_counts_are_integers_from_zero(self, tmp_path, counts):
+        path = tmp_path / "fixture.csv"
+        with pytest.raises(ValueError, match="must be integers >= 0"):
+            write_synthetic_stations(path, **counts)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("missing_rate", [1.5, 1.0, -0.1, math.nan])
+    def test_synthetic_missing_rate_below_one(self, tmp_path, missing_rate):
+        path = tmp_path / "fixture.csv"
+        with pytest.raises(ValueError, match=r"missing_rate must lie in \[0, 1\)"):
+            write_synthetic_stations(path, missing_rate=missing_rate)
+        assert not path.exists()
 
     def test_fixture_bytes_pinned(self, tmp_path):
         """Output bytes pinned from the writer that filtered the AR(1) noise with scipy.signal.lfilter."""

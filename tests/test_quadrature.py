@@ -100,6 +100,10 @@ PINNED = {
         lambda: [limits.finite_n_winner(GroupSpec(1e6, 1.0), GroupSpec(100, 1.5))],
         [("0x1.deb0e916114adp-1", "0x1.0e13817b56d4ap-66")],
     ),
+    "finite_n_winner K=3 (10 x 1 vs 5 x 1.5, 3 x 2)": (
+        lambda: [limits.finite_n_winner(GroupSpec(10, 1.0), GroupSpec(5, 1.5), GroupSpec(3, 2.0))],
+        [("0x1.e46063eae7715p-3", "0x1.48d742f55fd31p-69")],
+    ),
     "multi_group_limits K=3": (
         lambda: limits.multi_group_limits(limits.LimitSpecK(groups=((1.0, 1.0), (0.5, 1.3), (2.0, 1.8)))),
         [

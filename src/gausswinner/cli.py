@@ -466,9 +466,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_emp.add_argument("--n2", default="5:150:8")
     p_emp.add_argument("--seed", type=int, default=None)
     p_emp.add_argument("--min-months", type=_count(0), default=pipeline.DEFAULT_MIN_MONTHS)
-    p_emp.add_argument("--lat", default="30:40", help="box LO:HI; a negative LO needs the = form, --lat=-10:10")
-    p_emp.add_argument("--lon", default="-95:-75", help="box LO:HI; a negative LO needs the = form, --lon=-95:-75")
-    p_emp.add_argument("--years", default="1980:2025")
+    box_help = "box LO:HI; a negative LO needs the = form, --%s"
+    p_emp.add_argument("--lat", default="%g:%g" % pipeline.DEFAULT_LAT_RANGE, help=box_help % "lat=-10:10")
+    p_emp.add_argument("--lon", default="%g:%g" % pipeline.DEFAULT_LON_RANGE, help=box_help % "lon=-95:-75")
+    p_emp.add_argument("--years", default="%g:%g" % pipeline.DEFAULT_YEAR_RANGE)
     p_emp.add_argument("--workers", type=_count(1), default=1)
     p_emp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_emp.add_argument("--output", default=None)

@@ -190,12 +190,15 @@ def solve_c_for_target(p_target: float, sigma: float) -> float:
     Secant steps on logit p - logit p_target in kappa = kappa(C, sigma),
     started at kappa = logit p_target with slope 1 (exact at sigma = 1,
     where logit p = kappa).  The map kappa -> p is strictly increasing, so
-    every evaluated iterate narrows a bracket that starts at log C = -60
-    and 60; a step that leaves the bracket is replaced by its midpoint, or
-    by the original bound the first time it is reached.  Stops when
-    |p - p_target| <= SOLVE_TOL and returns the C of that iterate, inverted from
-    kappa in closed form; a solve takes about 5 quadratures.  Raises if the
-    target is not bracketed by log C in [-60, 60].
+    each evaluated iterate moves one end of a bracket that starts at the
+    bounds log C = -60 and 60.  A step that leaves the bracket goes to the
+    end on its side while that end is an unevaluated bound, at its exact C,
+    and to the midpoint otherwise; a bound that does not bracket the target
+    raises.  Stops when |p - p_target| <= SOLVE_TOL and returns the C of
+    that iterate, inverted from kappa in closed form; a solve takes about 5
+    quadratures.  The stop is absolute: a target below about 1e-9 stops
+    after one quadrature, usually at the bound e^-60 (as at p, sigma = 1e-9,
+    2.5 and 1e-20, 1.2), so tail targets get no relative accuracy.
     """
     if not 0.0 < p_target < 1.0:
         raise ValueError(f"p_target must lie in (0, 1), got {p_target}")
@@ -204,33 +207,22 @@ def solve_c_for_target(p_target: float, sigma: float) -> float:
     # kappa is affine in log C: kappa(C) = log(C)/sigma^2 + kappa(1)
     s2, kappa_one = sigma * sigma, kappa(1.0, sigma)
 
-    def c_of(kappa_value):
-        return math.exp(s2 * (kappa_value - kappa_one))
-
     def logit(p):
         return math.log(p) - math.log1p(-p) if 0.0 < p < 1.0 else math.copysign(math.inf, p - 0.5)
 
     bounds = (math.exp(-60.0), math.exp(60.0))
-    lo, hi = (kappa(c, sigma) for c in bounds)
-    lo_reached = hi_reached = False
+    # an end is [kappa, C]: C is the exact bound until an iterate evaluates that end, then None
+    lo, hi = ([kappa(c, sigma), c] for c in bounds)
     target = logit(p_target)
-    x, slope = target, 1.0
-    x_prev = g_prev = None
+    x, slope, prev = target, 1.0, None
     for _ in range(200):
-        if not lo < x < hi:
-            if x <= lo and not lo_reached:
-                x = lo
-            elif x >= hi and not hi_reached:
-                x = hi
-            else:
-                x = 0.5 * (lo + hi)
-        at_bound = (x == lo and not lo_reached) or (x == hi and not hi_reached)
-        if at_bound:
-            c = bounds[0] if x == lo else bounds[1]
-        else:
-            c = c_of(x)
+        end = None
+        if not lo[0] < x < hi[0]:
+            end = lo if x <= lo[0] and lo[1] is not None else hi if x >= hi[0] and hi[1] is not None else None
+            x = end[0] if end else 0.5 * (lo[0] + hi[0])
+        c = end[1] if end else math.exp(s2 * (x - kappa_one))
         p = two_group_limit(c, sigma).value
-        if at_bound and (p >= p_target if x == lo else p <= p_target):
+        if end and (p >= p_target if end is lo else p <= p_target):
             p_lo, p_hi = (two_group_limit(b, sigma).value for b in bounds)
             raise ValueError(
                 f"p_target={p_target} not bracketed by log C in [-60, 60] "
@@ -240,13 +232,13 @@ def solve_c_for_target(p_target: float, sigma: float) -> float:
             return c
         g = logit(p) - target
         if g < 0.0:
-            lo, lo_reached = x, True
+            lo = [x, None]
         else:
-            hi, hi_reached = x, True
-        if hi - lo < 1e-13:
+            hi = [x, None]
+        if hi[0] - lo[0] < 1e-13:
             return c
-        if x_prev is not None and x != x_prev:
-            slope = (g - g_prev) / (x - x_prev)
-        x_prev, g_prev = x, g
+        if prev is not None and x != prev[0]:
+            slope = (g - prev[1]) / (x - prev[0])
+        prev = x, g
         x = x - g / slope if 0.0 < slope < math.inf else math.nan
     return c

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -244,8 +245,8 @@ def _run_rows(jobs, *, workers=1):
     """
     chunks, ends = [], []
     for stream, trials, samplers, accuracy in jobs:
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
+        if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
         bounds = None if accuracy is None else [_cell_bounds(d, *a) for d, a in zip(samplers, accuracy)]
         tables = None if bounds is None else _thresholds(bounds)
         k = -(-trials // max(1, _CHUNK_DRAWS // len(samplers)))

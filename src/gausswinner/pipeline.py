@@ -478,8 +478,8 @@ def _pool_samplers(pool1, pool2, n1, n2):
     """The two group samplers of :func:`bootstrap_winner`, which state no accuracy, so every trial is drawn."""
     if len(pool1.values) == 0 or len(pool2.values) == 0:
         raise ValueError("pools must be nonempty")
-    if n1 < 1 or n2 < 1:
-        raise ValueError("n1 and n2 must be >= 1")
+    if not all(math.isfinite(n) and n >= 1 for n in (n1, n2)):
+        raise ValueError(f"n1 and n2 must be finite reals >= 1, got {n1} and {n2}")
     return [functools.partial(_pool_max, pool1.values, n1), functools.partial(_pool_max, pool2.values, n2)], None
 
 

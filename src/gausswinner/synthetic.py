@@ -19,13 +19,13 @@ import numpy as np
 
 from .montecarlo import RngStream
 from .normal import std_normal_quantile
-from .pipeline import CSV_HEADER
+from .pipeline import CSV_HEADER, DEFAULT_YEAR_RANGE
 
 __all__ = ["SyntheticTruth", "write_synthetic_stations"]
 
 SEASONAL_AMPLITUDE = 8.0  # amplitude of the month-of-year sine cycle
 TREND_PER_DECADE = 0.3
-FIRST_YEAR, LAST_YEAR = 1980, 2025  # the pipeline's default year filter
+FIRST_YEAR, LAST_YEAR = DEFAULT_YEAR_RANGE  # the pipeline's default year filter
 N_OUTSIDE_BOX = 2  # extra stations north of the default lat/lon box
 N_SPARSE = 1  # extra stations with too few months for the completeness filter
 PHI = 0.5  # AR(1) coefficient of every station

@@ -349,6 +349,44 @@ class TestSolveCForTarget:
         with pytest.raises(ValueError, match=re.escape(message)):
             solve_c_for_target(0.999999, 3.0)
 
+    _LOWER, _UPPER = "0x1.5ae191a99585ap-87", "0x1.79dbc9dc53c66p+86"  # e^-60, e^60
+    _NOT_BRACKETED = "not bracketed by log C in [-60, 60] (p(8.76e-27)=2.64e-17, p(1.14e+26)=1)"
+
+    @pytest.mark.parametrize(
+        "p, sigma, calls, outcome",
+        [
+            (0.3, 1.5, [
+                "0x1.776db404a2bd5p-5", "0x1.7110d91a85b59p-3", "0x1.d0488cf34f90dp-4",
+                "0x1.c458cd6326afdp-4", "0x1.c4ac133253d06p-4", "0x1.c4abf38577baep-4",
+            ], "0x1.c4abf38577baep-4"),
+            (1e-15, 1.5, [_LOWER], _LOWER),
+            (0.999999, 3.0, [_UPPER, _LOWER, _UPPER], "p_target=0.999999 " + _NOT_BRACKETED),
+            (1e-30, 3.0, [_LOWER, _LOWER, _UPPER], "p_target=1e-30 " + _NOT_BRACKETED),
+            (5e-4, 3.0, [
+                _LOWER, _UPPER, "0x1.b102aea31072dp+28", "0x1.120bf3129b699p-29",
+                "0x1.c6245d4d8d860p-71", "0x1.2b9187201f8c4p-37", "0x1.fa0a5eee9ef33p-41",
+                "0x1.670a0b43c2a65p-42", "0x1.97ce4d21f07a1p-42", "0x1.961554ef9fedbp-42",
+                "0x1.9613596f1f79bp-42",
+            ], "0x1.9613596f1f79bp-42"),
+            (0.0005164590224658606, 2.988906794110941, [
+                _LOWER, _UPPER, "0x1.0862e5ec8ee3fp+29", "0x1.2ed66e693085cp-29",
+                "0x1.a281919769a5ep-70", "0x1.623a9db1b3dc6p-37", "0x1.3ac0ce3cf8f96p-40",
+                "0x1.d1405871a45b2p-42", "0x1.06226306aaf24p-41", "0x1.0521373c437a1p-41",
+                "0x1.05202071c6db3p-41",
+            ], "0x1.05202071c6db3p-41"),
+        ],
+    )
+    def test_evaluation_sequence_pinned(self, monkeypatch, p, sigma, calls, outcome):
+        """Every C the solver evaluates, in order, and its result or error text, to the bit."""
+        seen = []
+        real = limits_module.two_group_limit
+        monkeypatch.setattr(limits_module, "two_group_limit", lambda c, s: seen.append(c.hex()) or real(c, s))
+        try:
+            result = solve_c_for_target(p, sigma).hex()
+        except ValueError as exc:
+            result = str(exc)
+        assert (seen, result) == (calls, outcome)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             solve_c_for_target(0.0, 1.5)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import sys
 import threading
 import time
@@ -626,6 +627,19 @@ class TestMcLimitPair:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             mc_limit_pair(0.0, 1.5, 100, RngStream(0))
+
+
+@pytest.mark.parametrize("trials", [0, 2.5, 1e3, math.nan, True, np.float64(10.0)])
+def test_trials_must_be_an_integer_from_one(trials):
+    pools = InnovationPool(np.array([0.0, 1.0]), 1.0), InnovationPool(np.array([0.5, 2.0]), 1.0)
+    for run in (
+        lambda t: mc_two_group(GroupSpec(5, 1.0), GroupSpec(3, 1.5), t, RngStream(0)),
+        lambda t: mc_limit_pair(1.0, 1.5, t, RngStream(0)),
+        lambda t: bootstrap_winner(*pools, 4, 3, t, RngStream(0)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"trials must be an integer >= 1, got {trials!r}")):
+            run(trials)
+        assert run(np.int64(50)) == run(50)
 
 
 class TestConvergenceStudy:

@@ -734,6 +734,13 @@ class TestBootstrapWinner:
         est = bootstrap_winner(p, p, 10, 10, 10_000, RngStream(19))
         assert abs(est.p_hat - 0.5) <= 4.0 * est.std_err
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
+    def test_sizes_must_be_finite_reals_from_one(self, bad):
+        p1, p2 = self._pools(n=50)
+        for n1, n2 in [(bad, 5), (5, bad)]:
+            with pytest.raises(ValueError, match=re.escape(f"n1 and n2 must be finite reals >= 1, got {n1} and {n2}")):
+                bootstrap_winner(p1, p2, n1, n2, 1000, RngStream(0))
+
     def test_scale_consistency(self):
         p1, p2 = self._pools()
         a = bootstrap_winner(p1, p2, 20, 10, 5_000, RngStream(20))

@@ -72,8 +72,8 @@ class LimitSpecK:
         for i, (c, s) in enumerate(groups):
             if i == b:
                 continue
-            if not (math.isfinite(s) and s > 1.0):
-                raise ValueError(f"group {i}: sigma must be a finite real > 1, got {s}")
+            if not (math.isfinite(s * s) and s > 1.0):
+                raise ValueError(f"group {i}: sigma must be a real > 1 with a finite square, got {s}")
             if not 0.0 < c < math.inf:
                 raise ValueError(f"group {i}: c must be a finite real > 0, got {c}")
 
@@ -116,8 +116,8 @@ def two_group_limit_from_kappa(kappa_value: float, sigma: float) -> QuadResult:
     returned exactly without quadrature.  ``sigma`` >= 1 is allowed here
     (sigma = 1 is the exchangeable boundary with value 1/(1 + e^-kappa)).
     """
-    if not (math.isfinite(sigma) and sigma >= 1.0):
-        raise ValueError(f"sigma must be a finite real >= 1, got {sigma}")
+    if not (math.isfinite(sigma * sigma) and sigma >= 1.0):
+        raise ValueError(f"sigma must be a real >= 1 with a finite square, got {sigma}")
     if math.isnan(kappa_value):
         raise ValueError("kappa is NaN")
     if kappa_value == -math.inf:

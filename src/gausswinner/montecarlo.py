@@ -187,12 +187,11 @@ def _cell_bounds(draw, rel, err):
 def _thresholds(bounds):
     """Integer thresholds of a job's :func:`_cell_bounds` tables: ``c_i < t[j][i][c]`` iff ``hi_i[c_i] < lo_j[c]``.
 
-    Each ``hi`` is first made its running maximum from the left and each ``lo``
-    its running minimum from the right, which only widens the bounds.
+    Each ``hi`` is first made its running maximum from the left, which only
+    widens it and sorts it for ``searchsorted``; each ``lo`` is used as it is.
     """
-    lo = [np.minimum.accumulate(b[0][::-1])[::-1] for b in bounds]
     hi = [np.maximum.accumulate(b[1]) for b in bounds]
-    return [[np.searchsorted(h, low).astype(np.uint16) for h in hi] for low in lo]
+    return [[np.searchsorted(h, b[0]).astype(np.uint16) for h in hi] for b in bounds]
 
 
 def _won(cell, tables):

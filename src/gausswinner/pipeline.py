@@ -198,9 +198,10 @@ def _stations_in_bulk(path) -> dict | None:
     in printable ASCII without a space or a quote, each with a non-empty id.
     Any other file returns None, as does a value ``np.loadtxt`` cannot parse
     as ``float``/``int`` would (``1980.0`` as a year), an id column larger
-    than the file, or a failed column check; the row parser then gives the
-    result or the error with its line number.  On a plain file ``loadtxt``
-    and ``float``/``int`` parse every field to the same bits.
+    than the file, a station whose rows come back after another station's,
+    or a failed column check; the row parser then gives the result or the
+    error with its line number.  On a plain file ``loadtxt`` and
+    ``float``/``int`` parse every field to the same bits.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -252,19 +253,13 @@ def _stations_in_bulk(path) -> dict | None:
         return None
 
     # a run is a stretch of rows with the same id.  A station that comes back
-    # after other stations has its runs gathered into one block, in file
-    # order, so the column checks below cover it like any other.
-    ids = record["id"]
-    bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
-    runs: dict[bytes, list[range]] = {}
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        runs.setdefault(ids[a], []).append(range(a, b))
-    if len(runs) < len(bounds) - 1:
-        record = record[np.concatenate([np.arange(r.start, r.stop) for spans in runs.values() for r in spans])]
+    # after other stations has more than one run, and the row parser joins it.
     ids, lat, lon, year, month, value = (record[name] for name in record.dtype.names)
+    starts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()]
     later = (year[1:] > year[:-1]) | ((year[1:] == year[:-1]) & (month[1:] > month[:-1]))
     if not (
-        np.isfinite(lat).all()
+        len(set(ids[starts].tolist())) == len(starts)
+        and np.isfinite(lat).all()
         and np.isfinite(lon).all()
         and ((month >= 1) & (month <= 12)).all()
         and not np.isinf(value).any()
@@ -272,12 +267,11 @@ def _stations_in_bulk(path) -> dict | None:
         and ((ids[1:] != ids[:-1]) | ((lat[1:] == lat[:-1]) & (lon[1:] == lon[:-1]) & later)).all()
     ):
         return None
-    out, a = {}, 0
-    for sid, spans in runs.items():
-        b = a + sum(map(len, spans))
-        out[sid.decode("ascii")] = (float(lat[a]), float(lon[a]), year[a:b], month[a:b], value[a:b])
-        a = b
-    return out
+    bounds = [*starts, len(ids)]
+    return {
+        ids[a].decode("ascii"): (float(lat[a]), float(lon[a]), year[a:b], month[a:b], value[a:b])
+        for a, b in zip(bounds[:-1], bounds[1:])
+    }
 
 
 def load_stations(
@@ -298,12 +292,12 @@ def load_stations(
     Malformed rows raise ValueError naming the line; an empty selection
     returns an empty list.
 
-    A plain file, LF or CRLF, is read in one columnar pass (see
-    ``_stations_in_bulk``); any other file, and any file that fails a column
-    check, goes to the row parser (``csv.reader`` row by row), which finds
-    the line at fault.  Both give the same arrays, bit for bit.  A row whose
-    year lies outside the int64 range passes the row checks and is then
-    dropped, as no int64 year range holds it.
+    A plain file, LF or CRLF, with each station's rows in one block is read
+    in one columnar pass (see ``_stations_in_bulk``); any other file, and any
+    that fails a column check, goes to the row parser (``csv.reader`` row by
+    row), which joins a station that comes back and finds the line at
+    fault.  Both give the same arrays, bit for bit.  A row whose year lies
+    outside the int64 range passes the row checks and is then dropped.
     """
     stations = _stations_in_bulk(path)
     if stations is None:

@@ -121,8 +121,8 @@ def log_critical_scale(n2: float, sigma: float) -> float:
     """log f(n2) for f(n2) = n2^{sigma^2} (log n2)^{-(sigma^2-1)/2}."""
     if not (math.isfinite(n2) and n2 >= 2.0):
         raise ValueError(f"critical scale requires n2 >= 2, got {n2}")
-    if not (math.isfinite(sigma) and sigma > 1.0):
-        raise ValueError(f"sigma must be a finite real > 1, got {sigma}")
+    if not (math.isfinite(sigma * sigma) and sigma > 1.0):
+        raise ValueError(f"sigma must be a real > 1 with a finite square, got {sigma}")
     s2 = sigma * sigma
     log_n2 = math.log(n2)
     return s2 * log_n2 - 0.5 * (s2 - 1.0) * math.log(log_n2)

@@ -84,48 +84,27 @@ def write_synthetic_stations(
     # every station spans the same months, so the "year,month," middles are shared
     middles = [f"{FIRST_YEAR + k // 12},{1 + k % 12}," for k in range(months)]
     blocks = [",".join(CSV_HEADER)]
-
-    def emit(kind, lat, lon, values, keep):
-        sid = f"{kind}{len(blocks) - 1:05d}"  # numbered in write order; blocks[0] is the header
-        fields = [f"{v:.4f}" if k else "" for v, k in zip(values.tolist(), keep.tolist())]
-        prefix = f"{sid},{lat:.4f},{lon:.4f},"
-        blocks.append(prefix + ("\n" + prefix).join(map(str.__add__, middles, fields)))
-
-    def ar1_noise(g, sd):
-        """AR(1) noise x_t = e_t + PHI * x_{t-1} from x_{-1} = 0, e_t ~ N(0, sd^2)."""
+    # (kind, stream, latitude start, latitude width, innovation sd) of every
+    # station, in write order, which numbers the ids; OUT lies north of the box
+    stations = [("SYN", i, 30.0, 10.0, sd) for i, sd in enumerate([SD_LOW] * n_low + [SD_HIGH] * n_high)]
+    stations += [("OUT", 10_000 + j, 45.0, 2.0, SD_LOW) for j in range(N_OUTSIDE_BOX)]
+    stations += [("SPR", 20_000 + j, 30.0, 10.0, SD_LOW) for j in range(N_SPARSE)]
+    for k, (kind, index, lat_start, lat_width, sd) in enumerate(stations):
+        # the stream's draws, in an order the pinned fixture bytes fix: lat, lon,
+        # the SYN base level, the normals, then the blank mask
+        g = RngStream(seed=seed, stream_id=index).generator()
+        lat = lat_start + lat_width * g.random()
+        lon = -95.0 + 20.0 * g.random()
+        level = 10.0 + 10.0 * g.random() + season + trend if kind == "SYN" else 5.0 + season
+        # AR(1) noise x_t = e_t + PHI * x_{t-1} from x_{-1} = 0, e_t ~ N(0, sd^2)
         acc = 0.0
-        return np.array([acc := v + PHI * acc for v in (sd * _normals(g, months)).tolist()])
-
-    def station_rng(index):
-        return RngStream(seed=seed, stream_id=index).generator()
-
-    sds = [SD_LOW] * n_low + [SD_HIGH] * n_high
-    for i, sd in enumerate(sds):
-        g = station_rng(i)
-        lat = 30.0 + 10.0 * g.random()
-        lon = -95.0 + 20.0 * g.random()
-        base = 10.0 + 10.0 * g.random()
-        values = base + season + trend + ar1_noise(g, sd)
-        keep = np.ones(months, dtype=bool)
-        if missing_rate > 0.0 and i % 3 == 0:
+        values = level + np.array([acc := v + PHI * acc for v in (sd * _normals(g, months)).tolist()])
+        keep = t < (120 if kind == "SPR" else months)  # SPR: below any sane completeness threshold
+        if kind == "SYN" and missing_rate > 0.0 and index % 3 == 0:
             keep = g.random(months) >= missing_rate
-        emit("SYN", lat, lon, values, keep)
-
-    for j in range(N_OUTSIDE_BOX):
-        g = station_rng(10_000 + j)
-        lat = 45.0 + 2.0 * g.random()  # north of the box
-        lon = -95.0 + 20.0 * g.random()
-        values = 5.0 + season + ar1_noise(g, SD_LOW)
-        emit("OUT", lat, lon, values, np.ones(months, dtype=bool))
-
-    for j in range(N_SPARSE):
-        g = station_rng(20_000 + j)
-        lat = 30.0 + 10.0 * g.random()
-        lon = -95.0 + 20.0 * g.random()
-        values = 5.0 + season + ar1_noise(g, SD_LOW)
-        keep = np.zeros(months, dtype=bool)
-        keep[:120] = True  # below any sane completeness threshold
-        emit("SPR", lat, lon, values, keep)
+        fields = [f"{v:.4f}" if kept else "" for v, kept in zip(values.tolist(), keep.tolist())]
+        prefix = f"{kind}{k:05d},{lat:.4f},{lon:.4f},"
+        blocks.append(prefix + ("\n" + prefix).join(map(str.__add__, middles, fields)))
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(blocks) + "\n")

@@ -81,6 +81,17 @@ class TestLimitCommand:
         assert code == EXIT_MATH
         assert "sigma" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--two-group", "--c", "1", "--sigma", "1e200"], "sigma must be a real >= 1 with a finite square"),
+            (["--multi", "--group", "1:1", "--group", "1:1e200"], "group 1: sigma must be a real > 1 with a finite square"),
+        ],
+    )
+    def test_sigma_with_an_infinite_square_exit_3(self, capsys, argv, message):
+        code, out, err = run(capsys, "limit", *argv)
+        assert (code, out, err) == (EXIT_MATH, "", f"error: {message}, got 1e+200\n")
+
     def test_negative_c_exit_code(self, capsys):
         code, out, err = run(capsys, "limit", "--two-group", "--c", "-1", "--sigma", "1.5")
         assert (code, out, err) == (EXIT_MATH, "", "error: c must lie in [0, +inf], got -1.0\n")
@@ -146,6 +157,12 @@ class TestScaleCommand:
     def test_domain_error_exit(self, capsys):
         code, _, err = run(capsys, "scale", "--n2", "1", "--sigma", "2", "--c", "1")
         assert code == EXIT_MATH
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_sigma_with_an_infinite_square_exit_3(self, capsys, fmt):
+        # sigma^2 overflows: log f(n2) would be inf - inf, printed as nan (NaN in JSON)
+        code, out, err = run(capsys, "scale", "--n2", "100", "--sigma", "1e200", "--c", "1", "--format", fmt)
+        assert (code, out, err) == (EXIT_MATH, "", "error: sigma must be a real > 1 with a finite square, got 1e+200\n")
 
 
 class TestSimulateCommand:

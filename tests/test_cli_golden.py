@@ -17,6 +17,7 @@ re-pin can be reviewed as ``diff -r`` of two such directories.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -111,9 +112,8 @@ def case_outputs(name) -> tuple[int, str, str, bytes | None]:
     return code, out.getvalue(), err.getvalue(), data
 
 
-def case_digest(name) -> str:
-    """Run one case in the current directory and hash everything it wrote."""
-    code, stdout, stderr, data = case_outputs(name)
+def case_digest(code, stdout, stderr, data) -> str:
+    """Hash everything one case wrote, as :func:`case_outputs` returns it."""
     h = hashlib.sha256()
     h.update(f"exit={code}\n".encode())
     for part in (stdout, stderr):
@@ -126,7 +126,28 @@ def case_digest(name) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_bytes_pinned(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert case_digest(name) == DIGESTS[name]
+    assert case_digest(*case_outputs(name)) == DIGESTS[name]
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=pytest.mark.xfail(strict=True, reason="the config block writes --c inf as Infinity"))
+        if name == "limit_cinf_json"
+        else name
+        for name in sorted(CASES)
+        if {"json", "--json"} & set(CASES[name])
+    ],
+)
+def test_json_output_is_strict_json(name, tmp_path, monkeypatch):
+    """Every JSON case parses with NaN and Infinity refused, as JSON itself refuses them."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr, data = case_outputs(name)
+    json.loads(stdout if data is None else data, parse_constant=_not_json)
 
 
 def test_simulate_digest_independent_of_workers():
@@ -144,7 +165,7 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             if not dump:
-                print(f'    "{case}": "{case_digest(case)}",')
+                print(f'    "{case}": "{case_digest(*case_outputs(case))}",')
                 continue
             code, stdout, stderr, data = case_outputs(case)
             with open(os.path.join(dump, f"{case}.txt"), "w", encoding="utf-8") as fh:

@@ -87,6 +87,33 @@ class TestTwoGroupFromKappa:
             two_group_limit_from_kappa(0.0, 0.99)
 
 
+# the largest sigma whose square is finite; above it 1/sigma^2 underflows to 0
+LAST_FINITE_SQUARE = math.sqrt(np.finfo(float).max)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: two_group_limit_from_kappa(0.0, s), "sigma must be a real >= 1 with a finite square"),
+        (lambda s: two_group_limit(1.0, s), "sigma must be a real >= 1 with a finite square"),
+        (lambda s: solve_c_for_target(0.5, s), "sigma must be a real >= 1 with a finite square"),
+        (lambda s: LimitSpecK(groups=((1.0, 1.0), (1.0, s))), "group 1: sigma must be a real > 1 with a finite square"),
+    ],
+)
+@pytest.mark.parametrize("sigma", [math.nextafter(LAST_FINITE_SQUARE, math.inf), 1e200])
+def test_sigma_with_an_infinite_square_is_named(call, message, sigma):
+    with pytest.raises(ValueError) as excinfo:
+        call(sigma)
+    assert str(excinfo.value) == f"{message}, got {sigma}"
+
+
+def test_sigma_with_a_finite_square_is_accepted():
+    # 1/sigma^2 = 1e-308 is subnormal, and C no longer moves kappa
+    result = two_group_limit(1.0, 1e154)
+    assert 0.0 < result.value < 1.0 and result == two_group_limit(2.0, 1e154)
+    assert LimitSpecK(groups=((1.0, 1.0), (1.0, 1e154))).kappas()[1] == kappa(1.0, 1e154)
+
+
 class TestTwoGroupLimit:
     def test_degenerate_endpoints_exact(self):
         zero = two_group_limit(0.0, 2.0)

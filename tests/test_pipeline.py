@@ -205,6 +205,16 @@ def test_loaded_present_observations_pinned(tmp_path):
 
 
 HEADER = ",".join(pipeline.CSV_HEADER)
+# (n_low, n_high, seed, missing_rate) -> sha256 of the fixture bytes, each pinned
+# from an earlier writer; the first from one that filtered the AR(1) noise with
+# scipy.signal.lfilter.
+FIXTURE_DIGESTS = {
+    (3, 2, 1, 0.05): "45942c4cc9333966b097ca88581144b27ebac9674f182079d26467b6f59b0d07",
+    (0, 0, 0, 0.0): "317d952a7073122fe483a27413b51ef9a338a38e20541b645594ebb7c84603e4",  # only OUT and SPR
+    (1, 0, 0, 0.3): "4cebf5530b6e4478ebf8d012ddf5bc883015822a7e183992d7b31cacdb1f140d",
+    (2, 3, 0, 0.0): "653e5fa3eb002c7fb51a3c0082f9e950741124cf356f03dd93d541691a3a2a1e",
+    (4, 4, 9, 0.2): "9579dacbc3f5a92ffb0d66efb4591ed86b5b757a38deff098d5d9b2617506b82",  # blanks on SYN 0 and 3
+}
 # long, yet its id column never outgrows a generated file: one line of it
 # beside eight 17-byte lines of the other stations still fits
 LONG_ID = "S01-USW00013874-ATLANTA"
@@ -301,7 +311,7 @@ def _unchanged(rows, k):
     return rows
 
 
-# name -> (mutation of the data lines, whether a plain valid file stays plain and valid).
+# name -> (mutation of the data lines, whether the columnar pass still reads a plain valid file).
 # "crlf" and "no_final_newline" act on the line ends, in _assemble.
 MUTATIONS = {
     "crlf": (_unchanged, True),
@@ -310,8 +320,8 @@ MUTATIONS = {
     "spaces_around_field": (_field(range(6), lambda f, k: [f" {f} ", f"\t{f}"][k % 2]), False),
     "blank_line": (_insert(""), False),
     "whitespace_line": (_insert(" \t"), False),
-    "interleave": (_interleave, True),
-    "reappear": (_reappear, True),
+    "interleave": (_interleave, False),  # valid, but a station that comes back defers to the row parser
+    "reappear": (_reappear, False),
     "respell_coordinate": (_field((1, 2), _respell), True),
     "repeat_row": (lambda rows, k: rows[: k % len(rows) + 1] + rows[k % len(rows):] if rows else rows, False),
     "swap_rows": (_swap, False),
@@ -438,13 +448,26 @@ class TestLoaderPaths:
 
     def test_bulk_pass_reads_fixtures(self, tmp_path):
         path, crlf = tmp_path / "fixture.csv", tmp_path / "crlf.csv"
-        write_synthetic_stations(path, n_low=3, n_high=2, seed=1, missing_rate=0.05)
-        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        want = _columns_bits(pipeline._stations_by_rows(path))
-        for p in (path, crlf):
-            bulk = pipeline._stations_in_bulk(p)
-            assert bulk is not None
-            assert _columns_bits(bulk) == want == _columns_bits(pipeline._stations_by_rows(p))
+        for n_low, n_high, seed, missing_rate in FIXTURE_DIGESTS:
+            write_synthetic_stations(path, n_low=n_low, n_high=n_high, seed=seed, missing_rate=missing_rate)
+            crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            want = _columns_bits(pipeline._stations_by_rows(path))
+            assert len(want) == n_low + n_high + 3  # with the OUT and SPR stations
+            for p in (path, crlf):
+                bulk = pipeline._stations_in_bulk(p)
+                assert bulk is not None
+                assert _columns_bits(bulk) == want == _columns_bits(pipeline._stations_by_rows(p))
+
+    @pytest.mark.parametrize("mutation", [_interleave, _reappear])
+    def test_returning_station_defers(self, tmp_path, mutation):
+        # a station whose rows come back after another station's is joined by the row parser alone
+        path = tmp_path / "t.csv"
+        rows = [f"{sid},35,-80,1990,{m},{m}.5" for sid in ("A", "B") for m in range(1, 5)] + ["C,36,-81,1990,1,7"]
+        write_csv(path, mutation(rows, 0))
+        assert pipeline._stations_in_bulk(path) is None
+        by_rows = pipeline._stations_by_rows(path)
+        assert list(by_rows) == ["A", "B", "C"] and by_rows["A"][3].tolist() == [1, 2, 3, 4]
+        assert _series_bits(load_stations(path, min_months=0)) == _columns_bits(by_rows)
 
     def test_lone_cr_defers(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -873,11 +896,11 @@ class TestEndToEnd:
         assert not path.exists()
 
     def test_fixture_bytes_pinned(self, tmp_path):
-        """Output bytes pinned from the writer that filtered the AR(1) noise with scipy.signal.lfilter."""
+        """Output bytes at every parameter set of ``FIXTURE_DIGESTS``."""
         path = tmp_path / "fixture.csv"
-        write_synthetic_stations(path, n_low=3, n_high=2, seed=1, missing_rate=0.05)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "45942c4cc9333966b097ca88581144b27ebac9674f182079d26467b6f59b0d07"
+        for (n_low, n_high, seed, missing_rate), digest in FIXTURE_DIGESTS.items():
+            write_synthetic_stations(path, n_low=n_low, n_high=n_high, seed=seed, missing_rate=missing_rate)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (n_low, n_high, seed, missing_rate)
 
     @settings(max_examples=15, deadline=None, database=None, derandomize=True)
     @given(

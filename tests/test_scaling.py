@@ -106,6 +106,12 @@ class TestCriticalScale:
         with pytest.raises(ValueError):
             log_critical_scale(100.0, 1.0)
 
+    @pytest.mark.parametrize("call", [log_critical_scale, critical_scale, lambda n2, s: critical_n1(n2, s, 1.0)])
+    def test_sigma_with_an_infinite_square_is_named(self, call):
+        # sigma^2 overflows, so log f would read inf - inf = nan
+        with pytest.raises(ValueError, match=r"^sigma must be a real > 1 with a finite square, got 1e\+200$"):
+            call(100.0, 1e200)
+
 
 class TestCriticalN1:
     def test_floor_example(self):

@@ -141,13 +141,17 @@ def _table(rows) -> tuple[dict, list[str]]:
 def _emit(args, config: dict, fields: dict, lines: list[str] | None = None) -> None:
     """Write one command's output to --output or stdout.
 
-    JSON is ``{"config": config, **fields}`` with infinite field values
-    written as null.  Text is the ``#`` metadata block followed by
+    JSON is ``{"config": config, **fields}`` with every non-finite float
+    of the config and the fields written as null, as JSON has no other
+    spelling for it.  Text is the ``#`` metadata block followed by
     ``lines`` when given, else one ``key=value`` line per field.
     """
     if args.format == "json":
-        fields = {k: None if isinstance(v, float) and math.isinf(v) else v for k, v in fields.items()}
-        text = json.dumps({"config": config, **fields}, indent=2, sort_keys=True) + "\n"
+
+        def finite(record):
+            return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in record.items()}
+
+        text = json.dumps({"config": finite(config), **finite(fields)}, indent=2, sort_keys=True) + "\n"
     else:
         if lines is None:
             lines = [f"{key}={_fmt(val)}" for key, val in fields.items()]
@@ -295,7 +299,7 @@ def cmd_empirical(args) -> int:
         {
             "station_id": station.station_id,
             "phi": fit.phi,
-            "innovation_sd": float(fit.innovations.std(ddof=1)),
+            "innovation_sd": math.sqrt(fit.variance),  # bitwise np.std(ddof=1)
             "n_used": fit.innovations.size,
         }
         for station, fit in zip(stations, result.fits)

@@ -41,7 +41,6 @@ __all__ = [
     "build_pools",
     "bootstrap_winner",
     "empirical_study",
-    "process_station",
     "run_pipeline",
 ]
 
@@ -73,17 +72,14 @@ class StationSeries:
     month: np.ndarray
     value: np.ndarray
 
-    def month_index(self) -> np.ndarray:
-        """Months since year 0, for gap detection and trend fitting."""
-        return self.year * 12 + (self.month - 1)
-
 
 @dataclass(frozen=True)
 class Ar1Fit:
-    """AR(1) fit by conditional least squares plus its innovations."""
+    """AR(1) fit by conditional least squares, its innovations and their sample variance (ddof=1)."""
 
     phi: float
     innovations: np.ndarray
+    variance: float
 
 
 @dataclass(frozen=True)
@@ -145,13 +141,16 @@ def _parse_row(fields, line_no):
     return sid, lat, lon, year, month, value
 
 
-def _stations_by_rows(path) -> dict:
+def _stations_by_rows(path) -> tuple:
     """The reference parser: ``csv.reader``, then ``_parse_row`` on every row.
 
-    Returns ``{station_id: (lat, lon, year, month, value)}`` in order of
-    first appearance, with the station's rows in file order and NaN for an
-    absent value.  A row whose year lies outside the int64 range is checked
-    like any other and then left out: no int64 year range holds it.
+    Returns the columns ``(ids, lat, lon, year, month, value, starts)``: the
+    station ids in order of first appearance and each station's coordinates,
+    then the rows of one station after another, each station's in file order
+    with NaN for an absent value, and the row where each station begins.  A
+    row whose year lies outside the int64 range is checked like any other and
+    then left out: no int64 year range holds it.  Every station returned has
+    a row.
     """
     rows: dict[str, list] = {}
     coords: dict[str, tuple[float, float]] = {}
@@ -178,19 +177,18 @@ def _stations_by_rows(path) -> dict:
                 rows[sid].append((year, month, value))
         except csv.Error as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
-    out = {}
-    for sid, station_rows in rows.items():
-        station_rows = [row for row in station_rows if row[0] in _INT64]
-        out[sid] = (
-            *coords[sid],
-            np.array([row[0] for row in station_rows], dtype=np.int64),
-            np.array([row[1] for row in station_rows], dtype=np.int64),
-            np.array([row[2] for row in station_rows], dtype=float),
-        )
-    return out
+    # a station left with no row has no year in any range, and is left out too
+    kept = {sid: [row for row in station_rows if row[0] in _INT64] for sid, station_rows in rows.items()}
+    kept = {sid: station_rows for sid, station_rows in kept.items() if station_rows}
+    flat = [row for station_rows in kept.values() for row in station_rows]
+    lat, lon = np.array([coords[sid] for sid in kept], dtype=float).reshape(-1, 2).T
+    year = np.array([row[0] for row in flat], dtype=np.int64)
+    month = np.array([row[1] for row in flat], dtype=np.int64)
+    value = np.array([row[2] for row in flat], dtype=float)
+    return list(kept), lat, lon, year, month, value, np.cumsum([0, *map(len, kept.values())])[:-1]
 
 
-def _stations_in_bulk(path) -> dict | None:
+def _stations_in_bulk(path) -> tuple | None:
     """``_stations_by_rows(path)`` from one columnar pass, or None to defer to it.
 
     Only a plain file is read here: once each CR right before an LF is
@@ -255,7 +253,8 @@ def _stations_in_bulk(path) -> dict | None:
     # a run is a stretch of rows with the same id.  A station that comes back
     # after other stations has more than one run, and the row parser joins it.
     ids, lat, lon, year, month, value = (record[name] for name in record.dtype.names)
-    starts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()]
+    new_id = ids[1:] != ids[:-1]
+    starts = [0, *(np.flatnonzero(new_id) + 1).tolist()]
     later = (year[1:] > year[:-1]) | ((year[1:] == year[:-1]) & (month[1:] > month[:-1]))
     if not (
         len(set(ids[starts].tolist())) == len(starts)
@@ -264,14 +263,11 @@ def _stations_in_bulk(path) -> dict | None:
         and ((month >= 1) & (month <= 12)).all()
         and not np.isinf(value).any()
         and np.count_nonzero(np.isnan(value)) == len(blank)  # a literal nan is not a blank
-        and ((ids[1:] != ids[:-1]) | ((lat[1:] == lat[:-1]) & (lon[1:] == lon[:-1]) & later)).all()
+        and (new_id | ((lat[1:] == lat[:-1]) & (lon[1:] == lon[:-1]) & later)).all()
     ):
         return None
-    bounds = [*starts, len(ids)]
-    return {
-        ids[a].decode("ascii"): (float(lat[a]), float(lon[a]), year[a:b], month[a:b], value[a:b])
-        for a, b in zip(bounds[:-1], bounds[1:])
-    }
+    names = [i.decode("ascii") for i in ids[starts].tolist()]
+    return names, lat[starts], lon[starts], year, month, value, np.array(starts)
 
 
 def load_stations(
@@ -299,80 +295,146 @@ def load_stations(
     fault.  Both give the same arrays, bit for bit.  A row whose year lies
     outside the int64 range passes the row checks and is then dropped.
     """
-    stations = _stations_in_bulk(path)
-    if stations is None:
-        stations = _stations_by_rows(path)
-    out = []
-    for sid, (lat, lon, year, month, value) in stations.items():
-        if not (lat_range[0] <= lat < lat_range[1] and lon_range[0] <= lon < lon_range[1]):
-            continue
-        in_range = (year >= year_range[0]) & (year <= year_range[1])
-        kept = in_range & ~np.isnan(value)
-        if in_range.any() and np.count_nonzero(kept) >= min_months:
-            out.append(StationSeries(sid, lat, lon, year[kept], month[kept], value[kept]))
-    return out
+    columns = _stations_in_bulk(path)
+    ids, lat, lon, year, month, value, starts = columns if columns is not None else _stations_by_rows(path)
+    in_range = (year >= year_range[0]) & (year <= year_range[1])
+    present = in_range & ~np.isnan(value)
+    # every station has a row, so no segment of either count is empty
+    n_present = np.add.reduceat(present, starts)
+    keep = (
+        (lat_range[0] <= lat) & (lat < lat_range[1]) & (lon_range[0] <= lon) & (lon < lon_range[1])
+        & (np.add.reduceat(in_range, starts) > 0)
+        & (n_present >= min_months)
+    )
+    rows = present & np.repeat(keep, np.diff([*starts, year.size]))
+    kept = np.flatnonzero(keep).tolist()
+    stops = np.cumsum(n_present[kept]).tolist()
+    year, month, value, lat, lon = year[rows], month[rows], value[rows], lat.tolist(), lon.tolist()
+    return [
+        StationSeries(ids[i], lat[i], lon[i], year[a:b], month[a:b], value[a:b])
+        for i, a, b in zip(kept, [0, *stops], stops)
+    ]
 
 
-def deseasonalize(series: StationSeries) -> np.ndarray:
-    """Anomalies of the observations: value minus its month-of-year mean.
+class _StationError(ValueError):
+    """A stage's ValueError for one station, by its position among the stations of the pass."""
 
-    Every month-of-year that occurs needs at least 2 observations,
-    otherwise the mean is not a meaningful seasonal estimate and a
-    ValueError lists the offending months.
+    def __init__(self, station: int, message: str):
+        super().__init__(message)
+        self.station = station
+
+
+def _first_failure(*checks) -> None:
+    """Raise for the first station that fails any check, with the first of its failed checks' messages.
+
+    Each check is ``(failed, message)``: a boolean per station, and the text
+    for station i as ``message(i)``, in the order a station meets the checks.
     """
-    # a stable sort keeps each month's values in their order, so each mean sums what
-    # the month's mask would select; ``bounds`` holds each run's start, then the end
-    order = np.argsort(series.month, kind="stable")
-    month, value = series.month[order], series.value[order]
-    bounds = np.flatnonzero(np.diff(month, prepend=month[:1] - 1)).tolist() + [len(month)]
-    means, thin = [], []
-    for start, stop in zip(bounds, bounds[1:]):
-        if stop - start < 2:
-            thin.append(int(month[start]))
-        else:
-            means.append(value[start:stop].mean())
-    if thin:
-        raise ValueError(f"months {thin} have fewer than 2 observations")
+    bad = np.flatnonzero(np.any([failed for failed, _ in checks], axis=0))
+    if bad.size:
+        i = int(bad[0])
+        raise _StationError(i, next(message(i) for failed, message in checks if failed[i]))
+
+
+def _bounds(starts, n: int) -> tuple[list[int], np.ndarray]:
+    """The rows where the stations start, then ``n``, and each station's row count."""
+    bounds = [*map(int, starts), n]
+    return bounds, np.diff(bounds)
+
+
+# Every per-station reduction is one np.add.reduce or ``@`` on the station's
+# slice, which sums in the same order as on a fresh array of the station alone.
+# np.add.reduceat sums a segment in another order: on the bootstrap fixture it
+# gave a different month sum than the slice on 520 of the 1,140 month runs.
+def _sums(a, bounds) -> np.ndarray:
+    return np.array([np.add.reduce(a[i:j]) for i, j in zip(bounds, bounds[1:])], dtype=float)
+
+
+def _dots(a, b, bounds) -> np.ndarray:
+    return np.array([a[i:j] @ b[i:j] for i, j in zip(bounds, bounds[1:])], dtype=float)
+
+
+def deseasonalize(month, value, starts=(0,)) -> np.ndarray:
+    """Anomalies: each value minus its station's mean for that month of the year.
+
+    ``month`` and ``value`` hold the rows of one or more stations end to end,
+    and ``starts`` the row where each station begins.  Every month-of-year that
+    occurs in a station needs at least 2 of its observations, otherwise the mean
+    is not a meaningful seasonal estimate and a ValueError lists the first such
+    station's offending months.
+    """
+    value = np.asarray(value, dtype=float)
+    _, sizes = _bounds(starts, value.size)
+    station = np.repeat(np.arange(sizes.size), sizes)
+    # a stable sort by (station, month) keeps each station's rows in its own
+    # range and each month's values in their order, so a mean sums what the
+    # month's mask would select; a run is one station's rows of one month
+    month = np.asarray(month)
+    lo, hi = month.min(initial=0), month.max(initial=0)
+    order = np.argsort(station * (hi - lo + 1) + (month - lo), kind="stable")
+    month, value = month[order], value[order]
+    first = np.flatnonzero((np.diff(month, prepend=month[:1]) != 0) | (np.diff(station, prepend=-1) != 0))
+    runs, lengths = _bounds(first.tolist(), month.size)
+    thin = first[lengths < 2]
+    _first_failure(
+        (
+            np.bincount(station[thin], minlength=sizes.size) > 0,
+            lambda i: f"months {list(map(int, month[thin[station[thin] == i]]))} have fewer than 2 observations",
+        )
+    )
+    means = _sums(value, runs) / lengths
     anomalies = np.empty_like(value)
-    anomalies[order] = value - np.repeat(means, np.diff(bounds))
+    anomalies[order] = value - np.repeat(means, lengths)
     return anomalies
 
 
-def detrend_linear(x, t) -> np.ndarray:
-    """Residuals of an ordinary least-squares line in the time index ``t``."""
-    x = np.asarray(x, dtype=float)
-    if x.size < 3:
-        raise ValueError(f"detrend needs at least 3 points, got {x.size}")
-    t = np.asarray(t, dtype=float)
-    tc = t - t.mean()
-    denom = float(tc @ tc)
-    if denom == 0.0:
-        raise ValueError("time index is constant")
-    slope = float(tc @ (x - x.mean())) / denom
-    return x - x.mean() - slope * tc
+def detrend_linear(x, t, starts=(0,)) -> np.ndarray:
+    """Residuals of each station's ordinary least-squares line in the time index ``t``.
+
+    ``x`` and ``t`` hold the rows of the stations that begin at ``starts``, end to end.
+    """
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    rows, sizes = _bounds(starts, x.size)
+    # an empty station's mean is taken as 0, so that its size check fails it
+    tc = t - np.repeat(_sums(t, rows) / np.maximum(sizes, 1), sizes)
+    denom = _dots(tc, tc, rows)
+    _first_failure(
+        (sizes < 3, lambda i: f"detrend needs at least 3 points, got {sizes[i]}"),
+        (denom == 0.0, lambda i: "time index is constant"),
+    )
+    xc = x - np.repeat(_sums(x, rows) / sizes, sizes)
+    slope = _dots(tc, xc, rows) / denom
+    return xc - np.repeat(slope, sizes) * tc
 
 
-def ar1_innovations(x, t) -> Ar1Fit:
-    """AR(1) conditional least squares and one-step innovations.
+def ar1_innovations(x, t, starts=(0,)) -> list[Ar1Fit]:
+    """AR(1) conditional least squares and one-step innovations, one fit per station.
 
-    phi_hat = sum x_t x_{t-1} / sum x_{t-1}^2 over lag pairs, with no
-    intercept (the input is already centered by construction).  Only
-    pairs of consecutive time indices ``t`` count, so gaps in a station
-    record never fabricate a lag relation.
+    phi_hat = sum x_t x_{t-1} / sum x_{t-1}^2 over a station's lag pairs,
+    with no intercept (the input is already centered by construction).  Only
+    pairs of consecutive time indices ``t`` within one station count, so gaps
+    in a station record never fabricate a lag relation, nor does the boundary
+    between the stations that begin at ``starts``.
     """
     x = np.asarray(x, dtype=float)
-    if x.size < 10:
-        raise ValueError(f"AR(1) fit needs at least 10 points, got {x.size}")
-    consecutive = np.diff(t) == 1
-    lag, cur = x[:-1][consecutive], x[1:][consecutive]
-    if lag.size < 2:
-        raise ValueError("fewer than 2 consecutive lag pairs")
-    denom = float(lag @ lag)
-    if denom == 0.0:
-        raise ValueError("degenerate series: zero lag variance")
-    phi = float(lag @ cur) / denom
-    innovations = cur - phi * lag
-    return Ar1Fit(phi=phi, innovations=innovations)
+    _, sizes = _bounds(starts, x.size)
+    station = np.repeat(np.arange(sizes.size), sizes)
+    pair = (np.diff(t) == 1) & (np.diff(station) == 0)
+    lag, cur = x[:-1][pair], x[1:][pair]
+    pairs = np.bincount(station[:-1][pair], minlength=sizes.size)
+    rows, _ = _bounds(np.cumsum(pairs) - pairs, lag.size)
+    denom = _dots(lag, lag, rows)
+    _first_failure(
+        (sizes < 10, lambda i: f"AR(1) fit needs at least 10 points, got {sizes[i]}"),
+        (pairs < 2, lambda i: "fewer than 2 consecutive lag pairs"),
+        (denom == 0.0, lambda i: "degenerate series: zero lag variance"),
+    )
+    phi = _dots(lag, cur, rows) / denom
+    innovations = cur - np.repeat(phi, pairs) * lag
+    # the sample variance (ddof=1) in np.var's own steps
+    deviations = innovations - np.repeat(_sums(innovations, rows) / pairs, pairs)
+    variance = _sums(deviations * deviations, rows) / (pairs - 1)
+    return [Ar1Fit(p, innovations[i:j], v) for p, i, j, v in zip(phi.tolist(), rows, rows[1:], variance.tolist())]
 
 
 def kmeans1d_split(values) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, float]]:
@@ -504,13 +566,22 @@ def empirical_study(
     return _critical_grid(sigma_ratio, list(c_values), n2_grid, b, rng, samplers, workers=workers)
 
 
-def process_station(series: StationSeries) -> Ar1Fit:
-    """Anomaly -> detrend -> AR(1) innovations for one station; a ValueError names the station."""
-    t = series.month_index()
+def _fit_stations(stations: list[StationSeries]) -> list[Ar1Fit]:
+    """Anomaly -> detrend -> AR(1) for every station, each stage one pass over all their rows.
+
+    A ValueError names the station that fails first when the stations are
+    fitted one by one: an earlier station that fails a later stage comes
+    before a later station that fails an earlier one.
+    """
+    starts = np.cumsum([0] + [s.value.size for s in stations[:-1]])
+    year, month, value = (np.concatenate([getattr(s, c) for s in stations]) for c in ("year", "month", "value"))
+    t = year * 12 + (month - 1)  # months since year 0
     try:
-        return ar1_innovations(detrend_linear(deseasonalize(series), t), t)
-    except ValueError as exc:
-        raise ValueError(f"station {series.station_id}: {exc}") from None
+        return ar1_innovations(detrend_linear(deseasonalize(month, value, starts), t, starts), t, starts)
+    except _StationError as exc:
+        if exc.station:
+            _fit_stations(stations[: exc.station])
+        raise ValueError(f"station {stations[exc.station].station_id}: {exc}") from None
 
 
 def run_pipeline(stations: Sequence[StationSeries]) -> PipelineResult:
@@ -518,8 +589,8 @@ def run_pipeline(stations: Sequence[StationSeries]) -> PipelineResult:
     stations = list(stations)
     if len(stations) < 2:
         raise ValueError("pipeline needs at least 2 stations")
-    fits = [process_station(s) for s in stations]
-    partition, centers = kmeans1d_split([f.innovations.var(ddof=1) for f in fits])
+    fits = _fit_stations(stations)
+    partition, centers = kmeans1d_split([f.variance for f in fits])
     pool_low, pool_high, ratio = build_pools(fits, partition)
     if pool_low.indices != partition[0]:  # build_pools labels by pooled sd
         centers = (centers[1], centers[0])

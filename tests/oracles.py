@@ -297,3 +297,69 @@ def mc_argmax_identity(
             )
         )
     return out
+
+
+def deseasonalize(series) -> np.ndarray:
+    """Anomalies of one station's observations: value minus its month-of-year mean.
+
+    The per-station chain below is the one ``gausswinner.pipeline`` ran
+    station by station before its stages became columnar passes; the
+    passes must give its phi, innovations, variances and errors bit for bit.
+    """
+    order = np.argsort(series.month, kind="stable")
+    month, value = series.month[order], series.value[order]
+    bounds = np.flatnonzero(np.diff(month, prepend=month[:1] - 1)).tolist() + [len(month)]
+    means, thin = [], []
+    for start, stop in zip(bounds, bounds[1:]):
+        if stop - start < 2:
+            thin.append(int(month[start]))
+        else:
+            means.append(value[start:stop].mean())
+    if thin:
+        raise ValueError(f"months {thin} have fewer than 2 observations")
+    anomalies = np.empty_like(value)
+    anomalies[order] = value - np.repeat(means, np.diff(bounds))
+    return anomalies
+
+
+def detrend_linear(x, t) -> np.ndarray:
+    """Residuals of an ordinary least-squares line in the time index ``t``."""
+    x = np.asarray(x, dtype=float)
+    if x.size < 3:
+        raise ValueError(f"detrend needs at least 3 points, got {x.size}")
+    t = np.asarray(t, dtype=float)
+    tc = t - t.mean()
+    denom = float(tc @ tc)
+    if denom == 0.0:
+        raise ValueError("time index is constant")
+    slope = float(tc @ (x - x.mean())) / denom
+    return x - x.mean() - slope * tc
+
+
+def ar1_innovations(x, t) -> tuple[float, np.ndarray]:
+    """AR(1) phi by conditional least squares over consecutive-month lag pairs, and the innovations."""
+    x = np.asarray(x, dtype=float)
+    if x.size < 10:
+        raise ValueError(f"AR(1) fit needs at least 10 points, got {x.size}")
+    consecutive = np.diff(t) == 1
+    lag, cur = x[:-1][consecutive], x[1:][consecutive]
+    if lag.size < 2:
+        raise ValueError("fewer than 2 consecutive lag pairs")
+    denom = float(lag @ lag)
+    if denom == 0.0:
+        raise ValueError("degenerate series: zero lag variance")
+    phi = float(lag @ cur) / denom
+    return phi, cur - phi * lag
+
+
+def process_station(series) -> tuple[float, np.ndarray, float]:
+    """Anomaly -> detrend -> AR(1) for one station: phi, innovations and their variance (ddof=1).
+
+    A ValueError names the station.
+    """
+    t = series.year * 12 + (series.month - 1)
+    try:
+        phi, innovations = ar1_innovations(detrend_linear(deseasonalize(series), t), t)
+    except ValueError as exc:
+        raise ValueError(f"station {series.station_id}: {exc}") from None
+    return phi, innovations, innovations.var(ddof=1)

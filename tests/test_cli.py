@@ -51,6 +51,12 @@ class TestLimitCommand:
         kv = parse_kv(out)
         assert float(kv["sum_p"]) == pytest.approx(1.0, abs=1e-8)
 
+    def test_multi_lost_mass_exit_3(self, capsys):
+        # the two-group value here is 0.7542; the K-group quadrature loses both rows' mass
+        code, out, err = run(capsys, "limit", "--multi", "--group", "1:1", "--group", "1:1e10")
+        assert (code, out) == (EXIT_MATH, "")
+        assert err == "error: the 2 group probabilities sum to 9.651513469979327e-16, not 1\n"
+
     @pytest.mark.parametrize("c", ["inf", "nan"])
     def test_multi_rejects_non_finite_c(self, capsys, c):
         code, out, err = run(capsys, "limit", "--multi", "--group", "1:1", "--group", f"{c}:1.5")

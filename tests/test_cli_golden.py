@@ -74,7 +74,7 @@ DIGESTS = {
     "limit_bad_sigma": "183ceae064922f615d55b63fed9c3998e64edcf13c5ccdb6d9c954f79350a2a8",
     "limit_c0_json": "74fbdc8e748e3493fea4666de8f2887e28a4991ddf18e0151cc45d9571f1c705",
     "limit_c0_text": "b4ee0ed6aef3f5d0b613f981852ec5547a50e50d370008c1101b99379cc23bea",
-    "limit_cinf_json": "c39f585e8929fea1fa4ec522e36f13a197984a5ad9eacb9c78dcade4d04de406",
+    "limit_cinf_json": "4dcd038d4dc5582f24c5ad16359ca81401b969414d0e82372c18ca708b521db0",
     "limit_cinf_text": "88ef940c1da53ca46e05116324d01feee48905895c3a6e834ceb7be2187ddbc0",
     "limit_multi_json": "b490661b7e4589d96f7bf471732551f9d86b8f5d86df23ce58a708ff5c88c52d",
     "limit_multi_text": "66e174654fa8c9d9317380d5769d0650102da7e316b51d70176da1dea84ddfd7",
@@ -133,16 +133,7 @@ def _not_json(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=pytest.mark.xfail(strict=True, reason="the config block writes --c inf as Infinity"))
-        if name == "limit_cinf_json"
-        else name
-        for name in sorted(CASES)
-        if {"json", "--json"} & set(CASES[name])
-    ],
-)
+@pytest.mark.parametrize("name", [name for name in sorted(CASES) if {"json", "--json"} & set(CASES[name])])
 def test_json_output_is_strict_json(name, tmp_path, monkeypatch):
     """Every JSON case parses with NaN and Infinity refused, as JSON itself refuses them."""
     monkeypatch.chdir(tmp_path)

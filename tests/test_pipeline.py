@@ -26,7 +26,6 @@ from gausswinner.pipeline import (
     empirical_study,
     kmeans1d_split,
     load_stations,
-    process_station,
     run_pipeline,
 )
 from gausswinner.synthetic import write_synthetic_stations
@@ -354,9 +353,17 @@ def _series_bits(series):
     ]
 
 
-def _columns_bits(stations):
-    """Every field of a ``{station_id: (lat, lon, year, month, value)}`` map, bit for bit."""
-    return _series_bits([StationSeries(sid, *columns) for sid, columns in stations.items()])
+def _columns_bits(columns):
+    """Every field of a parser's ``(ids, lat, lon, year, month, value, starts)``, station by station, bit for bit."""
+    ids, lat, lon, year, month, value, starts = columns
+    assert lat.dtype == lon.dtype == np.float64
+    bounds = [*starts.tolist(), year.size]
+    return _series_bits(
+        [
+            StationSeries(sid, la, lo, year[a:b], month[a:b], value[a:b])
+            for sid, la, lo, a, b in zip(ids, lat.tolist(), lon.tolist(), bounds, bounds[1:])
+        ]
+    )
 
 
 def _outcome(load, path):
@@ -466,7 +473,8 @@ class TestLoaderPaths:
         write_csv(path, mutation(rows, 0))
         assert pipeline._stations_in_bulk(path) is None
         by_rows = pipeline._stations_by_rows(path)
-        assert list(by_rows) == ["A", "B", "C"] and by_rows["A"][3].tolist() == [1, 2, 3, 4]
+        ids, _, _, _, month, _, starts = by_rows
+        assert ids == ["A", "B", "C"] and month[starts[0] : starts[1]].tolist() == [1, 2, 3, 4]
         assert _series_bits(load_stations(path, min_months=0)) == _columns_bits(by_rows)
 
     def test_lone_cr_defers(self, tmp_path):
@@ -507,12 +515,13 @@ class TestLoaderPaths:
 
 class TestDeseasonalize:
     def test_constant_series(self):
-        out = deseasonalize(make_series(np.full(48, 7.25)))
+        series = make_series(np.full(48, 7.25))
+        out = deseasonalize(series.month, series.value)
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_pure_seasonal_cycle(self):
         series = make_series([float(1 + t % 12) for t in range(48)])
-        out = deseasonalize(series)
+        out = deseasonalize(series.month, series.value)
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_per_month_means_vanish(self):
@@ -520,21 +529,22 @@ class TestDeseasonalize:
         t = np.arange(240)
         vals = 10.0 * np.sin(2 * np.pi * (1 + t % 12) / 12.0) + g.random(240)
         series = make_series(vals)
-        out = deseasonalize(series)
+        out = deseasonalize(series.month, series.value)
         for m in range(1, 13):
             assert abs(out[series.month == m].mean()) < 1e-9
 
     def test_idempotent(self):
         g = RngStream(seed=4).generator(0)
         series = make_series(g.random(120) * 3.0 + 5.0)
-        once = deseasonalize(series)
-        twice = deseasonalize(make_series(once))
+        once = deseasonalize(series.month, series.value)
+        twice = deseasonalize(series.month, once)
         assert np.max(np.abs(twice - once)) < 1e-10
 
     def test_thin_month_listed(self):
         # months 1 and 2 appear twice, 3..12 once
+        series = make_series(np.arange(14.0))
         with pytest.raises(ValueError) as excinfo:
-            deseasonalize(make_series(np.arange(14.0)))
+            deseasonalize(series.month, series.value)
         assert str(excinfo.value) == "months [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] have fewer than 2 observations"
 
 
@@ -554,7 +564,7 @@ def test_deseasonalize_bits_match_per_month_masks_on_the_bootstrap_fixture(tmp_p
     stations = load_stations(path)
     assert len(stations) == 95
     for series in stations:
-        assert deseasonalize(series).tobytes() == _deseasonalize_by_masks(series).tobytes()
+        assert deseasonalize(series.month, series.value).tobytes() == _deseasonalize_by_masks(series).tobytes()
 
 
 def test_deseasonalize_bits_match_per_month_masks_on_unsorted_gapped_months():
@@ -562,7 +572,7 @@ def test_deseasonalize_bits_match_per_month_masks_on_unsorted_gapped_months():
     g = RngStream(seed=5).generator(0)
     month = g.choice([1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12], size=301)
     series = StationSeries("U", 35.0, -80.0, np.arange(301) // 12 + 1950, month, g.normal(12.0, 7.0, 301))
-    out = deseasonalize(series)
+    out = deseasonalize(series.month, series.value)
     assert out.tobytes() == _deseasonalize_by_masks(series).tobytes()
 
 
@@ -601,7 +611,7 @@ class TestAr1Innovations:
     def test_white_noise_phi_near_zero(self):
         g = RngStream(seed=7).generator(0)
         x = g.standard_normal(5000)
-        fit = ar1_innovations(x, np.arange(x.size))
+        (fit,) = ar1_innovations(x, np.arange(x.size))
         assert abs(fit.phi) <= 4.0 / math.sqrt(5000)
         assert fit.innovations.size == 4999
 
@@ -612,7 +622,7 @@ class TestAr1Innovations:
         x[0] = e[0]
         for i in range(1, 5000):
             x[i] = 0.6 * x[i - 1] + e[i]
-        fit = ar1_innovations(x, np.arange(x.size))
+        (fit,) = ar1_innovations(x, np.arange(x.size))
         assert fit.phi == pytest.approx(0.6, abs=0.05)
 
     def test_innovations_are_white(self):
@@ -622,14 +632,14 @@ class TestAr1Innovations:
         x[0] = e[0]
         for i in range(1, 4000):
             x[i] = 0.5 * x[i - 1] + e[i]
-        fit = ar1_innovations(x, np.arange(x.size))
+        (fit,) = ar1_innovations(x, np.arange(x.size))
         inn = fit.innovations
         r1 = float(inn[1:] @ inn[:-1]) / float(inn @ inn)
         assert abs(r1) <= 4.0 / math.sqrt(fit.innovations.size)
 
     def test_exact_decay(self):
         x = 0.8 ** np.arange(50)
-        fit = ar1_innovations(x, np.arange(x.size))
+        (fit,) = ar1_innovations(x, np.arange(x.size))
         assert fit.phi == pytest.approx(0.8, rel=1e-12)
         assert np.max(np.abs(fit.innovations)) < 1e-12
 
@@ -637,7 +647,7 @@ class TestAr1Innovations:
         x = np.arange(20, dtype=float)
         t = np.arange(20)
         t[10:] += 5  # one gap; pairs across it must be dropped
-        fit = ar1_innovations(x, t)
+        (fit,) = ar1_innovations(x, t)
         assert fit.innovations.size == 18
 
     def test_errors(self):
@@ -645,6 +655,96 @@ class TestAr1Innovations:
             ar1_innovations(np.arange(5.0), np.arange(5))
         with pytest.raises(ValueError):
             ar1_innovations(np.zeros(100), np.arange(100))
+
+
+def _series_at(sid, t, values):
+    """A station observed at the month indices ``t`` (months since year 0)."""
+    t = np.asarray(t, dtype=np.int64)
+    return StationSeries(sid, 35.0, -80.0, t // 12, t % 12 + 1, np.asarray(values, dtype=float))
+
+
+@st.composite
+def gapped_stations(draw):
+    """2-4 stations of monthly rows with gaps; some too short or too thin to fit, some empty.
+
+    A yearly station has one row a year, all in one month of the year: it
+    passes the seasonal and trend stages and forms no lag pair.
+    """
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stations = []
+    for k in range(draw(st.integers(2, 4))):
+        n = int(g.choice([0, 2, 9, 23, 36, 48, 61, 96], p=[0.05, 0.05, 0.05, 0.05, 0.2, 0.2, 0.2, 0.2]))
+        if g.random() < 0.1:
+            steps = np.full(n, 12)
+        else:
+            steps = 1 + (g.random(n) < g.choice([0.0, 0.03, 0.1])) * g.integers(1, 14, n)
+        t = g.integers(1950 * 12, 1960 * 12) + np.cumsum(steps) - steps[:1]
+        values = 10.0 * np.sin(t * np.pi / 6.0) + g.choice([0.5, 1.0, 3.0]) * g.standard_normal(n)
+        stations.append(_series_at(f"S{k}", t, values))
+    return stations
+
+
+def _fits_or_error(fit):
+    """Each station's (phi, innovations, variance) as bits, or the text of the ValueError raised."""
+    try:
+        return [(float(phi).hex(), innovations.tobytes(), float(variance).hex()) for phi, innovations, variance in fit()]
+    except ValueError as exc:
+        return str(exc)
+
+
+_JAN = 1990 * 12  # the month index of January 1990
+_NOISE = RngStream(seed=29).generator(0).standard_normal(60)
+_A = _series_at("A", _JAN + np.arange(30), _NOISE[:30])
+# two stations whose month indices run on across the boundary: no lag pair joins them
+_RUN_ON = [_A, _series_at("B", _JAN + np.arange(30, 60), _NOISE[30:])]
+# a month of the year with a single row (December)
+_SINGLE_ROW_MONTH = [_A, _series_at("B", _JAN + np.arange(23), _NOISE[:23])]
+# a kept station with no present row
+_EMPTY_STATION = [_A, _series_at("B", [], [])]
+# B fails at the AR(1) stage (yearly rows form no lag pair), C at the seasonal stage
+_EARLIER_STATION_LATER_STAGE = [
+    _A,
+    _series_at("B", _JAN + 12 * np.arange(12), _NOISE[:12]),
+    _series_at("C", _JAN + np.arange(23), _NOISE[:23]),
+]
+
+
+def _fits(stations):
+    return ((f.phi, f.innovations, f.variance) for f in run_pipeline(stations).fits)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(stations=gapped_stations())
+@example(stations=_RUN_ON)
+@example(stations=_SINGLE_ROW_MONTH)
+@example(stations=_EMPTY_STATION)
+@example(stations=_EARLIER_STATION_LATER_STAGE)
+def test_run_pipeline_fits_match_the_per_station_oracle(stations):
+    """The columnar stages give each station's fit, and the first failing station's error, bit for bit."""
+    assert _fits_or_error(lambda: _fits(stations)) == _fits_or_error(lambda: map(oracles.process_station, stations))
+
+
+@pytest.mark.parametrize(
+    "stations, message",
+    [
+        (_SINGLE_ROW_MONTH, "station B: months [12] have fewer than 2 observations"),
+        (_EMPTY_STATION, "station B: detrend needs at least 3 points, got 0"),
+        (_EARLIER_STATION_LATER_STAGE, "station B: fewer than 2 consecutive lag pairs"),
+    ],
+)
+def test_run_pipeline_names_the_first_failing_station(stations, message):
+    with pytest.raises(ValueError) as excinfo:
+        run_pipeline(stations)
+    assert str(excinfo.value) == message
+
+
+def test_run_pipeline_fits_match_the_per_station_oracle_on_the_bootstrap_fixture(tmp_path):
+    path = tmp_path / "stations.csv"
+    write_synthetic_stations(path, n_low=60, n_high=35, missing_rate=0.02, seed=11)
+    stations = load_stations(path)
+    want = _fits_or_error(lambda: map(oracles.process_station, stations))
+    assert len(want) == 95
+    assert _fits_or_error(lambda: _fits(stations)) == want
 
 
 class TestKmeans1dSplit:
@@ -703,9 +803,8 @@ class TestKmeans1dSplit:
 class TestBuildPools:
     def _fits(self, sds, n, seed):
         g = RngStream(seed=seed).generator(0)
-        return [
-            Ar1Fit(phi=0.0, innovations=sd * g.standard_normal(n)) for sd in sds
-        ]
+        innovations = [sd * g.standard_normal(n) for sd in sds]
+        return [Ar1Fit(phi=0.0, innovations=x, variance=x.var(ddof=1)) for x in innovations]
 
     def test_ratio_recovery(self):
         fits = self._fits([1.0, 1.0, 2.0, 2.0], 10_000, seed=12)
@@ -732,7 +831,7 @@ class TestBuildPools:
     def test_degenerate_split_rejected(self):
         g = RngStream(seed=15).generator(0)
         shared = g.standard_normal(1000)
-        fits = [Ar1Fit(phi=0.0, innovations=shared)] * 2
+        fits = [Ar1Fit(phi=0.0, innovations=shared, variance=shared.var(ddof=1))] * 2
         with pytest.raises(ValueError, match="degenerate"):
             build_pools(fits, ((0,), (1,)))
 
@@ -933,12 +1032,13 @@ class TestEndToEnd:
             assert s.month.tolist() == [int(r["month"]) for r in rs]
             assert s.value.tolist() == [float(r["tavg_c"]) for r in rs]
 
-    def test_process_station_handles_gaps(self, tmp_path):
+    def test_run_pipeline_handles_gaps(self, tmp_path):
         path = tmp_path / "fixture.csv"
         write_synthetic_stations(path, n_low=3, n_high=2, seed=1, missing_rate=0.05)
         stations = load_stations(path)
-        gappy = [s for s in stations if (np.diff(s.month_index()) > 1).any()]
+        gappy = [i for i, s in enumerate(stations) if (np.diff(s.year * 12 + s.month) > 1).any()]
         assert gappy, "fixture should contain gapped stations"
-        fit = process_station(gappy[0])
-        assert fit.innovations.size < len(gappy[0].value) - 1
-        assert math.isfinite(fit.phi)
+        fits = run_pipeline(stations).fits
+        for i in gappy:
+            assert fits[i].innovations.size < len(stations[i].value) - 1
+            assert math.isfinite(fits[i].phi)

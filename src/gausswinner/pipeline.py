@@ -34,9 +34,6 @@ __all__ = [
     "InnovationPool",
     "PipelineResult",
     "load_stations",
-    "deseasonalize",
-    "detrend_linear",
-    "ar1_innovations",
     "kmeans1d_split",
     "build_pools",
     "bootstrap_winner",
@@ -71,6 +68,11 @@ class StationSeries:
     year: np.ndarray
     month: np.ndarray
     value: np.ndarray
+
+    def __post_init__(self):
+        lengths = (len(self.year), len(self.month), len(self.value))
+        if len(set(lengths)) > 1:
+            raise ValueError(f"station {self.station_id}: year, month and value lengths differ {lengths}")
 
 
 @dataclass(frozen=True)
@@ -316,32 +318,6 @@ def load_stations(
     ]
 
 
-class _StationError(ValueError):
-    """A stage's ValueError for one station, by its position among the stations of the pass."""
-
-    def __init__(self, station: int, message: str):
-        super().__init__(message)
-        self.station = station
-
-
-def _first_failure(*checks) -> None:
-    """Raise for the first station that fails any check, with the first of its failed checks' messages.
-
-    Each check is ``(failed, message)``: a boolean per station, and the text
-    for station i as ``message(i)``, in the order a station meets the checks.
-    """
-    bad = np.flatnonzero(np.any([failed for failed, _ in checks], axis=0))
-    if bad.size:
-        i = int(bad[0])
-        raise _StationError(i, next(message(i) for failed, message in checks if failed[i]))
-
-
-def _bounds(starts, n: int) -> tuple[list[int], np.ndarray]:
-    """The rows where the stations start, then ``n``, and each station's row count."""
-    bounds = [*map(int, starts), n]
-    return bounds, np.diff(bounds)
-
-
 # Every per-station reduction is one np.add.reduce or ``@`` on the station's
 # slice, which sums in the same order as on a fresh array of the station alone.
 # np.add.reduceat sums a segment in another order: on the bootstrap fixture it
@@ -354,87 +330,54 @@ def _dots(a, b, bounds) -> np.ndarray:
     return np.array([a[i:j] @ b[i:j] for i, j in zip(bounds, bounds[1:])], dtype=float)
 
 
-def deseasonalize(month, value, starts=(0,)) -> np.ndarray:
-    """Anomalies: each value minus its station's mean for that month of the year.
-
-    ``month`` and ``value`` hold the rows of one or more stations end to end,
-    and ``starts`` the row where each station begins.  Every month-of-year that
-    occurs in a station needs at least 2 of its observations, otherwise the mean
-    is not a meaningful seasonal estimate and a ValueError lists the first such
-    station's offending months.
-    """
-    value = np.asarray(value, dtype=float)
-    _, sizes = _bounds(starts, value.size)
-    station = np.repeat(np.arange(sizes.size), sizes)
+# The stages take all stations' rows end to end, with each row's station or the
+# ``bounds`` (each station's first row, then the row count), and check nothing.
+def _deseasonalize(month, value, station):
+    """Anomalies from each station's month-of-year means, and the station and month of each single-row month."""
     # a stable sort by (station, month) keeps each station's rows in its own
     # range and each month's values in their order, so a mean sums what the
     # month's mask would select; a run is one station's rows of one month
-    month = np.asarray(month)
     lo, hi = month.min(initial=0), month.max(initial=0)
     order = np.argsort(station * (hi - lo + 1) + (month - lo), kind="stable")
     month, value = month[order], value[order]
     first = np.flatnonzero((np.diff(month, prepend=month[:1]) != 0) | (np.diff(station, prepend=-1) != 0))
-    runs, lengths = _bounds(first.tolist(), month.size)
-    thin = first[lengths < 2]
-    _first_failure(
-        (
-            np.bincount(station[thin], minlength=sizes.size) > 0,
-            lambda i: f"months {list(map(int, month[thin[station[thin] == i]]))} have fewer than 2 observations",
-        )
-    )
-    means = _sums(value, runs) / lengths
+    runs = [*first.tolist(), month.size]
+    lengths = np.diff(runs)
     anomalies = np.empty_like(value)
-    anomalies[order] = value - np.repeat(means, lengths)
-    return anomalies
+    anomalies[order] = value - np.repeat(_sums(value, runs) / lengths, lengths)
+    thin = first[lengths < 2]
+    return anomalies, station[thin], month[thin]
 
 
-def detrend_linear(x, t, starts=(0,)) -> np.ndarray:
-    """Residuals of each station's ordinary least-squares line in the time index ``t``.
+def _detrend(x, t, bounds):
+    """Residuals of each station's least-squares line in the time index ``t``, and its sum of (t - mean t)^2."""
+    sizes = np.diff(bounds)
+    tc = t - np.repeat(_sums(t, bounds) / sizes, sizes)
+    spread = _dots(tc, tc, bounds)
+    xc = x - np.repeat(_sums(x, bounds) / sizes, sizes)
+    return xc - np.repeat(_dots(tc, xc, bounds) / spread, sizes) * tc, spread
 
-    ``x`` and ``t`` hold the rows of the stations that begin at ``starts``, end to end.
+
+def _ar1(x, t, station, n: int):
+    """One AR(1) fit for each of the ``n`` stations, then each station's lag-pair count and sum of squared lags.
+
+    phi_hat = sum x_t x_{t-1} / sum x_{t-1}^2 over a station's lag pairs, with
+    no intercept (the input is already centered).  A lag pair is two consecutive
+    time indices ``t`` of one station, so no pair spans a gap in a station's
+    record, nor the boundary between two stations.
     """
-    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-    rows, sizes = _bounds(starts, x.size)
-    # an empty station's mean is taken as 0, so that its size check fails it
-    tc = t - np.repeat(_sums(t, rows) / np.maximum(sizes, 1), sizes)
-    denom = _dots(tc, tc, rows)
-    _first_failure(
-        (sizes < 3, lambda i: f"detrend needs at least 3 points, got {sizes[i]}"),
-        (denom == 0.0, lambda i: "time index is constant"),
-    )
-    xc = x - np.repeat(_sums(x, rows) / sizes, sizes)
-    slope = _dots(tc, xc, rows) / denom
-    return xc - np.repeat(slope, sizes) * tc
-
-
-def ar1_innovations(x, t, starts=(0,)) -> list[Ar1Fit]:
-    """AR(1) conditional least squares and one-step innovations, one fit per station.
-
-    phi_hat = sum x_t x_{t-1} / sum x_{t-1}^2 over a station's lag pairs,
-    with no intercept (the input is already centered by construction).  Only
-    pairs of consecutive time indices ``t`` within one station count, so gaps
-    in a station record never fabricate a lag relation, nor does the boundary
-    between the stations that begin at ``starts``.
-    """
-    x = np.asarray(x, dtype=float)
-    _, sizes = _bounds(starts, x.size)
-    station = np.repeat(np.arange(sizes.size), sizes)
     pair = (np.diff(t) == 1) & (np.diff(station) == 0)
     lag, cur = x[:-1][pair], x[1:][pair]
-    pairs = np.bincount(station[:-1][pair], minlength=sizes.size)
-    rows, _ = _bounds(np.cumsum(pairs) - pairs, lag.size)
-    denom = _dots(lag, lag, rows)
-    _first_failure(
-        (sizes < 10, lambda i: f"AR(1) fit needs at least 10 points, got {sizes[i]}"),
-        (pairs < 2, lambda i: "fewer than 2 consecutive lag pairs"),
-        (denom == 0.0, lambda i: "degenerate series: zero lag variance"),
-    )
-    phi = _dots(lag, cur, rows) / denom
+    pairs = np.bincount(station[:-1][pair], minlength=n)
+    rows = [0, *np.cumsum(pairs).tolist()]
+    lag_sq = _dots(lag, lag, rows)
+    phi = _dots(lag, cur, rows) / lag_sq
     innovations = cur - np.repeat(phi, pairs) * lag
     # the sample variance (ddof=1) in np.var's own steps
     deviations = innovations - np.repeat(_sums(innovations, rows) / pairs, pairs)
     variance = _sums(deviations * deviations, rows) / (pairs - 1)
-    return [Ar1Fit(p, innovations[i:j], v) for p, i, j, v in zip(phi.tolist(), rows, rows[1:], variance.tolist())]
+    fits = [Ar1Fit(p, innovations[i:j], v) for p, i, j, v in zip(phi.tolist(), rows, rows[1:], variance.tolist())]
+    return fits, pairs, lag_sq
 
 
 def kmeans1d_split(values) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, float]]:
@@ -569,19 +512,33 @@ def empirical_study(
 def _fit_stations(stations: list[StationSeries]) -> list[Ar1Fit]:
     """Anomaly -> detrend -> AR(1) for every station, each stage one pass over all their rows.
 
-    A ValueError names the station that fails first when the stations are
-    fitted one by one: an earlier station that fails a later stage comes
-    before a later station that fails an earlier one.
+    A ValueError names the first station to fail a rule, and its first failed
+    rule in the order a station meets them, as a one-by-one fit would.
     """
-    starts = np.cumsum([0] + [s.value.size for s in stations[:-1]])
+    sizes = np.array([s.value.size for s in stations])
+    bounds = [0, *np.cumsum(sizes).tolist()]
+    station = np.repeat(np.arange(sizes.size), sizes)
     year, month, value = (np.concatenate([getattr(s, c) for s in stations]) for c in ("year", "month", "value"))
     t = year * 12 + (month - 1)  # months since year 0
-    try:
-        return ar1_innovations(detrend_linear(deseasonalize(month, value, starts), t, starts), t, starts)
-    except _StationError as exc:
-        if exc.station:
-            _fit_stations(stations[: exc.station])
-        raise ValueError(f"station {stations[exc.station].station_id}: {exc}") from None
+    with np.errstate(divide="ignore", invalid="ignore"):  # a failing station's numbers are never read
+        x, thin_station, thin_month = _deseasonalize(month, value.astype(float, copy=False), station)
+        x, spread = _detrend(x, t.astype(float), bounds)
+        fits, pairs, lag_sq = _ar1(x, t, station, sizes.size)
+    rules = [
+        (np.bincount(thin_station, minlength=sizes.size) > 0, "months {months} have fewer than 2 observations"),
+        (sizes < 3, "detrend needs at least 3 points, got {size}"),
+        (spread == 0.0, "time index is constant"),
+        (sizes < 10, "AR(1) fit needs at least 10 points, got {size}"),
+        (pairs < 2, "fewer than 2 consecutive lag pairs"),
+        (lag_sq == 0.0, "degenerate series: zero lag variance"),
+    ]
+    bad = np.flatnonzero(np.any([failed for failed, _ in rules], axis=0))
+    if bad.size:
+        i = int(bad[0])
+        message = next(text for failed, text in rules if failed[i])
+        months = thin_month[thin_station == i].tolist()
+        raise ValueError(f"station {stations[i].station_id}: " + message.format(months=months, size=sizes[i]))
+    return fits
 
 
 def run_pipeline(stations: Sequence[StationSeries]) -> PipelineResult:

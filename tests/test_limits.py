@@ -108,10 +108,12 @@ def test_sigma_with_an_infinite_square_is_named(call, message, sigma):
 
 
 def test_sigma_with_a_finite_square_is_accepted():
-    # 1/sigma^2 = 1e-308 is subnormal, and C no longer moves kappa
-    result = two_group_limit(1.0, 1e154)
-    assert 0.0 < result.value < 1.0 and result == two_group_limit(2.0, 1e154)
-    assert LimitSpecK(groups=((1.0, 1.0), (1.0, 1e154))).kappas()[1] == kappa(1.0, 1e154)
+    # 1/sigma^2 is subnormal, and C no longer moves kappa; the second sigma is
+    # the largest whose square is finite
+    for sigma in (1e154, 1.3407807929942596e154):
+        result = two_group_limit(1.0, sigma)
+        assert 0.0 < result.value < 1.0 and result == two_group_limit(2.0, sigma)
+        assert LimitSpecK(groups=((1.0, 1.0), (1.0, sigma))).kappas()[1] == kappa(1.0, sigma)
 
 
 class TestTwoGroupLimit:

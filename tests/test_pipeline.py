@@ -18,11 +18,8 @@ from gausswinner.pipeline import (
     Ar1Fit,
     InnovationPool,
     StationSeries,
-    ar1_innovations,
     bootstrap_winner,
     build_pools,
-    deseasonalize,
-    detrend_linear,
     empirical_study,
     kmeans1d_split,
     load_stations,
@@ -38,6 +35,26 @@ def make_series(values, sid="T1", lat=35.0, lon=-80.0, start_year=1980):
     values = np.asarray(values, dtype=float)
     t = np.arange(len(values))
     return StationSeries(sid, lat, lon, start_year + t // 12, 1 + t % 12, values)
+
+
+def _series_at(sid, t, values):
+    """A station observed at the month indices ``t`` (months since year 0)."""
+    t = np.asarray(t, dtype=np.int64)
+    return StationSeries(sid, 35.0, -80.0, t // 12, t % 12 + 1, np.asarray(values, dtype=float))
+
+
+# the three columnar kernels on the rows of a single station
+def _deseasonalize(month, value):
+    return pipeline._deseasonalize(np.asarray(month), np.asarray(value, dtype=float), np.zeros(len(value), int))[0]
+
+
+def _detrend(x, t):
+    return pipeline._detrend(np.asarray(x, dtype=float), np.asarray(t, dtype=float), [0, len(x)])[0]
+
+
+def _ar1(x, t):
+    (fit,), _, _ = pipeline._ar1(np.asarray(x, dtype=float), np.asarray(t), np.zeros(len(x), int), 1)
+    return fit
 
 
 def write_csv(path, rows):
@@ -516,12 +533,12 @@ class TestLoaderPaths:
 class TestDeseasonalize:
     def test_constant_series(self):
         series = make_series(np.full(48, 7.25))
-        out = deseasonalize(series.month, series.value)
+        out = _deseasonalize(series.month, series.value)
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_pure_seasonal_cycle(self):
         series = make_series([float(1 + t % 12) for t in range(48)])
-        out = deseasonalize(series.month, series.value)
+        out = _deseasonalize(series.month, series.value)
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_per_month_means_vanish(self):
@@ -529,23 +546,23 @@ class TestDeseasonalize:
         t = np.arange(240)
         vals = 10.0 * np.sin(2 * np.pi * (1 + t % 12) / 12.0) + g.random(240)
         series = make_series(vals)
-        out = deseasonalize(series.month, series.value)
+        out = _deseasonalize(series.month, series.value)
         for m in range(1, 13):
             assert abs(out[series.month == m].mean()) < 1e-9
 
     def test_idempotent(self):
         g = RngStream(seed=4).generator(0)
         series = make_series(g.random(120) * 3.0 + 5.0)
-        once = deseasonalize(series.month, series.value)
-        twice = deseasonalize(series.month, once)
+        once = _deseasonalize(series.month, series.value)
+        twice = _deseasonalize(series.month, once)
         assert np.max(np.abs(twice - once)) < 1e-10
 
     def test_thin_month_listed(self):
         # months 1 and 2 appear twice, 3..12 once
-        series = make_series(np.arange(14.0))
+        series = make_series(np.arange(14.0), sid="T2")
         with pytest.raises(ValueError) as excinfo:
-            deseasonalize(series.month, series.value)
-        assert str(excinfo.value) == "months [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] have fewer than 2 observations"
+            run_pipeline([make_series(np.arange(48.0)), series])
+        assert str(excinfo.value) == "station T2: months [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] have fewer than 2 observations"
 
 
 def _deseasonalize_by_masks(series):
@@ -564,7 +581,7 @@ def test_deseasonalize_bits_match_per_month_masks_on_the_bootstrap_fixture(tmp_p
     stations = load_stations(path)
     assert len(stations) == 95
     for series in stations:
-        assert deseasonalize(series.month, series.value).tobytes() == _deseasonalize_by_masks(series).tobytes()
+        assert _deseasonalize(series.month, series.value).tobytes() == _deseasonalize_by_masks(series).tobytes()
 
 
 def test_deseasonalize_bits_match_per_month_masks_on_unsorted_gapped_months():
@@ -572,21 +589,21 @@ def test_deseasonalize_bits_match_per_month_masks_on_unsorted_gapped_months():
     g = RngStream(seed=5).generator(0)
     month = g.choice([1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12], size=301)
     series = StationSeries("U", 35.0, -80.0, np.arange(301) // 12 + 1950, month, g.normal(12.0, 7.0, 301))
-    out = deseasonalize(series.month, series.value)
+    out = _deseasonalize(series.month, series.value)
     assert out.tobytes() == _deseasonalize_by_masks(series).tobytes()
 
 
 class TestDetrendLinear:
     def test_exact_line_removed(self):
         t = np.arange(60, dtype=float)
-        out = detrend_linear(3.0 + 0.25 * t, t)
+        out = _detrend(3.0 + 0.25 * t, t)
         assert np.max(np.abs(out)) < 1e-10
 
     def test_white_noise_slope_within_se(self):
         g = RngStream(seed=5).generator(0)
         x = g.standard_normal(10_000)
         t = np.arange(10_000, dtype=float)
-        out = detrend_linear(x, t)
+        out = _detrend(x, t)
         tc = t - t.mean()
         slope_hat = float(tc @ (x - x.mean())) / float(tc @ tc)
         se = 1.0 / math.sqrt(float(tc @ tc))  # OLS slope standard error, sigma = 1
@@ -598,20 +615,23 @@ class TestDetrendLinear:
         g = RngStream(seed=6).generator(0)
         x = g.standard_normal(500)
         t = np.arange(500, dtype=float)
-        a = detrend_linear(x, t)
-        b = detrend_linear(x + 4.0 - 0.37 * t, t)
+        a = _detrend(x, t)
+        b = _detrend(x + 4.0 - 0.37 * t, t)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_short_input(self):
-        with pytest.raises(ValueError):
-            detrend_linear([1.0, 2.0], [0, 1])
+        # two January rows: the month has its 2 observations, the line needs 3
+        series = StationSeries("S", 35.0, -80.0, np.array([1990, 1991]), np.array([1, 1]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError) as excinfo:
+            run_pipeline([make_series(np.arange(48.0)), series])
+        assert str(excinfo.value) == "station S: detrend needs at least 3 points, got 2"
 
 
 class TestAr1Innovations:
     def test_white_noise_phi_near_zero(self):
         g = RngStream(seed=7).generator(0)
         x = g.standard_normal(5000)
-        (fit,) = ar1_innovations(x, np.arange(x.size))
+        fit = _ar1(x, np.arange(x.size))
         assert abs(fit.phi) <= 4.0 / math.sqrt(5000)
         assert fit.innovations.size == 4999
 
@@ -622,7 +642,7 @@ class TestAr1Innovations:
         x[0] = e[0]
         for i in range(1, 5000):
             x[i] = 0.6 * x[i - 1] + e[i]
-        (fit,) = ar1_innovations(x, np.arange(x.size))
+        fit = _ar1(x, np.arange(x.size))
         assert fit.phi == pytest.approx(0.6, abs=0.05)
 
     def test_innovations_are_white(self):
@@ -632,14 +652,14 @@ class TestAr1Innovations:
         x[0] = e[0]
         for i in range(1, 4000):
             x[i] = 0.5 * x[i - 1] + e[i]
-        (fit,) = ar1_innovations(x, np.arange(x.size))
+        fit = _ar1(x, np.arange(x.size))
         inn = fit.innovations
         r1 = float(inn[1:] @ inn[:-1]) / float(inn @ inn)
         assert abs(r1) <= 4.0 / math.sqrt(fit.innovations.size)
 
     def test_exact_decay(self):
         x = 0.8 ** np.arange(50)
-        (fit,) = ar1_innovations(x, np.arange(x.size))
+        fit = _ar1(x, np.arange(x.size))
         assert fit.phi == pytest.approx(0.8, rel=1e-12)
         assert np.max(np.abs(fit.innovations)) < 1e-12
 
@@ -647,20 +667,21 @@ class TestAr1Innovations:
         x = np.arange(20, dtype=float)
         t = np.arange(20)
         t[10:] += 5  # one gap; pairs across it must be dropped
-        (fit,) = ar1_innovations(x, t)
+        fit = _ar1(x, t)
         assert fit.innovations.size == 18
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            ar1_innovations(np.arange(5.0), np.arange(5))
-        with pytest.raises(ValueError):
-            ar1_innovations(np.zeros(100), np.arange(100))
-
-
-def _series_at(sid, t, values):
-    """A station observed at the month indices ``t`` (months since year 0)."""
-    t = np.asarray(t, dtype=np.int64)
-    return StationSeries(sid, 35.0, -80.0, t // 12, t % 12 + 1, np.asarray(values, dtype=float))
+        for series, message in [
+            # January to April of 1990 and 1991: every month twice, 8 points
+            (
+                _series_at("S", 1990 * 12 + np.array([0, 1, 2, 3, 12, 13, 14, 15]), np.arange(8.0)),
+                "station S: AR(1) fit needs at least 10 points, got 8",
+            ),
+            (make_series(np.full(100, 7.0), sid="S"), "station S: degenerate series: zero lag variance"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                run_pipeline([make_series(np.arange(48.0)), series])
+            assert str(excinfo.value) == message
 
 
 @st.composite
@@ -707,6 +728,10 @@ _EARLIER_STATION_LATER_STAGE = [
     _series_at("B", _JAN + 12 * np.arange(12), _NOISE[:12]),
     _series_at("C", _JAN + np.arange(23), _NOISE[:23]),
 ]
+# S has 24 rows, all in January 1990, and C fails at the seasonal stage
+_CONSTANT_TIME_INDEX = [_A, _series_at("S", np.full(24, _JAN), _NOISE[:24]), _EARLIER_STATION_LATER_STAGE[2]]
+# F has 36 consecutive months, all at 7.0, and C fails at the seasonal stage
+_FLAT_SERIES = [_A, _series_at("F", _JAN + np.arange(36), np.full(36, 7.0)), _EARLIER_STATION_LATER_STAGE[2]]
 
 
 def _fits(stations):
@@ -719,6 +744,8 @@ def _fits(stations):
 @example(stations=_SINGLE_ROW_MONTH)
 @example(stations=_EMPTY_STATION)
 @example(stations=_EARLIER_STATION_LATER_STAGE)
+@example(stations=_CONSTANT_TIME_INDEX)
+@example(stations=_FLAT_SERIES)
 def test_run_pipeline_fits_match_the_per_station_oracle(stations):
     """The columnar stages give each station's fit, and the first failing station's error, bit for bit."""
     assert _fits_or_error(lambda: _fits(stations)) == _fits_or_error(lambda: map(oracles.process_station, stations))
@@ -730,12 +757,21 @@ def test_run_pipeline_fits_match_the_per_station_oracle(stations):
         (_SINGLE_ROW_MONTH, "station B: months [12] have fewer than 2 observations"),
         (_EMPTY_STATION, "station B: detrend needs at least 3 points, got 0"),
         (_EARLIER_STATION_LATER_STAGE, "station B: fewer than 2 consecutive lag pairs"),
+        (_CONSTANT_TIME_INDEX, "station S: time index is constant"),
+        (_FLAT_SERIES, "station F: degenerate series: zero lag variance"),
     ],
 )
 def test_run_pipeline_names_the_first_failing_station(stations, message):
     with pytest.raises(ValueError) as excinfo:
         run_pipeline(stations)
     assert str(excinfo.value) == message
+
+
+def test_unequal_lengths_name_the_station():
+    year, month = 1990 + np.arange(48) // 12, 1 + np.arange(48) % 12
+    with pytest.raises(ValueError) as excinfo:
+        run_pipeline([_A, StationSeries("B", 35.0, -80.0, year, month[:47], np.ones(48))])
+    assert str(excinfo.value) == "station B: year, month and value lengths differ (48, 47, 48)"
 
 
 def test_run_pipeline_fits_match_the_per_station_oracle_on_the_bootstrap_fixture(tmp_path):

@@ -32,23 +32,12 @@ from .quadrature import QuadratureError
 
 __all__ = ["main"]
 
-ENV_SEED = "GAUSSWINNER_SEED"
 DEFAULT_SEED = 20260101
 CSV_COLUMNS = [f.name for f in dataclasses.fields(montecarlo.StudyRow)]
 
 EXIT_OK = 0
 EXIT_MATH = 3
 EXIT_IO = 4
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
 def _fmt(value) -> str:
@@ -247,8 +236,7 @@ def cmd_simulate(args) -> int:
     sigmas = _parse_grid(args.sigma)
     c_values = _parse_grid(args.c)
     n2_grid = _parse_grid(args.n2)
-    seed = args.seed if args.seed is not None else _default_seed()
-    base = montecarlo.RngStream(seed=seed)
+    base = montecarlo.RngStream(seed=args.seed)
     rows = []
     for i, sigma in enumerate(sigmas):
         rows.extend(
@@ -262,7 +250,7 @@ def cmd_simulate(args) -> int:
                 workers=args.workers,
             )
         )
-    _emit(args, _config(args, seed=seed), *_table(rows))
+    _emit(args, _config(args), *_table(rows))
     return EXIT_OK
 
 
@@ -274,7 +262,6 @@ def cmd_empirical(args) -> int:
     years = _bounds("--years", args.years, integer=True)
     if not os.path.exists(args.input):
         raise OSError(f"input file not found: {args.input}")
-    seed = args.seed if args.seed is not None else _default_seed()
     stations = pipeline.load_stations(
         args.input,
         lat_range=lat,
@@ -292,7 +279,7 @@ def cmd_empirical(args) -> int:
         c_values,
         n2_grid,
         args.b,
-        montecarlo.RngStream(seed=seed),
+        montecarlo.RngStream(seed=args.seed),
         workers=args.workers,
     )
     stations_out = [
@@ -312,7 +299,7 @@ def cmd_empirical(args) -> int:
         "centers": list(result.centers),
         "sigma_ratio": result.sigma_ratio,
     }
-    _emit(args, _config(args, seed=seed, sigma_ratio=result.sigma_ratio), fields, lines)
+    _emit(args, _config(args, sigma_ratio=result.sigma_ratio), fields, lines)
     if args.format != "json" and args.output is not None:
         diag_lines = [
             f"stations={len(stations)} low={len(result.pool_low.indices)} high={len(result.pool_high.indices)}",
@@ -456,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--c", default="0.1,1.0,5.0")
     p_sim.add_argument("--n2", default="100:1000000:5")
     p_sim.add_argument("--trials", type=_count(1), default=100_000)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--exact", action="store_true", help="append the finite-n quadrature column")
     p_sim.add_argument("--workers", type=_count(1), default=1)
     p_sim.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -468,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_emp.add_argument("--b", type=_count(1), default=10_000)
     p_emp.add_argument("--c", default="0.1,0.6,3.0")
     p_emp.add_argument("--n2", default="5:150:8")
-    p_emp.add_argument("--seed", type=int, default=None)
+    p_emp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_emp.add_argument("--min-months", type=_count(0), default=pipeline.DEFAULT_MIN_MONTHS)
     box_help = "box LO:HI; a negative LO needs the = form, --%s"
     p_emp.add_argument("--lat", default="%g:%g" % pipeline.DEFAULT_LAT_RANGE, help=box_help % "lat=-10:10")

@@ -8,8 +8,9 @@ which stays representable far past the point where q itself underflows
 the form ``Phi^{-1}(u^{1/n})`` usable for effective sample sizes n of
 order 1e16 and beyond.
 
-All functions accept scalars or array_like input and return a float for
-scalar input, an ndarray otherwise.  Non-finite inputs raise ValueError.
+All functions accept scalars or array_like input and return a numpy
+``float64`` for scalar input, an ndarray otherwise.  Non-finite inputs
+raise ValueError.
 """
 
 from __future__ import annotations
@@ -31,21 +32,16 @@ def _as_finite_array(x, name):
     return arr
 
 
-def _maybe_scalar(arr, scalar_in):
-    return float(arr) if scalar_in else arr
-
-
 def std_normal_quantile(p):
     """Inverse of Phi for probabilities strictly inside (0, 1).
 
     Raises ValueError at p in {0, 1}; callers hitting the deep upper tail
     should use :func:`upper_tail_quantile` with a log-scale argument.
     """
-    scalar_in = np.ndim(p) == 0
     arr = _as_finite_array(p, "p")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("p must satisfy 0 < p < 1; use upper_tail_quantile for tail arguments")
-    return _maybe_scalar(ndtri(arr), scalar_in)
+    return ndtri(arr)
 
 
 def upper_tail_quantile(log_q):
@@ -69,9 +65,7 @@ def upper_tail_quantile(log_q):
     oracle for log_q from -1e6 to log(1/2), and 7.1e-16 on group-maximum
     tail positions at n = 1e2, 1e6 and 1e10 against Newton-polished ones.
     """
-    scalar_in = np.ndim(log_q) == 0
     lq = _as_finite_array(log_q, "log_q")
     if np.any(lq > LOG_HALF):
         raise ValueError("log_q must be <= log(1/2); use std_normal_quantile for the central range")
-    out = np.maximum(-ndtri_exp(lq), 0.0)
-    return _maybe_scalar(out, scalar_in)
+    return np.maximum(-ndtri_exp(lq), 0.0)

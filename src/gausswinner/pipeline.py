@@ -525,6 +525,7 @@ def _fit_stations(stations: list[StationSeries]) -> list[Ar1Fit]:
         x, spread = _detrend(x, t.astype(float), bounds)
         fits, pairs, lag_sq = _ar1(x, t, station, sizes.size)
     rules = [
+        (np.bincount(station[~np.isfinite(value)], minlength=sizes.size) > 0, "values must be finite"),
         (np.bincount(thin_station, minlength=sizes.size) > 0, "months {months} have fewer than 2 observations"),
         (sizes < 3, "detrend needs at least 3 points, got {size}"),
         (spread == 0.0, "time index is constant"),

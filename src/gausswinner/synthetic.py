@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import RngStream
+from .montecarlo import RngStream, _unit
 from .normal import std_normal_quantile
 from .pipeline import CSV_HEADER, DEFAULT_YEAR_RANGE
 
@@ -49,9 +49,7 @@ class SyntheticTruth:
 
 
 def _normals(g, size):
-    u = g.random(size)
-    u[u == 0.0] = 0.5**53  # keep inverse-CDF arguments inside (0, 1)
-    return std_normal_quantile(u)
+    return std_normal_quantile(_unit(g.bit_generator.random_raw(size)))
 
 
 def write_synthetic_stations(

@@ -233,13 +233,15 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_env_seed_default(self, capsys, monkeypatch):
+    def test_environment_does_not_reach_the_seed(self, capsys, monkeypatch):
+        args = ("simulate", "--sigma", "1.5", "--c", "1.0", "--n2", "100", "--trials", "100")
+        monkeypatch.delenv("GAUSSWINNER_SEED", raising=False)
+        unset = run(capsys, *args)
         monkeypatch.setenv("GAUSSWINNER_SEED", "4242")
-        code, out, _ = run(
-            capsys, "simulate", "--sigma", "1.5", "--c", "1.0", "--n2", "100", "--trials", "100"
-        )
+        code, out, err = run(capsys, *args)
         assert code == EXIT_OK
-        assert "# seed=4242" in out
+        assert "# seed=20260101" in out
+        assert (code, out, err) == unset
 
     def test_json_output(self, capsys):
         code, out, _ = run(

@@ -61,6 +61,9 @@ CASES = {
     "simulate_json_w2": _SIM + ["--workers", "2", "--format", "json"],
     "simulate_extreme_w1": _SIM_EXTREME + ["--workers", "1"],
     "simulate_extreme_w2": _SIM_EXTREME + ["--workers", "2"],
+    # no --seed: the run records and uses the default seed 20260101
+    "simulate_default_seed": ["simulate", "--sigma", "1.5", "--c", "0.5,2.0", "--n2", "100:10000:3",
+                              "--trials", "2000"],
     "simulate_extreme_exact": _SIM_EXTREME[:2] + ["3.0"] + _SIM_EXTREME[3:] + ["--exact", "--workers", "2"],
     "empirical_csv": _EMP + ["--output", OUTPUT],
     "empirical_json": _EMP + ["--format", "json"],
@@ -89,6 +92,7 @@ DIGESTS = {
     "simulate_csv_w1": "a483c55fc07316d711a3ef5565336dbc872c56b12c148243a30b74f327208311",
     "simulate_csv_w2": "a483c55fc07316d711a3ef5565336dbc872c56b12c148243a30b74f327208311",
     "simulate_csv_w3": "a483c55fc07316d711a3ef5565336dbc872c56b12c148243a30b74f327208311",
+    "simulate_default_seed": "347a093f1f351958cdb9a94ebb18ac0c089ac8a4f44d9b5303e13bbf1f6379ca",
     "simulate_extreme_exact": "5ca8668ed51330ac23e3ee8d79431d19d84e956f1a490c210379cc7176b29058",
     "simulate_extreme_w1": "adb3b200e2b854b28f09040ed53559b842c220721a43078a53935811fee717cc",
     "simulate_extreme_w2": "adb3b200e2b854b28f09040ed53559b842c220721a43078a53935811fee717cc",

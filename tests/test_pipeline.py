@@ -732,6 +732,11 @@ _EARLIER_STATION_LATER_STAGE = [
 _CONSTANT_TIME_INDEX = [_A, _series_at("S", np.full(24, _JAN), _NOISE[:24]), _EARLIER_STATION_LATER_STAGE[2]]
 # F has 36 consecutive months, all at 7.0, and C fails at the seasonal stage
 _FLAT_SERIES = [_A, _series_at("F", _JAN + np.arange(36), np.full(36, 7.0)), _EARLIER_STATION_LATER_STAGE[2]]
+# B holds a NaN, or an infinity, among 48 consecutive months
+_NAN_VALUE, _INF_VALUE = (
+    [_A, _series_at("B", _JAN + np.arange(48), np.where(np.arange(48) == 17, bad, _NOISE[:48]))]
+    for bad in (math.nan, math.inf)
+)
 
 
 def _fits(stations):
@@ -759,6 +764,8 @@ def test_run_pipeline_fits_match_the_per_station_oracle(stations):
         (_EARLIER_STATION_LATER_STAGE, "station B: fewer than 2 consecutive lag pairs"),
         (_CONSTANT_TIME_INDEX, "station S: time index is constant"),
         (_FLAT_SERIES, "station F: degenerate series: zero lag variance"),
+        (_NAN_VALUE, "station B: values must be finite"),
+        (_INF_VALUE, "station B: values must be finite"),
     ],
 )
 def test_run_pipeline_names_the_first_failing_station(stations, message):

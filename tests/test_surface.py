@@ -123,3 +123,16 @@ def test_benchmark_trace_targets_resolve():
         if not callable(getattr(module, attr, None)):
             missing.append(home)
     assert missing == []
+
+
+def test_no_module_reads_the_environment():
+    # a run's bytes are a function of its arguments and its input file alone
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted((ROOT / "src" / "gausswinner").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                reads.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in names]
+    assert reads == []

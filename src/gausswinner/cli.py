@@ -298,20 +298,9 @@ def cmd_empirical(args) -> int:
         "high_count": len(result.pool_high.indices),
         "centers": list(result.centers),
         "sigma_ratio": result.sigma_ratio,
+        "pool_sd": [result.pool_low.sd, result.pool_high.sd],
     }
     _emit(args, _config(args, sigma_ratio=result.sigma_ratio), fields, lines)
-    if args.format != "json" and args.output is not None:
-        diag_lines = [
-            f"stations={len(stations)} low={len(result.pool_low.indices)} high={len(result.pool_high.indices)}",
-            f"variance_centers low={_fmt(result.centers[0])} high={_fmt(result.centers[1])}",
-            f"pool_sd low={_fmt(result.pool_low.sd)} high={_fmt(result.pool_high.sd)}",
-            f"sigma_ratio={_fmt(result.sigma_ratio)}",
-        ] + [
-            f"station {st['station_id']}: phi={_fmt(st['phi'])} "
-            f"innovation_sd={_fmt(st['innovation_sd'])} n_used={st['n_used']}"
-            for st in stations_out
-        ]
-        sys.stdout.write("\n".join(diag_lines) + "\n")
     return EXIT_OK
 
 
@@ -406,12 +395,8 @@ def cmd_selftest(args) -> int:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append({"name": fn.__name__, "passed": bool(ok), "detail": detail})
         failed = failed or not ok
-    if args.json:
-        payload = {"checks": results, "passed": not failed}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        for r in results:
-            sys.stdout.write(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}\n")
+    lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results]
+    _emit(args, _config(args), {"checks": results, "passed": not failed}, lines)
     return EXIT_MATH if failed else EXIT_OK
 
 
@@ -467,8 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_emp.set_defaults(fn=cmd_empirical)
 
     p_self = sub.add_parser("selftest", help="fast oracle suite")
-    p_self.add_argument("--json", action="store_true")
-    p_self.set_defaults(fn=cmd_selftest)
+    p_self.add_argument("--json", action="store_const", const="json", default="text", dest="format")
+    p_self.set_defaults(fn=cmd_selftest, output=None)
 
     return parser
 
@@ -478,12 +463,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, QuadratureError) as exc:
+    except (ValueError, QuadratureError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_MATH
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_MATH
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import pytest
 
 import gausswinner.limits
 import gausswinner.montecarlo
+import gausswinner.pipeline
 from gausswinner.cli import EXIT_IO, EXIT_MATH, EXIT_OK, _build_parser, main
 from gausswinner.quadrature import QuadratureError
 from gausswinner.scaling import kappa as real_kappa
@@ -339,7 +340,7 @@ class TestEmpiricalCommand:
             "--output", str(out_file),
         )
         assert code == EXIT_OK
-        assert "sigma_ratio=" in out  # diagnostics on stdout
+        assert out == ""  # the document went to --output, and nothing else is written
         lines = out_file.read_text().splitlines()
         body = [l for l in lines if not l.startswith("#")]
         assert body[0] == "n2,n1,sigma,c,p_hat,std_err,p_limit,p_exact"
@@ -360,6 +361,8 @@ class TestEmpiricalCommand:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["split"]["low_count"] == 14
+        result = gausswinner.pipeline.run_pipeline(gausswinner.pipeline.load_stations(str(fixture_csv)))
+        assert payload["split"]["pool_sd"] == [result.pool_low.sd, result.pool_high.sd]
         assert len(payload["stations"]) == 22
         assert len(payload["rows"]) == 1
 
@@ -515,12 +518,15 @@ class TestEmpiricalCommand:
         (["simulate", "--sigma", "1.5", "--c", "1", "--n2", "10", "--trials", "50", "--workers", "2"], {"seed"}),
         (["simulate", "--sigma", "1.5", "--c", "1", "--n2", "10", "--trials", "50", "--seed", "3", "--exact"], set()),
         (["empirical", "--input", "FIXTURE", "--b", "20", "--c", "1", "--n2", "10"], {"seed", "sigma_ratio"}),
+        (["selftest", "--json"], set()),
     ],
 )
 def test_config_records_every_option_with_a_value(capsys, fixture_csv, argv, resolved):
     # the recorded keys are the subcommand's option dests that have a value,
     # less --output and --workers, plus the values the run itself resolved
-    argv = [str(fixture_csv) if a == "FIXTURE" else a for a in argv] + ["--format", "json"]
+    argv = [str(fixture_csv) if a == "FIXTURE" else a for a in argv]
+    if "--json" not in argv:  # selftest's one format flag
+        argv += ["--format", "json"]
     parser = _build_parser()
     args = parser.parse_args(argv)
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -534,6 +540,7 @@ class TestSelftestCommand:
     def test_clean_build_passes(self, capsys):
         code, out, _ = run(capsys, "selftest")
         assert code == EXIT_OK
+        assert out.startswith("# gausswinner selftest\n# format=text\n")
         assert "FAIL" not in out
         assert out.count("PASS") >= 10
 
@@ -552,6 +559,21 @@ class TestSelftestCommand:
         code, out, _ = run(capsys, "selftest")
         assert code == EXIT_MATH
         assert "FAIL" in out
+
+    def test_raising_check_is_a_failed_check(self, capsys, monkeypatch):
+        def crash(u):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(gausswinner.montecarlo, "sample_gumbel", crash)
+        detail = "raised ZeroDivisionError: float division by zero"
+        code, out, _ = run(capsys, "selftest")
+        assert code == EXIT_MATH
+        assert f"FAIL gumbel_round_trip: {detail}" in out.splitlines()
+        code, out, _ = run(capsys, "selftest", "--json")
+        assert code == EXIT_MATH
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert {"name": "gumbel_round_trip", "passed": False, "detail": detail} in payload["checks"]
 
 
 def test_import_skips_scipy_signal(tmp_path):

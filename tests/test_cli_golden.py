@@ -72,8 +72,8 @@ CASES = {
 }
 
 DIGESTS = {
-    "empirical_csv": "0d5193b4d587c89072d13fe4fb5de9901494a1cc626c61884ebd0a233a946edb",
-    "empirical_json": "330aac72d293a8deb7395ed23ce94ecf01184f4644d9b6243c87ec4f179acbbd",
+    "empirical_csv": "f4f4f576bd899b8d2a0c0a64da31969a5b788a5e4489b8d924f80df23345dee3",
+    "empirical_json": "8c668a8e7bf3951b739fe08719a963591edff6c9e3de4a15efb2f55c3817c9fd",
     "limit_bad_sigma": "183ceae064922f615d55b63fed9c3998e64edcf13c5ccdb6d9c954f79350a2a8",
     "limit_c0_json": "74fbdc8e748e3493fea4666de8f2887e28a4991ddf18e0151cc45d9571f1c705",
     "limit_c0_text": "b4ee0ed6aef3f5d0b613f981852ec5547a50e50d370008c1101b99379cc23bea",
@@ -87,8 +87,8 @@ DIGESTS = {
     "scale_overflow_json": "0453f0d41890e1d0822b28395ce7331ad061214c2ae586f63605596d109c3658",
     "scale_overflow_text": "0efb4f0a9a2c4d991f0bf77803188217aec34361a4f2958026fdec75c0fecbff",
     "scale_text": "d9b9e4d5aca84e4833550ed3508dda542a743462462948c2f7377d97d2ec71b8",
-    "selftest_json": "9228fe1b7d4ec06709117740ea04b8b85e2da67f37f6bc6a5d547c23df20f70d",
-    "selftest_text": "6927fc577e88e6a8ecec09d1b94ae9b8b448ed68516445dc4e089c89de953757",
+    "selftest_json": "fe35bddf15913b55618f947e03295ec88e1ee9696d1fd667a41d1fb57998af07",
+    "selftest_text": "7bdfa85912266a6492944fd91a793fec90e41fbc365c2fa8c313307d2effcbe5",
     "simulate_csv_w1": "a483c55fc07316d711a3ef5565336dbc872c56b12c148243a30b74f327208311",
     "simulate_csv_w2": "a483c55fc07316d711a3ef5565336dbc872c56b12c148243a30b74f327208311",
     "simulate_csv_w3": "a483c55fc07316d711a3ef5565336dbc872c56b12c148243a30b74f327208311",
@@ -101,9 +101,8 @@ DIGESTS = {
 }
 
 
-def case_outputs(name) -> tuple[int, str, str, bytes | None]:
-    """Run one case in the current directory: exit code, stdout, stderr and ``--output`` bytes."""
-    argv = CASES[name]
+def case_outputs(argv) -> tuple[int, str, str, bytes | None]:
+    """Run one argv in the current directory: exit code, stdout, stderr and ``--output`` bytes."""
     if FIXTURE in argv:
         write_synthetic_stations(FIXTURE, n_low=10, n_high=6, seed=42, missing_rate=0.02)
     out, err = io.StringIO(), io.StringIO()
@@ -130,7 +129,25 @@ def case_digest(code, stdout, stderr, data) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_bytes_pinned(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert case_digest(*case_outputs(name)) == DIGESTS[name]
+    assert case_digest(*case_outputs(CASES[name])) == DIGESTS[name]
+
+
+# every case that writes a document: selftest takes no --output, and limit_bad_sigma exits 3
+DOCUMENT_CASES = sorted(name for name in CASES if not name.startswith("selftest") and name != "limit_bad_sigma")
+
+
+@pytest.mark.parametrize("name", DOCUMENT_CASES)
+def test_output_moves_the_document_and_nothing_else(name, tmp_path, monkeypatch):
+    """``--output F`` writes to F exactly the bytes the run writes to stdout without it, and nothing else."""
+    monkeypatch.chdir(tmp_path)
+    argv = list(CASES[name])
+    if OUTPUT in argv:
+        del argv[argv.index("--output"):argv.index(OUTPUT) + 1]
+    code, stdout, stderr, _ = case_outputs(argv)
+    assert (code, stderr) == (0, "")
+    code, moved_stdout, moved_stderr, data = case_outputs(argv + ["--output", OUTPUT])
+    assert (code, moved_stdout, moved_stderr) == (0, "", "")
+    assert data == stdout.encode("utf-8")
 
 
 def _not_json(constant):
@@ -141,7 +158,7 @@ def _not_json(constant):
 def test_json_output_is_strict_json(name, tmp_path, monkeypatch):
     """Every JSON case parses with NaN and Infinity refused, as JSON itself refuses them."""
     monkeypatch.chdir(tmp_path)
-    code, stdout, stderr, data = case_outputs(name)
+    code, stdout, stderr, data = case_outputs(CASES[name])
     json.loads(stdout if data is None else data, parse_constant=_not_json)
 
 
@@ -160,9 +177,9 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             if not dump:
-                print(f'    "{case}": "{case_digest(*case_outputs(case))}",')
+                print(f'    "{case}": "{case_digest(*case_outputs(CASES[case]))}",')
                 continue
-            code, stdout, stderr, data = case_outputs(case)
+            code, stdout, stderr, data = case_outputs(CASES[case])
             with open(os.path.join(dump, f"{case}.txt"), "w", encoding="utf-8") as fh:
                 fh.write(f"exit={code}\n--- stdout\n{stdout}--- stderr\n{stderr}")
                 if data is not None:

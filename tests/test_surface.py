@@ -136,3 +136,25 @@ def test_no_module_reads_the_environment():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 reads += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in names]
     assert reads == []
+
+
+def test_one_writer_per_run():
+    # every byte of a run's document goes through cli._emit, and only cli.main writes the error line
+    owners = {"stdout": "cli._emit", "stderr": "cli.main"}
+    strays = []
+    for path in sorted((ROOT / "src" / "gausswinner").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = {}  # node -> its outermost function; ast.walk meets outer functions first
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    enclosing.setdefault(node, f"{path.stem}.{fn.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "sys":
+                if node.attr in owners and enclosing.get(node) != owners[node.attr]:
+                    strays.append(f"{path.name}:{node.lineno} sys.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+                strays += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in owners]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                strays.append(f"{path.name}:{node.lineno} print")
+    assert strays == []

@@ -4,7 +4,7 @@ Determinism contract: every estimator maps trial t to a fixed range of
 positions in a counter-based Philox stream keyed by (seed, stream_id).
 Trial t with d draws per trial owns positions [t*d, (t+1)*d).  Chunked
 and multi-threaded execution merely partition the trial range, position
-each chunk's generator at its own counter offset, and sum integer win
+each chunk's generator at its own draw offset, and sum integer win
 counts, so the estimates are bit-identical to serial execution for any
 chunk size, worker count, or scheduling order.  The chunk layout follows
 from the trial and group counts alone; workers only run the chunks.  A
@@ -88,17 +88,17 @@ class RngStream:
     stream_id: int = 0
 
     def generator(self, draw_offset: int = 0) -> np.random.Generator:
-        """Generator positioned at an absolute draw offset in this stream.
+        """Generator whose next draw is word ``draw_offset`` (any offset >= 0) of this stream.
 
-        Philox advances its counter once per 4 output words, so the
-        counter encodes offsets in multiples of 4; the remainder is
-        consumed by the caller (see _words).
+        Philox advances its counter once per 4 output words, so the counter
+        is set to the block holding the offset and the words before it in
+        that block are drawn and dropped.
         """
-        if draw_offset % 4 != 0:
-            raise ValueError("draw_offset must be a multiple of 4")
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         counter = np.array([draw_offset // 4, 0, 0, 0], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        gen.bit_generator.random_raw(draw_offset % 4)
+        return gen
 
     def substream(self, index: int) -> "RngStream":
         """Derived independent stream; hashing keeps distinct indexes disjoint."""
@@ -142,10 +142,8 @@ class StudyRow:
 
 def _words(stream: RngStream, start_trial: int, n_trials: int, per_trial: int) -> np.ndarray:
     """Raw 64-bit Philox words of trials [start_trial, start_trial + n_trials), one row per trial."""
-    offset = start_trial * per_trial
-    aligned = offset - (offset % 4)
-    w = stream.generator(aligned).bit_generator.random_raw(n_trials * per_trial + (offset - aligned))
-    return w[offset - aligned:].reshape(n_trials, per_trial)
+    w = stream.generator(start_trial * per_trial).bit_generator.random_raw(n_trials * per_trial)
+    return w.reshape(n_trials, per_trial)
 
 
 def _unit(w: np.ndarray) -> np.ndarray:

@@ -164,18 +164,18 @@ def _stations_by_rows(path) -> tuple:
                 raise ValueError("line 1: empty file, header required")
             if [h.strip() for h in header] != CSV_HEADER:
                 raise ValueError(f"line 1: header must be {','.join(CSV_HEADER)}")
-            for line_no, fields in enumerate(reader, start=2):
+            for fields in reader:
                 if not fields:
                     continue
-                sid, lat, lon, year, month, value = _parse_row(fields, line_no)
+                sid, lat, lon, year, month, value = _parse_row(fields, reader.line_num)
                 if sid not in rows:
                     rows[sid] = []
                     coords[sid] = (lat, lon)
                 elif coords[sid] != (lat, lon):
-                    raise ValueError(f"line {line_no}: station {sid} changes coordinates")
+                    raise ValueError(f"line {reader.line_num}: station {sid} changes coordinates")
                 prev = rows[sid][-1] if rows[sid] else None
                 if prev is not None and (year, month) <= (prev[0], prev[1]):
-                    raise ValueError(f"line {line_no}: station {sid} has non-increasing (year, month)")
+                    raise ValueError(f"line {reader.line_num}: station {sid} has non-increasing (year, month)")
                 rows[sid].append((year, month, value))
         except csv.Error as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
@@ -487,7 +487,7 @@ def empirical_study(
     pool2: InnovationPool,
     sigma_ratio: float,
     c_values: Sequence[float],
-    n2_grid: Sequence[int],
+    n2_grid: Sequence[float],
     b: int,
     rng: RngStream,
     *,
@@ -497,16 +497,11 @@ def empirical_study(
 
     Rows of :func:`gausswinner.montecarlo._critical_grid` at the
     empirical sigma ratio, with p_hat counted as :func:`bootstrap_winner`
-    counts it.  The critical n1 must have an exact integer floor.
+    counts it.  As in ``simulate``, n1 is the critical size's floor up to
+    2**53 and its real value past it.
     """
-
-    def samplers(n1, n2):
-        if not isinstance(n1, int):
-            raise ValueError(f"critical n1 at n2={n2} overflows the bootstrap range")
-        return _pool_samplers(pool1, pool2, n1, n2)
-
-    n2_grid = [int(n) for n in n2_grid]
-    return _critical_grid(sigma_ratio, list(c_values), n2_grid, b, rng, samplers, workers=workers)
+    samplers = functools.partial(_pool_samplers, pool1, pool2)
+    return _critical_grid(sigma_ratio, list(c_values), list(n2_grid), b, rng, samplers, workers=workers)
 
 
 def _fit_stations(stations: list[StationSeries]) -> list[Ar1Fit]:

@@ -366,6 +366,15 @@ class TestEmpiricalCommand:
         assert len(payload["stations"]) == 22
         assert len(payload["rows"]) == 1
 
+    def test_critical_n1_past_2_53(self, capsys, fixture_csv):
+        code, out, _ = run(
+            capsys, "empirical", "--input", str(fixture_csv),
+            "--b", "200", "--c", "3", "--n2", "100000000", "--seed", "5", "--format", "json",
+        )
+        assert code == EXIT_OK
+        (row,) = json.loads(out)["rows"]
+        assert row["n1"] > 2.0**53
+
     def test_min_months_zero_is_a_valid_count(self, capsys, fixture_csv):
         code, out, _ = run(
             capsys, "empirical", "--input", str(fixture_csv), "--min-months", "0",

@@ -73,9 +73,12 @@ class TestRngStream:
             got = s.generator(off).random(8)
             assert np.array_equal(got, ref[off : off + 8])
 
-    def test_offset_must_be_aligned(self):
-        with pytest.raises(ValueError):
-            RngStream(seed=1).generator(6)
+    def test_any_offset_starts_at_that_word(self):
+        s = RngStream(seed=1, stream_id=4)
+        raw, uniform = s.generator(0).bit_generator.random_raw(20), s.generator(0).random(16)
+        for k in range(12):
+            assert np.array_equal(s.generator(k).bit_generator.random_raw(8), raw[k : k + 8])
+            assert np.array_equal(s.generator(k).random(4), uniform[k : k + 4])
 
     def test_uniform_batching_invariance(self):
         s = RngStream(seed=5, stream_id=2)
@@ -760,9 +763,9 @@ class TestGridScheduling:
         errors = []
         for workers in (1, 2):
             with pytest.raises(ValueError) as excinfo:
-                empirical_study(p1, p2, 2.0, [5.0], [100, 1_000_000], 1_000, RngStream(33), workers=workers)
+                empirical_study(p1, p2, 2.0, [1e300], [100, 1_000_000], 1_000, RngStream(33), workers=workers)
             errors.append(str(excinfo.value))
-        assert errors == ["critical n1 at n2=1000000 overflows the bootstrap range"] * 2
+        assert errors == ["n1 and n2 must be finite reals >= 1, got inf and 1000000"] * 2
         assert threading.active_count() == before
 
     def test_infinite_critical_size_fails_at_row_setup(self):

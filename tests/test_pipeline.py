@@ -79,6 +79,20 @@ class TestLoadStations:
         with pytest.raises(ValueError, match="line 3"):
             load_stations(p)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("C,35,-80,1990,13,5", "line 4: month 13 outside 1..12"),
+            ("C,35." + "0" * csv.field_size_limit() + ",-80,1990,1,5", "line 4: field larger than field limit"),
+        ],
+    )
+    def test_error_names_the_rows_last_physical_line(self, tmp_path, row, message):
+        # the quoted id spans lines 2-3, so the next row is on line 4, as csv counts lines
+        p = tmp_path / "t.csv"
+        write_csv(p, ['"A\nB",35,-80,1990,1,5', row])
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            load_stations(p)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b,c\nA,35,-80,1990,1,5.0\n")
@@ -977,6 +991,13 @@ class TestEmpiricalStudy:
         direct = bootstrap_winner(p1, p2, n1, 30, 2_000, RngStream(23).substream(0))
         assert rows[0].p_hat == direct.p_hat
         assert rows[0].n1 == float(n1)
+        # past 2**53 the row takes the real critical size, as simulate does
+        size = critical_n1(1e8, 1.5, 0.6)
+        assert size.floor_value is None
+        (row,) = empirical_study(p1, p2, 1.5, [0.6], [1e8], 2_000, RngStream(23))
+        direct = bootstrap_winner(p1, p2, size.real_value, 1e8, 2_000, RngStream(23).substream(0))
+        assert row.n1 == size.real_value
+        assert row.p_hat == direct.p_hat
 
     def test_p_limit_ordering_in_c(self):
         g = RngStream(seed=24).generator(0)

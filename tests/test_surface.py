@@ -138,17 +138,28 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
+def _outermost_functions(tree, module):
+    """Each node inside a function of ``tree``, mapped to its outermost function as ``module[.Class].name``."""
+    enclosing = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                enclosing.update(dict.fromkeys(ast.walk(child), f"{prefix}.{child.name}"))
+            else:
+                visit(child, f"{prefix}.{child.name}" if isinstance(child, ast.ClassDef) else prefix)
+
+    visit(tree, module)
+    return enclosing
+
+
 def test_one_writer_per_run():
     # every byte of a run's document goes through cli._emit, and only cli.main writes the error line
     owners = {"stdout": "cli._emit", "stderr": "cli.main"}
     strays = []
     for path in sorted((ROOT / "src" / "gausswinner").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        enclosing = {}  # node -> its outermost function; ast.walk meets outer functions first
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                for node in ast.walk(fn):
-                    enclosing.setdefault(node, f"{path.stem}.{fn.name}")
+        enclosing = _outermost_functions(tree, path.stem)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "sys":
                 if node.attr in owners and enclosing.get(node) != owners[node.attr]:
@@ -157,4 +168,21 @@ def test_one_writer_per_run():
                 strays += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in owners]
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
                 strays.append(f"{path.name}:{node.lineno} print")
+    assert strays == []
+
+
+def test_one_stream_constructor():
+    # (seed, stream_id) keys every draw and RngStream.generator positions it,
+    # so no other code may name a Philox, a Generator or a default_rng
+    names = {"Philox", "Generator", "default_rng"}
+    strays = []
+    for path in sorted((ROOT / "src" / "gausswinner").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = _outermost_functions(tree, path.stem)
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
+            if name in names and enclosing.get(node) != "montecarlo.RngStream.generator":
+                strays.append(f"{path.name}:{node.lineno} {name}")
+            elif isinstance(node, ast.ImportFrom):
+                strays += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in names]
     assert strays == []

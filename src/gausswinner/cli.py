@@ -212,12 +212,8 @@ def cmd_scale(args) -> int:
     log_f = scaling.log_critical_scale(n2, sigma)
     f_value = scaling.critical_scale(n2, sigma)
     n1 = float(size.floor_value) if size.floor_value is not None else size.real_value
-    if math.isfinite(n1):
-        b = scaling.beta(n1, n2, sigma)
-        gap = scaling.centering_gap(n1, n2, sigma) if n1 >= 2.0 else None
-    else:
-        b = math.exp(size.log_value - log_f)  # exactly c at the real-valued size
-        gap = None
+    b = scaling.beta(n1, n2, sigma) if math.isfinite(n1) else c  # the real size is C f(n2) by construction
+    gap = scaling.centering_gap(n1, n2, sigma) if 2.0 <= n1 < math.inf else None
     fields = {
         "log_f_n2": log_f,
         "f_n2": f_value if math.isfinite(f_value) else None,

@@ -132,8 +132,8 @@ def two_group_limit(c: float, sigma: float) -> QuadResult:
 
     The degenerate endpoints C = 0 and C = +inf return exactly 0 and 1.
     """
-    if not (math.isfinite(sigma) and sigma > 1.0):
-        raise ValueError(f"sigma must be a finite real > 1, got {sigma}")
+    if not (math.isfinite(sigma * sigma) and sigma > 1.0):
+        raise ValueError(f"sigma must be a real > 1 with a finite square, got {sigma}")
     return two_group_limit_from_kappa(kappa(c, sigma), sigma)
 
 
@@ -210,8 +210,8 @@ def solve_c_for_target(p_target: float, sigma: float) -> float:
     """
     if not 0.0 < p_target < 1.0:
         raise ValueError(f"p_target must lie in (0, 1), got {p_target}")
-    if not (math.isfinite(sigma) and sigma > 1.0):
-        raise ValueError(f"sigma must be a finite real > 1, got {sigma}")
+    if not (math.isfinite(sigma * sigma) and sigma > 1.0):
+        raise ValueError(f"sigma must be a real > 1 with a finite square, got {sigma}")
     # kappa is affine in log C: kappa(C) = log(C)/sigma^2 + kappa(1)
     s2, kappa_one = sigma * sigma, kappa(1.0, sigma)
 

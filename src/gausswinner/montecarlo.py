@@ -172,11 +172,11 @@ def _cell_bounds(draw, rel, err):
     upper bound, and an edge whose value is NaN or infinite bounds neither
     cell beside it.
     """
-    edge = draw(np.arange(1, _CELLS) / _CELLS)
-    finite = np.isfinite(edge)
-    edge = np.where(finite, edge, 0.0)
-    slack = 2.0 * (rel * np.abs(edge) + err) / (1.0 - 2.0 * rel)
-    with np.errstate(over="ignore"):  # a bound past the largest double is infinite, and still a bound
+    with np.errstate(over="ignore"):  # a draw or bound past the largest double is infinite, and still a bound
+        edge = draw(np.arange(1, _CELLS) / _CELLS)
+        finite = np.isfinite(edge)
+        edge = np.where(finite, edge, 0.0)
+        slack = 2.0 * (rel * np.abs(edge) + err) / (1.0 - 2.0 * rel)
         lo = np.where(finite, np.nextafter(edge - slack, -np.inf), -np.inf)
         hi = np.where(finite, np.nextafter(edge + slack, np.inf), np.inf)
     return np.concatenate([[-np.inf], lo]), np.concatenate([hi, [np.inf]])
@@ -216,7 +216,8 @@ def _chunk_counts(stream, samplers, tables, start_trial, n_trials):
         decided = np.count_nonzero(won, axis=1)
         w = np.compress(~won.any(axis=0), w, axis=0)
     u = _unit(w)
-    return decided + _winner_counts([draw(u[:, j]) for j, draw in enumerate(samplers)])
+    with np.errstate(over="ignore"):  # a maximum past the largest double is +-inf, and still ranks
+        return decided + _winner_counts([draw(u[:, j]) for j, draw in enumerate(samplers)])
 
 
 def _run_rows(jobs, *, workers=1):
@@ -232,13 +233,12 @@ def _run_rows(jobs, *, workers=1):
     only, never on ``workers``.  The job's counts are the sum of its
     chunks' :func:`_chunk_counts`.
 
-    With one worker, or one chunk in all, the chunks run inline in order.
-    Otherwise every chunk of every job goes through one
-    ``ThreadPoolExecutor.map`` on ``min(workers, chunks)`` threads, so a
-    row's last chunk overlaps the next row's first.  ``map`` reads results
-    in chunk order: the first failing chunk raises, as it would serially,
-    and the chunks not yet started are cancelled.  Returns one count array
-    per job, in job order.
+    Every chunk of every job goes through one ``ThreadPoolExecutor.map`` on
+    ``min(workers, chunks)`` threads, so a row's last chunk overlaps the
+    next row's first; a chunk sets its own floating-point state, as no
+    thread's reaches another.  ``map`` reads results in chunk order: the
+    first failing chunk raises, as it would serially, and the chunks not
+    yet started are cancelled.  Returns one count array per job, in job order.
     """
     chunks, ends = [], []
     for stream, trials, samplers, accuracy in jobs:
@@ -250,11 +250,8 @@ def _run_rows(jobs, *, workers=1):
         cuts = [j * trials // k for j in range(k + 1)]
         chunks += [(stream, samplers, tables, t0, t1 - t0) for t0, t1 in zip(cuts, cuts[1:])]
         ends.append(len(chunks))
-    if workers <= 1 or len(chunks) == 1:
-        values = list(map(_chunk_counts, *zip(*chunks)))
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            values = list(pool.map(_chunk_counts, *zip(*chunks)))
+    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        values = list(pool.map(_chunk_counts, *zip(*chunks)))
     return [np.sum(values[a:b], axis=0) for a, b in zip([0] + ends, ends)]
 
 

@@ -99,6 +99,8 @@ class InnovationPool:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.sort(self.values))
+        if not (self.values.size and np.isfinite(self.values).all()):
+            raise ValueError("pool values must be nonempty and finite")
 
 
 @dataclass(frozen=True)
@@ -475,8 +477,6 @@ def _pool_max(values, n, u):
 
 def _pool_samplers(pool1, pool2, n1, n2):
     """The two group samplers of :func:`bootstrap_winner`, which state no accuracy, so every trial is drawn."""
-    if len(pool1.values) == 0 or len(pool2.values) == 0:
-        raise ValueError("pools must be nonempty")
     if not all(math.isfinite(n) and n >= 1 for n in (n1, n2)):
         raise ValueError(f"n1 and n2 must be finite reals >= 1, got {n1} and {n2}")
     return [functools.partial(_pool_max, pool1.values, n1), functools.partial(_pool_max, pool2.values, n2)], None

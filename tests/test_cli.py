@@ -91,7 +91,7 @@ class TestLimitCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--two-group", "--c", "1", "--sigma", "1e200"], "sigma must be a real >= 1 with a finite square"),
+            (["--two-group", "--c", "1", "--sigma", "1e200"], "sigma must be a real > 1 with a finite square"),
             (["--multi", "--group", "1:1", "--group", "1:1e200"], "group 1: sigma must be a real > 1 with a finite square"),
         ],
     )
@@ -135,6 +135,17 @@ class TestLimitCommand:
             if argv[0] == "--multi"
             else "--two-group takes --c and --sigma, not --group"
         )
+        assert (code, out, err) == (EXIT_MATH, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--multi"], "--multi requires at least two --group C:SIGMA entries"),
+            (["--two-group", "--c", "1"], "--two-group requires --c and --sigma"),
+        ],
+    )
+    def test_missing_option_of_the_mode_exit_3(self, capsys, argv, message):
+        code, out, err = run(capsys, "limit", *argv)
         assert (code, out, err) == (EXIT_MATH, "", f"error: {message}\n")
 
 
@@ -284,6 +295,7 @@ class TestSimulateCommand:
             ("--sigma", "nan:2:3", "log-spaced range needs finite positive lo, hi and count >= 1, got 'nan:2:3'"),
             ("--c", "abc", "grid 'abc' has a non-numeric entry"),
             ("--n2", "5:150:x", "bad range '5:150:x', expected lo:hi[:count]"),
+            ("--c", ",", "empty grid ','"),
         ],
     )
     def test_non_finite_grid_exit_3(self, capsys, flag, spec, message):

@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -54,6 +55,10 @@ CASES = {
     "scale_json": ["scale", "--n2", "100", "--sigma", "1.41421356", "--c", "1", "--format", "json"],
     "scale_overflow_text": ["scale", "--n2", "1000000", "--sigma", "2", "--c", "5", "--output", OUTPUT],
     "scale_overflow_json": ["scale", "--n2", "1000000", "--sigma", "2", "--c", "5", "--format", "json"],
+    # beta of an n1 past the largest double is C itself
+    "scale_beta_past_overflow_json": ["scale", "--n2", "1e100", "--sigma", "3", "--c", "5", "--format", "json"],
+    # both terms of log f(n2) overflow, so it is +inf
+    "scale_log_f_overflow_text": ["scale", "--n2", "1e300", "--sigma", "1e154", "--c", "1"],
     "simulate_csv_w1": _SIM + ["--workers", "1", "--output", OUTPUT],
     "simulate_csv_w2": _SIM + ["--workers", "2", "--output", OUTPUT],
     "simulate_csv_w3": _SIM + ["--workers", "3", "--output", OUTPUT],
@@ -74,7 +79,7 @@ CASES = {
 DIGESTS = {
     "empirical_csv": "f4f4f576bd899b8d2a0c0a64da31969a5b788a5e4489b8d924f80df23345dee3",
     "empirical_json": "8c668a8e7bf3951b739fe08719a963591edff6c9e3de4a15efb2f55c3817c9fd",
-    "limit_bad_sigma": "183ceae064922f615d55b63fed9c3998e64edcf13c5ccdb6d9c954f79350a2a8",
+    "limit_bad_sigma": "8f0f9c236b49cd48aeb053164077364aa62e2516766238634b499fb2fb2ec01e",
     "limit_c0_json": "74fbdc8e748e3493fea4666de8f2887e28a4991ddf18e0151cc45d9571f1c705",
     "limit_c0_text": "b4ee0ed6aef3f5d0b613f981852ec5547a50e50d370008c1101b99379cc23bea",
     "limit_cinf_json": "4dcd038d4dc5582f24c5ad16359ca81401b969414d0e82372c18ca708b521db0",
@@ -83,7 +88,9 @@ DIGESTS = {
     "limit_multi_text": "66e174654fa8c9d9317380d5769d0650102da7e316b51d70176da1dea84ddfd7",
     "limit_two_group_json": "25d3450f83229a4adca8331572f1bf3876788ac525d33912e527fd20d7dbb785",
     "limit_two_group_text": "2df506249b64aec539b415b790a936db20c67f197ffa657f064980b9bf37b48a",
+    "scale_beta_past_overflow_json": "b199caf818ea61da6f24071e864bfc837291ec4ed1676f6d1ae8a70cb5ed3d20",
     "scale_json": "509404e9d2215b5064d197bff60d41a0176d446766d9edeff502258f7021b460",
+    "scale_log_f_overflow_text": "e545720c77ce965ad997df96c8e1516c49dea4cfe1598f77c531e8bf2b9a3dc6",
     "scale_overflow_json": "0453f0d41890e1d0822b28395ce7331ad061214c2ae586f63605596d109c3658",
     "scale_overflow_text": "0efb4f0a9a2c4d991f0bf77803188217aec34361a4f2958026fdec75c0fecbff",
     "scale_text": "d9b9e4d5aca84e4833550ed3508dda542a743462462948c2f7377d97d2ec71b8",
@@ -160,6 +167,15 @@ def test_json_output_is_strict_json(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, stdout, stderr, data = case_outputs(CASES[name])
     json.loads(stdout if data is None else data, parse_constant=_not_json)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_case_writes_nan(name, tmp_path, monkeypatch):
+    """No output byte of any case spells a NaN: a number that failed is an error or an empty field, never ``nan``."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr, data = case_outputs(CASES[name])
+    for text in (stdout, stderr, (data or b"").decode("utf-8")):
+        assert re.search(r"\bnan\b", text, re.IGNORECASE) is None
 
 
 def test_simulate_digest_independent_of_workers():

@@ -95,8 +95,8 @@ LAST_FINITE_SQUARE = math.sqrt(np.finfo(float).max)
     "call, message",
     [
         (lambda s: two_group_limit_from_kappa(0.0, s), "sigma must be a real >= 1 with a finite square"),
-        (lambda s: two_group_limit(1.0, s), "sigma must be a real >= 1 with a finite square"),
-        (lambda s: solve_c_for_target(0.5, s), "sigma must be a real >= 1 with a finite square"),
+        (lambda s: two_group_limit(1.0, s), "sigma must be a real > 1 with a finite square"),
+        (lambda s: solve_c_for_target(0.5, s), "sigma must be a real > 1 with a finite square"),
         (lambda s: LimitSpecK(groups=((1.0, 1.0), (1.0, s))), "group 1: sigma must be a real > 1 with a finite square"),
     ],
 )
@@ -127,7 +127,7 @@ class TestTwoGroupLimit:
         for c, sigma, message in [
             (-1.0, 1.5, "c must lie in [0, +inf], got -1.0"),
             (math.nan, 1.5, "c must lie in [0, +inf], got nan"),
-            (-1.0, 0.8, "sigma must be a finite real > 1, got 0.8"),
+            (-1.0, 0.8, "sigma must be a real > 1 with a finite square, got 0.8"),
         ]:
             with pytest.raises(ValueError) as excinfo:
                 two_group_limit(c, sigma)
@@ -177,6 +177,8 @@ class TestLimitSpecK:
             LimitSpecK(groups=((1.0, 1.0), (1.0, 0.9)))
         with pytest.raises(ValueError):
             LimitSpecK(groups=((1.0, 1.0), (0.0, 1.5)))
+        with pytest.raises(ValueError, match="^a limit spec needs at least 2 groups$"):
+            LimitSpecK(groups=((1.0, 1.0),))
 
     def test_baseline_index_and_kappas(self):
         spec = LimitSpecK(groups=((0.5, 1.7), (1.0, 1.0)))

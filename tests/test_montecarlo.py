@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import Executor, Future
 from unittest import mock
 
@@ -111,6 +112,8 @@ class TestRngStream:
         assert len(ids) == 100
         assert s.substream(3) == s.substream(3)
         assert s.substream(3).seed == 7
+        with pytest.raises(ValueError, match="^substream index must be >= 0$"):
+            s.substream(-1)
 
     def test_distinct_seeds_differ(self):
         a = RngStream(seed=1).generator(0).random(8)
@@ -176,6 +179,8 @@ class TestSampleGroupMax:
             sample_group_max(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             sample_group_max(0.5, 1.0, 0.3)
+        with pytest.raises(ValueError, match=r"^sigma must be a finite real > 0, got 0\.0$"):
+            sample_group_max(1.0, 0.0, 0.3)
 
     def test_empty_input_gives_empty_array(self):
         for n in (1.0, 10.0, 1e300):
@@ -326,9 +331,9 @@ class TestMcTwoGroup:
         base = mc_two_group(g1, g2, trials, RngStream(4))
         for workers in (2, 3, 10**5):
             assert mc_two_group(g1, g2, trials, RngStream(4), workers=workers) == base
-        assert [pool.max_workers for pool in recording_pool] == [2, 3, 4]
+        assert [pool.max_workers for pool in recording_pool] == [1, 2, 3, 4]
         spans = [[args[3:] for _, args in pool.tasks] for pool in recording_pool]
-        assert spans[0] == spans[1] == spans[2]
+        assert spans[0] == spans[1] == spans[2] == spans[3]
         assert [t0 for t0, _ in spans[0]] == [j * trials // 4 for j in range(4)]
         assert sum(n for _, n in spans[0]) == trials
         assert max(n for _, n in spans[0]) - min(n for _, n in spans[0]) <= 1
@@ -347,7 +352,8 @@ class TestMcTwoGroup:
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", 200)  # 100 trials a chunk, 64 chunks
         monkeypatch.setattr(mc, "_chunk_counts", first_fails)
         before = threading.active_count()
-        for workers, most_started in ((1, 1), (2, 63)):
+        # a one-thread pool may start the next chunk before the failure is read and the rest cancelled
+        for workers, most_started in ((1, 2), (2, 63)):
             started.clear()
             with pytest.raises(RuntimeError, match="chunk 0 failed"):
                 mc_two_group(GroupSpec(5, 1.0), GroupSpec(5, 1.5), 6_400, RngStream(35), workers=workers)
@@ -410,6 +416,10 @@ class TestMcMulti:
             [GroupSpec(10, 1.0), GroupSpec(5, 1.5), GroupSpec(3, 2.0)], 10_000, RngStream(7)
         )
         assert sum(round(e.p_hat * e.trials) for e in ests) == 10_000
+
+    def test_needs_two_groups(self):
+        with pytest.raises(ValueError, match="^need at least 2 groups$"):
+            mc_multi([GroupSpec(10, 1.0)], 100, RngStream(7))
 
     def test_k2_matches_mc_two_group(self):
         g1, g2 = GroupSpec(8, 1.0), GroupSpec(6, 1.6)
@@ -725,17 +735,19 @@ class TestGridScheduling:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
 
-    def test_one_worker_starts_no_pool(self, monkeypatch):
-        def no_pool(max_workers):
-            raise AssertionError("workers=1 started a pool")
-
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
-        _studies(1)
+    def test_chunks_keep_their_own_floating_point_state(self):
+        # the caller's errstate reaches only its own thread; a chunk counts the same on any thread
+        groups = [GroupSpec(10, 1.0), GroupSpec(10, 1e308)]  # group 2's maxima overflow to inf above x = 1.8
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error", RuntimeWarning)
+            estimates = [mc_multi(groups, 300_000, RngStream(5), workers=w) for w in (1, 2, 3)]
+        assert estimates[0] == estimates[1] == estimates[2]
 
     @pytest.mark.parametrize("workers", [2, 3, 64])
     @pytest.mark.parametrize("chunk_draws", [1 << 21, 1 << 12])
     def test_one_pool_per_study_with_bounded_tasks(self, monkeypatch, recording_pool, workers, chunk_draws):
         base = _studies(1)
+        recording_pool.clear()  # the baseline's two pools
         pools_at_quadrature = []
         real = mc.finite_n_winner
 

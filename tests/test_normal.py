@@ -142,6 +142,10 @@ class TestStdNormalQuantile:
         with pytest.raises(ValueError):
             std_normal_quantile(bad)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="^p must be finite, got nan$"):
+            std_normal_quantile(math.nan)
+
 
 class TestUpperTailQuantile:
     def test_boundary_is_zero(self):

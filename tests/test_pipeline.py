@@ -99,6 +99,12 @@ class TestLoadStations:
         with pytest.raises(ValueError, match="header"):
             load_stations(p)
 
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("")
+        with pytest.raises(ValueError, match="^line 1: empty file, header required$"):
+            load_stations(p)
+
     def test_header_of_other_names(self, tmp_path):
         # as long as the right header and as plain, so only its names differ
         p = tmp_path / "t.csv"
@@ -780,6 +786,7 @@ def test_run_pipeline_fits_match_the_per_station_oracle(stations):
         (_FLAT_SERIES, "station F: degenerate series: zero lag variance"),
         (_NAN_VALUE, "station B: values must be finite"),
         (_INF_VALUE, "station B: values must be finite"),
+        ([_A], "pipeline needs at least 2 stations"),
     ],
 )
 def test_run_pipeline_names_the_first_failing_station(stations, message):
@@ -848,6 +855,10 @@ class TestKmeans1dSplit:
         with pytest.raises(ValueError):
             kmeans1d_split([2.0, 2.0, 2.0])
 
+    def test_single_value_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 2 values to split$"):
+            kmeans1d_split([2.0])
+
     @pytest.mark.parametrize(
         "values, message",
         [([1.0, math.nan, 3.0], "got nan"), ([1.0, 2.0, math.inf], "got inf"), ([-math.inf, 0.0], "got -inf")],
@@ -891,6 +902,8 @@ class TestBuildPools:
         fits = [Ar1Fit(phi=0.0, innovations=shared, variance=shared.var(ddof=1))] * 2
         with pytest.raises(ValueError, match="degenerate"):
             build_pools(fits, ((0,), (1,)))
+        with pytest.raises(ValueError, match="^both clusters must be nonempty$"):
+            build_pools(fits, ((), (0, 1)))
 
 
 class TestBootstrapWinner:
@@ -977,6 +990,19 @@ class TestBootstrapWinner:
         p1, p2 = self._pools(n=100)
         with pytest.raises(ValueError):
             bootstrap_winner(p1, p2, 0, 10, 100, RngStream(0))
+
+    def test_pool_refuses_empty_or_non_finite_values(self):
+        g = np.random.default_rng(0)
+        a, b = g.normal(0.0, 1.0, 200), g.normal(0.0, 1.5, 200)
+        assert bootstrap_winner(InnovationPool(a, 1.0), InnovationPool(b, 1.5), 20, 10, 20_000, RngStream(1)).p_hat == 0.293
+        # a NaN sorts to the top ranks and would win every trial that drew it (p_hat 0.44405 with b[:5] NaN)
+        for bad in (math.nan, math.inf):
+            values = b.copy()
+            values[:5] = bad
+            with pytest.raises(ValueError, match="^pool values must be nonempty and finite$"):
+                InnovationPool(values, 1.5)
+        with pytest.raises(ValueError, match="^pool values must be nonempty and finite$"):
+            InnovationPool(np.array([]), 1.0)
 
 
 class TestEmpiricalStudy:

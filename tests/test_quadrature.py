@@ -66,6 +66,11 @@ def test_rejects_nan_integrand():
         concave_log_quad(lambda x: np.where(x > 0, np.nan, -x * x), -5.0, 5.0, tol=1e-9)
 
 
+def test_integrand_zero_everywhere_raises():
+    with pytest.raises(QuadratureError, match="^integrand is zero everywhere in the resolved window$"):
+        concave_log_quad(lambda x: np.full_like(x, -np.inf), -5.0, 5.0, tol=1e-9)
+
+
 def test_seed_where_drop_is_below_rounding():
     # u - e^u on [49, 51] is about -2e21, where ymax - DROP rounds to ymax:
     # the window stage once took the seed as resolved and the trim found no node

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gausswinner.scaling import (
+    CriticalSize,
     GroupSpec,
     beta,
     centering_gap,
@@ -17,6 +20,7 @@ from gausswinner.scaling import (
 )
 
 LOG_4PI = math.log(4.0 * math.pi)
+LAST_FINITE_SQUARE = math.sqrt(np.finfo(float).max)  # 1.3407807929942596e154, the largest sigma whose square is finite
 
 
 class TestNormingConstants:
@@ -112,6 +116,25 @@ class TestCriticalScale:
         with pytest.raises(ValueError, match=r"^sigma must be a real > 1 with a finite square, got 1e\+200$"):
             call(100.0, 1e200)
 
+    def test_overflow_is_inf(self):
+        # both terms overflow, and their difference alone would be inf - inf = nan
+        assert log_critical_scale(1700.0, LAST_FINITE_SQUARE) == math.inf
+        assert log_critical_scale(1e300, 1e154) == math.inf
+        assert critical_n1(1e300, 1e154, 1.0) == CriticalSize(math.inf, math.inf, None)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    n2=st.floats(math.log(2.0), math.log(1e300)).map(math.exp),
+    sigma=st.floats(1.0, LAST_FINITE_SQUARE, exclude_min=True),
+)
+@example(n2=1700.0, sigma=LAST_FINITE_SQUARE)
+@example(n2=1e300, sigma=1e154)
+def test_critical_size_is_never_nan(n2, sigma):
+    assert not math.isnan(log_critical_scale(n2, sigma))
+    size = critical_n1(n2, sigma, 1.0)
+    assert not any(map(math.isnan, (size.real_value, size.log_value)))
+
 
 class TestCriticalN1:
     def test_floor_example(self):
@@ -140,6 +163,10 @@ class TestCriticalN1:
         with pytest.raises(ValueError, match="empty group"):
             critical_n1(2.0, 3.0, 1e-10)
 
+    def test_domain(self):
+        with pytest.raises(ValueError, match=r"^c must be a finite real > 0, got 0\.0$"):
+            critical_n1(100.0, 1.5, 0.0)
+
 
 class TestBeta:
     def test_inverse_of_critical_n1(self):
@@ -161,6 +188,10 @@ class TestBeta:
         vals = [beta(n2, n2, 1.5) for n2 in (1e2, 1e4, 1e6, 1e8)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-6
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match=r"^n1 must be a finite real >= 1, got 0\.5$"):
+            beta(0.5, 100.0, 1.5)
 
 
 class TestCenteringGap:
@@ -188,6 +219,10 @@ class TestCenteringGap:
         vals = [centering_gap(n2, n2, 1.5) for n2 in (1e4, 1e6, 1e8)]
         assert all(v < -1.0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match=r"^sigma must be a finite real >= 1, got 0\.5$"):
+            centering_gap(100.0, 100.0, 0.5)
 
 
 class TestTypes:

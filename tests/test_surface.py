@@ -186,3 +186,19 @@ def test_one_stream_constructor():
             elif isinstance(node, ast.ImportFrom):
                 strays += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in names]
     assert strays == []
+
+
+def test_one_place_runs_chunks():
+    # every Monte Carlo chunk runs on the pool of montecarlo._run_rows, under the floating-point
+    # state it sets itself; montecarlo imports the name, and nothing else names it
+    strays = []
+    for path in sorted((ROOT / "src" / "gausswinner").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = _outermost_functions(tree, path.stem)
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
+            if name == "ThreadPoolExecutor" and enclosing.get(node) != "montecarlo._run_rows":
+                strays.append(f"{path.name}:{node.lineno} {name}")
+            elif isinstance(node, ast.ImportFrom) and path.stem != "montecarlo":
+                strays += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name == "ThreadPoolExecutor"]
+    assert strays == []

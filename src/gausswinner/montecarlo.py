@@ -233,12 +233,13 @@ def _run_rows(jobs, *, workers=1):
     only, never on ``workers``.  The job's counts are the sum of its
     chunks' :func:`_chunk_counts`.
 
-    Every chunk of every job goes through one ``ThreadPoolExecutor.map`` on
-    ``min(workers, chunks)`` threads, so a row's last chunk overlaps the
-    next row's first; a chunk sets its own floating-point state, as no
-    thread's reaches another.  ``map`` reads results in chunk order: the
-    first failing chunk raises, as it would serially, and the chunks not
-    yet started are cancelled.  Returns one count array per job, in job order.
+    With one worker, or one chunk in all, the chunks run inline in order.
+    Otherwise every chunk of every job goes through one
+    ``ThreadPoolExecutor.map`` on ``min(workers, chunks)`` threads, so a
+    row's last chunk overlaps the next row's first.  ``map`` reads results
+    in chunk order: the first failing chunk raises, as it would serially,
+    and the chunks not yet started are cancelled.  Returns one count array
+    per job, in job order.
     """
     chunks, ends = [], []
     for stream, trials, samplers, accuracy in jobs:
@@ -250,8 +251,11 @@ def _run_rows(jobs, *, workers=1):
         cuts = [j * trials // k for j in range(k + 1)]
         chunks += [(stream, samplers, tables, t0, t1 - t0) for t0, t1 in zip(cuts, cuts[1:])]
         ends.append(len(chunks))
-    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        values = list(pool.map(_chunk_counts, *zip(*chunks)))
+    if workers <= 1 or len(chunks) == 1:
+        values = list(map(_chunk_counts, *zip(*chunks)))
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            values = list(pool.map(_chunk_counts, *zip(*chunks)))
     return [np.sum(values[a:b], axis=0) for a, b in zip([0] + ends, ends)]
 
 

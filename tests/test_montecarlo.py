@@ -331,9 +331,9 @@ class TestMcTwoGroup:
         base = mc_two_group(g1, g2, trials, RngStream(4))
         for workers in (2, 3, 10**5):
             assert mc_two_group(g1, g2, trials, RngStream(4), workers=workers) == base
-        assert [pool.max_workers for pool in recording_pool] == [1, 2, 3, 4]
+        assert [pool.max_workers for pool in recording_pool] == [2, 3, 4]
         spans = [[args[3:] for _, args in pool.tasks] for pool in recording_pool]
-        assert spans[0] == spans[1] == spans[2] == spans[3]
+        assert spans[0] == spans[1] == spans[2]
         assert [t0 for t0, _ in spans[0]] == [j * trials // 4 for j in range(4)]
         assert sum(n for _, n in spans[0]) == trials
         assert max(n for _, n in spans[0]) - min(n for _, n in spans[0]) <= 1
@@ -352,8 +352,7 @@ class TestMcTwoGroup:
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", 200)  # 100 trials a chunk, 64 chunks
         monkeypatch.setattr(mc, "_chunk_counts", first_fails)
         before = threading.active_count()
-        # a one-thread pool may start the next chunk before the failure is read and the rest cancelled
-        for workers, most_started in ((1, 2), (2, 63)):
+        for workers, most_started in ((1, 1), (2, 63)):
             started.clear()
             with pytest.raises(RuntimeError, match="chunk 0 failed"):
                 mc_two_group(GroupSpec(5, 1.0), GroupSpec(5, 1.5), 6_400, RngStream(35), workers=workers)
@@ -735,6 +734,13 @@ class TestGridScheduling:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
 
+    def test_one_worker_starts_no_pool(self, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("workers=1 started a pool")
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+        _studies(1)
+
     def test_chunks_keep_their_own_floating_point_state(self):
         # the caller's errstate reaches only its own thread; a chunk counts the same on any thread
         groups = [GroupSpec(10, 1.0), GroupSpec(10, 1e308)]  # group 2's maxima overflow to inf above x = 1.8
@@ -747,7 +753,6 @@ class TestGridScheduling:
     @pytest.mark.parametrize("chunk_draws", [1 << 21, 1 << 12])
     def test_one_pool_per_study_with_bounded_tasks(self, monkeypatch, recording_pool, workers, chunk_draws):
         base = _studies(1)
-        recording_pool.clear()  # the baseline's two pools
         pools_at_quadrature = []
         real = mc.finite_n_winner
 

@@ -189,8 +189,8 @@ def test_one_stream_constructor():
 
 
 def test_one_place_runs_chunks():
-    # every Monte Carlo chunk runs on the pool of montecarlo._run_rows, under the floating-point
-    # state it sets itself; montecarlo imports the name, and nothing else names it
+    # every Monte Carlo chunk runs in montecarlo._run_rows, inline or on its one pool, under the
+    # floating-point state it sets itself; montecarlo imports the name, and nothing else names it
     strays = []
     for path in sorted((ROOT / "src" / "gausswinner").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -39,7 +39,6 @@ print(f"AR(1) coefficients: mean {sum(phis)/len(phis):.3f}, "
 rows = empirical_study(
     result.pool_low,
     result.pool_high,
-    result.sigma_ratio,
     c_values=[0.1, 0.6, 3.0],
     n2_grid=[10, 30, 60, 100],
     b=4_000,

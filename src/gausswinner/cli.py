@@ -63,6 +63,15 @@ def _count(minimum: int):
     return parse
 
 
+def _group(raw: str) -> tuple[float, float]:
+    """argparse type for a ``--group C:SIGMA`` entry."""
+    c, _, sigma = raw.partition(":")
+    try:
+        return float(c), float(sigma)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected C:SIGMA, got {raw!r}") from None
+
+
 def _parse_grid(spec: str, *, integer: bool = False) -> list[float]:
     """Comma list or log-spaced range lo:hi[:count] (count defaults to 10) of finite entries."""
     spec = spec.strip()
@@ -152,34 +161,19 @@ def _emit(args, config: dict, fields: dict, lines: list[str] | None = None) -> N
             fh.write(text)
 
 
-def _number(option: str, token: str) -> float:
-    """``token`` as a float (inf and nan included), or a ValueError naming the option."""
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"bad {option} {token!r}, expected a number") from None
-
-
 def cmd_limit(args) -> int:
     if args.mode == "multi":
         if args.c is not None or args.sigma is not None:
             raise ValueError("--multi takes its groups from --group C:SIGMA, not --c or --sigma")
         if not args.groups:
             raise ValueError("--multi requires at least two --group C:SIGMA entries")
-        groups = []
-        for token in args.groups:
-            c_str, _, s_str = token.partition(":")
-            try:
-                groups.append((float(c_str), float(s_str)))
-            except ValueError:
-                raise ValueError(f"bad --group {token!r}, expected C:SIGMA") from None
-        spec = limits.LimitSpecK(groups=tuple(groups))
+        spec = limits.LimitSpecK(groups=tuple(args.groups))
         results = limits.multi_group_limits(spec)
         kappas = spec.kappas()
-        config = _config(args, groups=";".join(f"{c}:{s}" for c, s in groups))
+        config = _config(args, groups=";".join(f"{c}:{s}" for c, s in args.groups))
         records = [
             {"c": c, "sigma": s, "kappa": k, "p": r.value, "abs_err": r.abs_err}
-            for (c, s), k, r in zip(groups, kappas, results)
+            for (c, s), k, r in zip(args.groups, kappas, results)
         ]
         sum_p = sum(r.value for r in results)
         lines = [
@@ -193,16 +187,15 @@ def cmd_limit(args) -> int:
         raise ValueError("--two-group takes --c and --sigma, not --group")
     if args.c is None or args.sigma is None:
         raise ValueError("--two-group requires --c and --sigma")
-    c, sigma = _number("--c", args.c), _number("--sigma", args.sigma)
-    result = limits.two_group_limit(c, sigma)
-    kappa = scaling.kappa(c, sigma)
+    result = limits.two_group_limit(args.c, args.sigma)
+    kappa = scaling.kappa(args.c, args.sigma)
     fields = {
         "kappa": kappa,
         "p": result.value,
         "abs_err": result.abs_err,
         "regime": "degenerate" if math.isinf(kappa) else "critical",
     }
-    _emit(args, _config(args, c=c, sigma=sigma), fields)
+    _emit(args, _config(args), fields)
     return EXIT_OK
 
 
@@ -271,7 +264,6 @@ def cmd_empirical(args) -> int:
     rows = pipeline.empirical_study(
         result.pool_low,
         result.pool_high,
-        result.sigma_ratio,
         c_values,
         n2_grid,
         args.b,
@@ -404,19 +396,17 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p_limit.add_mutually_exclusive_group(required=True)
     mode.add_argument("--two-group", action="store_const", const="two-group", dest="mode")
     mode.add_argument("--multi", action="store_const", const="multi", dest="mode")
-    p_limit.add_argument("--c", type=str, default=None, help="constant C (0 and inf allowed)")
-    p_limit.add_argument("--sigma", type=str, default=None, help="sigma > 1")
-    p_limit.add_argument("--group", action="append", dest="groups", metavar="GROUP", help="C:SIGMA, repeatable")
-    p_limit.add_argument("--format", choices=["text", "json"], default="text")
-    p_limit.add_argument("--output", default=None)
+    p_limit.add_argument("--c", type=float, help="constant C (0 and inf allowed)")
+    p_limit.add_argument("--sigma", type=float, help="sigma > 1")
+    p_limit.add_argument(
+        "--group", type=_group, action="append", dest="groups", metavar="GROUP", help="C:SIGMA, repeatable"
+    )
     p_limit.set_defaults(fn=cmd_limit)
 
     p_scale = sub.add_parser("scale", help="critical scaling diagnostics")
     p_scale.add_argument("--n2", type=float, required=True)
     p_scale.add_argument("--sigma", type=float, required=True)
     p_scale.add_argument("--c", type=float, required=True)
-    p_scale.add_argument("--format", choices=["text", "json"], default="text")
-    p_scale.add_argument("--output", default=None)
     p_scale.set_defaults(fn=cmd_scale)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo convergence study")
@@ -427,8 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--exact", action="store_true", help="append the finite-n quadrature column")
     p_sim.add_argument("--workers", type=_count(1), default=1)
-    p_sim.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sim.add_argument("--output", default=None)
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_emp = sub.add_parser("empirical", help="bootstrap pipeline on a monthly CSV")
@@ -443,9 +431,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_emp.add_argument("--lon", default="%g:%g" % pipeline.DEFAULT_LON_RANGE, help=box_help % "lon=-95:-75")
     p_emp.add_argument("--years", default="%g:%g" % pipeline.DEFAULT_YEAR_RANGE)
     p_emp.add_argument("--workers", type=_count(1), default=1)
-    p_emp.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_emp.add_argument("--output", default=None)
     p_emp.set_defaults(fn=cmd_empirical)
+
+    for p, text in ((p_limit, "text"), (p_scale, "text"), (p_sim, "csv"), (p_emp, "csv")):
+        p.add_argument("--format", choices=[text, "json"], default=text)
+        p.add_argument("--output", default=None)
 
     p_self = sub.add_parser("selftest", help="fast oracle suite")
     p_self.add_argument("--json", action="store_const", const="json", default="text", dest="format")

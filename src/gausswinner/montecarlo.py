@@ -427,6 +427,8 @@ def _critical_grid(sigma, c_values, n2_grid, trials, rng, samplers, p_exact=None
         p_limit = two_group_limit(c, sigma).value
         for n2 in n2_grid:
             size = critical_n1(n2, sigma, c)
+            if math.isinf(size.real_value):
+                raise ValueError(f"critical size C*f(n2) overflows a float at sigma={sigma}, c={c}, n2={n2:g}")
             n1 = size.real_value if size.floor_value is None else size.floor_value
             jobs.append((rng.substream(len(jobs)), trials, *samplers(n1, n2)))
             points.append((c, p_limit, n1, n2))

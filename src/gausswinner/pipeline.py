@@ -485,7 +485,6 @@ def _pool_samplers(pool1, pool2, n1, n2):
 def empirical_study(
     pool1: InnovationPool,
     pool2: InnovationPool,
-    sigma_ratio: float,
     c_values: Sequence[float],
     n2_grid: Sequence[float],
     b: int,
@@ -495,13 +494,16 @@ def empirical_study(
 ) -> list[StudyRow]:
     """Bootstrap winner probabilities along the critical law vs their limits.
 
-    Rows of :func:`gausswinner.montecarlo._critical_grid` at the
-    empirical sigma ratio, with p_hat counted as :func:`bootstrap_winner`
-    counts it.  As in ``simulate``, n1 is the critical size's floor up to
-    2**53 and its real value past it.
+    Rows of :func:`gausswinner.montecarlo._critical_grid` at the pools'
+    sigma ratio ``pool2.sd / pool1.sd``, with p_hat counted as
+    :func:`bootstrap_winner` counts it.  As in ``simulate``, n1 is the
+    critical size's floor up to 2**53 and its real value past it.  A
+    group's maximum is its pool's top value with probability
+    1 - (1 - 1/N)^n for a pool of N values, so far past both pools every
+    draw is a top value: p_hat is 1 or 0 and std_err 0.
     """
     samplers = functools.partial(_pool_samplers, pool1, pool2)
-    return _critical_grid(sigma_ratio, list(c_values), list(n2_grid), b, rng, samplers, workers=workers)
+    return _critical_grid(pool2.sd / pool1.sd, list(c_values), list(n2_grid), b, rng, samplers, workers=workers)
 
 
 def _fit_stations(stations: list[StationSeries]) -> list[Ar1Fit]:
@@ -519,8 +521,11 @@ def _fit_stations(stations: list[StationSeries]) -> list[Ar1Fit]:
         x, thin_station, thin_month = _deseasonalize(month, value.astype(float, copy=False), station)
         x, spread = _detrend(x, t.astype(float), bounds)
         fits, pairs, lag_sq = _ar1(x, t, station, sizes.size)
+    back = station[1:][(np.diff(t) <= 0) & (np.diff(station) == 0)]  # rows not after their station's previous row
     rules = [
         (np.bincount(station[~np.isfinite(value)], minlength=sizes.size) > 0, "values must be finite"),
+        (np.bincount(station[(month < 1) | (month > 12)], minlength=sizes.size) > 0, "months must lie in 1..12"),
+        (np.bincount(back, minlength=sizes.size) > 0, "(year, month) must increase from row to row"),
         (np.bincount(thin_station, minlength=sizes.size) > 0, "months {months} have fewer than 2 observations"),
         (sizes < 3, "detrend needs at least 3 points, got {size}"),
         (spread == 0.0, "time index is constant"),

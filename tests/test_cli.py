@@ -65,8 +65,12 @@ class TestLimitCommand:
 
     @pytest.mark.parametrize("token", ["x:2", "2", "1:", ":2", "1:2:3"])
     def test_multi_bad_group_exit_3(self, capsys, token):
-        code, out, err = run(capsys, "limit", "--multi", "--group", "1:1", "--group", token)
-        assert (code, out, err) == (EXIT_MATH, "", f"error: bad --group '{token}', expected C:SIGMA\n")
+        # argparse reads --group, so a malformed entry is a usage error (exit 2), as scale's numbers are
+        with pytest.raises(SystemExit) as excinfo:
+            main(["limit", "--multi", "--group", "1:1", "--group", token])
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (2, "")
+        assert err.endswith(f"\ngausswinner limit: error: argument --group: expected C:SIGMA, got '{token}'\n")
 
     def test_degenerate_zero(self, capsys):
         code, out, _ = run(capsys, "limit", "--two-group", "--c", "0", "--sigma", "2")
@@ -112,8 +116,12 @@ class TestLimitCommand:
         ],
     )
     def test_non_numeric_value_names_the_option_exit_3(self, capsys, argv, option, token):
-        code, out, err = run(capsys, "limit", "--two-group", *argv)
-        assert (code, out, err) == (EXIT_MATH, "", f"error: bad {option} {token!r}, expected a number\n")
+        # argparse reads --c and --sigma, so a malformed number is a usage error (exit 2), as in scale
+        with pytest.raises(SystemExit) as excinfo:
+            main(["limit", "--two-group", *argv])
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (2, "")
+        assert err.endswith(f"\ngausswinner limit: error: argument {option}: invalid float value: {token!r}\n")
 
     def test_infinite_c_is_accepted(self, capsys):
         code, out, _ = run(capsys, "limit", "--two-group", "--c", "inf", "--sigma", "2")
@@ -296,6 +304,7 @@ class TestSimulateCommand:
             ("--c", "abc", "grid 'abc' has a non-numeric entry"),
             ("--n2", "5:150:x", "bad range '5:150:x', expected lo:hi[:count]"),
             ("--c", ",", "empty grid ','"),
+            ("--sigma", "40", "critical size C*f(n2) overflows a float at sigma=40.0, c=1.0, n2=100"),
         ],
     )
     def test_non_finite_grid_exit_3(self, capsys, flag, spec, message):
@@ -430,6 +439,7 @@ class TestEmpiricalCommand:
             ("5:inf:3", "log-spaced range needs finite positive lo, hi and count >= 1, got '5:inf:3'"),
             ("5:150:x", "bad range '5:150:x', expected lo:hi[:count]"),
             ("5,x", "grid '5,x' has a non-numeric entry"),
+            ("1e300", "critical size C*f(n2) overflows a float at sigma=1.5016039735008107, c=0.1, n2=1e+300"),
         ],
     )
     def test_non_finite_n2_exit_3(self, capsys, fixture_csv, spec, message):

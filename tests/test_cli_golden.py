@@ -22,6 +22,7 @@ import os
 import re
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 
@@ -74,11 +75,24 @@ CASES = {
     "empirical_json": _EMP + ["--format", "json"],
     "selftest_text": ["selftest"],
     "selftest_json": ["selftest", "--json"],
+    # help text, at the 80 columns case_outputs sets
+    "help": ["-h"],
+    "help_limit": ["limit", "-h"],
+    "help_scale": ["scale", "-h"],
+    "help_simulate": ["simulate", "-h"],
+    "help_empirical": ["empirical", "-h"],
+    "help_selftest": ["selftest", "-h"],
 }
 
 DIGESTS = {
     "empirical_csv": "f4f4f576bd899b8d2a0c0a64da31969a5b788a5e4489b8d924f80df23345dee3",
     "empirical_json": "8c668a8e7bf3951b739fe08719a963591edff6c9e3de4a15efb2f55c3817c9fd",
+    "help": "f2abd508946e5ae95c1a281e80f8ba9819406abc1d760e8f7255aca2cd79f9c9",
+    "help_empirical": "464ee043d9393807b555c9fb9088e9940e838d49bd25f92b7c31fbd6937644c4",
+    "help_limit": "82b46966f8366a69dac611228a166bda61e29d9a8642a90b52a40f90484de6fe",
+    "help_scale": "d54fbfaf072254dfdfe41c2a3fa12f28f867b9dc53dc9a9c694310ca15be219b",
+    "help_selftest": "bee9834a06fd127ef4bf560be873d68aede99666586d28d82742ab53cf5a031a",
+    "help_simulate": "e95e3da647bdbd4133760d821fb7eda7c44744a905aab6c7a044e5302c68fab7",
     "limit_bad_sigma": "8f0f9c236b49cd48aeb053164077364aa62e2516766238634b499fb2fb2ec01e",
     "limit_c0_json": "74fbdc8e748e3493fea4666de8f2887e28a4991ddf18e0151cc45d9571f1c705",
     "limit_c0_text": "b4ee0ed6aef3f5d0b613f981852ec5547a50e50d370008c1101b99379cc23bea",
@@ -109,12 +123,19 @@ DIGESTS = {
 
 
 def case_outputs(argv) -> tuple[int, str, str, bytes | None]:
-    """Run one argv in the current directory: exit code, stdout, stderr and ``--output`` bytes."""
+    """Run one argv in the current directory: exit code, stdout, stderr and ``--output`` bytes.
+
+    argparse exits through ``SystemExit``, whose code is the exit code,
+    and wraps help to ``COLUMNS``, which is set to 80 for the call.
+    """
     if FIXTURE in argv:
         write_synthetic_stations(FIXTURE, n_low=10, n_high=6, seed=42, missing_rate=0.02)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     data = None
     if OUTPUT in argv:
         with open(OUTPUT, "rb") as fh:
@@ -143,8 +164,10 @@ def test_cli_bytes_pinned(name, tmp_path, monkeypatch):
     assert case_digest(code, stdout, stderr, data) == DIGESTS[name]
 
 
-# every case that writes a document: selftest takes no --output, and limit_bad_sigma exits 3
-DOCUMENT_CASES = sorted(name for name in CASES if not name.startswith("selftest") and name != "limit_bad_sigma")
+# every case that writes a document: selftest takes no --output, limit_bad_sigma exits 3 and -h writes help
+DOCUMENT_CASES = sorted(
+    name for name in CASES if not name.startswith(("selftest", "help")) and name != "limit_bad_sigma"
+)
 
 
 @pytest.mark.parametrize("name", DOCUMENT_CASES)

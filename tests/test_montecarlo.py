@@ -712,7 +712,7 @@ def _studies(workers):
         convergence_study(
             1.5, [0.5, 2.0], [100.0, 1e4, 1e6], GRID_TRIALS, RngStream(31), exact=True, workers=workers
         ),
-        empirical_study(p1, p2, 1.5, [0.6, 3.0], [10, 40], GRID_TRIALS, RngStream(32), workers=workers),
+        empirical_study(p1, p2, [0.6, 3.0], [10, 40], GRID_TRIALS, RngStream(32), workers=workers),
     )
 
 
@@ -780,16 +780,16 @@ class TestGridScheduling:
         errors = []
         for workers in (1, 2):
             with pytest.raises(ValueError) as excinfo:
-                empirical_study(p1, p2, 2.0, [1e300], [100, 1_000_000], 1_000, RngStream(33), workers=workers)
+                empirical_study(p1, p2, [1e300], [100, 1_000_000], 1_000, RngStream(33), workers=workers)
             errors.append(str(excinfo.value))
-        assert errors == ["n1 and n2 must be finite reals >= 1, got inf and 1000000"] * 2
+        assert errors == ["critical size C*f(n2) overflows a float at sigma=2.0, c=1e+300, n2=1e+06"] * 2
         assert threading.active_count() == before
 
     def test_infinite_critical_size_fails_at_row_setup(self):
-        # the groups are checked before any trial runs, so the error is GroupSpec's
         for workers in (1, 2):
-            with pytest.raises(ValueError, match="group size must be a finite real >= 1, got inf"):
+            with pytest.raises(ValueError) as excinfo:
                 convergence_study(1.5, [1.0], [100.0, 1e300], 1_000, RngStream(34), workers=workers)
+            assert str(excinfo.value) == "critical size C*f(n2) overflows a float at sigma=1.5, c=1.0, n2=1e+300"
 
     def test_quadrature_error_raises_before_any_trial(self, monkeypatch):
         real, real_chunk = mc.finite_n_winner, mc._chunk_counts

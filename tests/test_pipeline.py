@@ -748,8 +748,11 @@ _EARLIER_STATION_LATER_STAGE = [
     _series_at("B", _JAN + 12 * np.arange(12), _NOISE[:12]),
     _series_at("C", _JAN + np.arange(23), _NOISE[:23]),
 ]
-# S has 24 rows, all in January 1990, and C fails at the seasonal stage
-_CONSTANT_TIME_INDEX = [_A, _series_at("S", np.full(24, _JAN), _NOISE[:24]), _EARLIER_STATION_LATER_STAGE[2]]
+# S has 24 consecutive months from January of year 2**55, whose time indices all
+# round to one float, and C fails at the seasonal stage
+_CONSTANT_TIME_INDEX = [
+    _A, _series_at("S", 12 * 2**55 + np.arange(24), _NOISE[:24]), _EARLIER_STATION_LATER_STAGE[2]
+]
 # F has 36 consecutive months, all at 7.0, and C fails at the seasonal stage
 _FLAT_SERIES = [_A, _series_at("F", _JAN + np.arange(36), np.full(36, 7.0)), _EARLIER_STATION_LATER_STAGE[2]]
 # B holds a NaN, or an infinity, among 48 consecutive months
@@ -757,6 +760,9 @@ _NAN_VALUE, _INF_VALUE = (
     [_A, _series_at("B", _JAN + np.arange(48), np.where(np.arange(48) == 17, bad, _NOISE[:48]))]
     for bad in (math.nan, math.inf)
 )
+# B's June 1990 is labelled May 1990, or month 13, among 48 consecutive months
+_MAY_TWICE, _MONTH_13 = ([_A, _series_at("B", _JAN + np.arange(48), _NOISE[:48])] for _ in range(2))
+_MAY_TWICE[1].month[5], _MONTH_13[1].month[5] = 5, 13
 
 
 def _fits(stations):
@@ -787,6 +793,8 @@ def test_run_pipeline_fits_match_the_per_station_oracle(stations):
         (_NAN_VALUE, "station B: values must be finite"),
         (_INF_VALUE, "station B: values must be finite"),
         ([_A], "pipeline needs at least 2 stations"),
+        (_MAY_TWICE, "station B: (year, month) must increase from row to row"),
+        (_MONTH_13, "station B: months must lie in 1..12"),
     ],
 )
 def test_run_pipeline_names_the_first_failing_station(stations, message):
@@ -919,6 +927,13 @@ class TestBootstrapWinner:
         est = bootstrap_winner(p1, p2, 4, 3, 500, RngStream(17))
         assert est.p_hat == 0.0
 
+    def test_far_past_the_pools_every_draw_is_a_top_value(self):
+        # a maximum of n draws misses its pool's top value with probability (1 - 1/N)^n, 0 at n = 1e12
+        p1, p2 = self._pools(n=5000)
+        for a, b in [(p1, p2), (p2, p1)]:
+            est = bootstrap_winner(a, b, 1e12, 1e12, 2_000, RngStream(21))
+            assert (est.p_hat, est.std_err) == (float(a.values[-1] > b.values[-1]), 0.0)
+
     def test_identical_pools_symmetric(self):
         g = RngStream(seed=18).generator(0)
         vals = g.standard_normal(2000)
@@ -1010,7 +1025,7 @@ class TestEmpiricalStudy:
         g = RngStream(seed=22).generator(0)
         p1 = InnovationPool(g.standard_normal(20_000), 1.0)
         p2 = InnovationPool(1.5 * g.standard_normal(20_000), 1.5)
-        rows = empirical_study(p1, p2, 1.5, [0.6], [30], 2_000, RngStream(23))
+        rows = empirical_study(p1, p2, [0.6], [30], 2_000, RngStream(23))
         from gausswinner.scaling import critical_n1
 
         n1 = critical_n1(30, 1.5, 0.6).floor_value
@@ -1020,7 +1035,7 @@ class TestEmpiricalStudy:
         # past 2**53 the row takes the real critical size, as simulate does
         size = critical_n1(1e8, 1.5, 0.6)
         assert size.floor_value is None
-        (row,) = empirical_study(p1, p2, 1.5, [0.6], [1e8], 2_000, RngStream(23))
+        (row,) = empirical_study(p1, p2, [0.6], [1e8], 2_000, RngStream(23))
         direct = bootstrap_winner(p1, p2, size.real_value, 1e8, 2_000, RngStream(23).substream(0))
         assert row.n1 == size.real_value
         assert row.p_hat == direct.p_hat
@@ -1029,7 +1044,7 @@ class TestEmpiricalStudy:
         g = RngStream(seed=24).generator(0)
         p1 = InnovationPool(g.standard_normal(50_000), 1.0)
         p2 = InnovationPool(1.5 * g.standard_normal(50_000), 1.5)
-        rows = empirical_study(p1, p2, 1.5, [0.1, 0.6, 3.0], [40], 4_000, RngStream(25))
+        rows = empirical_study(p1, p2, [0.1, 0.6, 3.0], [40], 4_000, RngStream(25))
         limits_by_c = [r.p_limit for r in rows]
         p_hats = [r.p_hat for r in rows]
         assert limits_by_c[0] < limits_by_c[1] < limits_by_c[2]

@@ -389,7 +389,9 @@ def cmd_selftest(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gausswinner", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="gausswinner", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_limit = sub.add_parser("limit", help="limiting winning probabilities")

@@ -8,23 +8,27 @@ each chunk's generator at its own draw offset, and sum integer win
 counts, so the estimates are bit-identical to serial execution for any
 chunk size, worker count, or scheduling order.  The chunk layout follows
 from the trial and group counts alone; workers only run the chunks.  A
-convergence study sets up every row and runs their exact quadratures in
-row order before any trial, then the chunks of all its rows share one
-pool, and each row sums only its own counts, bit for bit as serially.
+convergence study sets up all of its rows before any trial, in one pass
+for all of them: one edge transform for every cell table, and one
+batched quadrature for the exact values.  The chunks of all its rows
+then share one pool, and each row sums only its own counts, bit for bit
+as serially.
 
 Only the comparisons are counted: an estimator needs to know which
 group's maximum is largest in a trial, not the maxima themselves.  Every
 sampler is a nondecreasing map of its uniform, and an estimator states
-each group's accuracy with its samplers.  Each job then tables, once, the
-samplers at the edges of ``_CELLS`` equal cells of (0, 1), widened by
-that accuracy (see :func:`_cell_bounds`) and kept as integer thresholds,
-and a chunk reads each draw's cell from the top bits of its raw Philox
-word.  A trial in which one group's lower bound exceeds every rival's
-upper bound is won by that group, whatever the exact draws; only the
-remaining trials (0.4% on the default ``simulate`` grid) are drawn
-exactly and counted by :func:`_winner_counts`.  Since the bounds hold for
-the computed draws, the counts are those of drawing every trial exactly,
-bit for bit.  The bootstrap states no accuracy, so every trial is drawn.
+each group's accuracy with its samplers.  Each job's caller then tables,
+once, the samplers at the edges of ``_CELLS`` equal cells of (0, 1),
+widened by that accuracy (see :func:`_cell_bounds`; :func:`_max_jobs`
+does it for the Gaussian samplers of every row of a study in one call)
+and kept as integer thresholds, and a chunk reads each draw's cell from
+the top bits of its raw Philox word.  A trial in which one group's lower
+bound exceeds every rival's upper bound is won by that group, whatever
+the exact draws; only the remaining trials (0.4% on the default
+``simulate`` grid) are drawn exactly and counted by :func:`_winner_counts`.
+Since the bounds hold for the computed draws, the counts are those of
+drawing every trial exactly, bit for bit.  The bootstrap states no
+accuracy, so every trial is drawn.
 
 Group maxima are sampled directly through the uniform quantile
 transform M = sigma * Phi^{-1}(u^{1/n}) (one uniform per group per
@@ -43,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .limits import finite_n_winner, two_group_limit
+from .limits import _finite_n_rows, finite_n_winner, two_group_limit
 from .normal import LOG_HALF, std_normal_quantile, upper_tail_quantile
 from .scaling import GroupSpec, critical_n1, kappa
 
@@ -170,16 +174,18 @@ def _cell_bounds(draw, rel, err):
     of v - slack.  The upper bound is the same argument at the edge
     (i + 1) / _CELLS.  The first cell has no lower bound and the last no
     upper bound, and an edge whose value is NaN or infinite bounds neither
-    cell beside it.
+    cell beside it.  ``draw`` may return one row of edge values per sampler,
+    with ``err`` a column of their accuracies; the tables then have those rows.
     """
     with np.errstate(over="ignore"):  # a draw or bound past the largest double is infinite, and still a bound
         edge = draw(np.arange(1, _CELLS) / _CELLS)
         finite = np.isfinite(edge)
         edge = np.where(finite, edge, 0.0)
         slack = 2.0 * (rel * np.abs(edge) + err) / (1.0 - 2.0 * rel)
-        lo = np.where(finite, np.nextafter(edge - slack, -np.inf), -np.inf)
-        hi = np.where(finite, np.nextafter(edge + slack, np.inf), np.inf)
-    return np.concatenate([[-np.inf], lo]), np.concatenate([hi, [np.inf]])
+        lo, hi = (np.full(edge.shape[:-1] + (_CELLS,), bound) for bound in (-np.inf, np.inf))
+        np.nextafter(edge - slack, -np.inf, out=lo[..., 1:], where=finite)
+        np.nextafter(edge + slack, np.inf, out=hi[..., :-1], where=finite)
+    return lo, hi
 
 
 def _thresholds(bounds):
@@ -187,15 +193,17 @@ def _thresholds(bounds):
 
     Each ``hi`` is first made its running maximum from the left, which only
     widens it and sorts it for ``searchsorted``; each ``lo`` is used as it is.
+    A group never races itself, so ``t[j][j]`` is None.
     """
     hi = [np.maximum.accumulate(b[1]) for b in bounds]
-    return [[np.searchsorted(h, b[0]).astype(np.uint16) for h in hi] for b in bounds]
+    return [[None if i == j else np.searchsorted(h, b[0]).astype(np.uint16) for i, h in enumerate(hi)]
+            for j, b in enumerate(bounds)]
 
 
 def _won(cell, tables):
-    """Row j marks the trials that group j wins on ``cell`` (one row per group) alone, by :func:`_thresholds`."""
-    return np.array([functools.reduce(np.logical_and, [cell[i] < t[i].take(c) for i in range(len(t)) if i != j])
-                     for j, (c, t) in enumerate(zip(cell, tables))])
+    """For each group j, the trials it wins on ``cell`` (one row per group) alone, by :func:`_thresholds`."""
+    return [functools.reduce(np.logical_and, [cell[i] < t[i].take(c) for i in range(len(t)) if i != j])
+            for j, (c, t) in enumerate(zip(cell, tables))]
 
 
 def _chunk_counts(stream, samplers, tables, start_trial, n_trials):
@@ -204,8 +212,9 @@ def _chunk_counts(stream, samplers, tables, start_trial, n_trials):
     ``tables`` holds the job's :func:`_thresholds`, or is None.  A draw's cell
     is the top 9 bits of its raw word w, ``w >> 55 == floor(u * _CELLS)`` for
     its uniform u.  A trial that :func:`_won` gives to group j is a win for j,
-    with no tie possible; only the other trials are turned into uniforms,
-    drawn and counted by :func:`_winner_counts`.  With no tables, all are.
+    with no tie possible; each group's wins are counted on its own row, and
+    only the other trials are turned into uniforms, drawn and counted by
+    :func:`_winner_counts`.  With no tables, all are.
     """
     w = _words(stream, start_trial, n_trials, len(samplers))
     decided = np.zeros(len(samplers), dtype=np.int64)
@@ -213,8 +222,8 @@ def _chunk_counts(stream, samplers, tables, start_trial, n_trials):
         # one row of cells per group, shifted straight into uint16: no uint64 copy of the words
         cell = np.right_shift(w.T, np.uint64(55), out=np.empty(w.T.shape, np.uint16), casting="unsafe")
         won = _won(cell, tables)
-        decided = np.count_nonzero(won, axis=1)
-        w = np.compress(~won.any(axis=0), w, axis=0)
+        decided = np.array([np.count_nonzero(row) for row in won])
+        w = np.compress(~functools.reduce(np.logical_or, won), w, axis=0)
     u = _unit(w)
     with np.errstate(over="ignore"):  # a maximum past the largest double is +-inf, and still ranks
         return decided + _winner_counts([draw(u[:, j]) for j, draw in enumerate(samplers)])
@@ -223,11 +232,10 @@ def _chunk_counts(stream, samplers, tables, start_trial, n_trials):
 def _run_rows(jobs, *, workers=1):
     """Per-group win counts of several estimator rows, run on one set of threads.
 
-    A job is ``(stream, trials, samplers, accuracy)``: ``samplers`` holds
+    A job is ``(stream, trials, samplers, tables)``: ``samplers`` holds
     one callable per group that maps a column of uniforms to that group's
-    maxima, and ``accuracy`` one stated ``(rel, err)`` per sampler, or
-    None.  The job's :func:`_cell_bounds` tables and their :func:`_thresholds`
-    are built here, once, and passed to every chunk.  Its trials are cut
+    maxima, and ``tables`` the job's :func:`_thresholds`, built once by its
+    caller, or None; they are passed to every chunk.  Its trials are cut
     into the fewest chunks of at most ``_CHUNK_DRAWS`` draws, equal in size
     up to one trial; the layout depends on the trials and the group count
     only, never on ``workers``.  The job's counts are the sum of its
@@ -242,11 +250,9 @@ def _run_rows(jobs, *, workers=1):
     per job, in job order.
     """
     chunks, ends = [], []
-    for stream, trials, samplers, accuracy in jobs:
+    for stream, trials, samplers, tables in jobs:
         if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-        bounds = None if accuracy is None else [_cell_bounds(d, *a) for d, a in zip(samplers, accuracy)]
-        tables = None if bounds is None else _thresholds(bounds)
         k = -(-trials // max(1, _CHUNK_DRAWS // len(samplers)))
         cuts = [j * trials // k for j in range(k + 1)]
         chunks += [(stream, samplers, tables, t0, t1 - t0) for t0, t1 in zip(cuts, cuts[1:])]
@@ -268,7 +274,10 @@ def sample_group_max(n, sigma, u):
     transform survives n ~ 1e16 where the direct difference underflows.
     Past n ~ 5e291, where log(u) / n is subnormal or zero, the probability
     equals -log(u) / n to double precision, and its log is taken as
-    log(-log u) - log n.
+    log(-log u) - log n.  ``n`` and ``sigma`` may be arrays that broadcast
+    against ``u``, such as columns of one (n, sigma) per row, and each
+    element then gets the value, and a bad one the error, of a call with
+    that element alone.
 
     Accuracy: the result lies within 1e-9 |M| + 1e-12 sigma of the exact
     transform (``_REL`` and ``_ABS``; :func:`_cell_bounds` builds the
@@ -281,15 +290,18 @@ def sample_group_max(n, sigma, u):
     1 - 2^-53 and 50 random points: 5.4e-14 (|M| + 1e-3 sigma).
     """
     u_arr = _open_unit(u)
-    if not (np.isfinite(n) and n >= 1.0):
-        raise ValueError(f"n must be a finite real >= 1, got {n}")
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be a finite real > 0, got {sigma}")
+    n_ok = np.isfinite(n) & (n >= 1.0)
+    if not n_ok.all():
+        raise ValueError(f"n must be a finite real >= 1, got {np.extract(~n_ok, n)[0]}")
+    sigma_ok = np.isfinite(sigma) & (sigma > 0.0)
+    if not sigma_ok.all():
+        raise ValueError(f"sigma must be a finite real > 0, got {np.extract(~sigma_ok, sigma)[0]}")
     log_p = np.log(u_arr) / n
     with np.errstate(divide="ignore"):  # log(0) where log_p underflowed to zero; replaced below
         log_q = np.log(-np.expm1(log_p))
     if np.any(log_p > -_TINY):
-        log_q = np.where(log_p > -_TINY, np.log(-np.log(u_arr)) - math.log(n), log_q)
+        log_n = np.reshape([math.log(v) for v in np.ravel(n)], np.shape(n))  # math.log's bits, element by element
+        log_q = np.where(log_p > -_TINY, np.log(-np.log(u_arr)) - log_n, log_q)
     # one tail pass over the whole column is cheaper than a masked gather
     x = np.asarray(upper_tail_quantile(np.minimum(log_q, LOG_HALF)))
     central = log_q > LOG_HALF
@@ -360,6 +372,24 @@ def _max_samplers(groups):
     return samplers, [(_REL, _ABS * g.sigma) for g in groups]
 
 
+def _max_jobs(rows):
+    """The samplers and :func:`_thresholds` of a :func:`_run_rows` job for each row of groups.
+
+    Every table comes from one edge transform: one :func:`sample_group_max`
+    call takes a column of sizes and one of sigmas for all (row, group)
+    pairs, and one :func:`_cell_bounds` call widens the edges by each
+    sampler's stated accuracy, so each table equals its own call's bit for bit.
+    """
+    groups = [g for row in rows for g in row]
+    n = np.array([[g.size] for g in groups], dtype=float)
+    sigma = np.array([[g.sigma] for g in groups], dtype=float)
+    jobs = [_max_samplers(row) for row in rows]
+    err = np.array([[e] for _, accuracy in jobs for _, e in accuracy])  # every rel is _REL
+    lo, hi = _cell_bounds(functools.partial(sample_group_max, n, sigma), _REL, err)
+    bounds = iter(zip(lo, hi))
+    return [(samplers, _thresholds([next(bounds) for _ in samplers])) for samplers, _ in jobs]
+
+
 def mc_multi(
     groups: Sequence[GroupSpec],
     trials: int,
@@ -377,7 +407,7 @@ def mc_multi(
     groups = list(groups)
     if len(groups) < 2:
         raise ValueError("need at least 2 groups")
-    counts = _run_rows([(rng, trials, *_max_samplers(groups))], workers=workers)[0]
+    counts = _run_rows([(rng, trials, *_max_jobs([groups])[0])], workers=workers)[0]
     return [McEstimate.from_counts(int(c), trials) for c in counts]
 
 
@@ -402,27 +432,30 @@ def mc_limit_pair(
     # the doubled relative share covers the rounding of the shift and the scaling
     samplers = [sample_gumbel, lambda u: s2 * (sample_gumbel(u) - k)]
     accuracy = [(_REL, _ABS), (2.0 * _REL, s2 * (_REL * abs(k) + _ABS))]
-    wins = _run_rows([(rng, trials, samplers, accuracy)], workers=workers)[0]
+    tables = _thresholds([_cell_bounds(draw, *a) for draw, a in zip(samplers, accuracy)])
+    wins = _run_rows([(rng, trials, samplers, tables)], workers=workers)[0]
     return McEstimate.from_counts(int(wins[0]), trials)
 
 
-def _critical_grid(sigma, c_values, n2_grid, trials, rng, samplers, p_exact=None, *, workers=1):
+def _critical_grid(sigma, c_values, n2_grid, trials, rng, jobs, p_exact=None, *, workers=1):
     """Rows along the critical law at one sigma, in (C outer, n2 inner) order.
 
     At each (C, n2), n1 is the critical size: the int floor when it is
     exactly representable, the real value otherwise.  Row i counts its
     p_hat over ``trials`` trials of stream ``rng.substream(i)``, two draws
-    per trial, as group-1 wins of the two samplers ``samplers(n1, n2)``
-    returns with their accuracy, as a :func:`_run_rows` job holds them;
-    p_limit is the two-group limit and, when ``p_exact`` is given,
-    p_exact is ``p_exact(n1, n2)``.  Every row is set up and then every
-    p_exact computed, in row order, before any trial runs; the chunks of
-    all rows then share one :func:`_run_rows` call, so the rows match a
-    row-by-row serial run bit for bit at any worker count.
+    per trial, as group-1 wins of the samplers and tables that
+    ``jobs(sizes)`` returns for it, as a :func:`_run_rows` job holds them,
+    given every row's (n1, n2); p_limit is the two-group limit and, when
+    ``p_exact`` is given, p_exact is row i's entry of ``p_exact(sizes)``.
+    Every row is set up before any trial runs: its limit and critical size
+    in row order, then the exact values and the jobs of all rows, each in
+    one pass.  The chunks of all rows then share one :func:`_run_rows`
+    call, so the rows match a row-by-row serial run bit for bit at any
+    worker count.
     """
     if not c_values or not n2_grid:
         raise ValueError("c_values and n2_grid must be nonempty")
-    points, jobs = [], []
+    points = []
     for c in c_values:
         p_limit = two_group_limit(c, sigma).value
         for n2 in n2_grid:
@@ -430,11 +463,12 @@ def _critical_grid(sigma, c_values, n2_grid, trials, rng, samplers, p_exact=None
             if math.isinf(size.real_value):
                 raise ValueError(f"critical size C*f(n2) overflows a float at sigma={sigma}, c={c}, n2={n2:g}")
             n1 = size.real_value if size.floor_value is None else size.floor_value
-            jobs.append((rng.substream(len(jobs)), trials, *samplers(n1, n2)))
             points.append((c, p_limit, n1, n2))
-    exact = [None if p_exact is None else p_exact(n1, n2) for _, _, n1, n2 in points]
+    sizes = [(n1, n2) for _, _, n1, n2 in points]
+    exact = [None] * len(points) if p_exact is None else p_exact(sizes)
+    setups = [(rng.substream(i), trials, *job) for i, job in enumerate(jobs(sizes))]
     rows = []
-    for (c, p_limit, n1, n2), p, counts in zip(points, exact, _run_rows(jobs, workers=workers)):
+    for (c, p_limit, n1, n2), p, counts in zip(points, exact, _run_rows(setups, workers=workers)):
         est = McEstimate.from_counts(int(counts[0]), trials)
         rows.append(StudyRow(float(n2), float(n1), float(sigma), float(c), est.p_hat, est.std_err, p_limit, p))
     return rows
@@ -454,13 +488,21 @@ def convergence_study(
 
     Rows of :func:`_critical_grid` with p_hat counted as :func:`mc_two_group`
     counts it and, when ``exact`` is set, the finite-n quadrature as p_exact.
+    The exact values of all rows come from one batched quadrature
+    (:func:`gausswinner.limits._finite_n_rows`); a row the batch leaves
+    open, or every row if it fails, gets its own :func:`finite_n_winner`
+    call, in row order, so a failing row raises as a row-by-row loop would.
     """
 
-    def samplers(n1, n2):
-        return _max_samplers([GroupSpec(n1, 1.0), GroupSpec(n2, sigma)])
+    def pairs(sizes):
+        return [[GroupSpec(n1, 1.0), GroupSpec(n2, sigma)] for n1, n2 in sizes]
 
-    def finite_n(n1, n2):
-        return finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(n2, sigma)).value
+    def finite_n(sizes):
+        groups = pairs(sizes)
+        return [(finite_n_winner(*g) if r is None else r).value for g, r in zip(groups, _finite_n_rows(groups))]
+
+    def jobs(sizes):
+        return _max_jobs(pairs(sizes))
 
     p_exact = finite_n if exact else None
-    return _critical_grid(sigma, list(c_values), list(n2_grid), trials, rng, samplers, p_exact, workers=workers)
+    return _critical_grid(sigma, list(c_values), list(n2_grid), trials, rng, jobs, p_exact, workers=workers)

@@ -476,7 +476,7 @@ def _pool_max(values, n, u):
 
 
 def _pool_samplers(pool1, pool2, n1, n2):
-    """The two group samplers of :func:`bootstrap_winner`, which state no accuracy, so every trial is drawn."""
+    """The two group samplers of :func:`bootstrap_winner` and no tables: they state no accuracy."""
     if not all(math.isfinite(n) and n >= 1 for n in (n1, n2)):
         raise ValueError(f"n1 and n2 must be finite reals >= 1, got {n1} and {n2}")
     return [functools.partial(_pool_max, pool1.values, n1), functools.partial(_pool_max, pool2.values, n2)], None
@@ -502,8 +502,10 @@ def empirical_study(
     1 - (1 - 1/N)^n for a pool of N values, so far past both pools every
     draw is a top value: p_hat is 1 or 0 and std_err 0.
     """
-    samplers = functools.partial(_pool_samplers, pool1, pool2)
-    return _critical_grid(pool2.sd / pool1.sd, list(c_values), list(n2_grid), b, rng, samplers, workers=workers)
+    def jobs(sizes):
+        return [_pool_samplers(pool1, pool2, n1, n2) for n1, n2 in sizes]
+
+    return _critical_grid(pool2.sd / pool1.sd, list(c_values), list(n2_grid), b, rng, jobs, workers=workers)
 
 
 def _fit_stations(stations: list[StationSeries]) -> list[Ar1Fit]:

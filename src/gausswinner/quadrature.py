@@ -47,6 +47,15 @@ share of the cost: on a shared 2-core Xeon host an extra node costs about
 10 ns (limit law) to 50 ns (finite-n), while each of a quadrature's 2 to 7
 log_f calls brings 35 to 55 us of fixed numpy and Python work.
 
+Integrals that share no nodes, each on its own window (the rows of a
+study), pay that fixed work once per stage as one batch in
+:func:`_batch_quad`: every stage passes all open rows to log_f as one
+(rows, nodes) array, and a row leaves when it settles, with its own
+call's result bit for bit.  A row whose seed scan does not end its
+window (a side ends at its secant bound, or walks) is left to its own
+call.  A single call keeps its own code: array-held state costs it more
+than it saves.
+
 For analytic integrands the trapezoid rule converges geometrically in
 the step size, so the first level that settles is already at the
 rounding level.  ``abs_err`` is that first settled difference plus the
@@ -302,3 +311,97 @@ def concave_log_quad(
 
     message = f"trapezoid refinement did not reach tol={tol:g} (last diff {float(np.max(diffs)):.3g})"
     raise QuadratureError(message)
+
+
+def _batch_quad(log_f, lo, hi, *, tol: float = 1e-10) -> list[QuadResult | None]:
+    """:func:`concave_log_quad` of several one-row log-integrands, one seed window each, as one batch.
+
+    ``log_f(rows, x)`` takes the indices of the open rows and a (rows, nodes)
+    array, one row of nodes per integrand, and returns their log values in
+    that shape.  Each stage sends every open row to ``log_f`` in one call,
+    and a row leaves when it settles.  A row keeps its own window, peak,
+    sums and node count, and takes its own call's steps in its own call's
+    floating-point order, so its QuadResult equals that call's bit for bit.
+    A row whose scan does not end both sides of its window is returned as
+    None, for its own call to end or walk them.  The batch raises as soon as any row fails, and where the caller's
+    floating-point state would warn it raises instead: the caller then runs
+    the rows one at a time, which raise or warn as they always do.
+    """
+    lo, hi = np.array(lo, dtype=float)[:, None], np.array(hi, dtype=float)[:, None]
+    results: list[QuadResult | None] = [None] * len(lo)
+
+    def grid(n, odd=False):
+        """:func:`_nodes` on every open row's window; a step that underflows to zero fails the batch."""
+        step = (hi - lo) / (n - 1)
+        if np.any(step == 0.0):
+            raise QuadratureError("a window is too narrow for its nodes")
+        if odd:
+            return np.arange(1.0, n - 1, 2) * step + lo
+        xs = np.arange(float(n)) * step + lo
+        xs[:, -1] = hi[:, 0]
+        return xs
+
+    with np.errstate(**{k: "raise" if v == "warn" else v for k, v in np.geterr().items()}):
+        rows = np.arange(len(lo))
+        xs = grid(N_SCAN)
+        ys = np.asarray(log_f(rows, xs), dtype=float)
+        ymax = ys.max(axis=1)
+        _check(ymax.tolist())
+        if np.any(ymax == -np.inf):
+            raise QuadratureError("integrand is zero everywhere in the resolved window")
+
+        # a row whose scan ends both sides (each outer node deep below the peak and
+        # falling outward) is trimmed to the scan nodes just outside its run above the
+        # cutoff; any other row is left to its own call
+        above = ys - ymax[:, None] > -DROP
+        outer, inner = ys[:, [0, -1]], ys[:, [1, -2]]
+        rows = (~above[:, [0, -1]] & ((outer < inner) | (outer == -np.inf))).all(axis=1).nonzero()[0]
+        if not len(rows):
+            return results
+        first, last = above[rows].argmax(axis=1), N_SCAN - 1 - above[rows, ::-1].argmax(axis=1)
+        lo, hi = xs[rows, first - 1][:, None], xs[rows, last + 1][:, None]
+
+        # the nested trapezoid refinement of concave_log_quad, row by row in arrays
+        with np.errstate(under="ignore"):
+            n = N_START
+            ys = np.asarray(log_f(rows, grid(2 * n - 1)), dtype=float)
+            evaluations = N_SCAN + 2 * n - 1
+            mids, ys = ys[:, 1::2], ys[:, ::2]
+            m = ys.max(axis=1)
+            _check(m.tolist())
+            ends = ys[:, :: n - 1]
+            weights = np.exp(ys - m[:, None])
+            edges = weights[:, 0] + weights[:, -1]
+            fixed = np.ones(len(rows), dtype=bool)  # rows whose peak has not moved, so ``edges`` holds
+            scaled = weights.sum(axis=1) - 0.5 * edges
+            scale, prev = np.exp(m), None
+            for level in range(MAX_LEVELS):
+                if level:
+                    n = 2 * n - 1
+                    if level > 1:
+                        mids = np.asarray(log_f(rows, grid(n, odd=True)), dtype=float)
+                        evaluations += (n - 1) // 2
+                    tops = mids.max(axis=1)
+                    _check(tops.tolist())
+                    moved = tops > m
+                    if np.any(moved):
+                        top = np.maximum(m, tops)
+                        scaled = scaled * np.exp(m - top)
+                        m, scale, fixed = top, np.exp(top), fixed & ~moved
+                    scaled = scaled + np.exp(mids - m[:, None]).sum(axis=1)
+                total = scaled * ((hi - lo)[:, 0] / (n - 1)) * scale
+                if prev is not None:
+                    diffs = np.abs(total - prev)
+                    settled = diffs <= 0.5 * tol
+                    if np.any(settled):
+                        tails = np.where(fixed, edges, np.exp(ends - m[:, None]).sum(axis=1))
+                        errors = diffs + (hi - lo)[:, 0] * tails * scale
+                        for i in settled.nonzero()[0].tolist():
+                            results[rows[i]] = QuadResult(float(total[i]), float(errors[i]), evaluations)
+                        keep = ~settled
+                        if not np.any(keep):
+                            return results
+                        rows, lo, hi, m, scale, fixed = (a[keep] for a in (rows, lo, hi, m, scale, fixed))
+                        ends, edges, scaled, total = (a[keep] for a in (ends, edges, scaled, total))
+                prev = total
+    raise QuadratureError(f"trapezoid refinement did not reach tol={tol:g}")

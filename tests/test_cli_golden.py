@@ -87,7 +87,7 @@ CASES = {
 DIGESTS = {
     "empirical_csv": "f4f4f576bd899b8d2a0c0a64da31969a5b788a5e4489b8d924f80df23345dee3",
     "empirical_json": "8c668a8e7bf3951b739fe08719a963591edff6c9e3de4a15efb2f55c3817c9fd",
-    "help": "f2abd508946e5ae95c1a281e80f8ba9819406abc1d760e8f7255aca2cd79f9c9",
+    "help": "031d4d653edf4ca94111c1dd06306ce5a8992b0b5d8a2d0a35ba5834c53cb870",
     "help_empirical": "464ee043d9393807b555c9fb9088e9940e838d49bd25f92b7c31fbd6937644c4",
     "help_limit": "82b46966f8366a69dac611228a166bda61e29d9a8642a90b52a40f90484de6fe",
     "help_scale": "d54fbfaf072254dfdfe41c2a3fa12f28f867b9dc53dc9a9c694310ca15be219b",

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
+import gausswinner.limits as limits
 import gausswinner.montecarlo as mc
 from gausswinner.limits import finite_n_winner, two_group_limit
 from gausswinner.montecarlo import (
@@ -182,6 +183,15 @@ class TestSampleGroupMax:
         with pytest.raises(ValueError, match=r"^sigma must be a finite real > 0, got 0\.0$"):
             sample_group_max(1.0, 0.0, 0.3)
 
+    @pytest.mark.parametrize("n, sigma", [(0.5, 1.0), (math.nan, 1.0), (math.inf, 2.0), (3.0, 0.0), (2.0, -1.5), (2.0, math.inf)])
+    def test_bad_element_fails_as_its_own_call(self, n, sigma):
+        u = np.array([0.2, 0.7])
+        with pytest.raises(ValueError) as own:
+            sample_group_max(n, sigma, u)
+        with pytest.raises(ValueError) as batch:
+            sample_group_max(np.array([[10.0], [n], [1e300]]), np.array([[1.0], [sigma], [2.0]]), u)
+        assert str(batch.value) == str(own.value)
+
     def test_empty_input_gives_empty_array(self):
         for n in (1.0, 10.0, 1e300):
             out = sample_group_max(n, 2.0, np.array([]))
@@ -287,11 +297,48 @@ _SHUFFLED = [
 @given(case=_bound_tables())
 def test_thresholds_decide_what_float_bounds_decide(case):
     bounds, cell = case
-    ints = mc._won(cell, mc._thresholds(bounds))
+    ints = np.array(mc._won(cell, mc._thresholds(bounds)))
     assert ints.shape == (len(bounds), cell.shape[1])
     assert not np.any(ints & ~_float_won(cell, bounds))  # on any tables, a subset
     monotone = [(np.sort(lo), np.sort(hi)) for lo, hi in bounds]
     assert np.array_equal(mc._won(cell, mc._thresholds(monotone)), _float_won(cell, monotone))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@example(rows=[[(1.0, 1.0), (1e300, 3.0)], [(1.5, 1e-3), (54.0, 1e4), (1e308, 1.0)]])
+@given(
+    rows=st.lists(
+        st.lists(
+            st.tuples(st.sampled_from([1.0, 1e300]) | st.floats(0.0, 308.0).map(lambda e: 10.0**e),
+                      st.floats(-4.0, 4.0).map(lambda e: 10.0**e)),
+            min_size=2, max_size=3,
+        ),
+        min_size=1, max_size=4,
+    )
+)
+def test_one_pass_tables_equal_each_groups_own(rows):
+    # n = 1 takes the central branch and n >= 1e300 the log(-log u) branch
+    rows = [[GroupSpec(n, sigma) for n, sigma in row] for row in rows]
+    real, bounds = mc._cell_bounds, []
+
+    def recorded(draw, rel, err):
+        bounds.append(real(draw, rel, err))
+        return bounds[-1]
+
+    with mock.patch.object(mc, "_cell_bounds", recorded):
+        jobs = mc._max_jobs(rows)
+    ((lo, hi),) = bounds  # one call for every (row, group) pair
+    for g, row_lo, row_hi in zip([g for row in rows for g in row], lo, hi, strict=True):
+        (draw,), (accuracy,) = mc._max_samplers([g])
+        own_lo, own_hi = mc._cell_bounds(draw, *accuracy)
+        assert row_lo.tobytes() == own_lo.tobytes() and row_hi.tobytes() == own_hi.tobytes()
+    for groups, (samplers, tables) in zip(rows, jobs):
+        own_samplers, accuracy = mc._max_samplers(groups)
+        own = mc._thresholds([mc._cell_bounds(d, *a) for d, a in zip(own_samplers, accuracy)])
+        assert [[None if t is None else t.tobytes() for t in row] for row in tables] == [
+            [None if t is None else t.tobytes() for t in row] for row in own
+        ]
+        assert [s.args for s in samplers] == [s.args for s in own_samplers]
 
 
 def test_bound_examples_reach_both_special_branches():
@@ -506,10 +553,12 @@ class TestCellBounds:
         else:
             assert 0 < sum(exact_draws) < 0.05 * self.TRIALS  # the bounds decide nearly every trial
         exact_draws.clear()
-        # infinite tables, so the per-trial reads run and decide nothing
-        monkeypatch.setattr(
-            mc, "_cell_bounds", lambda draw, rel, err: (np.full(mc._CELLS, -np.inf), np.full(mc._CELLS, np.inf))
-        )
+        # infinite tables, one row per sampler, so the per-trial reads run and decide nothing
+        def infinite(draw, rel, err):
+            shape = np.shape(err)[:-1] + (mc._CELLS,)
+            return np.full(shape, -np.inf), np.full(shape, np.inf)
+
+        monkeypatch.setattr(mc, "_cell_bounds", infinite)
         assert self.RUNS[name](self.TRIALS) == bounded
         assert sum(exact_draws) == self.TRIALS
 
@@ -557,7 +606,7 @@ class TestCellBounds:
         real, calls = mc._cell_bounds, []
 
         def counted(draw, rel, err):
-            calls.append((rel, err))
+            calls.append((rel, np.ravel(err).tolist()))
             return real(draw, rel, err)
 
         monkeypatch.setattr(mc, "_cell_bounds", counted)
@@ -565,12 +614,12 @@ class TestCellBounds:
         trials = 3 * (mc._CHUNK_DRAWS // 2) + 1  # 4 chunks of at most _CHUNK_DRAWS draws
         mc_two_group(g1, g2, trials, RngStream(4), workers=2)
         assert len(recording_pool[0].tasks) == 4
-        assert calls == [(mc._REL, mc._ABS), (mc._REL, 1.5 * mc._ABS)]
+        assert calls == [(mc._REL, [mc._ABS, 1.5 * mc._ABS])]  # one call, one table per group
         calls.clear()
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", 1 << 12)  # 10 chunks of 2,000 trials a row
         convergence_study(1.5, [0.5, 2.0], [100.0, 1e4, 1e6], GRID_TRIALS, RngStream(31), workers=2)
         assert len(recording_pool[1].tasks) == 60
-        assert calls == [(mc._REL, mc._ABS), (mc._REL, 1.5 * mc._ABS)] * 6  # two tables a row
+        assert calls == [(mc._REL, [mc._ABS, 1.5 * mc._ABS] * 6)]  # one call for the two tables of all six rows
 
     def test_bootstrap_job_builds_no_tables(self, monkeypatch, exact_draws):
         def no_tables(draw, rel, err):
@@ -754,23 +803,57 @@ class TestGridScheduling:
     def test_one_pool_per_study_with_bounded_tasks(self, monkeypatch, recording_pool, workers, chunk_draws):
         base = _studies(1)
         pools_at_quadrature = []
-        real = mc.finite_n_winner
+        real = mc._finite_n_rows
 
-        def counted(g1, g2):
+        def counted(pairs):
             pools_at_quadrature.append(len(recording_pool))
-            return real(g1, g2)
+            return real(pairs)
 
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
-        monkeypatch.setattr(mc, "finite_n_winner", counted)
+        monkeypatch.setattr(mc, "_finite_n_rows", counted)
         assert _studies(workers) == base
         assert len(recording_pool) == 2  # one per study call
-        assert pools_at_quadrature == [0] * 6  # every exact quadrature ran before the first pool was built
+        assert pools_at_quadrature == [0]  # the one batch of exact quadratures ran before the first pool was built
         # each row is cut by trials and K alone: one chunk, or ten of 2,000 trials at 2,048 a chunk
         row = {1 << 21: [(0, GRID_TRIALS)], 1 << 12: [(2_000 * j, 2_000) for j in range(10)]}[chunk_draws]
         for pool, n_rows in zip(recording_pool, (6, 4)):
             assert pool.max_workers == min(workers, len(pool.tasks))
             assert all(fn is mc._chunk_counts for fn, _ in pool.tasks)  # every task is a trial chunk
             assert [args[3:] for _, args in pool.tasks] == row * n_rows  # rows in order
+
+    def test_study_sets_up_its_rows_in_one_pass(self, monkeypatch):
+        # one edge transform builds every row's tables, and the batched quadrature sends
+        # all its open rows to log_f once per stage; no exact value runs a quadrature of its own
+        base = convergence_study(1.5, [0.5, 2.0], [100.0, 1e4, 1e6], 2_000, RngStream(31), exact=True)
+        transforms, batches = [], []
+        real_sample, real_batch = mc.sample_group_max, limits._batch_quad
+
+        def sample(n, sigma, u):
+            if np.ndim(n):
+                transforms.append(np.shape(n))
+            return real_sample(n, sigma, u)
+
+        def batch(log_f, lo, hi, *, tol):
+            calls = []
+            batches.append(calls)
+
+            def counted(rows, x):
+                calls.append(len(rows))
+                return log_f(rows, x)
+
+            return real_batch(counted, lo, hi, tol=tol)
+
+        def own_quadrature(*args, **kwargs):
+            raise AssertionError("a row ran a quadrature of its own")
+
+        monkeypatch.setattr(mc, "sample_group_max", sample)
+        monkeypatch.setattr(limits, "_batch_quad", batch)
+        monkeypatch.setattr(mc, "finite_n_winner", own_quadrature)
+        assert convergence_study(1.5, [0.5, 2.0], [100.0, 1e4, 1e6], 2_000, RngStream(31), exact=True) == base
+        assert transforms == [(12, 1)]  # 6 rows of 2 groups
+        (calls,) = batches
+        # the scan, then levels 0 and 1, then a later level for the rows still open
+        assert calls[:2] == [6, 6] and len(calls) <= 3 and calls == sorted(calls, reverse=True)
 
     def test_row_setup_error_matches_serial(self):
         g = np.random.default_rng(30)
@@ -795,6 +878,9 @@ class TestGridScheduling:
         real, real_chunk = mc.finite_n_winner, mc._chunk_counts
         chunks = []
 
+        def batch_fails(log_f, lo, hi, *, tol):
+            raise QuadratureError("a batch failed")
+
         def stalls_at_n2_1e4(g1, g2):
             if g2.size == 1e4:
                 raise QuadratureError(f"refinement stalled at n1={g1.size}")
@@ -804,6 +890,8 @@ class TestGridScheduling:
             chunks.append((t0, n))
             return real_chunk(stream, samplers, bounds, t0, n)
 
+        # the batch fails, so every row gets its own call, and row 1 (C=0.5) fails first
+        monkeypatch.setattr(limits, "_batch_quad", batch_fails)
         monkeypatch.setattr(mc, "finite_n_winner", stalls_at_n2_1e4)
         monkeypatch.setattr(mc, "_chunk_counts", recorded)
         before = threading.active_count()

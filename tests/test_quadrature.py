@@ -16,6 +16,7 @@ from gausswinner.quadrature import (
     N_SCAN,
     N_START,
     QuadratureError,
+    _batch_quad,
     _nodes,
     concave_log_quad,
 )
@@ -475,3 +476,76 @@ def test_side_ends_only_where_every_row_falls(peak, lo, hi):
 
     for res in concave_log_quad(log_f, lo, hi):
         assert res.value == pytest.approx(math.sqrt(2.0 * math.pi), abs=1e-12)
+
+
+def _bits(result):
+    """A QuadResult as the exact bits of its value and abs_err, and its evaluations."""
+    return result.value.hex(), result.abs_err.hex(), result.evaluations
+
+
+@st.composite
+def _batch_rows(draw):
+    """A log-integrand and seed window: a limit law, a finite-n law, either one off its peak, or one that fails."""
+    kind = draw(st.sampled_from(["limit", "finite_n"] * 4 + ["nan", "inf"]))
+    if kind == "limit":
+        alpha = 1.0 / draw(st.floats(1.05, 20.0)) ** 2
+        k = draw(st.floats(-30.0, 30.0))
+        # the library's seed window rarely ends its left side at the scan; 45 more to the left does
+        lo, hi = min(0.0, k / alpha) - draw(st.sampled_from([8.0, 53.0])), 8.0
+
+        def log_f(u):
+            return 0.0 + u - (np.exp(u) + np.exp(alpha * u - k))
+    else:
+        n1 = draw(st.sampled_from([1.0, 1.5]) | st.floats(0.0, 30.0).map(lambda e: 10.0**e))
+        n2 = draw(st.floats(0.0, 12.0).map(lambda e: 10.0**e))
+        log_pref, s_k, terms, lo, hi = limits._finite_n_parts(GroupSpec(n1, 1.0), (GroupSpec(n2, draw(st.floats(1.1, 3.0))),))
+        log_f = limits._finite_n_log_f(log_pref, s_k, [(w, s) for w, s in terms if w != 0.0])
+        if kind != "finite_n":  # fails on the right half of the scan, or on a sliver between two scan nodes
+            a, b = (lo + (hi - lo) * t / (N_SCAN - 1) for t in draw(st.sampled_from([(32.0, 1e9), (32.25, 32.75)])))
+            bad = math.nan if kind == "nan" else math.inf
+            log_f = (lambda f: lambda x: np.where((x > a) & (x < b), bad, f(x)))(log_f)
+    # a seed window shifted a little may end a side at its secant bound; shifted far, it walks
+    shift = draw(st.sampled_from([0.0] * 4 + [-4.0, 3.0, 6.0, -40.0, 25.0, 300.0]))
+    return log_f, lo + shift, hi + shift
+
+
+def _scan_leaves(ys):
+    """Whether a row whose seed scan gave ``ys`` leaves the batch: a finite peak, and a side the scan does not end."""
+    top = ys.max()
+    if not np.isfinite(top):
+        return False
+    return not all(ys[e] - top <= -DROP and (ys[e] < ys[i] or ys[e] == -math.inf) for e, i in ((0, 1), (-1, -2)))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(rows=st.lists(_batch_rows(), min_size=1, max_size=6))
+def test_batch_rows_equal_their_own_calls(rows):
+    with np.errstate(over="ignore", under="ignore"):  # as the limit laws' own calls run
+        own = []
+        for log_f, lo, hi in rows:
+            scans = []
+
+            def recorded(x, log_f=log_f):
+                scans.append(np.asarray(log_f(x)))
+                return scans[-1]
+
+            try:
+                result = _bits(concave_log_quad(recorded, lo, hi))
+            except QuadratureError as exc:
+                result = exc
+            own.append((result, _scan_leaves(scans[0])))
+
+        def batch_log_f(index, x):
+            assert len(index) == len(x)
+            return np.array([rows[i][0](nodes) for i, nodes in zip(index.tolist(), x)])
+
+        try:
+            batch = _batch_quad(batch_log_f, [r[1] for r in rows], [r[2] for r in rows])
+        except (QuadratureError, FloatingPointError):
+            # a row that fails in its own call before it would leave the batch fails the batch
+            assert any(isinstance(r, QuadratureError) and not left for r, left in own)
+            return
+    assert not any(isinstance(r, QuadratureError) and not left for r, left in own)
+    # a row whose scan does not end its window (it ends a side at its secant bound, or walks)
+    # is left for its own call; every other row is its own call's result
+    assert [None if left else r for r, left in own] == [None if b is None else _bits(b) for b in batch]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import log_ndtr
 
-from .quadrature import QuadratureError, QuadResult, _batch_quad, concave_log_quad
+from .quadrature import QuadratureError, QuadResult, concave_log_quad
 from .scaling import GroupSpec, kappa
 
 __all__ = [
@@ -171,63 +171,25 @@ def finite_n_winner(champion: GroupSpec, *rivals: GroupSpec) -> QuadResult:
     """
     if not rivals:
         raise ValueError("need at least 2 groups")
-    log_pref, s_k, terms, lo, hi = _finite_n_parts(champion, rivals)
-    log_f = _finite_n_log_f(log_pref, s_k, [(w, s) for w, s in terms if w != 0.0])
-    return _probability(concave_log_quad(log_f, lo, hi, tol=QUAD_TOL))
-
-
-def _finite_n_parts(champion, rivals):
-    """The log prefactor, champion sigma, (power, sigma) terms and seed window of :func:`finite_n_winner`."""
     s_k, n_k = float(champion.sigma), float(champion.size)
+    log_pref = math.log(n_k) - math.log(s_k)
     # the champion variable contributes the density factor, so its own power is n_k - 1
     terms = [(n_k - 1.0, s_k)] + [(float(g.size), float(g.sigma)) for g in rivals]
+    terms = [(w, s) for w, s in terms if w != 0.0]
+
+    def log_f(x):
+        z = x / s_k
+        total = log_pref  # a float until the first term makes it an array
+        for w, s in terms:
+            total += w * log_ndtr(z if s == s_k else x / s)
+        total += -0.5 * z * z - _LOG_SQRT_2PI
+        return total
+
     # The champion's density is about sigma_k wide, so the seed scan steps in
     # fractions of sigma_k around the champion's own maximum; rivals with much
     # larger sigmas would otherwise set a step that jumps over the peak.
     center = s_k * math.sqrt(2.0 * math.log(n_k)) if n_k >= 2.0 else 0.0
-    return math.log(n_k) - math.log(s_k), s_k, terms, center - 8.0 * s_k, center + 8.0 * s_k
-
-
-def _finite_n_log_f(log_pref, s_k, terms):
-    """log_pref + sum of w log Phi(x / s) over the terms, plus the champion's log density at z = x / s_k.
-
-    The constants are floats for a row of nodes x, or (rows, 1) columns for
-    a (rows, nodes) x; a term whose sigma is ``s_k`` itself reuses z.
-    """
-
-    def log_f(x):
-        z = x / s_k
-        total = log_pref
-        for w, s in terms:
-            total = total + w * log_ndtr(z if s is s_k else x / s)
-        return total + (-0.5 * z * z - _LOG_SQRT_2PI)
-
-    return log_f
-
-
-def _finite_n_rows(pairs) -> list[QuadResult | None]:
-    """``finite_n_winner(g1, g2)`` for each pair of groups, from one batched quadrature.
-
-    Each row runs :func:`finite_n_winner`'s integrand with its constants as
-    columns.  A champion of size 1 keeps its zero power: 0 * log Phi is a
-    signed zero on the batch's nodes, which leaves the sum as it is.  A row
-    is None where its seed scan does not end its window, and every row is
-    None if the batch raises; the caller then runs :func:`finite_n_winner`
-    on it.
-    """
-    try:
-        parts = [_finite_n_parts(g1, (g2,)) for g1, g2 in pairs]
-        log_pref = np.array([[p[0]] for p in parts])
-        terms = np.array([p[2] for p in parts])[..., None]  # (rows, term, power or sigma, 1)
-
-        def log_f(rows, x):
-            (w_k, s_k), (w, s) = terms[rows].transpose(1, 2, 0, 3)
-            return _finite_n_log_f(log_pref[rows], s_k, [(w_k, s_k), (w, s)])(x)
-
-        results = _batch_quad(log_f, *zip(*(p[3:] for p in parts)), tol=QUAD_TOL)
-    except (ArithmeticError, QuadratureError, ValueError):  # the rows' own calls raise what a loop of them raises
-        return [None] * len(pairs)
-    return [None if r is None else _probability(r) for r in results]
+    return _probability(concave_log_quad(log_f, center - 8.0 * s_k, center + 8.0 * s_k, tol=QUAD_TOL))
 
 
 def solve_c_for_target(p_target: float, sigma: float) -> float:

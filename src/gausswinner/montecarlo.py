@@ -8,11 +8,10 @@ each chunk's generator at its own draw offset, and sum integer win
 counts, so the estimates are bit-identical to serial execution for any
 chunk size, worker count, or scheduling order.  The chunk layout follows
 from the trial and group counts alone; workers only run the chunks.  A
-convergence study sets up all of its rows before any trial, in one pass
-for all of them: one edge transform for every cell table, and one
-batched quadrature for the exact values.  The chunks of all its rows
-then share one pool, and each row sums only its own counts, bit for bit
-as serially.
+convergence study sets up all of its rows before any trial: one edge
+transform for every cell table, and the exact quadratures in row order.
+The chunks of all its rows then share one pool, and each row sums only
+its own counts, bit for bit as serially.
 
 Only the comparisons are counted: an estimator needs to know which
 group's maximum is largest in a trial, not the maxima themselves.  Every
@@ -47,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .limits import _finite_n_rows, finite_n_winner, two_group_limit
+from .limits import finite_n_winner, two_group_limit
 from .normal import LOG_HALF, std_normal_quantile, upper_tail_quantile
 from .scaling import GroupSpec, critical_n1, kappa
 
@@ -446,12 +445,11 @@ def _critical_grid(sigma, c_values, n2_grid, trials, rng, jobs, p_exact=None, *,
     per trial, as group-1 wins of the samplers and tables that
     ``jobs(sizes)`` returns for it, as a :func:`_run_rows` job holds them,
     given every row's (n1, n2); p_limit is the two-group limit and, when
-    ``p_exact`` is given, p_exact is row i's entry of ``p_exact(sizes)``.
-    Every row is set up before any trial runs: its limit and critical size
-    in row order, then the exact values and the jobs of all rows, each in
-    one pass.  The chunks of all rows then share one :func:`_run_rows`
-    call, so the rows match a row-by-row serial run bit for bit at any
-    worker count.
+    ``p_exact`` is given, p_exact is ``p_exact(n1, n2)``.  Every row is set
+    up before any trial runs: its limit, critical size and p_exact in row
+    order, then the jobs of all rows in one pass.  The chunks of all rows
+    then share one :func:`_run_rows` call, so the rows match a row-by-row
+    serial run bit for bit at any worker count.
     """
     if not c_values or not n2_grid:
         raise ValueError("c_values and n2_grid must be nonempty")
@@ -464,9 +462,8 @@ def _critical_grid(sigma, c_values, n2_grid, trials, rng, jobs, p_exact=None, *,
                 raise ValueError(f"critical size C*f(n2) overflows a float at sigma={sigma}, c={c}, n2={n2:g}")
             n1 = size.real_value if size.floor_value is None else size.floor_value
             points.append((c, p_limit, n1, n2))
-    sizes = [(n1, n2) for _, _, n1, n2 in points]
-    exact = [None] * len(points) if p_exact is None else p_exact(sizes)
-    setups = [(rng.substream(i), trials, *job) for i, job in enumerate(jobs(sizes))]
+    exact = [None if p_exact is None else p_exact(n1, n2) for _, _, n1, n2 in points]
+    setups = [(rng.substream(i), trials, *job) for i, job in enumerate(jobs([(n1, n2) for _, _, n1, n2 in points]))]
     rows = []
     for (c, p_limit, n1, n2), p, counts in zip(points, exact, _run_rows(setups, workers=workers)):
         est = McEstimate.from_counts(int(counts[0]), trials)
@@ -488,21 +485,13 @@ def convergence_study(
 
     Rows of :func:`_critical_grid` with p_hat counted as :func:`mc_two_group`
     counts it and, when ``exact`` is set, the finite-n quadrature as p_exact.
-    The exact values of all rows come from one batched quadrature
-    (:func:`gausswinner.limits._finite_n_rows`); a row the batch leaves
-    open, or every row if it fails, gets its own :func:`finite_n_winner`
-    call, in row order, so a failing row raises as a row-by-row loop would.
     """
 
-    def pairs(sizes):
-        return [[GroupSpec(n1, 1.0), GroupSpec(n2, sigma)] for n1, n2 in sizes]
-
-    def finite_n(sizes):
-        groups = pairs(sizes)
-        return [(finite_n_winner(*g) if r is None else r).value for g, r in zip(groups, _finite_n_rows(groups))]
+    def finite_n(n1, n2):
+        return finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(n2, sigma)).value
 
     def jobs(sizes):
-        return _max_jobs(pairs(sizes))
+        return _max_jobs([[GroupSpec(n1, 1.0), GroupSpec(n2, sigma)] for n1, n2 in sizes])
 
     p_exact = finite_n if exact else None
     return _critical_grid(sigma, list(c_values), list(n2_grid), trials, rng, jobs, p_exact, workers=workers)

@@ -282,11 +282,6 @@ class TestSimulateCommand:
                 raise QuadratureError("refinement stalled")
             return real(g1, g2)
 
-        def batch_fails(log_f, lo, hi, *, tol):
-            raise QuadratureError("a batch failed")
-
-        # the batch fails, so every row gets its own call, as a row-by-row loop makes them
-        monkeypatch.setattr(gausswinner.limits, "_batch_quad", batch_fails)
         monkeypatch.setattr(gausswinner.montecarlo, "finite_n_winner", stalls)
         before = threading.active_count()
         for workers in ("1", "2"):

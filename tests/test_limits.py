@@ -546,35 +546,3 @@ class TestProperties:
     def test_finite_n_winners_sum_to_one(self, groups):
         parts = each_wins([GroupSpec(n, s) for n, s in groups])
         assert abs(sum(r.value for r in parts) - 1.0) <= len(groups) * 1e-10
-
-
-def _bits(result):
-    return None if result is None else (result.value.hex(), result.abs_err.hex(), result.evaluations)
-
-
-class TestBatchedRows:
-    """A study's batched finite-n values equal their own calls bit for bit."""
-
-    @_PROPERTY
-    @given(
-        pairs=st.lists(
-            st.tuples(st.sampled_from([1.0, 1.5]) | st.floats(0.0, 40.0).map(lambda e: 10.0**e),
-                      st.floats(0.0, 12.0).map(lambda e: 10.0**e), _SIGMA),
-            min_size=1, max_size=8,
-        )
-    )
-    @example(pairs=[(1.0, 5.0, 1.5), (6.3e30, 1e8, 2.0), (2.0, 1.0, 1.05), (1.0, 1e6, 2.0), (1e4, 30.0, 1.2)])
-    def test_finite_n_rows(self, pairs):
-        # a champion below size 2 (size 1 has a zero power) is left to its own call, as its seed
-        # scan ends no right side; the large champions stay in the batch
-        groups = [(GroupSpec(n1, 1.0), GroupSpec(n2, s)) for n1, n2, s in pairs]
-        batch = limits_module._finite_n_rows(groups)
-        own = [finite_n_winner(*g) for g in groups]
-        assert [_bits(b) for b in batch] == [None if b is None else _bits(r) for b, r in zip(batch, own)]
-
-    def test_rows_of_a_failing_batch_are_left_to_their_own_calls(self, monkeypatch):
-        def fails(log_f, lo, hi, *, tol):
-            raise QuadratureError("a batch failed")
-
-        monkeypatch.setattr(limits_module, "_batch_quad", fails)
-        assert limits_module._finite_n_rows([(GroupSpec(10, 1.0), GroupSpec(5, 1.5))] * 2) == [None, None]

@@ -17,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
-import gausswinner.limits as limits
 import gausswinner.montecarlo as mc
 from gausswinner.limits import finite_n_winner, two_group_limit
 from gausswinner.montecarlo import (
@@ -803,17 +802,17 @@ class TestGridScheduling:
     def test_one_pool_per_study_with_bounded_tasks(self, monkeypatch, recording_pool, workers, chunk_draws):
         base = _studies(1)
         pools_at_quadrature = []
-        real = mc._finite_n_rows
+        real = mc.finite_n_winner
 
-        def counted(pairs):
+        def counted(g1, g2):
             pools_at_quadrature.append(len(recording_pool))
-            return real(pairs)
+            return real(g1, g2)
 
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
-        monkeypatch.setattr(mc, "_finite_n_rows", counted)
+        monkeypatch.setattr(mc, "finite_n_winner", counted)
         assert _studies(workers) == base
         assert len(recording_pool) == 2  # one per study call
-        assert pools_at_quadrature == [0]  # the one batch of exact quadratures ran before the first pool was built
+        assert pools_at_quadrature == [0] * 6  # every exact quadrature ran before the first pool was built
         # each row is cut by trials and K alone: one chunk, or ten of 2,000 trials at 2,048 a chunk
         row = {1 << 21: [(0, GRID_TRIALS)], 1 << 12: [(2_000 * j, 2_000) for j in range(10)]}[chunk_draws]
         for pool, n_rows in zip(recording_pool, (6, 4)):
@@ -822,38 +821,27 @@ class TestGridScheduling:
             assert [args[3:] for _, args in pool.tasks] == row * n_rows  # rows in order
 
     def test_study_sets_up_its_rows_in_one_pass(self, monkeypatch):
-        # one edge transform builds every row's tables, and the batched quadrature sends
-        # all its open rows to log_f once per stage; no exact value runs a quadrature of its own
+        # one edge transform builds every row's tables, and each row's exact value is its
+        # own quadrature, in row order
         base = convergence_study(1.5, [0.5, 2.0], [100.0, 1e4, 1e6], 2_000, RngStream(31), exact=True)
-        transforms, batches = [], []
-        real_sample, real_batch = mc.sample_group_max, limits._batch_quad
+        transforms, quadratures = [], []
+        real_sample, real_finite_n = mc.sample_group_max, mc.finite_n_winner
 
         def sample(n, sigma, u):
             if np.ndim(n):
                 transforms.append(np.shape(n))
             return real_sample(n, sigma, u)
 
-        def batch(log_f, lo, hi, *, tol):
-            calls = []
-            batches.append(calls)
-
-            def counted(rows, x):
-                calls.append(len(rows))
-                return log_f(rows, x)
-
-            return real_batch(counted, lo, hi, tol=tol)
-
-        def own_quadrature(*args, **kwargs):
-            raise AssertionError("a row ran a quadrature of its own")
+        def finite_n(g1, g2):
+            quadratures.append((g1.size, g2.size))
+            return real_finite_n(g1, g2)
 
         monkeypatch.setattr(mc, "sample_group_max", sample)
-        monkeypatch.setattr(limits, "_batch_quad", batch)
-        monkeypatch.setattr(mc, "finite_n_winner", own_quadrature)
-        assert convergence_study(1.5, [0.5, 2.0], [100.0, 1e4, 1e6], 2_000, RngStream(31), exact=True) == base
+        monkeypatch.setattr(mc, "finite_n_winner", finite_n)
+        rows = convergence_study(1.5, [0.5, 2.0], [100.0, 1e4, 1e6], 2_000, RngStream(31), exact=True)
+        assert rows == base
         assert transforms == [(12, 1)]  # 6 rows of 2 groups
-        (calls,) = batches
-        # the scan, then levels 0 and 1, then a later level for the rows still open
-        assert calls[:2] == [6, 6] and len(calls) <= 3 and calls == sorted(calls, reverse=True)
+        assert quadratures == [(r.n1, r.n2) for r in rows]  # one call a row, in row order
 
     def test_row_setup_error_matches_serial(self):
         g = np.random.default_rng(30)
@@ -878,9 +866,6 @@ class TestGridScheduling:
         real, real_chunk = mc.finite_n_winner, mc._chunk_counts
         chunks = []
 
-        def batch_fails(log_f, lo, hi, *, tol):
-            raise QuadratureError("a batch failed")
-
         def stalls_at_n2_1e4(g1, g2):
             if g2.size == 1e4:
                 raise QuadratureError(f"refinement stalled at n1={g1.size}")
@@ -890,8 +875,6 @@ class TestGridScheduling:
             chunks.append((t0, n))
             return real_chunk(stream, samplers, bounds, t0, n)
 
-        # the batch fails, so every row gets its own call, and row 1 (C=0.5) fails first
-        monkeypatch.setattr(limits, "_batch_quad", batch_fails)
         monkeypatch.setattr(mc, "finite_n_winner", stalls_at_n2_1e4)
         monkeypatch.setattr(mc, "_chunk_counts", recorded)
         before = threading.active_count()

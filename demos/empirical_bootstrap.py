@@ -31,7 +31,7 @@ stations = load_stations(path)
 result = run_pipeline(stations)
 print(f"loaded {len(stations)} stations after box/completeness filters")
 print(f"variance split: {len(result.pool_low.indices)} low / {len(result.pool_high.indices)} high")
-print(f"recovered sigma ratio: {result.sigma_ratio:.4f}")
+print(f"recovered sigma ratio: {result.pool_high.sd / result.pool_low.sd:.4f}")
 phis = [f.phi for f in result.fits]
 print(f"AR(1) coefficients: mean {sum(phis)/len(phis):.3f}, "
       f"range [{min(phis):.3f}, {max(phis):.3f}]")

@@ -261,6 +261,7 @@ def cmd_empirical(args) -> int:
     if not stations:
         raise ValueError("no stations pass the location, date and completeness filters")
     result = pipeline.run_pipeline(stations)
+    sigma_ratio = result.pool_high.sd / result.pool_low.sd
     rows = pipeline.empirical_study(
         result.pool_low,
         result.pool_high,
@@ -285,10 +286,10 @@ def cmd_empirical(args) -> int:
         "low_count": len(result.pool_low.indices),
         "high_count": len(result.pool_high.indices),
         "centers": list(result.centers),
-        "sigma_ratio": result.sigma_ratio,
+        "sigma_ratio": sigma_ratio,
         "pool_sd": [result.pool_low.sd, result.pool_high.sd],
     }
-    _emit(args, _config(args, sigma_ratio=result.sigma_ratio), fields, lines)
+    _emit(args, _config(args, sigma_ratio=sigma_ratio), fields, lines)
     return EXIT_OK
 
 
@@ -375,17 +376,16 @@ def _selftest_checks():
 
 def cmd_selftest(args) -> int:
     results = []
-    failed = False
     for fn in _selftest_checks():
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append({"name": fn.__name__, "passed": bool(ok), "detail": detail})
-        failed = failed or not ok
+    passed = all(r["passed"] for r in results)
     lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results]
-    _emit(args, _config(args), {"checks": results, "passed": not failed}, lines)
-    return EXIT_MATH if failed else EXIT_OK
+    _emit(args, _config(args), {"checks": results, "passed": passed}, lines)
+    return EXIT_OK if passed else EXIT_MATH
 
 
 def _build_parser() -> argparse.ArgumentParser:

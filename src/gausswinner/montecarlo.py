@@ -8,8 +8,8 @@ each chunk's generator at its own draw offset, and sum integer win
 counts, so the estimates are bit-identical to serial execution for any
 chunk size, worker count, or scheduling order.  The chunk layout follows
 from the trial and group counts alone; workers only run the chunks.  A
-convergence study sets up all of its rows before any trial: one edge
-transform for every cell table, and the exact quadratures in row order.
+convergence study sets up all of its rows before any trial: the exact
+quadratures in row order, then one edge transform for every cell table.
 The chunks of all its rows then share one pool, and each row sums only
 its own counts, bit for bit as serially.
 
@@ -19,7 +19,7 @@ sampler is a nondecreasing map of its uniform, and an estimator states
 each group's accuracy with its samplers.  Each job's caller then tables,
 once, the samplers at the edges of ``_CELLS`` equal cells of (0, 1),
 widened by that accuracy (see :func:`_cell_bounds`; :func:`_max_jobs`
-does it for the Gaussian samplers of every row of a study in one call)
+does both for the Gaussian samplers of every row of a study in one call)
 and kept as integer thresholds, and a chunk reads each draw's cell from
 the top bits of its raw Philox word.  A trial in which one group's lower
 bound exceeds every rival's upper bound is won by that group, whatever
@@ -365,28 +365,21 @@ def _winner_counts(maxima) -> list[int]:
     return counts[::-1]
 
 
-def _max_samplers(groups):
-    """One :func:`sample_group_max` sampler per group, and the stated accuracy of each."""
-    samplers = [functools.partial(sample_group_max, g.size, g.sigma) for g in groups]
-    return samplers, [(_REL, _ABS * g.sigma) for g in groups]
-
-
 def _max_jobs(rows):
     """The samplers and :func:`_thresholds` of a :func:`_run_rows` job for each row of groups.
 
-    Every table comes from one edge transform: one :func:`sample_group_max`
-    call takes a column of sizes and one of sigmas for all (row, group)
-    pairs, and one :func:`_cell_bounds` call widens the edges by each
-    sampler's stated accuracy, so each table equals its own call's bit for bit.
+    Each sampler is :func:`sample_group_max` at its group's size and sigma.
+    One such call on a column of sizes and one of sigmas makes every edge,
+    and one :func:`_cell_bounds` call widens them by ``_REL`` and ``_ABS``
+    times that sigma column, so each table is its own call's bit for bit.
     """
     groups = [g for row in rows for g in row]
     n = np.array([[g.size] for g in groups], dtype=float)
     sigma = np.array([[g.sigma] for g in groups], dtype=float)
-    jobs = [_max_samplers(row) for row in rows]
-    err = np.array([[e] for _, accuracy in jobs for _, e in accuracy])  # every rel is _REL
-    lo, hi = _cell_bounds(functools.partial(sample_group_max, n, sigma), _REL, err)
+    lo, hi = _cell_bounds(functools.partial(sample_group_max, n, sigma), _REL, _ABS * sigma)
     bounds = iter(zip(lo, hi))
-    return [(samplers, _thresholds([next(bounds) for _ in samplers])) for samplers, _ in jobs]
+    samplers = [[functools.partial(sample_group_max, g.size, g.sigma) for g in row] for row in rows]
+    return [(row, _thresholds([next(bounds) for _ in row])) for row in samplers]
 
 
 def mc_multi(
@@ -436,20 +429,20 @@ def mc_limit_pair(
     return McEstimate.from_counts(int(wins[0]), trials)
 
 
-def _critical_grid(sigma, c_values, n2_grid, trials, rng, jobs, p_exact=None, *, workers=1):
+def _critical_grid(sigma, c_values, n2_grid, trials, rng, setup, *, workers=1):
     """Rows along the critical law at one sigma, in (C outer, n2 inner) order.
 
     At each (C, n2), n1 is the critical size: the int floor when it is
-    exactly representable, the real value otherwise.  Row i counts its
-    p_hat over ``trials`` trials of stream ``rng.substream(i)``, two draws
-    per trial, as group-1 wins of the samplers and tables that
-    ``jobs(sizes)`` returns for it, as a :func:`_run_rows` job holds them,
-    given every row's (n1, n2); p_limit is the two-group limit and, when
-    ``p_exact`` is given, p_exact is ``p_exact(n1, n2)``.  Every row is set
-    up before any trial runs: its limit, critical size and p_exact in row
-    order, then the jobs of all rows in one pass.  The chunks of all rows
-    then share one :func:`_run_rows` call, so the rows match a row-by-row
-    serial run bit for bit at any worker count.
+    exactly representable, the real value otherwise.  ``setup(sizes)``
+    takes every row's (n1, n2) and returns, in row order, each row's
+    p_exact (or None) and its job, the samplers and tables as a
+    :func:`_run_rows` job holds them.  Row i counts its p_hat over
+    ``trials`` trials of stream ``rng.substream(i)``, two draws per trial,
+    as group-1 wins of that job; p_limit is the two-group limit.  Every
+    row is set up before any trial runs: its limit and critical size in
+    row order, then ``setup`` for all rows at once.  The chunks of all
+    rows then share one :func:`_run_rows` call, so the rows match a
+    row-by-row serial run bit for bit at any worker count.
     """
     if not c_values or not n2_grid:
         raise ValueError("c_values and n2_grid must be nonempty")
@@ -462,8 +455,8 @@ def _critical_grid(sigma, c_values, n2_grid, trials, rng, jobs, p_exact=None, *,
                 raise ValueError(f"critical size C*f(n2) overflows a float at sigma={sigma}, c={c}, n2={n2:g}")
             n1 = size.real_value if size.floor_value is None else size.floor_value
             points.append((c, p_limit, n1, n2))
-    exact = [None if p_exact is None else p_exact(n1, n2) for _, _, n1, n2 in points]
-    setups = [(rng.substream(i), trials, *job) for i, job in enumerate(jobs([(n1, n2) for _, _, n1, n2 in points]))]
+    exact, jobs = setup([(n1, n2) for _, _, n1, n2 in points])
+    setups = [(rng.substream(i), trials, *job) for i, job in enumerate(jobs)]
     rows = []
     for (c, p_limit, n1, n2), p, counts in zip(points, exact, _run_rows(setups, workers=workers)):
         est = McEstimate.from_counts(int(counts[0]), trials)
@@ -483,15 +476,12 @@ def convergence_study(
 ) -> list[StudyRow]:
     """Simulated winning probabilities along the critical law vs their limits.
 
-    Rows of :func:`_critical_grid` with p_hat counted as :func:`mc_two_group`
-    counts it and, when ``exact`` is set, the finite-n quadrature as p_exact.
+    Rows of :func:`_critical_grid`; each row's two groups give its p_hat, as
+    :func:`mc_two_group` counts it, and with ``exact`` its finite-n p_exact.
     """
 
-    def finite_n(n1, n2):
-        return finite_n_winner(GroupSpec(n1, 1.0), GroupSpec(n2, sigma)).value
+    def setup(sizes):
+        rows = [[GroupSpec(n1, 1.0), GroupSpec(n2, sigma)] for n1, n2 in sizes]
+        return [finite_n_winner(*row).value if exact else None for row in rows], _max_jobs(rows)
 
-    def jobs(sizes):
-        return _max_jobs([[GroupSpec(n1, 1.0), GroupSpec(n2, sigma)] for n1, n2 in sizes])
-
-    p_exact = finite_n if exact else None
-    return _critical_grid(sigma, list(c_values), list(n2_grid), trials, rng, jobs, p_exact, workers=workers)
+    return _critical_grid(sigma, list(c_values), list(n2_grid), trials, rng, setup, workers=workers)

@@ -56,6 +56,7 @@ DEFAULT_LAT_RANGE = (30.0, 40.0)
 DEFAULT_LON_RANGE = (-95.0, -75.0)
 DEFAULT_YEAR_RANGE = (1980, 2025)
 DEFAULT_MIN_MONTHS = 240
+_YEAR_MAX = (2**53 - 11) // 12  # the largest |year| whose month indices year * 12 + 11 are exact in a float
 
 
 @dataclass
@@ -105,13 +106,12 @@ class InnovationPool:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything produced by the per-station stage plus the pooled split."""
+    """The per-station fits plus the pooled split, whose sigma is ``pool_high.sd / pool_low.sd``."""
 
     fits: list[Ar1Fit]
     centers: tuple[float, float]
     pool_low: InnovationPool
     pool_high: InnovationPool
-    sigma_ratio: float
 
 
 def _parse_row(fields, line_no):
@@ -352,12 +352,11 @@ def _deseasonalize(month, value, station):
 
 
 def _detrend(x, t, bounds):
-    """Residuals of each station's least-squares line in the time index ``t``, and its sum of (t - mean t)^2."""
+    """Residuals of each station's least-squares line in the time index ``t``."""
     sizes = np.diff(bounds)
     tc = t - np.repeat(_sums(t, bounds) / sizes, sizes)
-    spread = _dots(tc, tc, bounds)
     xc = x - np.repeat(_sums(x, bounds) / sizes, sizes)
-    return xc - np.repeat(_dots(tc, xc, bounds) / spread, sizes) * tc, spread
+    return xc - np.repeat(_dots(tc, xc, bounds) / _dots(tc, tc, bounds), sizes) * tc
 
 
 def _ar1(x, t, station, n: int):
@@ -418,12 +417,12 @@ def kmeans1d_split(values) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], tup
     return (low, high), (center_low, center_high)
 
 
-def build_pools(fits: Sequence[Ar1Fit], partition) -> tuple[InnovationPool, InnovationPool, float]:
+def build_pools(fits: Sequence[Ar1Fit], partition) -> tuple[InnovationPool, InnovationPool]:
     """Concatenate innovations per cluster and standardize to sigma_1 = 1.
 
     Clusters are labeled low/high by pooled standard deviation (not by
-    input order), both pools are divided by the low pool's sd, and the
-    ratio sd_high/sd_low > 1 is returned as the empirical sigma.
+    input order) and both are divided by the low pool's sd; the empirical
+    sigma is their ``sd`` ratio, ``high.sd / low.sd``, and must exceed 1.
     """
     idx_a, idx_b = partition
     if len(idx_a) == 0 or len(idx_b) == 0:
@@ -441,7 +440,7 @@ def build_pools(fits: Sequence[Ar1Fit], partition) -> tuple[InnovationPool, Inno
         raise ValueError(f"degenerate variance split: sigma ratio {ratio:.6f} <= 1")
     low = InnovationPool(pool_a / sd_a, sd_a, tuple(idx_a))
     high = InnovationPool(pool_b / sd_a, sd_b, tuple(idx_b))
-    return low, high, ratio
+    return low, high
 
 
 def bootstrap_winner(
@@ -502,10 +501,10 @@ def empirical_study(
     1 - (1 - 1/N)^n for a pool of N values, so far past both pools every
     draw is a top value: p_hat is 1 or 0 and std_err 0.
     """
-    def jobs(sizes):
-        return [_pool_samplers(pool1, pool2, n1, n2) for n1, n2 in sizes]
+    def setup(sizes):
+        return [None] * len(sizes), [_pool_samplers(pool1, pool2, n1, n2) for n1, n2 in sizes]
 
-    return _critical_grid(pool2.sd / pool1.sd, list(c_values), list(n2_grid), b, rng, jobs, workers=workers)
+    return _critical_grid(pool2.sd / pool1.sd, list(c_values), list(n2_grid), b, rng, setup, workers=workers)
 
 
 def _fit_stations(stations: list[StationSeries]) -> list[Ar1Fit]:
@@ -521,16 +520,17 @@ def _fit_stations(stations: list[StationSeries]) -> list[Ar1Fit]:
     t = year * 12 + (month - 1)  # months since year 0
     with np.errstate(divide="ignore", invalid="ignore"):  # a failing station's numbers are never read
         x, thin_station, thin_month = _deseasonalize(month, value.astype(float, copy=False), station)
-        x, spread = _detrend(x, t.astype(float), bounds)
+        x = _detrend(x, t.astype(float), bounds)
         fits, pairs, lag_sq = _ar1(x, t, station, sizes.size)
     back = station[1:][(np.diff(t) <= 0) & (np.diff(station) == 0)]  # rows not after their station's previous row
     rules = [
+        (np.bincount(station[(year < -_YEAR_MAX) | (year > _YEAR_MAX)], minlength=sizes.size) > 0,
+         f"years must lie in {-_YEAR_MAX}..{_YEAR_MAX}"),
         (np.bincount(station[~np.isfinite(value)], minlength=sizes.size) > 0, "values must be finite"),
         (np.bincount(station[(month < 1) | (month > 12)], minlength=sizes.size) > 0, "months must lie in 1..12"),
         (np.bincount(back, minlength=sizes.size) > 0, "(year, month) must increase from row to row"),
         (np.bincount(thin_station, minlength=sizes.size) > 0, "months {months} have fewer than 2 observations"),
         (sizes < 3, "detrend needs at least 3 points, got {size}"),
-        (spread == 0.0, "time index is constant"),
         (sizes < 10, "AR(1) fit needs at least 10 points, got {size}"),
         (pairs < 2, "fewer than 2 consecutive lag pairs"),
         (lag_sq == 0.0, "degenerate series: zero lag variance"),
@@ -551,7 +551,7 @@ def run_pipeline(stations: Sequence[StationSeries]) -> PipelineResult:
         raise ValueError("pipeline needs at least 2 stations")
     fits = _fit_stations(stations)
     partition, centers = kmeans1d_split([f.variance for f in fits])
-    pool_low, pool_high, ratio = build_pools(fits, partition)
+    pool_low, pool_high = build_pools(fits, partition)
     if pool_low.indices != partition[0]:  # build_pools labels by pooled sd
         centers = (centers[1], centers[0])
     return PipelineResult(
@@ -559,5 +559,4 @@ def run_pipeline(stations: Sequence[StationSeries]) -> PipelineResult:
         centers=centers,
         pool_low=pool_low,
         pool_high=pool_high,
-        sigma_ratio=ratio,
     )

@@ -355,8 +355,13 @@ def ar1_innovations(x, t) -> tuple[float, np.ndarray]:
 def process_station(series) -> tuple[float, np.ndarray, float]:
     """Anomaly -> detrend -> AR(1) for one station: phi, innovations and their variance (ddof=1).
 
-    A ValueError names the station.
+    A ValueError names the station.  A year past (2**53 - 11) // 12 in size is
+    refused before any month index is formed, since its index would not be
+    exact in a float (and past about 7.7e17 would wrap in int64).
     """
+    limit = (2**53 - 11) // 12
+    if np.any((series.year < -limit) | (series.year > limit)):
+        raise ValueError(f"station {series.station_id}: years must lie in {-limit}..{limit}")
     t = series.year * 12 + (series.month - 1)
     try:
         phi, innovations = ar1_innovations(detrend_linear(deseasonalize(series), t), t)

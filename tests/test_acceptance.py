@@ -225,21 +225,22 @@ def test_criterion_10_figure2_synthetic_fixture(tmp_path):
     truth = write_synthetic_stations(path, n_low=1600, n_high=900, seed=3, missing_rate=0.02)
     stations = load_stations(path)
     result = run_pipeline(stations)
-    ratio_err = abs(result.sigma_ratio - truth.sigma_ratio) / truth.sigma_ratio
+    sigma = result.pool_high.sd / result.pool_low.sd
+    ratio_err = abs(sigma - truth.sigma_ratio) / truth.sigma_ratio
 
     c, n2 = 0.6, 150
-    n1 = critical_n1(n2, result.sigma_ratio, c).floor_value
+    n1 = critical_n1(n2, sigma, c).floor_value
     est = bootstrap_winner(
         result.pool_low, result.pool_high, n1, n2, 10_000,
         RngStream(seed=ACCEPT_SEED, stream_id=10), workers=4,
     )
-    p_limit = two_group_limit(c, result.sigma_ratio).value
+    p_limit = two_group_limit(c, sigma).value
     gap = abs(est.p_hat - p_limit)
     ok = ratio_err <= 0.10 and gap <= 0.05
     _report(
         10,
         ok,
-        f"sigma ratio {result.sigma_ratio:.4f} vs truth {truth.sigma_ratio} "
+        f"sigma ratio {sigma:.4f} vs truth {truth.sigma_ratio} "
         f"(rel err {ratio_err:.3%}, tol 10%); "
         f"|bootstrap p_hat - p_limit| at (C=0.6, n2=150) = {gap:.4f} (tol 0.05, B=1e4)",
     )

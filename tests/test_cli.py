@@ -370,6 +370,9 @@ class TestEmpiricalCommand:
             next(l for l in lines if l.startswith("# sigma_ratio=")).split("=")[1]
         )
         assert abs(sigma_ratio - 1.5) / 1.5 < 0.10
+        # the metadata's sigma is every row's, bit for bit
+        sigma_column = body[0].split(",").index("sigma")
+        assert [float(row.split(",")[sigma_column]).hex() for row in body[1:]] == [sigma_ratio.hex()] * 2
 
     def test_json_run(self, capsys, fixture_csv):
         code, out, _ = run(
@@ -384,6 +387,10 @@ class TestEmpiricalCommand:
         assert payload["split"]["low_count"] == 14
         result = gausswinner.pipeline.run_pipeline(gausswinner.pipeline.load_stations(str(fixture_csv)))
         assert payload["split"]["pool_sd"] == [result.pool_low.sd, result.pool_high.sd]
+        # one sigma, bit for bit, in the config, the split and every row
+        sigma = result.pool_high.sd / result.pool_low.sd
+        assert [payload["config"]["sigma_ratio"], payload["split"]["sigma_ratio"]] == [sigma, sigma]
+        assert [row["sigma"] for row in payload["rows"]] == [sigma]
         assert len(payload["stations"]) == 22
         assert len(payload["rows"]) == 1
 

@@ -246,8 +246,8 @@ def _bound_examples(test):
     u=st.lists(st.floats(0.5**53, 1.0 - 0.5**53), min_size=1, max_size=20),
 )
 def test_cell_bounds_hold_for_every_draw(n, sigma, u):
-    (draw,), (accuracy,) = mc._max_samplers([GroupSpec(n, sigma)])
-    lo, hi = mc._cell_bounds(draw, *accuracy)
+    draw = functools.partial(mc.sample_group_max, n, sigma)
+    lo, hi = mc._cell_bounds(draw, mc._REL, mc._ABS * sigma)
     u = np.concatenate([_near_edges(), u])
     cell = (u * mc._CELLS).astype(np.intp)
     x = draw(u)
@@ -327,17 +327,19 @@ def test_one_pass_tables_equal_each_groups_own(rows):
     with mock.patch.object(mc, "_cell_bounds", recorded):
         jobs = mc._max_jobs(rows)
     ((lo, hi),) = bounds  # one call for every (row, group) pair
+
+    def own_bounds(g):
+        return mc._cell_bounds(functools.partial(mc.sample_group_max, g.size, g.sigma), mc._REL, mc._ABS * g.sigma)
+
     for g, row_lo, row_hi in zip([g for row in rows for g in row], lo, hi, strict=True):
-        (draw,), (accuracy,) = mc._max_samplers([g])
-        own_lo, own_hi = mc._cell_bounds(draw, *accuracy)
+        own_lo, own_hi = own_bounds(g)
         assert row_lo.tobytes() == own_lo.tobytes() and row_hi.tobytes() == own_hi.tobytes()
-    for groups, (samplers, tables) in zip(rows, jobs):
-        own_samplers, accuracy = mc._max_samplers(groups)
-        own = mc._thresholds([mc._cell_bounds(d, *a) for d, a in zip(own_samplers, accuracy)])
+    for groups, (samplers, tables) in zip(rows, jobs, strict=True):
+        own = mc._thresholds([own_bounds(g) for g in groups])
         assert [[None if t is None else t.tobytes() for t in row] for row in tables] == [
             [None if t is None else t.tobytes() for t in row] for row in own
         ]
-        assert [s.args for s in samplers] == [s.args for s in own_samplers]
+        assert [(s.func, s.args) for s in samplers] == [(mc.sample_group_max, (g.size, g.sigma)) for g in groups]
 
 
 def test_bound_examples_reach_both_special_branches():
@@ -563,8 +565,7 @@ class TestCellBounds:
 
     def test_chunk_with_every_trial_decided(self, exact_draws):
         stream = RngStream(31)
-        samplers, accuracy = mc._max_samplers([GroupSpec(1e6, 1.0), GroupSpec(2, 1e-3)])
-        tables = mc._thresholds([mc._cell_bounds(draw, *a) for draw, a in zip(samplers, accuracy)])
+        ((samplers, tables),) = mc._max_jobs([[GroupSpec(1e6, 1.0), GroupSpec(2, 1e-3)]])
         cell = mc._words(stream, 0, 40, 2) >> np.uint64(55)
         # no draw in group 1's first cell or group 2's last, the only cells with an infinite bound
         assert np.all(cell[:, 0] > 0) and np.all(cell[:, 1] < mc._CELLS - 1)
@@ -589,8 +590,7 @@ class TestCellBounds:
         assert np.array_equal(won[0], ~np.isin(cell[0], [0, 11, 21, 31])) and not np.any(won[1])
 
     def test_chunk_memory_within_twice_its_words(self):
-        samplers, accuracy = mc._max_samplers([GroupSpec(1e4, 1.0), GroupSpec(100, 1.5)])
-        tables = mc._thresholds([mc._cell_bounds(draw, *a) for draw, a in zip(samplers, accuracy)])
+        ((samplers, tables),) = mc._max_jobs([[GroupSpec(1e4, 1.0), GroupSpec(100, 1.5)]])
         stream, trials = RngStream(37), 50_000
         mc._chunk_counts(stream, samplers, tables, 0, trials)
         tracemalloc.start()

@@ -49,7 +49,7 @@ def _deseasonalize(month, value):
 
 
 def _detrend(x, t):
-    return pipeline._detrend(np.asarray(x, dtype=float), np.asarray(t, dtype=float), [0, len(x)])[0]
+    return pipeline._detrend(np.asarray(x, dtype=float), np.asarray(t, dtype=float), [0, len(x)])
 
 
 def _ar1(x, t):
@@ -753,6 +753,12 @@ _EARLIER_STATION_LATER_STAGE = [
 _CONSTANT_TIME_INDEX = [
     _A, _series_at("S", 12 * 2**55 + np.arange(24), _NOISE[:24]), _EARLIER_STATION_LATER_STAGE[2]
 ]
+# S has 48 such months: their time indices round to steps of 32 months, and no other rule fires
+_ROUNDED_TIME_INDEX = [_A, _series_at("S", 12 * 2**55 + np.arange(48), _NOISE[:48])]
+# W has 48 months from January of year 2**62, whose month indices year * 12 wrap in int64 to those of year 0
+_WRAPPED_TIME_INDEX = [
+    _A, StationSeries("W", 35.0, -80.0, 2**62 + np.arange(48) // 12, 1 + np.arange(48) % 12, _NOISE[:48])
+]
 # F has 36 consecutive months, all at 7.0, and C fails at the seasonal stage
 _FLAT_SERIES = [_A, _series_at("F", _JAN + np.arange(36), np.full(36, 7.0)), _EARLIER_STATION_LATER_STAGE[2]]
 # B holds a NaN, or an infinity, among 48 consecutive months
@@ -776,6 +782,8 @@ def _fits(stations):
 @example(stations=_EMPTY_STATION)
 @example(stations=_EARLIER_STATION_LATER_STAGE)
 @example(stations=_CONSTANT_TIME_INDEX)
+@example(stations=_ROUNDED_TIME_INDEX)
+@example(stations=_WRAPPED_TIME_INDEX)
 @example(stations=_FLAT_SERIES)
 def test_run_pipeline_fits_match_the_per_station_oracle(stations):
     """The columnar stages give each station's fit, and the first failing station's error, bit for bit."""
@@ -788,13 +796,15 @@ def test_run_pipeline_fits_match_the_per_station_oracle(stations):
         (_SINGLE_ROW_MONTH, "station B: months [12] have fewer than 2 observations"),
         (_EMPTY_STATION, "station B: detrend needs at least 3 points, got 0"),
         (_EARLIER_STATION_LATER_STAGE, "station B: fewer than 2 consecutive lag pairs"),
-        (_CONSTANT_TIME_INDEX, "station S: time index is constant"),
+        (_CONSTANT_TIME_INDEX, "station S: years must lie in -750599937895081..750599937895081"),
         (_FLAT_SERIES, "station F: degenerate series: zero lag variance"),
         (_NAN_VALUE, "station B: values must be finite"),
         (_INF_VALUE, "station B: values must be finite"),
         ([_A], "pipeline needs at least 2 stations"),
         (_MAY_TWICE, "station B: (year, month) must increase from row to row"),
         (_MONTH_13, "station B: months must lie in 1..12"),
+        (_ROUNDED_TIME_INDEX, "station S: years must lie in -750599937895081..750599937895081"),
+        (_WRAPPED_TIME_INDEX, "station W: years must lie in -750599937895081..750599937895081"),
     ],
 )
 def test_run_pipeline_names_the_first_failing_station(stations, message):
@@ -884,21 +894,21 @@ class TestBuildPools:
 
     def test_ratio_recovery(self):
         fits = self._fits([1.0, 1.0, 2.0, 2.0], 10_000, seed=12)
-        low, high, ratio = build_pools(fits, ((0, 1), (2, 3)))
-        assert ratio == pytest.approx(2.0, abs=0.1)
+        low, high = build_pools(fits, ((0, 1), (2, 3)))
+        assert high.sd / low.sd == pytest.approx(2.0, abs=0.1)
 
     def test_standardization(self):
         fits = self._fits([1.0, 1.5], 5_000, seed=13)
-        low, high, ratio = build_pools(fits, ((0,), (1,)))
+        low, high = build_pools(fits, ((0,), (1,)))
         assert low.values.std(ddof=1) == pytest.approx(1.0, abs=1e-12)
-        assert high.values.std(ddof=1) == pytest.approx(ratio, rel=1e-12)
-        assert high.sd / low.sd == pytest.approx(ratio, rel=1e-12)
+        assert high.values.std(ddof=1) == pytest.approx(high.sd / low.sd, rel=1e-12)
+        assert (low.sd, high.sd) == (fits[0].innovations.std(ddof=1), fits[1].innovations.std(ddof=1))
 
     def test_label_by_variance_not_input_order(self):
         fits = self._fits([2.0, 1.0], 5_000, seed=14)
-        a_low, a_high, a_ratio = build_pools(fits, ((0,), (1,)))
-        b_low, b_high, b_ratio = build_pools(fits, ((1,), (0,)))
-        assert a_ratio == b_ratio
+        a_low, a_high = build_pools(fits, ((0,), (1,)))
+        b_low, b_high = build_pools(fits, ((1,), (0,)))
+        assert (a_low.sd, a_high.sd) == (b_low.sd, b_high.sd)
         assert np.array_equal(a_low.values, b_low.values)
         assert np.array_equal(a_high.values, b_high.values)
         assert a_low.indices == b_low.indices == (1,)
@@ -1062,7 +1072,8 @@ class TestEndToEnd:
         result = run_pipeline(stations)
         assert len(result.pool_low.indices) == truth.n_low
         assert len(result.pool_high.indices) == truth.n_high
-        assert abs(result.sigma_ratio - truth.sigma_ratio) / truth.sigma_ratio < 0.10
+        sigma = result.pool_high.sd / result.pool_low.sd
+        assert abs(sigma - truth.sigma_ratio) / truth.sigma_ratio < 0.10
         phis = [f.phi for f in result.fits]
         assert abs(np.mean(phis) - truth.phi) < 0.05
         assert result.pool_low.values.std(ddof=1) == pytest.approx(1.0, abs=1e-12)

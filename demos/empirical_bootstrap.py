@@ -22,12 +22,13 @@ from gausswinner import (
     write_synthetic_stations,
 )
 
-path = Path(tempfile.mkdtemp()) / "stations.csv"
-truth = write_synthetic_stations(path, n_low=60, n_high=35, seed=11, missing_rate=0.02)
-print(f"fixture: {truth.n_low}+{truth.n_high} stations, phi={truth.phi}, "
-      f"true sigma ratio {truth.sigma_ratio}")
+with tempfile.TemporaryDirectory() as folder:
+    path = Path(folder) / "stations.csv"
+    truth = write_synthetic_stations(path, n_low=60, n_high=35, seed=11, missing_rate=0.02)
+    print(f"fixture: {truth.n_low}+{truth.n_high} stations, phi={truth.phi}, "
+          f"true sigma ratio {truth.sigma_ratio}")
 
-stations = load_stations(path)
+    stations = load_stations(path)
 result = run_pipeline(stations)
 print(f"loaded {len(stations)} stations after box/completeness filters")
 print(f"variance split: {len(result.pool_low.indices)} low / {len(result.pool_high.indices)} high")

@@ -5,6 +5,7 @@ Three families of integrals live here:
 * the two-group limit law  int_0^inf exp(-y - e^{-kappa} y^{1/sigma^2}) dy,
 * its K-group generalization with per-group integrands
   (e^{-kappa_k}/sigma_k^2) x^{1/sigma_k^2 - 1} exp(-sum_j e^{-kappa_j} x^{1/sigma_j^2}),
+  one quadrature per group (the two-group law is group 0 of K = 2),
 * the exact finite-n probability that group 1 beats groups j = 2..K,
   int_R exp((n1-1) log Phi(x/sigma1) + sum_j n_j log Phi(x/sigma_j)) (n1/sigma1) phi(x/sigma1) dx,
   which serves as the brute-force oracle for everything else.
@@ -17,19 +18,19 @@ reach -1e15) and exponentiated once per node inside the quadrature.
 Returned probabilities are clamped to [0, 1].  ``abs_err`` is the
 quadrature's estimate for the unclamped value: the first settled
 inter-level difference plus the tail term, without floating-point
-rounding.  It measures the coarser level, so it reads up to tol/2.
+rounding.  It measures the coarser level, so it reads up to TOL/2, the
+one tolerance of :mod:`quadrature`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import log_ndtr
 
-from .quadrature import QuadratureError, QuadResult, concave_log_quad
+from .quadrature import TOL, QuadratureError, QuadResult, concave_log_quad
 from .scaling import GroupSpec, kappa
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-QUAD_TOL = 1e-10  # two-group limit and exact finite-n quadrature, at every K
-MULTI_QUAD_TOL = 1e-9  # K-group limits; 1e-10 costs about 9% more evaluations (random K = 3-5 specs)
 SOLVE_TOL = 1e-9  # |p - p_target| at which solve_c_for_target stops
 
 
@@ -87,25 +86,22 @@ def _probability(result: QuadResult) -> QuadResult:
     return result if value == result.value else replace(result, value=value)
 
 
-def _limit_components(alphas, kappas, rows, tol) -> list[QuadResult]:
-    """p_k for the first ``rows`` groups k as u-space integrals on one grid, u = log x.
+def _limit_component(alphas, kappas, k) -> QuadResult:
+    """p_k, the limit law's integral for group k, in v = alpha_k u - kappa_k with u = log x.
 
-    log integrand of row k: log(alpha_k) - kappa_k + alpha_k u - sum_j exp(alpha_j u - kappa_j);
-    the products alpha_j u and the sum are computed once per node for all rows.
+    log integrand: v - sum_j exp((alpha_j/alpha_k)(v + kappa_k) - kappa_j); term j
+    is e^0 at v = kappa_j alpha_k/alpha_j - kappa_k.
     """
-    coef = np.array([alphas, kappas, [math.log(a) - k for a, k in zip(alphas, kappas)]], dtype=float)[:, :, None]
-    a_all, k_all, log_pref = coef[0], coef[1], coef[2, :rows]
+    a_k, k_k = alphas[k], kappas[k]
+    ratios, k_all = np.array([[a / a_k for a in alphas], kappas], dtype=float)[:, :, None]
 
-    def log_f(u):
-        au = a_all * u
-        total = np.exp(au - k_all).sum(axis=0)
-        return log_pref + au[:rows] - total
+    def log_f(v):
+        return v - np.exp(ratios * (v + k_k) - k_all).sum(axis=0)
 
     # mass sits where the dominating exponential sum is O(1); far out it over- and underflows harmlessly
-    center = min(0.0, *map(operator.truediv, kappas, alphas))
+    center = min(0.0, *(k_j * a_k / a_j - k_k for a_j, k_j in zip(alphas, kappas)))
     with np.errstate(over="ignore", under="ignore"):
-        results = concave_log_quad(log_f, center - 8.0, 8.0, tol=tol)
-    return [_probability(r) for r in results]
+        return _probability(concave_log_quad(log_f, center - 8.0, 8.0))
 
 
 def two_group_limit_from_kappa(kappa_value: float, sigma: float) -> QuadResult:
@@ -124,7 +120,7 @@ def two_group_limit_from_kappa(kappa_value: float, sigma: float) -> QuadResult:
         return QuadResult(value=0.0, abs_err=0.0, evaluations=0)
     if kappa_value == math.inf:
         return QuadResult(value=1.0, abs_err=0.0, evaluations=0)
-    return _limit_components([1.0, 1.0 / (sigma * sigma)], [0.0, kappa_value], 1, QUAD_TOL)[0]
+    return _limit_component([1.0, 1.0 / (sigma * sigma)], [0.0, kappa_value], 0)
 
 
 def two_group_limit(c: float, sigma: float) -> QuadResult:
@@ -138,26 +134,25 @@ def two_group_limit(c: float, sigma: float) -> QuadResult:
 
 
 def multi_group_limits(spec: LimitSpecK) -> list[QuadResult]:
-    """All K limiting winning probabilities for a multi-group spec.
+    """All K limiting winning probabilities for a multi-group spec, one quadrature each.
 
     Every kappa_k is finite, as :class:`LimitSpecK` admits only 0 < c < inf:
     a partially degenerate configuration has no joint limit law of this form.  The integrands sum to the exact
     derivative of -exp(-sum_j e^{-kappa_j} x^{1/sigma_j^2}), so the
     returned values, each clamped to [0, 1], sum to 1 up to quadrature error;
-    a sum farther than K * MULTI_QUAD_TOL from 1 raises QuadratureError.
-    All K integrands are evaluated as rows of one quadrature on one grid:
-    the exponential sum is computed once per node, and refinement stops
-    when the largest row difference has settled.  Non-baseline groups may
-    share a sigma.  A large sigma is costly: at C = 1, sigma 30 takes 262,487
-    evaluations and 50 takes 524,631, and 100 to 1e100 raise QuadratureError
-    where :func:`two_group_limit` still returns a value.
+    a sum farther than K * TOL from 1 raises QuadratureError.  Group k is
+    integrated in its own variable v = alpha_k u - kappa_k, so at K = 2 group 0
+    is :func:`two_group_limit` bit for bit.  Non-baseline groups may share a
+    sigma.  A large sigma is costly in its own group: at C = 1 it takes
+    262,210 evaluations at sigma 30 and 1,048,642 at 90, and from about 90.5
+    it raises QuadratureError where :func:`two_group_limit` returns a value.
     """
     kappas = spec.kappas()
     alphas = [1.0 / (s * s) for _, s in spec.groups]
-    results = _limit_components(alphas, kappas, len(alphas), MULTI_QUAD_TOL)
+    results = [_limit_component(alphas, kappas, k) for k in range(len(alphas))]
     total = sum(r.value for r in results)
-    # 1,500 random specs (K = 2-6, sigma <= 30, C in [1e-4, 1e4]) sum within 8.3e-13 of 1
-    if not abs(total - 1.0) <= len(results) * MULTI_QUAD_TOL:
+    # 1,500 random specs (K = 2-6, sigma <= 30, C in [1e-4, 1e4]) sum within 7.7e-14 of 1
+    if not abs(total - 1.0) <= len(results) * TOL:
         raise QuadratureError(f"the {len(results)} group probabilities sum to {total!r}, not 1")
     return results
 
@@ -189,7 +184,7 @@ def finite_n_winner(champion: GroupSpec, *rivals: GroupSpec) -> QuadResult:
     # fractions of sigma_k around the champion's own maximum; rivals with much
     # larger sigmas would otherwise set a step that jumps over the peak.
     center = s_k * math.sqrt(2.0 * math.log(n_k)) if n_k >= 2.0 else 0.0
-    return _probability(concave_log_quad(log_f, center - 8.0 * s_k, center + 8.0 * s_k, tol=QUAD_TOL))
+    return _probability(concave_log_quad(log_f, center - 8.0 * s_k, center + 8.0 * s_k))
 
 
 def solve_c_for_target(p_target: float, sigma: float) -> float:

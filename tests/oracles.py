@@ -164,6 +164,20 @@ def mp_finite_n(champion: GroupSpec, *rivals: GroupSpec, digits: int | None = No
         return float(mpmath.quad(f, [-mpmath.inf, *sorted(splits), mpmath.inf]))
 
 
+def merged_pair(c_a: float, c_b: float, sigma: float) -> tuple[float, float, float]:
+    """The one limit-law group that two groups with one sigma act as: (c, share_a, share_b).
+
+    With alpha = 1/sigma^2 the pair's terms e^{-kappa} x^alpha add, and
+    e^{-kappa} is c^{-alpha} times a factor of sigma alone, so the pair is
+    one group with c = (c_a^-alpha + c_b^-alpha)^(-1/alpha).  Each group's
+    integrand carries its own e^{-kappa}, so the merged group's probability
+    splits in the ratio c_a^-alpha : c_b^-alpha.
+    """
+    alpha = 1.0 / (sigma * sigma)
+    w_a, w_b = c_a**-alpha, c_b**-alpha
+    return (w_a + w_b) ** (-1.0 / alpha), w_a / (w_a + w_b), w_b / (w_a + w_b)
+
+
 def ks_statistic(samples, cdf) -> float:
     """Kolmogorov-Smirnov sup distance between samples and a CDF.
 

@@ -14,7 +14,7 @@ import gausswinner.limits
 import gausswinner.montecarlo
 import gausswinner.pipeline
 from gausswinner.cli import EXIT_IO, EXIT_MATH, EXIT_OK, _build_parser, main
-from gausswinner.quadrature import QuadratureError
+from gausswinner.quadrature import TOL, QuadratureError
 from gausswinner.scaling import kappa as real_kappa
 from gausswinner.synthetic import write_synthetic_stations
 
@@ -52,11 +52,19 @@ class TestLimitCommand:
         kv = parse_kv(out)
         assert float(kv["sum_p"]) == pytest.approx(1.0, abs=1e-8)
 
-    def test_multi_lost_mass_exit_3(self, capsys):
-        # the two-group value here is 0.7542; the K-group quadrature loses both rows' mass
+    def test_multi_unsettled_refinement_exit_3(self, capsys):
+        # the two-group value here is 0.7542; group 1's own quadrature does not settle
         code, out, err = run(capsys, "limit", "--multi", "--group", "1:1", "--group", "1:1e10")
         assert (code, out) == (EXIT_MATH, "")
-        assert err == "error: the 2 group probabilities sum to 9.651513469979327e-16, not 1\n"
+        assert err == "error: trapezoid refinement did not reach tol=1e-10 (last diff 4.72e-06)\n"
+
+    def test_multi_large_sigma_row_0_is_the_two_group_law(self, capsys):
+        code, out, err = run(capsys, "limit", "--multi", "--group", "1:1", "--group", "1:90", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        rows = json.loads(out)["groups"]
+        assert abs(sum(r["p"] for r in rows) - 1.0) <= 2 * TOL
+        two = gausswinner.limits.two_group_limit(1.0, 90.0)
+        assert (rows[0]["p"], rows[0]["abs_err"]) == (two.value, two.abs_err)
 
     @pytest.mark.parametrize("c", ["inf", "nan"])
     def test_multi_rejects_non_finite_c(self, capsys, c):

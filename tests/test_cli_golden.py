@@ -98,8 +98,8 @@ DIGESTS = {
     "limit_c0_text": "b4ee0ed6aef3f5d0b613f981852ec5547a50e50d370008c1101b99379cc23bea",
     "limit_cinf_json": "4dcd038d4dc5582f24c5ad16359ca81401b969414d0e82372c18ca708b521db0",
     "limit_cinf_text": "88ef940c1da53ca46e05116324d01feee48905895c3a6e834ceb7be2187ddbc0",
-    "limit_multi_json": "b490661b7e4589d96f7bf471732551f9d86b8f5d86df23ce58a708ff5c88c52d",
-    "limit_multi_text": "66e174654fa8c9d9317380d5769d0650102da7e316b51d70176da1dea84ddfd7",
+    "limit_multi_json": "56414862c5908a2908308e97decff912ddab6bd1f68464ce6043f28a7c5c604a",
+    "limit_multi_text": "d0f206adac27f96406c689c6bb3995e6bf9ce6df0b85edcbca5c51b31f3fab0e",
     "limit_two_group_json": "25d3450f83229a4adca8331572f1bf3876788ac525d33912e527fd20d7dbb785",
     "limit_two_group_text": "2df506249b64aec539b415b790a936db20c67f197ffa657f064980b9bf37b48a",
     "scale_beta_past_overflow_json": "b199caf818ea61da6f24071e864bfc837291ec4ed1676f6d1ae8a70cb5ed3d20",
@@ -108,8 +108,8 @@ DIGESTS = {
     "scale_overflow_json": "0453f0d41890e1d0822b28395ce7331ad061214c2ae586f63605596d109c3658",
     "scale_overflow_text": "0efb4f0a9a2c4d991f0bf77803188217aec34361a4f2958026fdec75c0fecbff",
     "scale_text": "d9b9e4d5aca84e4833550ed3508dda542a743462462948c2f7377d97d2ec71b8",
-    "selftest_json": "fe35bddf15913b55618f947e03295ec88e1ee9696d1fd667a41d1fb57998af07",
-    "selftest_text": "7bdfa85912266a6492944fd91a793fec90e41fbc365c2fa8c313307d2effcbe5",
+    "selftest_json": "b04225184744371cf90612eaacc587e9f19af360438f511e7b13dd80405c050a",
+    "selftest_text": "9e1754bd72806e00c9564f305389d02991ec38542cccec22a0837075a794ffb5",
     "simulate_csv_w1": "a483c55fc07316d711a3ef5565336dbc872c56b12c148243a30b74f327208311",
     "simulate_csv_w2": "a483c55fc07316d711a3ef5565336dbc872c56b12c148243a30b74f327208311",
     "simulate_csv_w3": "a483c55fc07316d711a3ef5565336dbc872c56b12c148243a30b74f327208311",

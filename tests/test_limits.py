@@ -25,7 +25,7 @@ from gausswinner.limits import (
     two_group_limit,
     two_group_limit_from_kappa,
 )
-from gausswinner.quadrature import QuadratureError
+from gausswinner.quadrature import TOL, QuadratureError
 from gausswinner.scaling import GroupSpec, critical_n1, kappa
 
 import oracles
@@ -196,13 +196,13 @@ class TestMultiGroupLimits:
             assert r.value == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_k2_reduces_to_two_group(self):
-        for c in (0.2, 1.0, 3.0):
-            for s in (1.3, 1.8):
-                spec = LimitSpecK(groups=((1.0, 1.0), (c, s)))
-                parts = multi_group_limits(spec)
-                tg = two_group_limit(c, s).value
-                assert parts[0].value == pytest.approx(tg, abs=1e-9)
-                assert parts[1].value == pytest.approx(1.0 - tg, abs=1e-9)
+        # group 0 is the two-group law's own quadrature: value, abs_err and evaluations
+        for c in (1e-3, 0.2, 1.0, 3.0, 1e3):
+            for s in (1.05, 1.3, 1.8, 4.0, 10.0):
+                parts = multi_group_limits(LimitSpecK(groups=((1.0, 1.0), (c, s))))
+                tg = two_group_limit(c, s)
+                assert parts[0] == tg, (c, s)
+                assert abs(parts[1].value - (1.0 - tg.value)) <= 2 * TOL, (c, s)
 
     def test_sum_to_one_random_specs(self):
         rng = np.random.default_rng(20260808)
@@ -519,7 +519,20 @@ class TestProperties:
         assert sum(r.value for r in parts) == pytest.approx(1.0, abs=1e-9)
         if len(rest) == 1:
             (c, s), = rest
-            assert parts[0].value == pytest.approx(two_group_limit(c, s).value, abs=1e-9)
+            assert parts[0] == two_group_limit(c, s)
+
+    @_PROPERTY
+    @given(c_a=st.floats(0.05, 20.0), c_b=st.floats(0.05, 20.0), sigma=st.floats(1.05, 10.0))
+    @example(c_a=1.0, c_b=2.0, sigma=1.2)
+    @example(c_a=0.5, c_b=3.0, sigma=3.0)
+    @example(c_a=0.05, c_b=20.0, sigma=10.0)
+    def test_groups_sharing_a_sigma_merge(self, c_a, c_b, sigma):
+        c, share_a, share_b = oracles.merged_pair(c_a, c_b, sigma)
+        base, a, b = multi_group_limits(LimitSpecK(groups=((1.0, 1.0), (c_a, sigma), (c_b, sigma))))
+        merged_base, merged = multi_group_limits(LimitSpecK(groups=((1.0, 1.0), (c, sigma))))
+        assert abs(base.value - merged_base.value) <= 1e-14
+        assert abs(a.value - share_a * merged.value) <= 1e-14
+        assert abs(b.value - share_b * merged.value) <= 1e-14
 
     @_PROPERTY
     @given(n1=st.integers(1, 10_000), dn=st.integers(1, 1_000), n2=st.integers(1, 10_000), sigma=_SIGMA)

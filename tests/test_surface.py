@@ -11,11 +11,13 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import pkgutil
 import re
 
 import gausswinner
+from gausswinner.quadrature import concave_log_quad
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -201,4 +203,18 @@ def test_one_place_runs_chunks():
                 strays.append(f"{path.name}:{node.lineno} {name}")
             elif isinstance(node, ast.ImportFrom) and path.stem != "montecarlo":
                 strays += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name == "ThreadPoolExecutor"]
+    assert strays == []
+
+
+def test_one_tolerance_per_quadrature():
+    # every quadrature integrates one row to quadrature.TOL: the engine takes
+    # (log_f, lo, hi) alone, and no call in the package passes it a keyword
+    assert list(inspect.signature(concave_log_quad).parameters) == ["log_f", "lo", "hi"]
+    strays = []
+    for path in sorted((ROOT / "src" / "gausswinner").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            name = func.attr if isinstance(func, ast.Attribute) else func.id if isinstance(func, ast.Name) else None
+            if name == "concave_log_quad" and node.keywords:
+                strays.append(f"{path.name}:{node.lineno} {[k.arg for k in node.keywords]}")
     assert strays == []

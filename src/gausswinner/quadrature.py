@@ -8,41 +8,36 @@ singularity of the multi-group representation into plain exponential
 decay).  Each call integrates one L to the one absolute tolerance ``TOL``
 (a K-group law is K calls).  Concavity makes a simple strategy rigorous:
 
-1. scan a seed window and expand it until, on each side, the endpoint
-   log value sits ``DROP`` below the running maximum and falls outward
-   from the node inside the endpoint (an endpoint at -inf counts as
-   falling); by concavity the mass outside is then a negligible
-   exponential tail.  If a side's two outermost evaluated nodes fall
-   outward, concavity keeps L below their secant past the outer node,
-   so the side ends, unevaluated, where the secant meets the running
-   maximum less ``DROP`` (a later rise of the maximum only makes that
-   end more conservative).  Otherwise, or when that point lies past the
-   next batch, the side evaluates its next ``BATCH`` geometric endpoints
-   in one log_f call and stops at the first one deep enough that falls
-   from the endpoint before it; the later ones are never used, and a
-   NaN there is ignored.  ``MAX_EXPANSIONS`` counts endpoints, not
-   batches.
-2. trim to the region above the cutoff.  While no side has evaluated a
-   window endpoint, the scan nodes still span the window, and the trim
-   costs no evaluation: each end moves in to the scan node just outside
-   the run of nodes above the cutoff (the run holds a higher node, so
-   concavity keeps the integrand below the cutoff past it), or stays at
-   its secant bound where the run reaches the scan's end.  A side's geometric endpoints are too coarse
-   to place the window, so once a side has walked, the trim runs on a
-   grid of ``4 * N_SCAN + 1`` nodes across the whole window instead.
+1. scan a seed window, then settle each side.  A side keeps its end if
+   the end's log value sits ``DROP`` below the scan's peak and falls
+   outward from the node inside it (an end at -inf counts as falling);
+   by concavity the mass outside is then a negligible exponential tail.
+   If its two outer nodes fall outward, concavity keeps L below their
+   secant past the outer node, so the side ends, unevaluated, where the
+   secant meets the peak less ``DROP``, if that point lies within the
+   side's reach: ``REACH_STEPS`` geometric steps out from its end, the
+   first a quarter of the window wide and each next 1.5 times the last.
+   Any other side moves its end out to its reach, and the grown window
+   is scanned again.
+2. once no side moves, trim the window to the run of scan nodes above
+   the cutoff: each end moves in to the node just outside the run (the
+   run holds a higher node, so concavity keeps the integrand below the
+   cutoff past it), or stays where the run reaches the scan's end.  A
+   run of fewer than three nodes may have stepped over a narrow peak,
+   so that window is zoomed: scanned again, and step 1 repeats.  Every
+   rescan has ``4 * N_SCAN + 1`` nodes, and ``MAX_EXPANSIONS`` counts them.
 3. refine an equispaced trapezoid rule by repeated halving and accept
    the first level within TOL/2 of the one before.  The first log_f call
    holds levels 0 and 1 (level 0 is its even-indexed subset); each later
    halving evaluates only the new midpoints, kept as a running sum scaled
    by the running maximum of the log values.
 
-``evaluations`` counts every node passed to log_f: the scan, each
-evaluated window endpoint (the unused ones of a side's last batch
-included; an end set by the bound costs none), the trim grid if a side
-walked, and the refinement nodes.  Nodes are a small share of the cost:
-on a shared 2-core Xeon host an extra node costs about 10 ns (limit law)
-to 50 ns (finite-n), while each of a quadrature's 2 to 7 log_f calls
-brings 35 to 55 us of fixed numpy and Python work.
+``evaluations`` counts every node passed to log_f: the seed scan, each
+rescan (an end set by the bound costs none) and the refinement nodes.
+Nodes are a small share of the cost: on a shared 2-core Xeon host an
+extra node costs about 10 ns (limit law) to 50 ns (finite-n), while each
+log_f call (2 to 7 of them where no window grows) brings 35 to 55 us of
+fixed numpy and Python work.
 
 For analytic integrands the trapezoid rule converges geometrically in
 the step size, so the first level that settles is already at the
@@ -68,10 +63,10 @@ __all__ = ["QuadResult", "QuadratureError", "concave_log_quad"]
 
 TOL = 1e-10  # absolute tolerance on every integral: levels within TOL/2 settle
 DROP = 46.0  # window ends sit this far below the peak log value: e^-46 ~ 1e-20
-N_SCAN = 65  # nodes of the seed scan; the trim grid has 4 * N_SCAN + 1
+N_SCAN = 65  # nodes of the seed scan; every rescan has 4 * N_SCAN + 1
 N_START = 129  # nodes of the first trapezoid level
-MAX_EXPANSIONS = 400  # outward steps allowed on each side of the window
-BATCH = 8  # window endpoints per log_f call: one call per side resolves most windows
+MAX_EXPANSIONS = 50  # rescans allowed; after 50 growths a window is still finite
+REACH_STEPS = 8  # geometric steps out to a side's reach, the furthest its end moves in one pass
 MAX_LEVELS = 14  # trapezoid levels, the first one included
 
 
@@ -128,19 +123,20 @@ def concave_log_quad(log_f, lo: float, hi: float) -> QuadResult:
     log_f : callable
         Vectorized log-integrand: given n nodes it returns n values.  It
         may return -inf where the integrand underflows, never NaN or
-        +inf.  The window stage may call it up to ``BATCH - 1`` steps
-        beyond the endpoint it keeps, far out in the tails, and ignores
-        floating-point overflow in those calls; a side whose outer nodes
-        already fall is ended by their secant without a call.
+        +inf.  A grown window may reach far into the tails, and
+        floating-point overflow in the rescans there is ignored; a side
+        whose outer nodes already fall is ended by their secant without
+        a call.
     lo, hi : float
-        Seed window.  It does not need to contain the peak; the
-        expansion stage walks outward until the tails are resolved.
+        Seed window.  It does not need to contain the peak; the window
+        grows outward until the tails are resolved.
 
     Returns
     -------
     QuadResult
         The first trapezoid level within TOL/2 of the one before, with
-        that difference plus the tail term as ``abs_err``.
+        that difference plus the tail term as ``abs_err``; ``evaluations``
+        counts the rescans' nodes too.
 
     Raises
     ------
@@ -165,59 +161,47 @@ def concave_log_quad(log_f, lo: float, hi: float) -> QuadResult:
         evaluations += len(points)
         return vals
 
+    # one window rule (see steps 1 and 2): after each scan a side keeps its end,
+    # ends at its secant bound or moves out to its reach; once no side moved,
+    # trim to the run above the cutoff, and zoom a run too narrow to hold the peak
     xs = _nodes(lo, hi, N_SCAN)
     ys = sample(xs)
-    ymax = float(ys.max())
-    _check(ymax)
-    if ymax == -math.inf:
-        raise QuadratureError("integrand is zero everywhere in the resolved window")
-
-    # grow each side until its endpoint is deep below the running peak and falls
-    # outward there: at the secant bound of its two outermost nodes if they fall
-    # outward and the bound lies within the next batch, else by a batch taken in
-    # order (see step 1).
-    for side in (-1, +1):
-        step = (hi - lo) / 4.0
-        end = lo if side < 0 else hi
-        edge = slice(None, 2) if side < 0 else slice(None, -3, -1)
-        near, (outer, inner) = xs[edge].tolist(), ys[edge].tolist()
-        expansions = 0
-        while not (outer - ymax <= -DROP and (outer < inner or outer == -math.inf)):
-            ends = []
-            for _ in range(BATCH):
+    rescans = 0
+    while True:
+        ymax = float(ys.max())
+        _check(ymax)
+        if ymax == -math.inf:
+            raise QuadratureError("integrand is zero everywhere in the resolved window")
+        grown = False
+        for side in (-1, +1):
+            edge = slice(None, 2) if side < 0 else slice(None, -3, -1)
+            near, (outer, inner) = xs[edge].tolist(), ys[edge].tolist()
+            if outer - ymax <= -DROP and (outer < inner or outer == -math.inf):
+                continue
+            step, end = (hi - lo) / 4.0, lo if side < 0 else hi
+            for _ in range(REACH_STEPS):
                 end += side * step
                 step *= 1.5
-                ends.append(end)
             if outer < inner:
                 rise = max(outer - (ymax - DROP), 0.0) / (inner - outer)
                 bound = near[0] + side * abs(near[1] - near[0]) * rise
-                if side * (ends[-1] - bound) >= 0.0:
-                    end = bound
-                    break
-            with np.errstate(over="ignore"):
-                batch = sample(np.array(ends))
-            for end, value in zip(ends, batch.tolist()):
-                near, inner, outer = [end, near[0]], outer, value
-                _check(outer)
-                ymax = max(ymax, outer)
-                expansions += 1
-                if expansions > MAX_EXPANSIONS:
-                    raise QuadratureError("window expansion did not resolve the integrand tail")
-                if outer - ymax <= -DROP and (outer < inner or outer == -math.inf):
-                    break
-        lo, hi = (end, hi) if side < 0 else (lo, end)
-
-    # trim to the region that carries mass (see step 2): on the scan nodes, and
-    # to their maximum, while they still span the window (no side has sampled
-    # an endpoint), else on a finer grid
-    if evaluations > N_SCAN:
-        xs = _nodes(lo, hi, 4 * N_SCAN + 1)
-        ys = sample(xs)
-        ymax = float(ys.max())
-        _check(ymax)
-    above = (ys - ymax > -DROP).nonzero()[0]
-    lo = float(xs[above[0] - 1]) if above[0] > 0 else lo
-    hi = float(xs[above[-1] + 1]) if above[-1] < len(xs) - 1 else hi
+                if side * (end - bound) >= 0.0:
+                    lo, hi = (bound, hi) if side < 0 else (lo, bound)
+                    continue
+            lo, hi = (end, hi) if side < 0 else (lo, end)
+            grown = True
+        if not grown:
+            above = (ys - ymax > -DROP).nonzero()[0]
+            lo = float(xs[above[0] - 1]) if above[0] > 0 else lo
+            hi = float(xs[above[-1] + 1]) if above[-1] < len(xs) - 1 else hi
+            if len(above) >= 3:
+                break
+        rescans += 1
+        if rescans > MAX_EXPANSIONS:
+            raise QuadratureError("window expansion did not resolve the integrand tail")
+        with np.errstate(over="ignore"):
+            xs = _nodes(lo, hi, 4 * N_SCAN + 1)
+            ys = sample(xs)
 
     # nested trapezoid refinement, accepted at the first settled level; the first
     # call holds levels 0 and 1.  ``scaled`` is the node sum (end nodes halved)

@@ -526,13 +526,20 @@ class TestProperties:
     @example(c_a=1.0, c_b=2.0, sigma=1.2)
     @example(c_a=0.5, c_b=3.0, sigma=3.0)
     @example(c_a=0.05, c_b=20.0, sigma=10.0)
+    # group b settles with abs_err 8.0e-12 and misses its share by 1.47e-14
+    @example(c_a=15.245, c_b=5.442, sigma=3.951)
     def test_groups_sharing_a_sigma_merge(self, c_a, c_b, sigma):
         c, share_a, share_b = oracles.merged_pair(c_a, c_b, sigma)
         base, a, b = multi_group_limits(LimitSpecK(groups=((1.0, 1.0), (c_a, sigma), (c_b, sigma))))
         merged_base, merged = multi_group_limits(LimitSpecK(groups=((1.0, 1.0), (c, sigma))))
-        assert abs(base.value - merged_base.value) <= 1e-14
-        assert abs(a.value - share_a * merged.value) <= 1e-14
-        assert abs(b.value - share_b * merged.value) <= 1e-14
+
+        def bound(*results):
+            # what the quadratures state for the values compared, and never below 1e-14
+            return max(1e-14, sum(r.abs_err for r in results))
+
+        assert abs(base.value - merged_base.value) <= bound(base, merged_base)
+        assert abs(a.value - share_a * merged.value) <= bound(a, merged)
+        assert abs(b.value - share_b * merged.value) <= bound(b, merged)
 
     @_PROPERTY
     @given(n1=st.integers(1, 10_000), dn=st.integers(1, 1_000), n2=st.integers(1, 10_000), sigma=_SIGMA)

@@ -10,16 +10,19 @@ from scipy.special import log_ndtr
 
 from gausswinner import limits, quadrature, scaling
 from gausswinner.quadrature import (
-    BATCH,
     DROP,
     MAX_EXPANSIONS,
     N_SCAN,
     N_START,
+    REACH_STEPS,
+    TOL,
     QuadratureError,
     _nodes,
     concave_log_quad,
 )
 from gausswinner.scaling import GroupSpec
+
+import oracles
 
 
 def test_standard_gaussian_mass(monkeypatch):
@@ -95,8 +98,8 @@ def test_rejects_log_f_of_any_other_shape():
 
 
 def test_window_candidates_past_the_kept_endpoint_may_overflow():
-    # Gamma(1) = 1 in u-space; a later candidate of the right-hand batch
-    # sits where exp(u) overflows, which must not warn
+    # Gamma(1) = 1 in u-space; the rescan of the grown window reaches where
+    # exp(u) overflows, far past the trimmed end, which must not warn
     res = concave_log_quad(lambda u: u - np.exp(u), -10.0, -9.0)
     assert res.value == pytest.approx(1.0, abs=1e-10)
 
@@ -129,8 +132,9 @@ PINNED = {
         ],
     ),
     # two K=3 specs drawn like the benchmark's, named for their run as rows of
-    # one shared grid (a walked window side, settled at level 3 or 4).  One
-    # quadrature per group settles their groups at levels 1 to 4, none walking
+    # one shared grid (where a window side walked, and the grid settled at
+    # level 3 or 4).  One quadrature per group settles their groups at levels
+    # 1 to 4, and no window grows
     "multi_group_limits K=3, walked, level 3": (
         lambda: limits.multi_group_limits(
             limits.LimitSpecK(
@@ -199,21 +203,9 @@ def _bent(x):
     return -0.5 * x * x - 0.5 * np.sqrt(0.01 + x * x)
 
 
-def test_nan_beyond_accepted_endpoint_is_ignored():
-    # from [2, 4], beside the peak at 0, the left side rises outward and walks:
-    # its batch ends at -8.390625, -14.0859375 and -22.62890625, and -14.0859375
-    # is the first endpoint deep enough.  The right side ends at its bound.
-    plain = concave_log_quad(_bent, 2.0, 4.0)
-    res = concave_log_quad(lambda x: np.where(x < -20.0, np.nan, _bent(x)), 2.0, 4.0)
-    assert (res.value.hex(), res.abs_err.hex()) == (plain.value.hex(), plain.abs_err.hex()) == (
-        "0x1.bcd029cb9f09cp+0",
-        "0x1.6620021538de9p-39",
-    )
-
-
 # stage -> (nodes in the log_f call, index of the bad node) for the seed scan,
-# the trim grid, a node of level 0 (129 nodes) and of level 1 (128 midpoints)
-# in the first refinement call, and a node of the 256 level-2 midpoints
+# a rescan, a node of level 0 (129 nodes) and of level 1 (128 midpoints) in
+# the first refinement call, and a node of the 256 level-2 midpoints
 _CALL_NODE = {
     N_SCAN: (N_SCAN, N_SCAN // 2),
     4 * N_SCAN + 1: (4 * N_SCAN + 1, 2 * N_SCAN),
@@ -223,11 +215,11 @@ _CALL_NODE = {
 }
 
 
-def _bad_at(stage, bad=np.nan):
-    """``_bent`` with ``bad`` at x == stage, inside a (lo, hi) stage, or at ``_CALL_NODE[stage]``."""
+def _bad_at(stage, bad=np.nan, base=_bent):
+    """``base`` with ``bad`` at x == stage, inside a (lo, hi) stage, or at ``_CALL_NODE[stage]``."""
 
     def log_f(x):
-        y = _bent(x)
+        y = base(x)
         if isinstance(stage, tuple):
             y[(x > stage[0]) & (x < stage[1])] = bad
         elif isinstance(stage, float):
@@ -239,14 +231,14 @@ def _bad_at(stage, bad=np.nan):
     return log_f
 
 
-# the seed scan, a window candidate before the accepted one (-3.375 on the
-# left of [-1, 1], whose secant bound lies past the first batch), the accepted
-# candidate, the trim grid, levels 0 and 1 (both in the first refinement call),
-# the level-2 midpoints, and a sliver between the scan nodes 0 and 1/32 that
-# no node reaches before the level-2 midpoints
-STAGES = [65, -3.375, -11.390625, 261, N_START, N_START - 1, 2 * (N_START - 1), (0.01, 0.02)]
-# the ids keep the "False-" prefix these one-row cases had while two-row twins ran beside them
-STAGE_IDS = [f"False-{s}" if not isinstance(s, tuple) else f"False-stage{i}" for i, s in enumerate(STAGES)]
+# the seed scan, the rescan of the window grown from [-1, 1] (the left side's
+# secant bound lies past its reach), levels 0 and 1 (both in the first
+# refinement call), the level-2 midpoints, and a sliver between the scan nodes
+# 0 and 1/32 that no node reaches before the level-2 midpoints
+STAGES = [65, 261, N_START, N_START - 1, 2 * (N_START - 1), (0.01, 0.02)]
+# the ids keep the "False-" prefix these one-row cases had while two-row twins
+# ran beside them, and the sliver the index it had among eight stages
+STAGE_IDS = [f"False-{s}" for s in STAGES[:-1]] + ["False-stage7"]
 
 
 @pytest.mark.parametrize("stage", STAGES, ids=STAGE_IDS)
@@ -257,15 +249,16 @@ def test_nan_raises_at_every_stage(stage):
 
 @pytest.mark.parametrize("stage", STAGES, ids=STAGE_IDS)
 def test_inf_raises_at_every_stage(stage):
-    # +inf used to end in "zero everywhere", an IndexError on the trim grid,
-    # or an invalid-value warning and "did not reach tol" in refinement
+    # +inf used to end in "zero everywhere", an IndexError in the trim, or an
+    # invalid-value warning and "did not reach tol" in refinement
     with pytest.raises(QuadratureError, match=r"log integrand returned \+inf"):
         concave_log_quad(_bad_at(stage, bad=np.inf), -1.0, 1.0)
 
 
 def test_stage_calls_and_window():
-    # the calls STAGES is keyed to: scan, one left batch, trim grid from the
-    # accepted -11.390625, the first refinement call and two midpoint levels
+    # the calls STAGES is keyed to: scan, one rescan of the window whose left
+    # side moved out to its reach, the first refinement call and two midpoint
+    # levels
     seen = []
 
     def log_f(x):
@@ -273,29 +266,34 @@ def test_stage_calls_and_window():
         return _bad_at(0.5, bad=-1.0)(x)
 
     concave_log_quad(log_f, -1.0, 1.0)
-    assert [len(x) for x in seen] == [N_SCAN, BATCH, 4 * N_SCAN + 1, 2 * N_START - 1, 2 * (N_START - 1),
-                                      4 * (N_START - 1)]
-    assert seen[1][2] == -3.375 and seen[2][0] == -11.390625
+    assert [len(x) for x in seen] == [N_SCAN, 4 * N_SCAN + 1, 2 * N_START - 1, 2 * (N_START - 1), 4 * (N_START - 1)]
+    # eight geometric steps out from -1, of 0.5 growing by 1.5
+    assert seen[1][0] == -25.62890625
 
 
 def _indicator_resolving_at(k):
-    """0 on [-1, T] and -inf elsewhere, T between right-hand window candidates k - 1 and k on [-1, 1].
+    """0 on [-1, T] and -inf elsewhere, T between the right ends of rescans k - 1 and k from [-1, 1].
 
-    The left side resolves at its first candidate, -1.5, so the right side
-    starts from hi = 1 with step (1 - -1.5) / 4 and grows it by 1.5.
+    Both ends of the seed scan read 0, so both sides move out to their
+    reach; the left end then reads -inf, and the right side moves out again
+    after every rescan until its end passes T.
     """
-    end, step, ends = 1.0, 0.625, []
-    for _ in range(k):
-        end += step
-        step *= 1.5
-        ends.append(end)
+    lo, hi, ends = -1.0, 1.0, [1.0]
+    for rescan in range(k):
+        for side in (-1, +1) if rescan == 0 else (+1,):
+            step, end = (hi - lo) / 4.0, lo if side < 0 else hi
+            for _ in range(REACH_STEPS):
+                end += side * step
+                step *= 1.5
+            lo, hi = (end, hi) if side < 0 else (lo, end)
+        ends.append(hi)
     t = 0.5 * (ends[-2] + ends[-1])
     return lambda x: np.where((x >= -1.0) & (x <= t), 0.0, -np.inf)
 
 
-def test_expansion_limit_counts_candidates(monkeypatch):
-    # candidate MAX_EXPANSIONS resolves the window; refinement then runs
-    # (and, with one level, stops short)
+def test_expansion_limit_counts_rescans(monkeypatch):
+    # rescan MAX_EXPANSIONS resolves the window; refinement then runs (and,
+    # with one level, stops short)
     monkeypatch.setattr(quadrature, "MAX_LEVELS", 1)
     with pytest.raises(QuadratureError, match="trapezoid refinement"):
         concave_log_quad(_indicator_resolving_at(MAX_EXPANSIONS), -1.0, 1.0)
@@ -312,7 +310,7 @@ def test_evaluations_count_every_node():
 
     res = concave_log_quad(log_f, -1.0, 1.0)
     assert res.evaluations == sum(seen)
-    assert BATCH in seen  # the unused window candidates are counted too
+    assert 4 * N_SCAN + 1 in seen  # the rescan of the grown window is counted too
 
 
 def _traced(log_f, lo, hi, tol):
@@ -378,8 +376,8 @@ def _concave_cases(draw):
     offset=st.sampled_from([0.0, 3.0, -3.0, 50.0, -50.0]),
     half=st.floats(0.5, 4.0),
 )
-# each family seeded on its peak, where the window is trimmed on the scan
-# nodes, and 50 widths away, where a side walks and the trim grid runs
+# each family seeded on its peak, where the window is trimmed on the seed
+# scan, and 50 widths away, where a side grows and the window is rescanned
 @example(case=_gauss_case(0.0, 1.0), offset=0.0, half=4.0)
 @example(case=_gauss_case(0.0, 1.0), offset=50.0, half=4.0)
 @example(case=_gamma_case(2.0), offset=0.0, half=4.0)
@@ -402,8 +400,9 @@ def test_concave_family_value_and_window(case, offset, half):
 
 def test_falling_side_ends_at_its_concavity_bound():
     # both scan ends of -x^2/2 on [-3, 3] fall outward; each bound lies within
-    # the first batch, so no window endpoint is evaluated, and the window is
-    # trimmed on the scan nodes, which run above the cutoff out to both ends
+    # its side's reach, so no side grows and nothing is rescanned, and the
+    # window is trimmed on the scan nodes, which run above the cutoff out to
+    # both ends
     res, lo, hi, sizes = _traced(lambda x: -0.5 * x * x, -3.0, 3.0, 1e-10)
     assert sizes == [N_SCAN, 2 * N_START - 1]
     # the secant through the two outer scan nodes meets 0 - DROP at the end
@@ -414,18 +413,83 @@ def test_falling_side_ends_at_its_concavity_bound():
     assert res.value == pytest.approx(math.sqrt(2.0 * math.pi), abs=1e-12)
 
 
-def test_walking_side_runs_the_trim_grid():
-    # the seed [-1, 1] misses the narrow peak at 50: the right side walks two
-    # batches of geometric endpoints, too coarse to place the window, so the
-    # window is trimmed on the finer grid across the whole walked span
+def test_growing_side_rescans_the_window():
+    # the seed [-1, 1] misses the narrow peak at 50: the right side moves out
+    # to its reach twice, and each grown window is rescanned; the second
+    # rescan puts a single node within DROP of the peak, so the window trimmed
+    # around it is zoomed, scanned again, and trimmed to the peak
     def log_f(x):
         return -0.5 * ((x - 50.0) / 0.01) ** 2
 
     res, lo, hi, sizes = _traced(log_f, -1.0, 1.0, 1e-12)
-    assert sizes == [N_SCAN, BATCH, BATCH, 4 * N_SCAN + 1, 2 * N_START - 1]
+    assert sizes == [N_SCAN, 4 * N_SCAN + 1, 4 * N_SCAN + 1, 4 * N_SCAN + 1, 2 * N_START - 1]
     assert lo < 50.0 < hi and hi - lo < 1.0
     _assert_window_holds_mass(log_f, lo, hi)
     assert res.value == pytest.approx(0.01 * math.sqrt(2.0 * math.pi), rel=1e-12)
+
+
+def _narrow(x):
+    """A Gaussian of width 1e-3 at 0.3: on [-1, 1] one seed-scan node lies within DROP of its peak."""
+    return -0.5 * ((x - 0.3) / 1e-3) ** 2
+
+
+def test_narrow_run_is_zoomed():
+    # both sides of the seed scan already end, so the window is trimmed to the
+    # two scan nodes around the single node above the cutoff and scanned again
+    res, lo, hi, sizes = _traced(_narrow, -1.0, 1.0, 1e-10)
+    assert sizes == [N_SCAN, 4 * N_SCAN + 1, 2 * N_START - 1]
+    assert 0.28125 < lo < 0.3 < hi < 0.34375
+    _assert_window_holds_mass(_narrow, lo, hi)
+    assert res.value == pytest.approx(1e-3 * math.sqrt(2.0 * math.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "NaN"), (np.inf, r"\+inf")], ids=["nan", "inf"])
+def test_bad_value_in_a_zoom_rescan_raises(bad, message):
+    with pytest.raises(QuadratureError, match=f"log integrand returned {message}"):
+        concave_log_quad(_bad_at(4 * N_SCAN + 1, bad=bad, base=_narrow), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("mu", [50.0, -50.0, 500.0, 5000.0])
+@pytest.mark.parametrize("width", [1e-3, 1e-2, 1.0])
+def test_far_or_narrow_peak(mu, width):
+    # a seed far from the peak in widths: the window grows, and each run too
+    # narrow to place the peak is zoomed, down to widths of 1e-3 at x = 5,000
+    log_f, _, _, exact = _gauss_case(mu, width)
+    res, lo, hi, _ = _traced(log_f, -1.0, 1.0, TOL)
+    assert res.value == pytest.approx(exact, rel=1e-9)
+    _assert_window_holds_mass(log_f, lo, hi)
+
+
+def _walked_cases():
+    """(id, log_f, lo, hi, reference) for integrands whose seed window grows."""
+    cases = []
+    for mu in (50.0, -50.0, 3.0, -3.0, 500.0):
+        for width in (0.01, 1.0, 20.0):
+            log_f, _, _, exact = _gauss_case(mu, width)
+            cases.append((f"gauss-{mu:g}-{width:g}", log_f, -width, width, exact))
+    for a in (0.2, 2.0, 8.0):
+        log_f, peak, width, exact = _gamma_case(a)
+        for offset in (50.0, -50.0):
+            c = peak + offset * width
+            cases.append((f"gamma-{a:g}-{offset:+g}", log_f, c - 1.0, c + 1.0, exact))
+    for w in (10.0, 1e4):
+        log_f, _, _, reference = _ndtr_case(w, 1.0)
+        for c in (50.0, -50.0):
+            cases.append((f"ndtr-{w:g}-{c:+g}", log_f, c - 2.0, c + 2.0, reference))
+    return cases
+
+
+@pytest.mark.parametrize("case", _walked_cases(), ids=lambda case: case[0])
+def test_grown_window_values(case):
+    _, log_f, lo, hi, reference = case
+    assert abs(concave_log_quad(log_f, lo, hi).value - reference) <= 2.0 * TOL
+
+
+@pytest.mark.parametrize("n2", [1e3, 1e6, 1e9, 1e12])
+@pytest.mark.parametrize("sigma", [1.5, 3.0])
+def test_grown_window_finite_n(n2, sigma):
+    groups = GroupSpec(10, 1.0), GroupSpec(n2, sigma)
+    assert abs(limits.finite_n_winner(*groups).value - oracles.mp_finite_n(*groups)) <= 2.0 * TOL
 
 
 def _budget_points():

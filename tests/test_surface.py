@@ -4,7 +4,7 @@ The top-level names are exactly those the README quick start and the
 demos import.  Every name a submodule exports, and every field and
 property of a result type, is used by the package, the README, the demos
 or the benchmark, not by the tests alone.  Every function the benchmark
-traces still exists.
+traces still exists, and a traced run gives every layer metric, finite.
 """
 
 import ast
@@ -12,6 +12,8 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import math
 import pathlib
 import pkgutil
 import re
@@ -111,12 +113,18 @@ def test_result_fields_have_a_reader_outside_the_tests():
     assert unread == []
 
 
+def _perfbench(name):
+    """The benchmark's module ``perfbench/<name>.py``, loaded without putting perfbench on the path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_trace_targets_resolve():
     # the tracer skips a target it cannot find, so a renamed function would
     # silently leave its layer metric without spans
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench("tracing")
     assert tracing.PACKAGE == "gausswinner"
     missing = []
     for home in tracing.TARGETS:
@@ -125,6 +133,28 @@ def test_benchmark_trace_targets_resolve():
         if not callable(getattr(module, attr, None)):
             missing.append(home)
     assert missing == []
+
+
+def test_traced_run_gives_every_layer_metric_finite(tmp_path, monkeypatch):
+    # a traced benchmark run must end in one strict-JSON line of metrics: a
+    # small simulate --exact as the workload, then every probe in its own phase
+    tracing, layers, worker = _perfbench("tracing"), _perfbench("layers"), _perfbench("worker")
+    from gausswinner import cli
+
+    monkeypatch.chdir(tmp_path)
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        assert cli.main(["simulate", "--exact", "--trials", "2000", "--output", "simgrid.csv"]) == 0
+        for name, probe in worker.PROBES.items():
+            recorder.phase = f"probe:{name}"
+            probe()
+    finally:
+        recorder.uninstall()
+    metrics, _ = layers.layer_metrics(recorder.spans)
+    assert sorted(metrics) == sorted(layers.METRICS) and len(metrics) == 23
+    assert [name for name, value in metrics.items() if not math.isfinite(value)] == []
+    json.dumps(metrics, allow_nan=False)
 
 
 def test_no_module_reads_the_environment():
